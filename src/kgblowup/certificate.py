@@ -16,6 +16,12 @@ comparing exponential orders (q~ grows like e^{|H|t} in the exponential
 family and polynomially otherwise), so the numeric optimizer never chases
 a divergent objective.  The optimizer works on log-objectives over a
 compactified grid plus golden-section refinement.
+
+The grid is evaluated as NumPy arrays (``log_q_tilde_array``,
+``curved_mass_sq_array``) and only ranks the nodes.  The value at the best
+node and the refinement around it come from the scalar objective: NumPy's
+exp and log differ from libm's by an ulp on some inputs, and scalar values
+keep A, B and T* identical to a node-by-node scalar evaluation.
 """
 
 from __future__ import annotations
@@ -26,13 +32,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cone import ConeGeometry, Monotonicity, classify_q, log_q_tilde_eval
+from .cone import ConeGeometry, Monotonicity, classify_q, log_q_tilde_array, log_q_tilde_eval
 from .cosmology import (
     ClosedFormFLRW,
     CosmologyParams,
     MassTag,
     classify_mass_behavior,
     curved_mass_sq,
+    curved_mass_sq_array,
     horizon_end,
 )
 from .errors import ConfigurationError, PreconditionError
@@ -241,13 +248,20 @@ def _golden_minimize(f: Callable[[float], float], lo: float, hi: float) -> Tuple
 
 
 def _optimize_log(
-    f_log: Callable[[float], float], t_end: float, nodes: int
+    f_log: Callable[[float], float],
+    f_grid: Callable[[np.ndarray], np.ndarray],
+    t_end: float,
+    nodes: int,
 ) -> Tuple[float, float]:
-    """Minimize a log-objective on (0, t_end); returns (t_min, f_min)."""
+    """Minimize a log-objective on (0, t_end); returns (t_min, f_min).
+
+    ``f_grid`` is the array form of ``f_log`` and only picks the best grid
+    node; the value there and the refinement come from ``f_log``.
+    """
     grid = _time_grid(t_end, nodes)
-    vals = np.array([f_log(t) for t in grid])
-    i = int(np.nanargmin(vals))
-    best_t, best_v = float(grid[i]), float(vals[i])
+    i = int(np.nanargmin(f_grid(grid)))
+    best_t = float(grid[i])
+    best_v = f_log(best_t)
     if not math.isfinite(best_v):
         return best_t, best_v
     lo = float(grid[i - 1]) if i > 0 else float(grid[i])
@@ -297,7 +311,10 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     def f_log(t: float) -> float:
         return growth * t - n_half * log_q_tilde_eval(geom, t)
 
-    t_min, f_min = _optimize_log(f_log, horizon_end(params), nodes)
+    def f_grid(t: np.ndarray) -> np.ndarray:
+        return growth * t - n_half * log_q_tilde_array(geom, t)
+
+    t_min, f_min = _optimize_log(f_log, f_grid, horizon_end(params), nodes)
     return ExtremumResult(math.exp(f_min), True, t_min, "positive infimum")
 
 
@@ -361,7 +378,15 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
             return math.inf  # objective 0 there
         return -(n_half * log_q_tilde_eval(geom, t) + inv_pm1 * math.log(mass) - decay * t)
 
-    t_max, neg_min = _optimize_log(neg_log, horizon_end(params), nodes)
+    def neg_log_grid(t: np.ndarray) -> np.ndarray:
+        log_q = log_q_tilde_array(geom, t)
+        mass = n2 + curved_mass_sq_array(params, t)
+        out = np.full(t.shape, math.inf)
+        pos = mass > 0.0
+        out[pos] = -(n_half * log_q[pos] + inv_pm1 * np.log(mass[pos]) - decay * t[pos])
+        return out
+
+    t_max, neg_min = _optimize_log(neg_log, neg_log_grid, horizon_end(params), nodes)
     if math.isinf(neg_min):
         return ExtremumResult(0.0, True, None, "objective vanishes identically")
     return ExtremumResult(math.exp(-neg_min), True, t_max, "finite supremum")

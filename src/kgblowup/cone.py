@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .cosmology import ClosedFormFLRW, CosmologyParams, ScaleModel, horizon_end, scale_eval
-from .errors import DomainError, PreconditionError
+from .errors import ConfigurationError, DomainError, PreconditionError
 
 __all__ = [
     "Monotonicity",
@@ -32,6 +34,7 @@ __all__ = [
     "classify_q",
     "q_tilde_eval",
     "log_q_tilde_eval",
+    "log_q_tilde_array",
 ]
 
 _SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
@@ -118,13 +121,23 @@ def _adaptive_simpson(f, a, b, rel_tol=1e-10):
     return recurse(a, b, fa, fm, fb, whole, 0)
 
 
+def _coasting(n: int, sigma: float) -> bool:
+    """n(1+sigma) == 2, where a(t) grows linearly and r(t) is logarithmic.
+
+    The second test catches spellings of -1 + 2/n that round differently
+    (n = 3: -0.3333333333333333); the first keeps the exact special point
+    at n where n(1+sigma) rounds away from 2 (n = 6).
+    """
+    return sigma == -1.0 + 2.0 / n or n * (1.0 + sigma) == 2.0
+
+
 def _radius_closed_form(params: CosmologyParams, r0: float, t: float) -> float:
     n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
     if H == 0.0:
         return r0 + c * t / a0
     if sigma == -1.0:
         return r0 + c / (a0 * H) * (1.0 - math.exp(-H * t))
-    if sigma == -1.0 + 2.0 / n:
+    if _coasting(n, sigma):
         return r0 + c * math.log1p(H * t) / (a0 * H)
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
@@ -146,7 +159,7 @@ def _log_radius_closed_form(params: CosmologyParams, r0: float, t: float) -> flo
         if x <= _EXP_SAFE:
             return math.log(r0 + scale * (math.exp(x) - 1.0))
         return x + math.log(scale) + math.log1p((r0 - scale) / scale * math.exp(-x))
-    if sigma == -1.0 + 2.0 / n:
+    if _coasting(n, sigma):
         return math.log(r0 + c * math.log1p(H * t) / (a0 * H))
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
@@ -157,6 +170,34 @@ def _log_radius_closed_form(params: CosmologyParams, r0: float, t: float) -> flo
         return math.log(r0 + coef * (1.0 - math.exp(y)))
     # divergent branch: r ~ (-coef) * g^(1-beta), and -coef > 0 there
     return y + math.log(-coef) + math.log1p((r0 + coef) / (-coef) * math.exp(-y))
+
+
+def _log_r0_plus_expm1(r0: float, s: float, y: np.ndarray) -> np.ndarray:
+    """Elementwise log(r0 + s (e^y - 1)), with s > 0 wherever y > _EXP_SAFE."""
+    out = np.empty_like(y)
+    small = y <= _EXP_SAFE
+    out[small] = np.log(r0 + s * (np.exp(y[small]) - 1.0))
+    if not small.all():
+        big = ~small
+        out[big] = y[big] + math.log(s) + np.log1p((r0 - s) / s * np.exp(-y[big]))
+    return out
+
+
+def _log_radius_array(params: CosmologyParams, r0: float, t: np.ndarray) -> np.ndarray:
+    """_log_radius_closed_form over an array of times, branch for branch."""
+    n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
+    if H == 0.0:
+        return np.log(r0 + c * t / a0)
+    if sigma == -1.0:
+        if H > 0.0:
+            return np.log(r0 + c / (a0 * H) * (1.0 - np.exp(-H * t)))
+        return _log_r0_plus_expm1(r0, c / (a0 * (-H)), -H * t)
+    if _coasting(n, sigma):
+        return np.log(r0 + c * np.log1p(H * t) / (a0 * H))
+    k = n * (1.0 + sigma) * H / 2.0
+    beta = 2.0 / (n * (1.0 + sigma))
+    coef = 2.0 * c / (a0 * H * (2.0 - n * (1.0 + sigma)))
+    return _log_r0_plus_expm1(r0, -coef, (1.0 - beta) * np.log(1.0 + k * t))
 
 
 def comoving_radius(geom: ConeGeometry, t: float) -> float:
@@ -224,28 +265,50 @@ def classify_q(geom: ConeGeometry) -> QClassification:
     return QClassification(Monotonicity.NOT_MONOTONE, d0, qdot0, threshold)
 
 
-def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
-    """Monotonized q: the constant q0 when q is non-increasing, else q(t)."""
+def _monotone_verdict(geom: ConeGeometry) -> Monotonicity:
     verdict = classify_q(geom).monotonicity
     if verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError(
             "q is not certified monotone for these parameters; "
             "the monotonized envelope is undefined"
         )
-    if verdict is Monotonicity.NON_INCREASING:
+    return verdict
+
+
+def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
+    """Monotonized q: the constant q0 when q is non-increasing, else q(t)."""
+    if _monotone_verdict(geom) is Monotonicity.NON_INCREASING:
         _check_time(t, geom.end)
         return geom.q0
     return q_eval(geom, t)
 
 
 def log_q_tilde_eval(geom: ConeGeometry, t: float) -> float:
-    verdict = classify_q(geom).monotonicity
-    if verdict is Monotonicity.NOT_MONOTONE:
-        raise PreconditionError(
-            "q is not certified monotone for these parameters; "
-            "the monotonized envelope is undefined"
-        )
-    if verdict is Monotonicity.NON_INCREASING:
+    if _monotone_verdict(geom) is Monotonicity.NON_INCREASING:
         _check_time(t, geom.end)
         return 2.0 * math.log(geom.r0)
     return log_q_eval(geom, t)
+
+
+def log_q_tilde_array(geom: ConeGeometry, t: np.ndarray) -> np.ndarray:
+    """log_q_tilde_eval at every time in ``t``, on the closed-form family.
+
+    q is classified once and only the earliest and latest times are checked
+    against the horizon, so a grid the scalar form rejects at any node
+    raises the same error here.
+    """
+    if geom.model is not None and not isinstance(geom.model, ClosedFormFLRW):
+        raise ConfigurationError("array evaluation needs the closed-form scale family")
+    verdict = _monotone_verdict(geom)
+    _check_time(float(t.min()), geom.end)
+    _check_time(float(t.max()), geom.end)
+    if verdict is Monotonicity.NON_INCREASING:
+        return np.full(t.shape, 2.0 * math.log(geom.r0))
+    params = geom.params
+    if params.sigma == -1.0:
+        log_a_ratio = params.H * t
+    else:
+        k = params.n * (1.0 + params.sigma) * params.H / 2.0
+        beta = 2.0 / (params.n * (1.0 + params.sigma))
+        log_a_ratio = beta * np.log(1.0 + k * t)
+    return log_a_ratio + 2.0 * _log_radius_array(params, geom.r0, t)

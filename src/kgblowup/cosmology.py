@@ -41,6 +41,7 @@ __all__ = [
     "horizon_end",
     "scale_eval",
     "curved_mass_sq",
+    "curved_mass_sq_array",
     "curved_mass_sq_from_scale",
     "mass_sign_change_time",
     "classify_mass_behavior",
@@ -197,6 +198,18 @@ def curved_mass_sq(params: CosmologyParams, t: float) -> float:
     n, c, H, sigma = params.n, params.c, params.H, params.sigma
     if sigma == -1.0:
         return params.m_squared - (n * H / (2.0 * c)) ** 2
+    g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
+    return params.m_squared + sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
+
+
+def curved_mass_sq_array(params: CosmologyParams, t: np.ndarray) -> np.ndarray:
+    """curved_mass_sq at every time in ``t``; the extreme times are range-checked."""
+    end = horizon_end(params)
+    _check_time(float(t.min()), end)
+    _check_time(float(t.max()), end)
+    n, c, H, sigma = params.n, params.c, params.H, params.sigma
+    if sigma == -1.0:
+        return np.full(t.shape, params.m_squared - (n * H / (2.0 * c)) ** 2)
     g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
     return params.m_squared + sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
 

@@ -96,7 +96,6 @@ def dopri_integrate(
     h = min(h, max_step)
     k = [f0] + [np.empty_like(y) for _ in range(6)]
     n_steps = n_rejected = 0
-    blow_hit = False
 
     while t < t_end:
         if n_steps >= max_steps:
@@ -106,7 +105,7 @@ def dopri_integrate(
             return RkResult(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
         step_floor = min_step_fraction * max(1.0, abs(t))
         blow_floor = blow_step_fraction * max(1.0, abs(t))
-        if h < step_floor or blow_hit:
+        if h < step_floor:
             big = magnitude is not None and magnitude(y) > blow_magnitude
             reason = (
                 TerminationReason.BLOWUP_THRESHOLD if big else TerminationReason.STEP_UNDERFLOW
@@ -146,14 +145,12 @@ def dopri_integrate(
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
             if h < step_floor:
-                blow_hit = magnitude is not None and magnitude(y) > blow_magnitude
-                if not blow_hit:
+                if magnitude is not None and magnitude(y) > blow_magnitude:
                     return RkResult(
-                        TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h
+                        TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h
                     )
-            if blow_hit:
                 return RkResult(
-                    TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h
+                    TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h
                 )
 
     return RkResult(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)

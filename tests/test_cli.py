@@ -70,6 +70,18 @@ class TestAnalyze:
         assert cert["corollary_case"] == "i"
         assert cert["verdicts"]["B_finite"] is True
 
+    def test_coasting_background_certifies(self, tmp_path, capsys):
+        """a ∝ t at n = 3 with sigma spelled as JSON writes -1 + 2/3."""
+        sc = json.loads(json.dumps(MINK))
+        sc["cosmology"].update(n=3, H=0.45, sigma=-0.3333333333333333)
+        sc["theorem"].update(w0=40.0, w1=1000.0)
+        code = main(["analyze", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["valid"] is True
+        assert 0.0 < cert["T_star"] < math.inf
+
     def test_below_threshold_exit_code(self, tmp_path):
         sc = json.loads(json.dumps(MINK))
         sc["theorem"]["w0"] = 1.0

@@ -57,6 +57,15 @@ class TestRadius:
         g = geom(H=2.0, sigma=1.0, n=1)
         assert comoving_radius(g, 3.0) == pytest.approx(1.0 + math.log(7.0) / 2.0)
 
+    @pytest.mark.parametrize("n, sigma", [(3, -0.3333333333333333), (6, -1.0 + 2.0 / 6)])
+    def test_log_branch_from_rounded_sigma(self, n, sigma):
+        # either n(1+sigma) rounds to 2 without sigma == -1 + 2/n (n = 3 as
+        # JSON writes it), or the reverse (n = 6); both are a = a0 (1 + Ht)
+        g = geom(H=0.45, sigma=sigma, n=n)
+        expected = 1.0 + math.log1p(0.45 * 2.0) / 0.45
+        assert comoving_radius(g, 2.0) == expected
+        assert log_q_eval(g, 2.0) == pytest.approx(math.log(1.9) + 2.0 * math.log(expected))
+
     def test_strictly_increasing(self):
         rng = np.random.default_rng(10)
         for case in CASE_REGIONS:

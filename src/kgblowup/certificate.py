@@ -42,7 +42,7 @@ from .cosmology import (
     curved_mass_sq_array,
     horizon_end,
 )
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError, DomainError, PreconditionError
 
 __all__ = [
     "TheoremInputs",
@@ -259,7 +259,13 @@ def _optimize_log(
     node; the value there and the refinement come from ``f_log``.
     """
     grid = _time_grid(t_end, nodes)
-    i = int(np.nanargmin(f_grid(grid)))
+    values = f_grid(grid)
+    if np.isnan(values).all():
+        raise DomainError(
+            "the objective is NaN at every grid node: the closed forms overflow "
+            "at these parameters (for example a subnormal H)"
+        )
+    i = int(np.nanargmin(values))
     best_t = float(grid[i])
     best_v = f_log(best_t)
     if not math.isfinite(best_v):
@@ -309,10 +315,10 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     geom = inputs.geom
 
     def f_log(t: float) -> float:
-        return growth * t - n_half * log_q_tilde_eval(geom, t)
+        return growth * t - n_half * log_q_tilde_eval(geom, t, verdict)
 
     def f_grid(t: np.ndarray) -> np.ndarray:
-        return growth * t - n_half * log_q_tilde_array(geom, t)
+        return growth * t - n_half * log_q_tilde_array(geom, t, verdict)
 
     t_min, f_min = _optimize_log(f_log, f_grid, horizon_end(params), nodes)
     return ExtremumResult(math.exp(f_min), True, t_min, "positive infimum")
@@ -376,10 +382,10 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
         mass = n2 + curved_mass_sq(params, t)
         if mass <= 0.0:
             return math.inf  # objective 0 there
-        return -(n_half * log_q_tilde_eval(geom, t) + inv_pm1 * math.log(mass) - decay * t)
+        return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * math.log(mass) - decay * t)
 
     def neg_log_grid(t: np.ndarray) -> np.ndarray:
-        log_q = log_q_tilde_array(geom, t)
+        log_q = log_q_tilde_array(geom, t, verdict)
         mass = n2 + curved_mass_sq_array(params, t)
         out = np.full(t.shape, math.inf)
         pos = mass > 0.0

@@ -131,6 +131,19 @@ def _coasting(n: int, sigma: float) -> bool:
     return sigma == -1.0 + 2.0 / n or n * (1.0 + sigma) == 2.0
 
 
+def _power_law_coef(params: CosmologyParams) -> float:
+    """2c / (a0 H (2 - n(1+sigma))), the scale of r(t) - r0 off the special points.
+
+    A subnormal H can round the denominator to 0; that is a typed error,
+    not a ZeroDivisionError.
+    """
+    n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
+    den = a0 * H * (2.0 - n * (1.0 + sigma))
+    if den == 0.0:
+        raise DomainError(f"H={H} is too small: a0 H (2 - n(1+sigma)) rounds to 0")
+    return 2.0 * c / den
+
+
 def _radius_closed_form(params: CosmologyParams, r0: float, t: float) -> float:
     n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
     if H == 0.0:
@@ -142,7 +155,7 @@ def _radius_closed_form(params: CosmologyParams, r0: float, t: float) -> float:
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
     g = 1.0 + k * t
-    coef = 2.0 * c / (a0 * H * (2.0 - n * (1.0 + sigma)))
+    coef = _power_law_coef(params)
     return r0 + coef * (1.0 - g ** (1.0 - beta))
 
 
@@ -164,7 +177,7 @@ def _log_radius_closed_form(params: CosmologyParams, r0: float, t: float) -> flo
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
     g = 1.0 + k * t
-    coef = 2.0 * c / (a0 * H * (2.0 - n * (1.0 + sigma)))
+    coef = _power_law_coef(params)
     y = (1.0 - beta) * math.log(g)
     if y <= _EXP_SAFE:
         return math.log(r0 + coef * (1.0 - math.exp(y)))
@@ -196,7 +209,7 @@ def _log_radius_array(params: CosmologyParams, r0: float, t: np.ndarray) -> np.n
         return np.log(r0 + c * np.log1p(H * t) / (a0 * H))
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
-    coef = 2.0 * c / (a0 * H * (2.0 - n * (1.0 + sigma)))
+    coef = _power_law_coef(params)
     return _log_r0_plus_expm1(r0, -coef, (1.0 - beta) * np.log(1.0 + k * t))
 
 
@@ -283,23 +296,31 @@ def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
     return q_eval(geom, t)
 
 
-def log_q_tilde_eval(geom: ConeGeometry, t: float) -> float:
-    if _monotone_verdict(geom) is Monotonicity.NON_INCREASING:
+def log_q_tilde_eval(
+    geom: ConeGeometry, t: float, verdict: Optional[Monotonicity] = None
+) -> float:
+    """log q~(t); ``verdict`` is q's certified monotonicity if the caller has it."""
+    if verdict is None:
+        verdict = _monotone_verdict(geom)
+    if verdict is Monotonicity.NON_INCREASING:
         _check_time(t, geom.end)
         return 2.0 * math.log(geom.r0)
     return log_q_eval(geom, t)
 
 
-def log_q_tilde_array(geom: ConeGeometry, t: np.ndarray) -> np.ndarray:
+def log_q_tilde_array(
+    geom: ConeGeometry, t: np.ndarray, verdict: Optional[Monotonicity] = None
+) -> np.ndarray:
     """log_q_tilde_eval at every time in ``t``, on the closed-form family.
 
-    q is classified once and only the earliest and latest times are checked
-    against the horizon, so a grid the scalar form rejects at any node
-    raises the same error here.
+    q is classified at most once and only the earliest and latest times are
+    checked against the horizon, so a grid the scalar form rejects at any
+    node raises the same error here.
     """
     if geom.model is not None and not isinstance(geom.model, ClosedFormFLRW):
         raise ConfigurationError("array evaluation needs the closed-form scale family")
-    verdict = _monotone_verdict(geom)
+    if verdict is None:
+        verdict = _monotone_verdict(geom)
     _check_time(float(t.min()), geom.end)
     _check_time(float(t.max()), geom.end)
     if verdict is Monotonicity.NON_INCREASING:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,29 +106,29 @@ def integrate(
     c2 = params.c * params.c
     p = inputs.p
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: Tuple[float, float]) -> Tuple[float, float]:
         w, v = y
-        return np.array([v, c2 * (forcing(t) * rpow(abs(w), p) - mass(t) * w)])
+        return v, c2 * (forcing(t) * rpow(abs(w), p) - mass(t) * w)
 
     ts: List[float] = [0.0]
     ws: List[float] = [inputs.w0]
     vs: List[float] = [inputs.w1]
 
-    def on_step(t: float, y: np.ndarray, h: float) -> None:
+    def on_step(t: float, y: Tuple[float, float], h: float) -> None:
         ts.append(t)
-        ws.append(float(y[0]))
-        vs.append(float(y[1]))
+        ws.append(y[0])
+        vs.append(y[1])
 
     scale0 = max(1.0, abs(inputs.w0), abs(inputs.w1))
     abs_tol = controls.abs_tol if controls.abs_tol is not None else 1e-12 * scale0
     res: RkResult = dopri_integrate(
         rhs,
         0.0,
-        np.array([inputs.w0, inputs.w1], dtype=float),
+        (inputs.w0, inputs.w1),
         t_cap,
         rel_tol=controls.rel_tol,
         abs_tol=abs_tol,
-        magnitude=lambda y: abs(float(y[0])),
+        magnitude=lambda y: abs(y[0]),
         blow_magnitude=controls.blow_magnitude_factor * max(1.0, abs(inputs.w0)),
         blow_step_fraction=controls.blow_step_fraction,
         max_steps=controls.max_steps,

@@ -82,6 +82,23 @@ class TestAnalyze:
         assert cert["valid"] is True
         assert 0.0 < cert["T_star"] < math.inf
 
+    @pytest.mark.parametrize(
+        "H, sigma, where",
+        [
+            (5e-324, 1.5, "rounds to 0"),  # a0 H (2 - n(1+sigma)) underflows
+            (2.2e-311, -1.0, "NaN at every grid node"),  # c/(a0 H) overflows
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_subnormal_H_is_a_domain_error(self, tmp_path, capsys, H, sigma, where):
+        sc = json.loads(json.dumps(MINK))
+        sc["cosmology"].update(H=H, sigma=sigma)
+        sc["theorem"].update(N=1.5, w0=40.0, w1=450.0)
+        code = main(["analyze", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert where in err and "Traceback" not in err
+
     def test_below_threshold_exit_code(self, tmp_path):
         sc = json.loads(json.dumps(MINK))
         sc["theorem"]["w0"] = 1.0

@@ -1,0 +1,341 @@
+"""dopri_integrate against the generator-sum stepper it replaced.
+
+``reference_dopri`` below is the earlier stepper: every stage sum is a
+Python ``sum`` over freshly allocated NumPy arrays.  ``dopri_integrate``
+must reproduce it bit for bit in both of its arithmetics (tuple states on
+Python floats, ndarray states in reused buffers): every ``RkResult`` field
+and every ``on_step`` call, compared with ``tobytes()`` so signed zeros and
+the last bit count.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from kgblowup import ode, pde
+from kgblowup.integrate import (
+    RkResult, TerminationReason, _array_trial, _float_trial, dopri_integrate,
+)
+from kgblowup.ode import OdeControls
+from kgblowup.pde import PdeControls
+
+from conftest import make_inputs
+
+# --------------------------------------------------------------------------
+# the oracle: the generator-sum stepper, unchanged
+# --------------------------------------------------------------------------
+
+_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_ERR = np.array(
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+)
+
+
+def _reference_initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
+    scale = abs_tol + rel_tol * np.abs(y0)
+    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    y1 = y0 + h0 * f0
+    f1 = rhs(t0 + h0, y1)
+    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100.0 * h0, h1, t_span)
+
+
+def reference_dopri(
+    rhs, t0, y0, t_end, rel_tol=1e-10, abs_tol=1e-12, *, magnitude=None,
+    blow_magnitude=math.inf, blow_step_fraction=1e-14, min_step_fraction=1e-16,
+    max_steps=2_000_000, max_step=math.inf, on_step=None,
+):
+    """The generator-sum Dormand-Prince stepper; ndarray states only."""
+    R = RkResult
+    y = np.array(y0, dtype=float, copy=True)
+    t = float(t0)
+    f0 = rhs(t, y)
+    h = _reference_initial_step(rhs, t, y, f0, rel_tol, abs_tol, t_end - t0)
+    h = min(h, max_step)
+    k = [f0] + [np.empty_like(y) for _ in range(6)]
+    n_steps = n_rejected = 0
+
+    while t < t_end:
+        if n_steps >= max_steps:
+            return R(TerminationReason.MAX_STEPS, t, y, None, n_steps, n_rejected, h)
+        h = min(h, t_end - t)
+        if t + h == t:
+            return R(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
+        step_floor = min_step_fraction * max(1.0, abs(t))
+        blow_floor = blow_step_fraction * max(1.0, abs(t))
+        if h < step_floor:
+            big = magnitude is not None and magnitude(y) > blow_magnitude
+            reason = (
+                TerminationReason.BLOWUP_THRESHOLD if big else TerminationReason.STEP_UNDERFLOW
+            )
+            return R(reason, t, y, t if big else None, n_steps, n_rejected, h)
+
+        for i in range(1, 7):
+            yi = y + h * sum(_A[i][j] * k[j] for j in range(i))
+            k[i] = rhs(t + _C[i] * h, yi)
+        y_new = y + h * sum(_B5[j] * k[j] for j in range(6))
+        err_vec = h * sum(_ERR[j] * k[j] for j in range(7))
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        with np.errstate(invalid="ignore", over="ignore"):
+            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+        if not math.isfinite(err):
+            err = math.inf
+
+        if err <= 1.0:
+            n_steps += 1
+            t = t + h
+            y = y_new
+            k[0] = k[6].copy()
+            if on_step is not None:
+                on_step(t, y, h)
+            if magnitude is not None and h < blow_floor and magnitude(y) > blow_magnitude:
+                return R(TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h = min(h * factor, max_step)
+        else:
+            n_rejected += 1
+            h *= max(0.2, 0.9 * err ** -0.2)
+            if h < step_floor:
+                if magnitude is not None and magnitude(y) > blow_magnitude:
+                    return R(TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h)
+                return R(TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h)
+
+    return R(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
+
+
+# --------------------------------------------------------------------------
+# helpers
+# --------------------------------------------------------------------------
+
+
+def _bytes(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _fingerprint(integrator, rhs, y0, t_end, **kw):
+    """Every RkResult field and every on_step call, as bytes."""
+    calls = []
+
+    def on_step(t, y, h):
+        calls.append((_bytes(t), _bytes(y), _bytes(h)))
+
+    res = integrator(rhs, 0.0, y0, t_end, on_step=on_step, **kw)
+    assert isinstance(res.y, np.ndarray)
+    blow = None if res.blowup_time is None else _bytes(res.blowup_time)
+    fields = (res.status, _bytes(res.t), _bytes(res.y), blow, res.n_steps,
+              res.n_rejected, _bytes(res.last_h))
+    return fields, calls
+
+
+def _as_array_rhs(f):
+    """An ndarray rhs from a per-component formula."""
+    return lambda t, y: np.array(f(t, y), dtype=float)
+
+
+def _all_three(f, y0, t_end, **kw):
+    """Fingerprints of the reference, the ndarray and the tuple arithmetic."""
+    ref = _fingerprint(reference_dopri, _as_array_rhs(f), np.array(y0, dtype=float), t_end, **kw)
+    arr = _fingerprint(dopri_integrate, _as_array_rhs(f), np.array(y0, dtype=float), t_end, **kw)
+    tup = _fingerprint(dopri_integrate, lambda t, y: tuple(f(t, y)), tuple(y0), t_end, **kw)
+    return ref, arr, tup
+
+
+def _magnitude(y):
+    return abs(float(y[0]))
+
+
+# (formula, y0, t_end, keyword arguments, expected status)
+CASES = {
+    # w'' = w^3 with w(0) = 1, w'(0) = 1/sqrt(2): blow-up at t = sqrt(2)
+    "cubic_blowup": (
+        lambda t, y: (y[1], y[0] ** 3), (1.0, 1.0 / math.sqrt(2.0)), 2.0,
+        dict(magnitude=_magnitude, blow_magnitude=1e8), TerminationReason.BLOWUP_THRESHOLD,
+    ),
+    "oscillator_to_horizon": (
+        lambda t, y: (y[1], -y[0]), (1.0, 0.0), 10.0, {}, TerminationReason.REACHED_HORIZON,
+    ),
+    "zero_data": (
+        lambda t, y: (y[1], -y[0]), (0.0, 0.0), 1.0, {}, TerminationReason.REACHED_HORIZON,
+    ),
+    "signed_zeros": (
+        lambda t, y: (-0.0 * y[0], -y[1]), (-0.0, 1.0), 2.0, {},
+        TerminationReason.REACHED_HORIZON,
+    ),
+    "max_steps": (
+        lambda t, y: (y[1], -y[0]), (1.0, 0.0), 10.0, dict(max_steps=5),
+        TerminationReason.MAX_STEPS,
+    ),
+    # w' = w^2 blows up at t = 1; no magnitude threshold, so the step underflows
+    "step_underflow": (
+        lambda t, y: (y[0] * y[0], 0.0), (1.0, 0.0), 2.0, {}, TerminationReason.STEP_UNDERFLOW,
+    ),
+    # a jump in the slope at t = 0.5 forces rejections
+    "rejected_steps": (
+        lambda t, y: (1e3 if t > 0.5 else 0.0, -y[1]), (0.0, 1.0), 1.0,
+        dict(rel_tol=1e-6, abs_tol=1e-8), TerminationReason.REACHED_HORIZON,
+    ),
+    "max_step": (
+        lambda t, y: (y[1], -y[0]), (1.0, 0.0), 1.0, dict(max_step=0.01),
+        TerminationReason.REACHED_HORIZON,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_both_arithmetics_match_the_reference(name):
+    f, y0, t_end, kw, status = CASES[name]
+    ref, arr, tup = _all_three(f, y0, t_end, **kw)
+    assert ref[0][0] is status
+    assert arr == ref
+    assert tup == ref
+    if name == "rejected_steps":
+        assert ref[0][5] > 0
+    if name == "max_steps":
+        assert ref[0][4] == 5
+
+
+def test_signed_zero_first_term_becomes_positive():
+    """sum() starts at 0, so a stage sum of -0.0 terms is +0.0.  The rhs
+    reads the sign of the stage state, which makes a -0.0 visible in y."""
+    f = lambda t, y: (-0.0, math.copysign(1.0, y[0]))  # noqa: E731
+    ref, arr, tup = _all_three(f, (-0.0, 0.0), 0.5, max_steps=3)
+    assert np.frombuffer(ref[0][2], dtype=float)[1] > 0.0
+    assert arr == ref and tup == ref
+
+
+def test_zero_scale_gives_nan_not_an_exception():
+    """With abs_tol = 0 a component that stays 0 divides 0 by 0; the float
+    arithmetic then falls back to NumPy's IEEE result."""
+    zero = lambda t, y: (0.0, 0.0)  # noqa: E731
+    f_err = _float_trial(zero, 1e-8, 0.0)(0.0, 0.1, (0.0, 1.0), (0.0, 0.0))[2]
+    y = np.array([0.0, 1.0])
+    a_err = _array_trial(lambda t, v: np.zeros(2), y, 1e-8, 0.0)(0.0, 0.1, y, np.zeros(2))[2]
+    assert math.isnan(f_err) and _bytes(f_err) == _bytes(a_err)
+
+
+def test_identity_rhs_returning_its_argument():
+    """An rhs that returns the stage state itself is not corrupted by reuse."""
+    ref = _fingerprint(reference_dopri, lambda t, y: y, np.array([1.0, -2.0]), 1.0)
+    arr = _fingerprint(dopri_integrate, lambda t, y: y, np.array([1.0, -2.0]), 1.0)
+    assert arr == ref
+
+
+def test_on_step_states_are_not_reused():
+    """States handed to on_step keep their values after later steps."""
+    kept = []
+    dopri_integrate(
+        lambda t, y: -y, 0.0, np.ones(3), 1.0,
+        on_step=lambda t, y, h: kept.append((y, y.copy())),
+    )
+    assert len(kept) > 2
+    assert all(np.array_equal(y, snap) for y, snap in kept)
+
+
+def test_comparison_ode_matches_the_reference(monkeypatch):
+    """ode.integrate on the benchmark cubic and a de Sitter background."""
+    runs = [
+        (make_inputs(0.0, 0.0, N=0.0, w0=2 ** 0.5, w1=2 ** 0.5),
+         OdeControls(mass_sq_const=0.0, forcing_const=1.0), 1.2),
+        (make_inputs(1.0, -1.0, N=1.5, w0=40.0, w1=450.0), OdeControls(), 0.5),
+    ]
+
+    def via_reference(rhs, t0, y0, t_end, **kw):
+        return reference_dopri(
+            lambda t, y: np.array(rhs(t, y)), t0, np.array(y0, dtype=float), t_end, **kw
+        )
+
+    new = [ode.integrate(inputs, t_end, controls) for inputs, controls, t_end in runs]
+    monkeypatch.setattr(ode, "dopri_integrate", via_reference)
+    old = [ode.integrate(inputs, t_end, controls) for inputs, controls, t_end in runs]
+    assert new[0].blowup_detected
+    for a, b in zip(new, old):
+        for field in ("t", "w", "wdot"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.termination, a.n_steps) == (b.termination, b.n_steps)
+        assert _bytes(a.last_h) == _bytes(b.last_h)
+        assert a.blowup_time == b.blowup_time
+
+
+def test_complex_pde_grid_matches_the_reference(monkeypatch):
+    """pde.evolve on complex data with a non-zero imaginary part."""
+    inputs = make_inputs(0.0, 0.0, N=2.0, w0=16.0, w1=64.0)
+    controls = PdeControls(grid_h=2e-2)
+    field = pde.make_field(inputs, 0.3, controls)
+    field.u = field.u + 0.25j * field.u.real[::-1]
+    field.ut = field.ut - 0.5j * field.u.real
+    new = pde.evolve(field.copy(), inputs, 0.3, controls)
+    monkeypatch.setattr(pde, "dopri_integrate", reference_dopri)
+    old = pde.evolve(field.copy(), inputs, 0.3, controls)
+    assert np.any(new.field_final.u.imag != 0.0)
+    for name in ("times", "W", "support_radius", "cone_radius", "energy", "forcing",
+                 "outside_mass", "max_abs_u"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    for name in ("u", "ut"):
+        assert getattr(new.field_final, name).tobytes() == getattr(old.field_final, name).tobytes()
+    assert (new.termination, new.n_steps, new.blowup_time) == (
+        old.termination, old.n_steps, old.blowup_time
+    )
+
+
+# --------------------------------------------------------------------------
+# property: tuple and ndarray states agree on random linear systems
+# --------------------------------------------------------------------------
+
+_entry = st.floats(-4.0, 4.0, allow_nan=False)
+_start = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    m=st.tuples(_entry, _entry, _entry, _entry),
+    y0=st.tuples(_start, _start),
+    rel_tol=st.floats(1e-10, 1e-3),
+    abs_tol=st.one_of(st.floats(1e-12, 1e-3), st.just(0.0)),
+    t_end=st.floats(0.05, 2.0),
+    # call 1 is f(t0): a NaN there makes the initial step NaN, which never ends
+    bad_call=st.one_of(st.just(0), st.integers(2, 40)),
+    bad_value=st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+def test_tuple_and_array_states_agree(m, y0, rel_tol, abs_tol, t_end, bad_call, bad_value):
+    """y' = M y, where call number ``bad_call`` (0: none) returns inf or NaN."""
+    assume(abs_tol > 0.0 or min(abs(v) for v in y0) > 1e-3)
+    m00, m01, m10, m11 = m
+
+    def make_rhs(wrap):
+        count = [0]
+
+        def rhs(t, y):
+            count[0] += 1
+            first = m00 * y[0] + m01 * y[1]
+            if count[0] == bad_call:
+                first = bad_value
+            return wrap((first, m10 * y[0] + m11 * y[1]))
+
+        return rhs
+
+    kw = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=400)
+    with np.errstate(all="ignore"):
+        ref = _fingerprint(reference_dopri, make_rhs(np.array), np.array(y0), t_end, **kw)
+        arr = _fingerprint(dopri_integrate, make_rhs(np.array), np.array(y0), t_end, **kw)
+        tup = _fingerprint(dopri_integrate, make_rhs(tuple), tuple(y0), t_end, **kw)
+    assert arr == ref
+    assert tup == arr

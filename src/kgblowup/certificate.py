@@ -22,17 +22,29 @@ The grid is evaluated as NumPy arrays (``log_q_tilde_array``,
 node and the refinement around it come from the scalar objective: NumPy's
 exp and log differ from libm's by an ulp on some inputs, and scalar values
 keep A, B and T* identical to a node-by-node scalar evaluation.
+
+A and B read neither the data (w0, w1) nor theta and lambda, so a caller
+that certifies many related inputs (a sweep) passes one ``ExtremaMemo`` to
+``certify`` and each distinct extremum is computed once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cone import ConeGeometry, Monotonicity, classify_q, log_q_tilde_array, log_q_tilde_eval
+from .cone import (
+    ConeGeometry,
+    Monotonicity,
+    _a0_H,
+    classify_q,
+    log_q_tilde_array,
+    log_q_tilde_eval,
+)
 from .cosmology import (
     ClosedFormFLRW,
     CosmologyParams,
@@ -59,12 +71,15 @@ __all__ = [
     "lifespan",
     "corollary_case_check",
     "certify",
+    "ExtremaMemo",
+    "MEMO_CAP",
     "VERDICT_NAMES",
 ]
 
 GRID_NODES = 4096
 NEAR_ZERO_TIME = 1e-12
 HORIZON_SHAVE = 1e-9
+MEMO_CAP = 1024  # results an ExtremaMemo holds; about 0.4 MB when full
 
 VERDICT_NAMES = (
     "support_radius_positive",
@@ -492,7 +507,7 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
         return CorollaryCaseResult(None, False, "corollary path requires N > 0", {})
 
     hub_sq = (n * H / (2.0 * c)) ** 2
-    contracting_gate = -2.0 * c / (a0 * H) if H < 0.0 else None
+    contracting_gate = -2.0 * c / _a0_H(a0, H) if H < 0.0 else None
 
     if H == 0.0:
         case, clauses = "i", {"N^2+m^2>=0": N**2 + m2 >= 0.0}
@@ -522,14 +537,14 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
         case = "vii"
         clauses = {
             "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 - hub_sq >= 0.0,
-            "r0<=2c/(a0|H|)": r0 <= 2.0 * c / (a0 * abs(H)),
+            "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
             "N>n|H|/(2c(1-eps))": N > n * abs(H) / (2.0 * c * (1.0 - eps)),
         }
     else:  # H < 0 and sigma < -1
         case = "viii"
         clauses = {
             "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + sigma * hub_sq >= 0.0,
-            "r0<=2c/(a0|H|)": r0 <= 2.0 * c / (a0 * abs(H)),
+            "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
         }
 
     clauses["r0>0"] = r0 > 0.0
@@ -542,12 +557,59 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
 
 
 # ---------------------------------------------------------------------------
+# shared extrema
+# ---------------------------------------------------------------------------
+
+# n, c, a0, H, sigma, m^2, r0, N, epsilon (A) or p (B), nodes
+_MEMO_KEY = struct.Struct("<10d")
+
+
+class ExtremaMemo:
+    """compute_A and compute_B results kept for later ``certify`` calls.
+
+    compute_A reads only (geom, N, epsilon, nodes) and compute_B only
+    (geom, N, p, nodes), so inputs that differ in w0, w1, theta or lambda
+    share both.  Keys are the binary64 bits of those inputs, which keeps
+    -0.0 apart from 0.0, so a hit returns what a fresh call would.  Raised
+    errors are not kept.  At most ``MEMO_CAP`` results are held, the oldest
+    dropped first, so memory stays bounded however many keys a caller has.
+    """
+
+    def __init__(self) -> None:
+        self._results: Dict[Tuple[str, bytes], ExtremumResult] = {}
+
+    def __len__(self) -> int:
+        return len(self._results)
+
+    def get(self, which: str, inputs: TheoremInputs, nodes: int) -> ExtremumResult:
+        """compute_A (``which == "A"``) or compute_B (``"B"``) of ``inputs``."""
+        p = inputs.params
+        key = (which, _MEMO_KEY.pack(
+            p.n, p.c, p.a0, p.H, p.sigma, p.m_squared, inputs.geom.r0, inputs.N,
+            inputs.epsilon if which == "A" else inputs.p, nodes,
+        ))
+        result = self._results.get(key)
+        if result is None:
+            result = (compute_A if which == "A" else compute_B)(inputs, nodes=nodes)
+            if len(self._results) >= MEMO_CAP:
+                del self._results[next(iter(self._results))]
+            self._results[key] = result
+        return result
+
+
+# ---------------------------------------------------------------------------
 # full certificate
 # ---------------------------------------------------------------------------
 
 
-def certify(inputs: TheoremInputs, nodes: int = GRID_NODES) -> BlowupCertificate:
-    """Run every hypothesis check and assemble the certificate."""
+def certify(
+    inputs: TheoremInputs, nodes: int = GRID_NODES, memo: Optional[ExtremaMemo] = None
+) -> BlowupCertificate:
+    """Run every hypothesis check and assemble the certificate.
+
+    With a ``memo``, A and B come from it (computed there on a miss); the
+    certificate is the same either way.
+    """
     _require_closed_form(inputs)
     params = inputs.params
     omega_n = unit_ball_volume(params.n)
@@ -572,13 +634,15 @@ def certify(inputs: TheoremInputs, nodes: int = GRID_NODES) -> BlowupCertificate
 
     A = B = None
     if monotone:
-        a_res = compute_A(inputs, nodes=nodes)
+        a_res = compute_A(inputs, nodes=nodes) if memo is None else memo.get("A", inputs, nodes)
         A = a_res.value
         verdicts["A_positive"] = a_res.ok
         if not a_res.ok:
             reasons.append(f"A_positive: {a_res.reason}")
         if n_ok:
-            b_res = compute_B(inputs, nodes=nodes)
+            b_res = (
+                compute_B(inputs, nodes=nodes) if memo is None else memo.get("B", inputs, nodes)
+            )
             B = b_res.value
             verdicts["B_finite"] = b_res.ok
             if not b_res.ok:

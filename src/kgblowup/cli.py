@@ -9,7 +9,6 @@ byte-identical across runs and worker counts.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import itertools
 import json
@@ -23,7 +22,7 @@ from typing import Any, Dict, List, Optional
 
 from . import ode as ode_mod
 from . import pde as pde_mod
-from .certificate import BlowupCertificate, certify
+from .certificate import BlowupCertificate, ExtremaMemo, certify
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
 from .integrate import TerminationReason
 from .scenario import (
@@ -39,6 +38,7 @@ from .scenario import (
 __all__ = ["main"]
 
 WORKERS_ENV = "KGBLOW_WORKERS"
+POOL_CHUNK = 8  # consecutive sweep points per pool task, each task with its own memo
 
 
 def _jsonify(obj: Any) -> Any:
@@ -229,16 +229,17 @@ def cmd_cone_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(job) -> Dict[str, Any]:
-    base, overrides, with_ode = job
-    data = copy.deepcopy(base)
+def _sweep_point(base, overrides, with_ode, memo: ExtremaMemo) -> Dict[str, Any]:
+    # base holds only blocks of scalars (load_sweep_spec validated it), so
+    # copying each block is a full copy
+    data = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
     for path, value in overrides:
         set_by_path(data, path, value)
     row: Dict[str, Any] = {path: value for path, value in overrides}
     try:
         scenario = scenario_from_dict(data)
         inputs = scenario.inputs()
-        cert = certify(inputs)
+        cert = certify(inputs, memo=memo)
         row["corollary_case"] = cert.corollary_case or "none"
         row["valid"] = cert.valid
         row["T_star"] = cert.T_star
@@ -263,6 +264,13 @@ def _sweep_point(job) -> Dict[str, Any]:
     return row
 
 
+def _sweep_chunk(job) -> List[Dict[str, Any]]:
+    """Rows of consecutive sweep points; they share one ExtremaMemo."""
+    base, points, with_ode = job
+    memo = ExtremaMemo()
+    return [_sweep_point(base, overrides, with_ode, memo) for overrides in points]
+
+
 def _format_cell(value: Any) -> str:
     if value is None:
         return ""
@@ -283,14 +291,16 @@ def cmd_sweep(args) -> int:
 
     paths = [p for p, _ in spec.axes]
     combos = list(itertools.product(*(vals for _, vals in spec.axes)))
-    jobs = [
-        (spec.base, list(zip(paths, combo)), spec.with_ode) for combo in combos
-    ]
+    points = [list(zip(paths, combo)) for combo in combos]
     if workers == 1:
-        rows = [_sweep_point(job) for job in jobs]
+        rows = _sweep_chunk((spec.base, points, spec.with_ode))
     else:
+        chunks = [
+            (spec.base, points[i : i + POOL_CHUNK], spec.with_ode)
+            for i in range(0, len(points), POOL_CHUNK)
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs, chunksize=8))
+            rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
 
     columns = ["index"] + paths + ["corollary_case", "valid", "T_star"]
     if spec.with_ode:

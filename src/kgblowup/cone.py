@@ -131,6 +131,15 @@ def _coasting(n: int, sigma: float) -> bool:
     return sigma == -1.0 + 2.0 / n or n * (1.0 + sigma) == 2.0
 
 
+def _a0_H(a0: float, H: float) -> float:
+    """a0 * H for H != 0; a typed error, not a ZeroDivisionError, when the
+    product of a small a0 and a subnormal H rounds to 0."""
+    a0H = a0 * H
+    if a0H == 0.0:
+        raise DomainError(f"H={H} is too small: a0 H rounds to 0 at a0={a0}")
+    return a0H
+
+
 def _power_law_coef(params: CosmologyParams) -> float:
     """2c / (a0 H (2 - n(1+sigma))), the scale of r(t) - r0 off the special points.
 
@@ -138,7 +147,7 @@ def _power_law_coef(params: CosmologyParams) -> float:
     not a ZeroDivisionError.
     """
     n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
-    den = a0 * H * (2.0 - n * (1.0 + sigma))
+    den = _a0_H(a0, H) * (2.0 - n * (1.0 + sigma))
     if den == 0.0:
         raise DomainError(f"H={H} is too small: a0 H (2 - n(1+sigma)) rounds to 0")
     return 2.0 * c / den
@@ -149,9 +158,9 @@ def _radius_closed_form(params: CosmologyParams, r0: float, t: float) -> float:
     if H == 0.0:
         return r0 + c * t / a0
     if sigma == -1.0:
-        return r0 + c / (a0 * H) * (1.0 - math.exp(-H * t))
+        return r0 + c / _a0_H(a0, H) * (1.0 - math.exp(-H * t))
     if _coasting(n, sigma):
-        return r0 + c * math.log1p(H * t) / (a0 * H)
+        return r0 + c * math.log1p(H * t) / _a0_H(a0, H)
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
     g = 1.0 + k * t
@@ -166,14 +175,14 @@ def _log_radius_closed_form(params: CosmologyParams, r0: float, t: float) -> flo
         return math.log(r0 + c * t / a0)
     if sigma == -1.0:
         if H > 0.0:
-            return math.log(r0 + c / (a0 * H) * (1.0 - math.exp(-H * t)))
+            return math.log(r0 + c / _a0_H(a0, H) * (1.0 - math.exp(-H * t)))
         x = -H * t
-        scale = c / (a0 * (-H))
+        scale = c / _a0_H(a0, -H)
         if x <= _EXP_SAFE:
             return math.log(r0 + scale * (math.exp(x) - 1.0))
         return x + math.log(scale) + math.log1p((r0 - scale) / scale * math.exp(-x))
     if _coasting(n, sigma):
-        return math.log(r0 + c * math.log1p(H * t) / (a0 * H))
+        return math.log(r0 + c * math.log1p(H * t) / _a0_H(a0, H))
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
     g = 1.0 + k * t
@@ -203,10 +212,10 @@ def _log_radius_array(params: CosmologyParams, r0: float, t: np.ndarray) -> np.n
         return np.log(r0 + c * t / a0)
     if sigma == -1.0:
         if H > 0.0:
-            return np.log(r0 + c / (a0 * H) * (1.0 - np.exp(-H * t)))
-        return _log_r0_plus_expm1(r0, c / (a0 * (-H)), -H * t)
+            return np.log(r0 + c / _a0_H(a0, H) * (1.0 - np.exp(-H * t)))
+        return _log_r0_plus_expm1(r0, c / _a0_H(a0, -H), -H * t)
     if _coasting(n, sigma):
-        return np.log(r0 + c * np.log1p(H * t) / (a0 * H))
+        return np.log(r0 + c * np.log1p(H * t) / _a0_H(a0, H))
     k = n * (1.0 + sigma) * H / 2.0
     beta = 2.0 / (n * (1.0 + sigma))
     coef = _power_law_coef(params)
@@ -265,9 +274,10 @@ def classify_q(geom: ConeGeometry) -> QClassification:
     if H == 0.0:
         qdot0 = 2.0 * c * geom.r0 / a0
         return QClassification(Monotonicity.NON_DECREASING, None, qdot0, None)
-    d0 = geom.r0 + 2.0 * c / (a0 * H)
+    a0H = _a0_H(a0, H)
+    d0 = geom.r0 + 2.0 * c / a0H
     qdot0 = H * geom.r0 * d0
-    threshold = -2.0 * c / (a0 * H) if H < 0.0 else None
+    threshold = -2.0 * c / a0H if H < 0.0 else None
     if H > 0.0:
         return QClassification(Monotonicity.NON_DECREASING, d0, qdot0, threshold)
     sigma_gate = -1.0 + 1.0 / n

@@ -218,7 +218,7 @@ def dopri_integrate(
             return _result(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
         step_floor = min_step_fraction * max(1.0, abs(t))
         blow_floor = blow_step_fraction * max(1.0, abs(t))
-        if h < step_floor:
+        if not h >= step_floor:  # "not >=" so that a NaN step ends here too
             big = magnitude is not None and magnitude(y) > blow_magnitude
             reason = (
                 TerminationReason.BLOWUP_THRESHOLD if big else TerminationReason.STEP_UNDERFLOW
@@ -248,7 +248,7 @@ def dopri_integrate(
         else:
             n_rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)
-            if h < step_floor:
+            if not h >= step_floor:
                 if magnitude is not None and magnitude(y) > blow_magnitude:
                     return _result(
                         TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h

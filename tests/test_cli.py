@@ -99,6 +99,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert where in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["analyze", "ode", "pde", "cone-check"])
+    def test_tiny_a0_H_is_a_domain_error(self, tmp_path, capsys, command):
+        """a0 = 1e-5 and a subnormal H: a0 H rounds to 0, H itself does not."""
+        sc = json.loads(json.dumps(MINK))
+        sc["cosmology"].update(a0=1e-5, H=1e-320, sigma=-1.0)
+        sc["theorem"].update(N=1.5, w0=40.0, w1=450.0)
+        sc["run"] = {"grid_h": 0.01, "t_end": 0.1}
+        code = main([command, "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a0 H rounds to 0" in err and "Traceback" not in err
+
     def test_below_threshold_exit_code(self, tmp_path):
         sc = json.loads(json.dumps(MINK))
         sc["theorem"]["w0"] = 1.0

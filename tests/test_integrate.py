@@ -9,12 +9,17 @@ the last bit count.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kgblowup
 from kgblowup import ode, pde
 from kgblowup.integrate import (
     RkResult, TerminationReason, _array_trial, _float_trial, dopri_integrate,
@@ -232,6 +237,44 @@ def test_zero_scale_gives_nan_not_an_exception():
     assert math.isnan(f_err) and _bytes(f_err) == _bytes(a_err)
 
 
+NAN_STEP_CASES = {
+    "abs_tol=0 with a zero component": (
+        "dopri_integrate(lambda t, y: -y, 0.0, np.array([1.0, 0.0]), 1.0, abs_tol=0.0)"
+    ),
+    "NaN slope at t0": (
+        "dopri_integrate(lambda t, y: y * np.nan if t == 0.0 else -y, "
+        "0.0, np.array([1.0, 0.0]), 1.0)"
+    ),
+    "NaN slope at t0, tuple state": (
+        "dopri_integrate(lambda t, y: (math.nan, 0.0) if t == 0.0 else (-y[0], -y[1]), "
+        "0.0, (1.0, 0.0), 1.0)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_STEP_CASES))
+def test_nan_step_ends_in_step_underflow(name):
+    """Both inputs make the initial step NaN, which no `h < floor` test
+    catches and rejected steps do not count toward max_steps: the loop used
+    to run forever.  The call runs in a child process with a timeout, so a
+    regression fails this test instead of hanging the suite."""
+    src = str(Path(kgblowup.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import math, warnings\n"
+        "import numpy as np\n"
+        "from kgblowup.integrate import dopri_integrate\n"
+        "warnings.simplefilter('ignore')\n"
+        f"r = {NAN_STEP_CASES[name]}\n"
+        "print(r.status.value, r.n_steps, r.last_h)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["StepUnderflow", "0", "nan"]
+
+
 def test_identity_rhs_returning_its_argument():
     """An rhs that returns the stage state itself is not corrupted by reuse."""
     ref = _fingerprint(reference_dopri, lambda t, y: y, np.array([1.0, -2.0]), 1.0)
@@ -311,7 +354,8 @@ _start = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, 
     rel_tol=st.floats(1e-10, 1e-3),
     abs_tol=st.one_of(st.floats(1e-12, 1e-3), st.just(0.0)),
     t_end=st.floats(0.05, 2.0),
-    # call 1 is f(t0): a NaN there makes the initial step NaN, which never ends
+    # call 1 is f(t0): a NaN there makes the initial step NaN, on which the
+    # reference stepper never ends (see test_nan_step_ends_in_step_underflow)
     bad_call=st.one_of(st.just(0), st.integers(2, 40)),
     bad_value=st.sampled_from([math.inf, -math.inf, math.nan]),
 )

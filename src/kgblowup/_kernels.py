@@ -1,4 +1,4 @@
-"""NumPy reference implementation of the stencil kernel."""
+"""Stencil kernel for the method-of-lines right-hand side."""
 
 import numpy as np
 

@@ -46,7 +46,6 @@ from .cone import (
     log_q_tilde_eval,
 )
 from .cosmology import (
-    ClosedFormFLRW,
     CosmologyParams,
     MassTag,
     classify_mass_behavior,
@@ -54,7 +53,7 @@ from .cosmology import (
     curved_mass_sq_array,
     horizon_end,
 )
-from .errors import ConfigurationError, DomainError, PreconditionError
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "TheoremInputs",
@@ -294,16 +293,8 @@ def _optimize_log(
     return best_t, best_v
 
 
-def _require_closed_form(inputs: TheoremInputs) -> None:
-    if inputs.geom.model is not None and not isinstance(inputs.geom.model, ClosedFormFLRW):
-        raise ConfigurationError(
-            "certificates are defined on the closed-form scale family only"
-        )
-
-
 def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     """A = inf over (0, T0) of e^{cN(1-eps)t} / q~^{n/2}(t)."""
-    _require_closed_form(inputs)
     params = inputs.params
     verdict = classify_q(inputs.geom).monotonicity
     if verdict is Monotonicity.NOT_MONOTONE:
@@ -341,7 +332,6 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
 
 def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     """B = sup over (0, T0) of q~^{n/2} (N^2 + M^2)^{1/(p-1)} e^{-cNt}."""
-    _require_closed_form(inputs)
     params = inputs.params
     ok, reason = check_N(inputs)
     if not ok:
@@ -610,7 +600,6 @@ def certify(
     With a ``memo``, A and B come from it (computed there on a miss); the
     certificate is the same either way.
     """
-    _require_closed_form(inputs)
     params = inputs.params
     omega_n = unit_ball_volume(params.n)
     Q = cone_ball_factor(params)

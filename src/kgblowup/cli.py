@@ -37,7 +37,6 @@ from .scenario import (
 
 __all__ = ["main"]
 
-WORKERS_ENV = "KGBLOW_WORKERS"
 POOL_CHUNK = 8  # consecutive sweep points per pool task, each task with its own memo
 
 
@@ -186,7 +185,6 @@ def cmd_pde(args) -> int:
             "n_steps": result.n_steps,
             "cone_contained": cone.all_ok,
             "final_W": float(result.W[-1]),
-            "kernel_backend": pde_mod.BACKEND,
         },
     )
     print(f"pde: {result.termination.value} at t={float(result.times[-1])!r}")
@@ -284,10 +282,9 @@ def _format_cell(value: Any) -> str:
 def cmd_sweep(args) -> int:
     spec: SweepSpec = load_sweep_spec(args.scenario)
     out = _out_dir(args, None)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, spec.parallelism))
-    workers = max(1, workers)
+    workers = args.workers if args.workers is not None else spec.parallelism
+    # the pool forks every worker at its first map: never more than the CPUs
+    workers = max(1, min(workers, os.cpu_count() or 1))
 
     paths = [p for p, _ in spec.axes]
     combos = list(itertools.product(*(vals for _, vals in spec.axes)))

@@ -5,8 +5,7 @@ Data supported in |x| <= r0 at t = 0 stays inside |x| <= r(t) with
     r(t) = r0 + integral_0^t c / a(s) ds.
 
 On the closed-form family the integral has elementary antiderivatives
-(linear, power-law, logarithmic, or saturating-exponential); a tabulated
-scale model falls back to adaptive Simpson quadrature.  The quantity
+(linear, power-law, logarithmic, or saturating-exponential).  The quantity
 q(t) = a(t) r(t)^2 / a0 controls the Jensen-type comparison of the spatial
 integral, and its monotonicity is decided by the sign of H together with
 the auxiliary function d = r + (2c / a0 H) (a/a0)^(n(1+sigma)/2 - 1).
@@ -21,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cosmology import ClosedFormFLRW, CosmologyParams, ScaleModel, horizon_end, scale_eval
-from .errors import ConfigurationError, DomainError, PreconditionError
+from .cosmology import CosmologyParams, _check_time, horizon_end, scale_eval
+from .errors import DomainError, PreconditionError
 
 __all__ = [
     "Monotonicity",
@@ -37,7 +36,6 @@ __all__ = [
     "log_q_tilde_array",
 ]
 
-_SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
 _EXP_SAFE = 600.0  # switch to log-asymptotic forms beyond this exponent
 
 
@@ -68,7 +66,6 @@ class ConeGeometry:
 
     params: CosmologyParams
     r0: float
-    model: Optional[ScaleModel] = None
 
     def __post_init__(self):
         if not self.r0 > 0:
@@ -76,49 +73,11 @@ class ConeGeometry:
 
     @property
     def end(self) -> float:
-        if self.model is not None and not isinstance(self.model, ClosedFormFLRW):
-            return self.model.end
         return horizon_end(self.params)
 
     @property
     def q0(self) -> float:
         return self.r0 * self.r0
-
-
-def _check_time(t: float, end: float) -> None:
-    if t < 0:
-        raise DomainError(f"t={t} is negative")
-    if math.isfinite(end) and t >= end * (1.0 - 1e-12):
-        raise DomainError(f"t={t} is at or beyond the horizon T0={end}")
-
-
-def _adaptive_simpson(f, a, b, rel_tol=1e-10):
-    """Recursive Simpson with depth cap; integrand must be smooth."""
-
-    def simpson(fa, fm, fb, a_, b_):
-        return (b_ - a_) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a_, b_, fa, fm, fb, whole, depth):
-        m = 0.5 * (a_ + b_)
-        lm, rm = 0.5 * (a_ + m), 0.5 * (m + b_)
-        flm, frm = f(lm), f(rm)
-        left = simpson(fa, flm, fm, a_, m)
-        right = simpson(fm, frm, fb, m, b_)
-        if depth >= _SIMPSON_MAX_DEPTH:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * rel_tol * max(abs(left + right), 1e-300):
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a_, m, fa, flm, fm, left, depth + 1) + recurse(
-            m, b_, fm, frm, fb, right, depth + 1
-        )
-
-    if b <= a:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(fa, fm, fb, a, b)
-    return recurse(a, b, fa, fm, fb, whole, 0)
 
 
 def _coasting(n: int, sigma: float) -> bool:
@@ -223,14 +182,9 @@ def _log_radius_array(params: CosmologyParams, r0: float, t: np.ndarray) -> np.n
 
 
 def comoving_radius(geom: ConeGeometry, t: float) -> float:
-    """r(t) = r0 + integral of c/a; closed form on the FLRW family."""
+    """r(t) = r0 + integral of c/a, in closed form."""
     _check_time(t, geom.end)
-    if geom.model is None or isinstance(geom.model, ClosedFormFLRW):
-        return _radius_closed_form(geom.params, geom.r0, t)
-    model = geom.model
-    c = geom.params.c
-    integral = _adaptive_simpson(lambda s: c / scale_eval(model, s)[0], 0.0, t)
-    return geom.r0 + integral
+    return _radius_closed_form(geom.params, geom.r0, t)
 
 
 def q_eval(geom: ConeGeometry, t: float) -> float:
@@ -239,19 +193,14 @@ def q_eval(geom: ConeGeometry, t: float) -> float:
     if t == 0.0:
         return geom.q0
     r = comoving_radius(geom, t)
-    if geom.model is None or isinstance(geom.model, ClosedFormFLRW):
-        a, _, _ = scale_eval(ClosedFormFLRW(geom.params), t)
-    else:
-        a, _, _ = scale_eval(geom.model, t)
+    a, _, _ = scale_eval(geom.params, t)
     return a * r * r / geom.params.a0
 
 
 def log_q_eval(geom: ConeGeometry, t: float) -> float:
-    """log q(t) on the closed-form family, valid far beyond exp overflow."""
+    """log q(t), valid far beyond exp overflow."""
     _check_time(t, geom.end)
     params = geom.params
-    if geom.model is not None and not isinstance(geom.model, ClosedFormFLRW):
-        return math.log(q_eval(geom, t))
     if params.sigma == -1.0:
         log_a_ratio = params.H * t
     else:
@@ -321,14 +270,12 @@ def log_q_tilde_eval(
 def log_q_tilde_array(
     geom: ConeGeometry, t: np.ndarray, verdict: Optional[Monotonicity] = None
 ) -> np.ndarray:
-    """log_q_tilde_eval at every time in ``t``, on the closed-form family.
+    """log_q_tilde_eval at every time in ``t``.
 
     q is classified at most once and only the earliest and latest times are
     checked against the horizon, so a grid the scalar form rejects at any
     node raises the same error here.
     """
-    if geom.model is not None and not isinstance(geom.model, ClosedFormFLRW):
-        raise ConfigurationError("array evaluation needs the closed-form scale family")
     if verdict is None:
         verdict = _monotone_verdict(geom)
     _check_time(float(t.min()), geom.end)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,16 +33,12 @@ from .errors import DomainError
 
 __all__ = [
     "CosmologyParams",
-    "ClosedFormFLRW",
-    "Tabulated",
-    "ScaleModel",
     "MassTag",
     "MassBehavior",
     "horizon_end",
     "scale_eval",
     "curved_mass_sq",
     "curved_mass_sq_array",
-    "curved_mass_sq_from_scale",
     "mass_sign_change_time",
     "classify_mass_behavior",
 ]
@@ -87,53 +83,6 @@ def horizon_end(params: CosmologyParams) -> float:
     return -2.0 / (params.n * (1.0 + params.sigma) * params.H)
 
 
-@dataclass(frozen=True)
-class ClosedFormFLRW:
-    """Scale model given by the closed-form FLRW family."""
-
-    params: CosmologyParams
-
-    @property
-    def end(self) -> float:
-        return horizon_end(self.params)
-
-
-@dataclass(frozen=True)
-class Tabulated:
-    """Scale model from sampled values; cubic interpolation in between.
-
-    ``times`` must be strictly increasing within [0, end) and ``values``
-    strictly positive.  Derivatives are centered finite differences of the
-    interpolant with step equal to the local table spacing.
-    """
-
-    times: Sequence[float]
-    values: Sequence[float]
-    end: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size < 4:
-            raise ValueError("tabulated model needs at least 4 samples")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("tabulated times must be strictly increasing")
-        if not np.all(v > 0):
-            raise ValueError("tabulated scale values must be strictly positive")
-        if t[0] < 0 or t[-1] >= self.end:
-            raise ValueError("tabulated times must lie in [0, end)")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.times, self.values)
-
-
-ScaleModel = Union[ClosedFormFLRW, Tabulated]
-
-
 def _check_time(t: float, end: float) -> None:
     if t < 0:
         raise DomainError(f"t={t} is negative")
@@ -141,7 +90,9 @@ def _check_time(t: float, end: float) -> None:
         raise DomainError(f"t={t} is at or beyond the horizon T0={end}")
 
 
-def _closed_form_triple(params: CosmologyParams, t: float) -> Tuple[float, float, float]:
+def scale_eval(params: CosmologyParams, t: float) -> Tuple[float, float, float]:
+    """Return (a, adot, addot) at time t in [0, T0)."""
+    _check_time(t, horizon_end(params))
     a0, H, sigma, n = params.a0, params.H, params.sigma, params.n
     if sigma == -1.0:
         a = a0 * math.exp(H * t)
@@ -151,44 +102,6 @@ def _closed_form_triple(params: CosmologyParams, t: float) -> Tuple[float, float
     a = a0 * g**beta
     adot = a0 * H * g ** (beta - 1.0)
     addot = a0 * H * H * (beta - 1.0) / beta * g ** (beta - 2.0)
-    return a, adot, addot
-
-
-def scale_eval(model: ScaleModel, t: float) -> Tuple[float, float, float]:
-    """Return (a, adot, addot) at time t in [0, T0)."""
-    if isinstance(model, ClosedFormFLRW):
-        _check_time(t, model.end)
-        return _closed_form_triple(model.params, t)
-
-    _check_time(t, model.end)
-    times = np.asarray(model.times)
-    if t > times[-1]:
-        raise DomainError(f"t={t} is beyond the tabulated range (last {times[-1]})")
-    spline = model._spline()
-    a = float(spline(t))
-    # local spacing as the finite-difference step, clipped so the stencil
-    # stays inside the table
-    i = int(np.clip(np.searchsorted(times, t), 1, times.size - 1))
-    h = float(times[i] - times[i - 1])
-    h = min(h, t) if t > 0 else h
-    lo, hi = float(times[0]), float(times[-1])
-    if t - h < lo or t + h > hi:
-        h = min(max(t - lo, 1e-300), hi - t) if 0 < t < hi else min(h, hi - lo)
-    if t - h >= lo and t + h <= hi and h > 0:
-        ap = float(spline(t + h))
-        am = float(spline(t - h))
-        adot = (ap - am) / (2.0 * h)
-        addot = (ap - 2.0 * a + am) / (h * h)
-    else:
-        # one-sided at the very edge of the table
-        h = float(times[1] - times[0]) if t <= lo else float(times[-1] - times[-2])
-        s = 1.0 if t <= lo else -1.0
-        a1 = float(spline(t + s * h))
-        a2 = float(spline(t + 2 * s * h))
-        adot = s * (-3.0 * a + 4.0 * a1 - a2) / (2.0 * h)
-        addot = (a2 - 2.0 * a1 + a) / (h * h)
-    if a <= 0:
-        raise DomainError(f"interpolated scale factor non-positive at t={t}")
     return a, adot, addot
 
 
@@ -212,18 +125,6 @@ def curved_mass_sq_array(params: CosmologyParams, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, params.m_squared - (n * H / (2.0 * c)) ** 2)
     g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
     return params.m_squared + sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
-
-
-def curved_mass_sq_from_scale(model: ScaleModel, params: CosmologyParams, t: float) -> float:
-    """M^2 from the defining combination of scale-factor derivatives."""
-    a, adot, addot = scale_eval(model, t)
-    n, c = params.n, params.c
-    hub = adot / a
-    return (
-        params.m_squared
-        - n * (n - 2) / (4.0 * c * c) * hub * hub
-        - n / (2.0 * c * c) * (addot / a)
-    )
 
 
 def mass_sign_change_time(params: CosmologyParams) -> Optional[float]:

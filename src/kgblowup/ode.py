@@ -9,7 +9,7 @@ properties and the envelope are checked one-sidedly with slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -322,8 +322,3 @@ def trajectory_to_csv(
         for i in range(traj.t.size):
             row = (traj.t[i], traj.w[i], traj.wdot[i], env[i], gb[i])
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def reversed_inputs(inputs: TheoremInputs, w_end: float, v_end: float) -> TheoremInputs:
-    """Inputs for integrating a constant-coefficient run backwards in time."""
-    return replace(inputs, w0=w_end, w1=-v_end)

@@ -17,10 +17,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import BACKEND, radial_accel
+from ._kernels import radial_accel
 from .certificate import TheoremInputs, rpow, unit_ball_volume
 from .cone import ConeGeometry, comoving_radius
-from .cosmology import ClosedFormFLRW, curved_mass_sq, horizon_end, scale_eval
+from .cosmology import curved_mass_sq, horizon_end, scale_eval
 from .errors import ConfigurationError, DomainError, ExcludedRegionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -41,10 +41,8 @@ __all__ = [
     "discrete_energy",
     "outside_cone_mass",
     "cone_containment_check",
-    "dalembert_oracle",
     "field_to_csv",
     "observables_to_csv",
-    "BACKEND",
 ]
 
 
@@ -125,16 +123,6 @@ class InitialData:
     def u1(self, r: np.ndarray) -> np.ndarray:
         return self.s1 * self.profile(r)
 
-    def profile_antiderivative(self, x: np.ndarray) -> np.ndarray:
-        """Integral of the unit profile from 0 to x (odd in x), clamped at
-        the support edge; closed form from the binomial expansion."""
-        y = np.clip(np.asarray(x, dtype=float) / self.r0, -1.0, 1.0)
-        k = self.exponent
-        acc = np.zeros_like(y)
-        for j in range(k + 1):
-            acc += math.comb(k, j) * (-1.0) ** j * y ** (2 * j + 1) / (2 * j + 1)
-        return self.r0 * acc
-
 
 def make_initial_data(n: int, r0: float, w0: float, w1: float) -> InitialData:
     """Bump pair whose ball integrals equal w0 and w1 exactly."""
@@ -165,7 +153,7 @@ def observable_w(field: PdeField) -> float:
 
 def forcing_integral(field: PdeField, inputs: TheoremInputs) -> float:
     """lambda a^{-n(p-1)/2} * integral of |u|^p."""
-    a, _, _ = scale_eval(ClosedFormFLRW(inputs.params), field.t)
+    a, _, _ = scale_eval(inputs.params, field.t)
     coef = inputs.lam * rpow(a, -inputs.params.n * (inputs.p - 1.0) / 2.0)
     return coef * float(np.sum(_volume_weights(field) * np.abs(field.u) ** inputs.p))
 
@@ -191,7 +179,7 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
     invariant of the semi-discrete flow in the flat autonomous case (n=1).
     """
     params = inputs.params
-    a, _, _ = scale_eval(ClosedFormFLRW(params), field.t)
+    a, _, _ = scale_eval(params, field.t)
     m2 = curved_mass_sq(params, field.t)
     w = _volume_weights(field)
     kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
@@ -300,7 +288,7 @@ def evolve(
 
     if controls.fixed_step is not None:
         a_min = min(
-            scale_eval(ClosedFormFLRW(params), t)[0]
+            scale_eval(params, t)[0]
             for t in np.linspace(0.0, t_cap, 64)
         )
         cfl = h * a_min / params.c
@@ -321,12 +309,11 @@ def evolve(
     p = inputs.p
     lam = 0.0 if controls.linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
-    model = ClosedFormFLRW(params)
 
     y0 = np.concatenate([field.u.real, field.u.imag, field.ut.real, field.ut.imag])
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a, _, _ = scale_eval(model, t)
+        a, _, _ = scale_eval(params, t)
         a_lap = c2 / (a * a * h * h)
         a_mass = c2 * curved_mass_sq(params, t)
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
@@ -437,7 +424,7 @@ def run_pde(
 
 
 # ---------------------------------------------------------------------------
-# cone containment and the flat linear oracle
+# cone containment
 # ---------------------------------------------------------------------------
 
 
@@ -473,26 +460,6 @@ def cone_containment_check(
         ok=ok,
         all_ok=bool(np.all(ok)),
     )
-
-
-def dalembert_oracle(data: InitialData, inputs: TheoremInputs, t: float, x) -> np.ndarray:
-    """Flat linear reference solution for n=1, H=0, m^2=0.
-
-    u(t, x) = (u0(x-ct) + u0(x+ct)) / 2 + (1/2c) * integral of u1 over
-    [x-ct, x+ct], with the effective speed c/a0.
-    """
-    params = inputs.params
-    if params.n != 1 or params.H != 0.0 or params.m_squared != 0.0:
-        raise ConfigurationError(
-            "the traveling-wave oracle needs n=1, H=0, m_squared=0"
-        )
-    c_eff = params.c / params.a0
-    x = np.asarray(x, dtype=float)
-    left = x - c_eff * t
-    right = x + c_eff * t
-    halves = 0.5 * (data.u0(left) + data.u0(right))
-    anti = data.profile_antiderivative(right) - data.profile_antiderivative(left)
-    return halves + data.s1 / (2.0 * c_eff) * anti
 
 
 # ---------------------------------------------------------------------------

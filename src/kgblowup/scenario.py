@@ -102,6 +102,19 @@ def _reject_unknown(block: Dict[str, Any], allowed, where: str) -> None:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _finite(val: Any, where: str) -> float:
+    """A JSON number that is not a boolean and is finite, as a float."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ScenarioError(f"{where}: expected a number, got {val!r}")
+    try:
+        out = float(val)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ScenarioError(f"{where}: must be finite")
+    return out
+
+
 def _number(block: Dict[str, Any], key: str, where: str, optional: bool = False):
     if key not in block:
         if optional:
@@ -110,11 +123,16 @@ def _number(block: Dict[str, Any], key: str, where: str, optional: bool = False)
     val = block[key]
     if val is None and optional:
         return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ScenarioError(f"{where}.{key}: expected a number, got {val!r}")
-    if isinstance(val, float) and not math.isfinite(val):
-        raise ScenarioError(f"{where}.{key}: must be finite")
-    return float(val)
+    return _finite(val, f"{where}.{key}")
+
+
+def _positive_int(block: Dict[str, Any], key: str, where: str, default: int) -> int:
+    if key not in block:
+        return default
+    val = _finite(block[key], f"{where}.{key}")
+    if val != int(val) or val < 1:
+        raise ScenarioError(f"{where}.{key}: must be a positive integer")
+    return int(val)
 
 
 def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenario:
@@ -264,11 +282,14 @@ def load_sweep_spec(path) -> SweepSpec:
         values = axis.get("values")
         if not isinstance(values, list) or not values:
             raise ScenarioError(f"{path}.axes[{i}].values: must be a non-empty list")
-        axes.append((p, [float(v) for v in values]))
+        where = f"{path}.axes[{i}].values"
+        axes.append((p, [_finite(v, f"{where}[{k}]") for k, v in enumerate(values)]))
 
-    parallelism = int(data.get("parallelism", 1) or 1)
-    with_ode = bool(data.get("with_ode", False))
-    max_points = int(data.get("max_points", 1_000_000))
+    parallelism = _positive_int(data, "parallelism", str(path), 1)
+    max_points = _positive_int(data, "max_points", str(path), 1_000_000)
+    with_ode = data.get("with_ode", False)
+    if not isinstance(with_ode, bool):
+        raise ScenarioError(f"{path}.with_ode: expected true or false, got {with_ode!r}")
     spec = SweepSpec(
         base=base, axes=axes, parallelism=parallelism, with_ode=with_ode,
         max_points=max_points,

@@ -216,6 +216,78 @@ class TestSweep:
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out1 / "sweep_summary.json").read_bytes() == (out2 / "sweep_summary.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("axis", None),
+            ("axis", "abc"),
+            ("axis", True),
+            ("axis", 10**400),  # an integer literal beyond the float range
+            ("parallelism", "abc"),
+            ("max_points", None),
+            ("with_ode", "no"),
+        ],
+    )
+    def test_bad_spec_field_is_a_scenario_error(self, tmp_path, capsys, field, value):
+        if field == "axis":
+            path = self.spec(tmp_path, axes=[{"path": "theorem.w0", "values": [16.0, value]}])
+        else:
+            path = self.spec(tmp_path, **{field: value})
+        assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and "Traceback" not in err
+        assert ("axes[0].values[1]" if field == "axis" else field) in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("field", ["parallelism", "max_points"])
+    @pytest.mark.parametrize("value", [0, -2, 1.5])
+    def test_counts_must_be_positive_integers(self, tmp_path, field, value):
+        with pytest.raises(ScenarioError, match=f"{field}: must be a positive integer"):
+            load_sweep_spec(self.spec(tmp_path, **{field: value}))
+
+    @pytest.mark.parametrize(
+        "cpus, spec_workers, cli_workers, expected",
+        [
+            (3, 4096, None, 3),  # the spec's parallelism, clamped
+            (3, 1, "4096", 3),  # --workers, clamped
+            (8, 1, "2", 2),
+            (None, 4096, None, None),  # CPU count unknown: serial, no pool
+            (2, 1, None, None),
+        ],
+    )
+    def test_pool_never_exceeds_the_cpus(
+        self, tmp_path, monkeypatch, cpus, spec_workers, cli_workers, expected
+    ):
+        import kgblowup.cli as cli
+
+        sizes = []
+
+        class FakePool:
+            """Records max_workers and maps in this process: no fork."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        argv = ["sweep", "--scenario", str(self.spec(tmp_path, parallelism=spec_workers)),
+                "--out", str(tmp_path / "out")]
+        if cli_workers is not None:
+            argv += ["--workers", cli_workers]
+        assert main(argv) == 0
+        assert sizes == ([] if expected is None else [expected])
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(rows) == 7
+
     def test_empty_axes_rejected(self, tmp_path):
         path = write(tmp_path, {"base": MINK, "axes": []}, name="bad.json")
         with pytest.raises(ScenarioError):

@@ -1,31 +1,29 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from kgblowup import (
-    ClosedFormFLRW,
     ConeGeometry,
     CosmologyParams,
     DomainError,
     Monotonicity,
     PreconditionError,
-    Tabulated,
     classify_q,
     comoving_radius,
     horizon_end,
     q_eval,
     q_tilde_eval,
-    scale_eval,
 )
 from kgblowup.cone import log_q_eval
 
 from conftest import CASE_REGIONS, region_samples
 
 
-def geom(H=0.0, sigma=0.0, n=1, c=1.0, a0=1.0, r0=1.0, m2=0.0, model=None):
+def geom(H=0.0, sigma=0.0, n=1, c=1.0, a0=1.0, r0=1.0, m2=0.0):
     params = CosmologyParams(n=n, c=c, a0=a0, H=H, sigma=sigma, m_squared=m2)
-    return ConeGeometry(params, r0, model=model)
+    return ConeGeometry(params, r0)
 
 
 def numeric_qdot(g, t):
@@ -78,32 +76,20 @@ class TestRadius:
             assert np.all(np.diff(rs) > 0)
 
     def test_against_quadrature_closed_form(self):
+        # r0 + integral of c/a(s) by 30-digit quadrature of the scale family
         rng = np.random.default_rng(11)
         for case in ("ii", "v", "viii"):
             H, sigma = region_samples(rng, case, 1)[0]
             g = geom(H=H, sigma=sigma, n=2, r0=0.5)
             T0 = horizon_end(g.params)
             hi = 3.0 if math.isinf(T0) else 0.9 * T0
-            model = ClosedFormFLRW(g.params)
-            from kgblowup.cone import _adaptive_simpson
-
-            for t in np.linspace(0.1, hi, 7):
-                quad = g.r0 + _adaptive_simpson(
-                    lambda s: g.params.c / scale_eval(model, s)[0], 0.0, t
-                )
-                assert comoving_radius(g, t) == pytest.approx(quad, rel=1e-9)
-
-    def test_tabulated_quadrature(self):
-        p = CosmologyParams(n=2, c=1.0, a0=1.0, H=0.4, sigma=0.1, m_squared=0.0)
-        ts = np.linspace(0.0, 4.0, 3000)
-        vals = [scale_eval(ClosedFormFLRW(p), t)[0] for t in ts]
-        tab = Tabulated(times=ts, values=vals, end=4.004)
-        g_tab = ConeGeometry(p, 1.0, model=tab)
-        g_ref = ConeGeometry(p, 1.0)
-        for t in (0.5, 2.0, 3.5):
-            assert comoving_radius(g_tab, t) == pytest.approx(
-                comoving_radius(g_ref, t), rel=1e-8
-            )
+            with mpmath.workdps(30):
+                k = g.params.n * (1 + mpmath.mpf(sigma)) * H / 2  # a = a0 (1 + k s)^(H/k)
+                for t in np.linspace(0.1, hi, 7):
+                    quad = g.r0 + mpmath.quad(
+                        lambda s: g.params.c / (g.params.a0 * (1 + k * s) ** (H / k)), [0, t]
+                    )
+                    assert comoving_radius(g, t) == pytest.approx(float(quad), rel=1e-12)
 
     def test_domain_error(self):
         g = geom(H=-1.0, sigma=0.0)  # T0 = 2

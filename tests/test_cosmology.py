@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from kgblowup import (
-    ClosedFormFLRW,
     CosmologyParams,
     DomainError,
     MassTag,
-    Tabulated,
     classify_mass_behavior,
     curved_mass_sq,
-    curved_mass_sq_from_scale,
     horizon_end,
     mass_sign_change_time,
     scale_eval,
 )
 
 from conftest import CASE_REGIONS, region_samples
+from oracles import curved_mass_sq_from_scale
 
 
 def params(n=1, c=1.0, a0=1.0, H=0.0, sigma=0.0, m2=0.0):
@@ -54,16 +52,16 @@ class TestHorizon:
 
 class TestScaleEval:
     def test_constant_scale(self):
-        a, adot, addot = scale_eval(ClosedFormFLRW(params(a0=2.0, sigma=3.0)), 5.0)
+        a, adot, addot = scale_eval(params(a0=2.0, sigma=3.0), 5.0)
         assert (a, adot, addot) == (2.0, 0.0, 0.0)
 
     def test_radiation_like(self):
         # exponent 2/(n(1+sigma)) = 1/2, inner factor 4 at t = 1.5
-        a, _, _ = scale_eval(ClosedFormFLRW(params(n=3, sigma=1 / 3, H=1.0)), 1.5)
+        a, _, _ = scale_eval(params(n=3, sigma=1 / 3, H=1.0), 1.5)
         assert a == pytest.approx(2.0, rel=1e-14)
 
     def test_exponential(self):
-        a, adot, addot = scale_eval(ClosedFormFLRW(params(sigma=-1.0, H=2.0)), 1.0)
+        a, adot, addot = scale_eval(params(sigma=-1.0, H=2.0), 1.0)
         assert a == pytest.approx(math.e**2, rel=1e-14)
         assert adot == pytest.approx(2 * math.e**2, rel=1e-14)
         assert addot == pytest.approx(4 * math.e**2, rel=1e-14)
@@ -72,7 +70,7 @@ class TestScaleEval:
         rng = np.random.default_rng(1)
         for case in CASE_REGIONS:
             p = random_params(rng, case)
-            a, adot, _ = scale_eval(ClosedFormFLRW(p), 0.0)
+            a, adot, _ = scale_eval(p, 0.0)
             assert a == p.a0
             assert adot / a == pytest.approx(p.H, rel=1e-12, abs=1e-12)
 
@@ -80,7 +78,6 @@ class TestScaleEval:
         rng = np.random.default_rng(2)
         for case in CASE_REGIONS:
             p = random_params(rng, case)
-            model = ClosedFormFLRW(p)
             T0 = horizon_end(p)
             for t in sample_times(rng, T0, 5):
                 # h = 1e-4 balances truncation against cancellation in the
@@ -88,20 +85,20 @@ class TestScaleEval:
                 h = 1e-4 * max(1.0, t)
                 if math.isfinite(T0):
                     h = min(h, 0.001 * (T0 - t))
-                am = scale_eval(model, t - h)[0]
-                a0_, adot, addot = scale_eval(model, t)
-                ap = scale_eval(model, t + h)[0]
+                am = scale_eval(p, t - h)[0]
+                a0_, adot, addot = scale_eval(p, t)
+                ap = scale_eval(p, t + h)[0]
                 assert adot == pytest.approx((ap - am) / (2 * h), rel=1e-6, abs=1e-7)
                 assert addot == pytest.approx(
                     (ap - 2 * a0_ + am) / h**2, rel=1e-5, abs=1e-6
                 )
 
     def test_domain_errors(self):
-        model = ClosedFormFLRW(params(H=-1.0, sigma=0.0))  # T0 = 2
+        p = params(H=-1.0, sigma=0.0)  # T0 = 2
         with pytest.raises(DomainError):
-            scale_eval(model, -0.5)
+            scale_eval(p, -0.5)
         with pytest.raises(DomainError):
-            scale_eval(model, 2.0)
+            scale_eval(p, 2.0)
 
     def test_hubble_identity(self):
         # adot/a = H (a/a0)^(-n(1+sigma)/2), 100 times per parameter set
@@ -109,9 +106,8 @@ class TestScaleEval:
         for case in CASE_REGIONS:
             for _ in range(3):
                 p = random_params(rng, case)
-                model = ClosedFormFLRW(p)
                 for t in sample_times(rng, horizon_end(p), 100):
-                    a, adot, _ = scale_eval(model, t)
+                    a, adot, _ = scale_eval(p, t)
                     expected = p.H * (a / p.a0) ** (-p.n * (1 + p.sigma) / 2)
                     assert adot / a == pytest.approx(
                         expected, rel=1e-10, abs=1e-10 * max(1.0, abs(p.H))
@@ -132,22 +128,20 @@ class TestCurvedMass:
 
     def test_from_scale_constant(self):
         p = params(m2=9.0)
-        model = ClosedFormFLRW(p)
         for t in (0.0, 2.0, 11.0):
-            assert curved_mass_sq_from_scale(model, p, t) == pytest.approx(9.0)
+            assert curved_mass_sq_from_scale(p, t) == pytest.approx(9.0)
 
     def test_from_scale_exponential_n2(self):
         p = params(n=2, sigma=-1.0, H=1.0, m2=2.0)
-        assert curved_mass_sq_from_scale(ClosedFormFLRW(p), p, 0.3) == pytest.approx(1.0)
+        assert curved_mass_sq_from_scale(p, 0.3) == pytest.approx(1.0)
 
     def test_identity_all_cases(self):
         rng = np.random.default_rng(4)
         for case in CASE_REGIONS:
             for _ in range(3):
                 p = random_params(rng, case)
-                model = ClosedFormFLRW(p)
                 for t in sample_times(rng, horizon_end(p), 20):
-                    lhs = curved_mass_sq_from_scale(model, p, t)
+                    lhs = curved_mass_sq_from_scale(p, t)
                     rhs = curved_mass_sq(p, t)
                     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
@@ -213,40 +207,3 @@ class TestClassification:
                 assert np.all(vals >= b.inf_m2 - slack)
             if math.isfinite(b.sup_m2):
                 assert np.all(vals <= b.sup_m2 + slack)
-
-
-class TestTabulated:
-    def build(self, p, t_max, count=2000):
-        ts = np.linspace(0.0, t_max, count)
-        vals = [scale_eval(ClosedFormFLRW(p), t)[0] for t in ts]
-        return Tabulated(times=ts, values=vals, end=t_max * 1.001)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tabulated(times=[0.0, 1.0, 0.5, 2.0], values=[1, 1, 1, 1], end=3.0)
-        with pytest.raises(ValueError):
-            Tabulated(times=[0.0, 1.0, 2.0, 3.0], values=[1, 1, -1, 1], end=4.0)
-
-    def test_matches_closed_form(self):
-        p = params(n=3, H=0.5, sigma=0.2)
-        tab = self.build(p, 4.0)
-        for t in (0.5, 1.7, 3.2):
-            a_ref, adot_ref, addot_ref = scale_eval(ClosedFormFLRW(p), t)
-            a, adot, addot = scale_eval(tab, t)
-            assert a == pytest.approx(a_ref, rel=1e-9)
-            assert adot == pytest.approx(adot_ref, rel=1e-4)
-            assert addot == pytest.approx(addot_ref, rel=1e-2)
-
-    def test_beyond_table_rejected(self):
-        p = params(H=0.1, sigma=0.0)
-        tab = self.build(p, 2.0)
-        with pytest.raises(DomainError):
-            scale_eval(tab, 2.5)
-
-    def test_curved_mass_from_tabulated_scale(self):
-        p = params(n=2, H=0.8, sigma=-0.3, m2=1.5)
-        tab = self.build(p, 3.0, count=4000)
-        for t in (0.4, 1.1, 2.6):
-            assert curved_mass_sq_from_scale(tab, p, t) == pytest.approx(
-                curved_mass_sq(p, t), rel=1e-4
-            )

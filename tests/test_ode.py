@@ -20,7 +20,6 @@ from kgblowup.ode import (
     energy_series,
     forcing_coefficient,
     growth_bound,
-    reversed_inputs,
     trajectory_to_csv,
 )
 from kgblowup.certificate import certify, rpow
@@ -71,8 +70,10 @@ class TestIntegrate:
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=1.1, w1=0.3)
         controls = OdeControls(mass_sq_const=k * k, forcing_const=0.0)
         fwd = integrate_ode(inputs, 3.0, controls)
+        # constant coefficients: from the end state with the velocity
+        # reversed, the same equation runs the trajectory backwards
         back = integrate_ode(
-            reversed_inputs(inputs, fwd.w[-1], fwd.wdot[-1]), 3.0, controls
+            replace(inputs, w0=fwd.w[-1], w1=-fwd.wdot[-1]), 3.0, controls
         )
         assert back.w[-1] == pytest.approx(1.1, abs=1e-8)
         assert -back.wdot[-1] == pytest.approx(0.3, abs=1e-8)

@@ -9,7 +9,6 @@ from kgblowup import (
     ExcludedRegionError,
     TerminationReason,
     cone_containment_check,
-    dalembert_oracle,
     make_field,
     make_initial_data,
     observable_w,
@@ -29,6 +28,7 @@ from kgblowup.pde import (
 )
 
 from conftest import make_inputs
+from oracles import dalembert_oracle, profile_antiderivative
 
 
 def flat_inputs(**kw):
@@ -64,7 +64,7 @@ class TestInitialData:
             direct = np.trapezoid(
                 prof[grid <= abs(x)], grid[grid <= abs(x)]
             ) * math.copysign(1.0, x)
-            assert data.profile_antiderivative(x) == pytest.approx(direct, abs=1e-8)
+            assert profile_antiderivative(data, x) == pytest.approx(direct, abs=1e-8)
 
 
 class TestObservables:

@@ -46,6 +46,7 @@ from .cone import (
     log_q_tilde_eval,
 )
 from .cosmology import (
+    HORIZON_SHAVE,
     CosmologyParams,
     MassTag,
     classify_mass_behavior,
@@ -77,7 +78,6 @@ __all__ = [
 
 GRID_NODES = 4096
 NEAR_ZERO_TIME = 1e-12
-HORIZON_SHAVE = 1e-9
 MEMO_CAP = 1024  # results an ExtremaMemo holds; about 0.4 MB when full
 
 VERDICT_NAMES = (

@@ -23,12 +23,14 @@ from typing import Any, Dict, List, Optional
 from . import ode as ode_mod
 from . import pde as pde_mod
 from .certificate import BlowupCertificate, ExtremaMemo, certify
+from .cosmology import t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
 from .integrate import TerminationReason
 from .scenario import (
     Scenario,
     ScenarioError,
     SweepSpec,
+    _finite,
     load_scenario,
     load_sweep_spec,
     scenario_from_dict,
@@ -86,14 +88,7 @@ def _resolve_t_end(scenario: Scenario, cert: BlowupCertificate, cli_t_end) -> fl
         t = 1.05 * cert.T_star
     else:
         t = 1.0
-    if math.isfinite(cert.T0):
-        t = min(t, cert.T0 * (1.0 - 1e-9))
-    return t
-
-
-def _certificate_payload(cert: BlowupCertificate) -> Dict[str, Any]:
-    payload = asdict(cert)
-    return payload
+    return t_cap(t, cert.T0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +100,7 @@ def cmd_analyze(args) -> int:
     scenario = load_scenario(args.scenario)
     out = _out_dir(args, scenario)
     cert = certify(scenario.inputs())
-    _write_json(out / "certificate.json", _certificate_payload(cert))
+    _write_json(out / "certificate.json", cert)
     status = "valid" if cert.valid else ("inconclusive" if cert.inconclusive else "invalid")
     print(f"certificate: {status}")
     if cert.T_star is not None:
@@ -244,11 +239,7 @@ def _sweep_point(base, overrides, with_ode, memo: ExtremaMemo) -> Dict[str, Any]
         if with_ode:
             blow = None
             if cert.valid:
-                t_end = min(
-                    1.05 * cert.T_star,
-                    cert.T0 * (1 - 1e-9) if math.isfinite(cert.T0) else math.inf,
-                )
-                traj = ode_mod.integrate(inputs, t_end)
+                traj = ode_mod.integrate(inputs, t_cap(1.05 * cert.T_star, cert.T0))
                 blow = ode_mod.detect_blowup_time(traj)
             row["blowup_time"] = blow
         row["error"] = ""
@@ -284,7 +275,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args, None)
     workers = args.workers if args.workers is not None else spec.parallelism
     # the pool forks every worker at its first map: never more than the CPUs
-    workers = max(1, min(workers, os.cpu_count() or 1))
+    workers = min(workers, os.cpu_count() or 1)
 
     paths = [p for p, _ in spec.axes]
     combos = list(itertools.product(*(vals for _, vals in spec.axes)))
@@ -355,9 +346,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """The flags obey the rules of the scenario keys they override."""
+    if args.grid_h is not None and not _finite(args.grid_h, "--grid-h") > 0:
+        raise ScenarioError("--grid-h: must be positive")
+    if args.t_end is not None:
+        _finite(args.t_end, "--t-end")
+    if args.workers is not None and args.workers < 1:
+        raise ScenarioError("--workers: must be a positive integer")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ExcludedRegionError as exc:
         print(f"rejected: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ __all__ = [
     "q_eval",
     "log_q_eval",
     "classify_q",
-    "q_tilde_eval",
     "log_q_tilde_eval",
     "log_q_tilde_array",
 ]
@@ -245,14 +244,6 @@ def _monotone_verdict(geom: ConeGeometry) -> Monotonicity:
             "the monotonized envelope is undefined"
         )
     return verdict
-
-
-def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
-    """Monotonized q: the constant q0 when q is non-increasing, else q(t)."""
-    if _monotone_verdict(geom) is Monotonicity.NON_INCREASING:
-        _check_time(t, geom.end)
-        return geom.q0
-    return q_eval(geom, t)
 
 
 def log_q_tilde_eval(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -39,12 +39,14 @@ __all__ = [
     "scale_eval",
     "curved_mass_sq",
     "curved_mass_sq_array",
-    "mass_sign_change_time",
     "classify_mass_behavior",
 ]
 
 # Relative margin kept away from a finite horizon (Big-Rip / Big-Crunch).
 HORIZON_MARGIN = 1e-12
+# Relative shave that keeps integrations and the certificate's time grid
+# clear of HORIZON_MARGIN.
+HORIZON_SHAVE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,11 @@ def horizon_end(params: CosmologyParams) -> float:
     if rate >= 0.0:
         return math.inf
     return -2.0 / (params.n * (1.0 + params.sigma) * params.H)
+
+
+def t_cap(t_end: float, T0: float) -> float:
+    """t_end, held HORIZON_SHAVE short of a finite horizon T0."""
+    return t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - HORIZON_SHAVE))
 
 
 def _check_time(t: float, end: float) -> None:
@@ -125,24 +132,6 @@ def curved_mass_sq_array(params: CosmologyParams, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, params.m_squared - (n * H / (2.0 * c)) ** 2)
     g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
     return params.m_squared + sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
-
-
-def mass_sign_change_time(params: CosmologyParams) -> Optional[float]:
-    """Zero crossing of M^2 in contracting-horizon regimes with real mass.
-
-    Defined when (1+sigma)H < 0, sigma < 0 and m > sqrt(|sigma|) n|H| / 2c
-    (which needs m_squared > 0); otherwise None.
-    """
-    n, c, H, sigma = params.n, params.c, params.H, params.sigma
-    if not ((1.0 + sigma) * H < 0.0 and sigma < 0.0):
-        return None
-    if params.m_squared <= 0.0:
-        return None
-    m = math.sqrt(params.m_squared)
-    gate = math.sqrt(-sigma) * n * abs(H) / (2.0 * c)
-    if m <= gate:
-        return None
-    return -2.0 / (n * (1.0 + sigma) * H) * (1.0 - gate / m)
 
 
 class MassTag(enum.Enum):

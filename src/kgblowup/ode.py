@@ -20,8 +20,8 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
-from .cone import q_eval, q_tilde_eval
-from .cosmology import curved_mass_sq, horizon_end
+from .cone import q_eval
+from .cosmology import curved_mass_sq, horizon_end, t_cap
 from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -35,7 +35,6 @@ __all__ = [
     "envelope",
     "envelope_pole",
     "growth_bound",
-    "energy_series",
     "forcing_coefficient",
     "trajectory_to_csv",
 ]
@@ -44,10 +43,6 @@ __all__ = [
 @dataclass(frozen=True)
 class OdeControls:
     rel_tol: float = 1e-10
-    abs_tol: Optional[float] = None
-    max_steps: int = 2_000_000
-    blow_magnitude_factor: float = 1e8
-    blow_step_fraction: float = 1e-14
     # constant-coefficient overrides for benchmark problems
     mass_sq_const: Optional[float] = None
     forcing_const: Optional[float] = None
@@ -92,7 +87,6 @@ def integrate(
     T0 = horizon_end(params)
     if t_end > T0:
         raise DomainError(f"t_end={t_end} exceeds the horizon T0={T0}")
-    t_cap = t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - 1e-9))
 
     if controls.mass_sq_const is not None:
         mass = lambda t: controls.mass_sq_const  # noqa: E731
@@ -119,19 +113,17 @@ def integrate(
         ws.append(y[0])
         vs.append(y[1])
 
-    scale0 = max(1.0, abs(inputs.w0), abs(inputs.w1))
-    abs_tol = controls.abs_tol if controls.abs_tol is not None else 1e-12 * scale0
+    # blow-up: |w| above 1e8 max(1, |w0|) with the step below the default
+    # blow_step_fraction (1e-14) of max(1, t)
     res: RkResult = dopri_integrate(
         rhs,
         0.0,
         (inputs.w0, inputs.w1),
-        t_cap,
+        t_cap(t_end, T0),
         rel_tol=controls.rel_tol,
-        abs_tol=abs_tol,
+        abs_tol=1e-12 * max(1.0, abs(inputs.w0), abs(inputs.w1)),
         magnitude=lambda y: abs(y[0]),
-        blow_magnitude=controls.blow_magnitude_factor * max(1.0, abs(inputs.w0)),
-        blow_step_fraction=controls.blow_step_fraction,
-        max_steps=controls.max_steps,
+        blow_magnitude=1e8 * max(1.0, abs(inputs.w0)),
         on_step=on_step,
     )
     return OdeTrajectory(
@@ -288,20 +280,6 @@ def envelope(inputs: TheoremInputs, cert: BlowupCertificate, t: float) -> float:
 def growth_bound(inputs: TheoremInputs, t: np.ndarray) -> np.ndarray:
     """Exponential lower bound w0 e^{cNt}."""
     return inputs.w0 * np.exp(inputs.params.c * inputs.N * np.asarray(t))
-
-
-def energy_series(traj: OdeTrajectory, inputs: TheoremInputs) -> np.ndarray:
-    """E(t) = w'^2 / 2c^2 - theta b~ w^{p+1} / (p+1), non-decreasing along
-    certified trajectories."""
-    Q = cone_ball_factor(inputs.params)
-    expo = inputs.params.n * (inputs.p - 1.0) / 2.0
-    bt = np.array(
-        [inputs.lam / rpow(Q * q_tilde_eval(inputs.geom, x), expo) for x in traj.t]
-    )
-    c2 = inputs.params.c ** 2
-    return traj.wdot**2 / (2.0 * c2) - inputs.theta * bt * np.abs(traj.w) ** (
-        inputs.p + 1.0
-    ) / (inputs.p + 1.0)
 
 
 def trajectory_to_csv(

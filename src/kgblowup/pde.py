@@ -2,25 +2,26 @@
 
 The radial reduction keeps exactly the quantities the blow-up statement is
 about: the spatial integral W(t), the support radius, and the forward-cone
-containment.  The second-order centered Laplacian u_rr + (n-1)/r u_r gets
-the removable-singularity treatment n u_rr at the axis; the outer boundary
-is homogeneous Dirichlet on a domain sized past the forward cone.  The
-semilinear term adds the real scalar lambda a^{-n(p-1)/2} |u|^p, so real
-data stays real but the flow is not complex-analytic.
+containment.  The grid is r_j = j h on [0, r_max]: node 0 is the symmetry
+axis, where the second-order centered Laplacian u_rr + (n-1)/r u_r gets the
+removable-singularity treatment n u_rr, and the last node is a homogeneous
+Dirichlet boundary on a domain sized past the forward cone.  The semilinear
+term adds the real scalar lambda a^{-n(p-1)/2} |u|^p, so real data stays
+real but the flow is not complex-analytic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ._kernels import radial_accel
 from .certificate import TheoremInputs, rpow, unit_ball_volume
 from .cone import ConeGeometry, comoving_radius
-from .cosmology import curved_mass_sq, horizon_end, scale_eval
+from .cosmology import curved_mass_sq, horizon_end, scale_eval, t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -36,7 +37,6 @@ __all__ = [
     "evolve",
     "run_pde",
     "observable_w",
-    "forcing_integral",
     "support_radius",
     "discrete_energy",
     "outside_cone_mass",
@@ -48,36 +48,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PdeControls:
-    grid_h: float = 1e-2
-    rel_tol: float = 1e-8
-    abs_tol: Optional[float] = None
-    r_max_factor: float = 1.25
-    output_interval: Optional[float] = None
-    blow_magnitude_factor: float = 1e8
-    blow_step_fraction: float = 1e-14
-    max_steps: int = 5_000_000
+    grid_h: float = 1e-2  # radial spacing h
+    rel_tol: float = 1e-8  # Dormand-Prince relative tolerance
+    r_max_factor: float = 1.25  # domain radius over the cone radius at t_end
+    output_interval: Optional[float] = None  # recording step; None: 1/200 of the run
     linear: bool = False  # drop the semilinear term (propagation tests)
-    full_line: bool = False  # n = 1 only: grid spans both sides of the apex
-    apex: float = 0.0
-    fixed_step: Optional[float] = None
 
 
 @dataclass
 class PdeField:
-    r: np.ndarray
+    r: np.ndarray  # j h, j = 0..J-1; node 0 is the axis
     u: np.ndarray  # complex128
     ut: np.ndarray  # complex128
     t: float
     h: float
     n: int
-    axis: bool  # True: node 0 is the symmetry axis; False: full line
-    apex: float = 0.0
 
     def copy(self) -> "PdeField":
-        return PdeField(
-            self.r.copy(), self.u.copy(), self.ut.copy(), self.t, self.h, self.n,
-            self.axis, self.apex,
-        )
+        return PdeField(self.r.copy(), self.u.copy(), self.ut.copy(), self.t, self.h, self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +129,7 @@ def _volume_weights(field: PdeField) -> np.ndarray:
     """Trapezoid weights for integration against the volume element."""
     w = np.full(field.r.size, field.h)
     w[0] = w[-1] = 0.5 * field.h
-    if field.axis:
-        return field.n * unit_ball_volume(field.n) * w * np.abs(field.r) ** (field.n - 1)
-    return w
+    return field.n * unit_ball_volume(field.n) * w * np.abs(field.r) ** (field.n - 1)
 
 
 def observable_w(field: PdeField) -> float:
@@ -151,15 +137,8 @@ def observable_w(field: PdeField) -> float:
     return float(np.sum(_volume_weights(field) * field.u.real))
 
 
-def forcing_integral(field: PdeField, inputs: TheoremInputs) -> float:
-    """lambda a^{-n(p-1)/2} * integral of |u|^p."""
-    a, _, _ = scale_eval(inputs.params, field.t)
-    coef = inputs.lam * rpow(a, -inputs.params.n * (inputs.p - 1.0) / 2.0)
-    return coef * float(np.sum(_volume_weights(field) * np.abs(field.u) ** inputs.p))
-
-
 def support_radius(field: PdeField, floor: Optional[float] = None) -> float:
-    """Largest |r - apex| whose node carries |u| or |ut| above the floor."""
+    """Largest r whose node carries |u| or |ut| above the floor."""
     mag = np.maximum(np.abs(field.u), np.abs(field.ut))
     top = float(mag.max()) if mag.size else 0.0
     if top == 0.0:
@@ -169,7 +148,7 @@ def support_radius(field: PdeField, floor: Optional[float] = None) -> float:
     hit = mag > floor
     if not np.any(hit):
         return 0.0
-    return float(np.max(np.abs(field.r[hit] - (field.apex if not field.axis else 0.0))))
+    return float(np.max(field.r[hit]))
 
 
 def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
@@ -185,13 +164,8 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
     kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
     pot = m2 * float(np.sum(w * np.abs(field.u) ** 2))
     du = np.diff(field.u) / field.h
-    if field.axis:
-        r_face = 0.5 * (field.r[:-1] + field.r[1:])
-        face_w = field.n * unit_ball_volume(field.n) * field.h * np.abs(r_face) ** (
-            field.n - 1
-        )
-    else:
-        face_w = np.full(field.r.size - 1, field.h)
+    r_face = 0.5 * (field.r[:-1] + field.r[1:])
+    face_w = field.n * unit_ball_volume(field.n) * field.h * np.abs(r_face) ** (field.n - 1)
     grad = float(np.sum(face_w * np.abs(du) ** 2)) / a**2
     return kin + grad + pot
 
@@ -199,11 +173,10 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
 def outside_cone_mass(field: PdeField, cone_r: float, pad: float) -> float:
     """Relative L1 mass of |u| strictly beyond cone_r + pad."""
     w = _volume_weights(field)
-    dist = np.abs(field.r - (field.apex if not field.axis else 0.0))
     total = float(np.sum(w * np.abs(field.u)))
     if total == 0.0:
         return 0.0
-    outside = dist > cone_r + pad
+    outside = field.r > cone_r + pad
     return float(np.sum(w[outside] * np.abs(field.u[outside]))) / total
 
 
@@ -221,26 +194,15 @@ def make_field(
     """Grid sized past the forward cone at t_end, filled with bump data."""
     params = inputs.params
     h = controls.grid_h
-    T0 = horizon_end(params)
-    t_cap = t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - 1e-9))
-    r_cone = comoving_radius(inputs.geom, t_cap)
+    r_cone = comoving_radius(inputs.geom, t_cap(t_end, horizon_end(params)))
     r_max = controls.r_max_factor * r_cone
     if data is None:
         data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
-    if controls.full_line:
-        if params.n != 1:
-            raise ConfigurationError("full-line mode is defined for n = 1 only")
-        half = int(math.ceil((r_max + abs(controls.apex)) / h))
-        r = np.arange(-half, half + 1, dtype=float) * h
-        offset = r - controls.apex
-        u = data.u0(offset).astype(complex)
-        ut = data.u1(offset).astype(complex)
-        return PdeField(r, u, ut, 0.0, h, params.n, axis=False, apex=controls.apex)
     J = int(math.ceil(r_max / h)) + 1
     r = np.arange(J, dtype=float) * h
     u = data.u0(r).astype(complex)
     ut = data.u1(r).astype(complex)
-    return PdeField(r, u, ut, 0.0, h, params.n, axis=True)
+    return PdeField(r, u, ut, 0.0, h, params.n)
 
 
 @dataclass
@@ -250,9 +212,7 @@ class PdeRun:
     support_radius: np.ndarray
     cone_radius: np.ndarray
     energy: np.ndarray
-    forcing: np.ndarray
     outside_mass: np.ndarray
-    max_abs_u: np.ndarray
     field0: PdeField
     field_final: PdeField
     termination: TerminationReason
@@ -275,29 +235,18 @@ def evolve(
     T0 = horizon_end(params)
     if t_end > T0:
         raise DomainError(f"t_end={t_end} exceeds the horizon T0={T0}")
-    t_cap = t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - 1e-9))
+    t_stop = t_cap(t_end, T0)
 
     J = field.r.size
     h = field.h
-    cone_end = comoving_radius(inputs.geom, t_cap)
-    span = float(np.max(np.abs(field.r - (field.apex if not field.axis else 0.0))))
+    cone_end = comoving_radius(inputs.geom, t_stop)
+    span = float(field.r[-1])
     if cone_end > span - 2.0 * h:
         raise ConfigurationError(
             f"domain too small: cone radius {cone_end} reaches the boundary {span}"
         )
 
-    if controls.fixed_step is not None:
-        a_min = min(
-            scale_eval(params, t)[0]
-            for t in np.linspace(0.0, t_cap, 64)
-        )
-        cfl = h * a_min / params.c
-        if controls.fixed_step > cfl:
-            raise ConfigurationError(
-                f"fixed step {controls.fixed_step} violates the CFL bound {cfl}"
-            )
-
-    # stencil weights 1 +- (n-1)/(2j); entry 0 unused (axis or Dirichlet)
+    # stencil weights 1 +- (n-1)/(2j); entry 0 unused (the axis)
     idx = np.arange(J, dtype=float)
     idx[0] = 1.0
     cp = np.ascontiguousarray(1.0 + (field.n - 1) / (2.0 * idx))
@@ -305,7 +254,6 @@ def evolve(
 
     c2 = params.c**2
     n = field.n
-    axis = field.axis
     p = inputs.p
     lam = 0.0 if controls.linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
@@ -321,12 +269,11 @@ def evolve(
         res[: 2 * J] = y[2 * J :]
         radial_accel(
             y[0:J], y[J : 2 * J], res[2 * J : 3 * J], res[3 * J :],
-            cp, cm, a_lap, a_mass, a_nl, p, n, axis,
+            cp, cm, a_lap, a_mass, a_nl, p, n,
         )
         return res
 
     scale0 = max(1.0, float(np.max(np.abs(y0))))
-    blow_mag = controls.blow_magnitude_factor * scale0
     regime_gate = 1e3 * scale0
 
     times: List[float] = []
@@ -334,9 +281,7 @@ def evolve(
     supports: List[float] = []
     cones: List[float] = []
     energies: List[float] = []
-    forcings: List[float] = []
     outsides: List[float] = []
-    maxes: List[float] = []
 
     geom = inputs.geom
 
@@ -345,7 +290,7 @@ def evolve(
             field.r,
             y[0:J] + 1j * y[J : 2 * J],
             y[2 * J : 3 * J] + 1j * y[3 * J :],
-            t, h, n, axis, field.apex,
+            t, h, n,
         )
         cone_r = comoving_radius(geom, t)
         times.append(t)
@@ -353,13 +298,11 @@ def evolve(
         supports.append(support_radius(snap))
         cones.append(cone_r)
         energies.append(discrete_energy(snap, inputs))
-        forcings.append(forcing_integral(snap, inputs))
         outsides.append(outside_cone_mass(snap, cone_r, 2.0 * h))
-        maxes.append(float(np.max(np.abs(y[: 2 * J]))))
 
     out_dt = controls.output_interval
     if out_dt is None:
-        out_dt = t_cap / 200.0 if t_cap > 0 else 1.0
+        out_dt = t_stop / 200.0 if t_stop > 0 else 1.0
     state = {"next_out": 0.0}
 
     def on_step(t: float, y: np.ndarray, h_used: float) -> None:
@@ -372,19 +315,18 @@ def evolve(
     record(0.0, y0)
     state["next_out"] = out_dt
 
-    abs_tol = controls.abs_tol if controls.abs_tol is not None else 1e-10 * scale0
+    # blow-up: some |Re u| or |Im u| above 1e8 scale0 with the step below
+    # the default blow_step_fraction (1e-14) of max(1, t)
     res: RkResult = dopri_integrate(
         rhs,
         0.0,
         y0,
-        t_cap,
+        t_stop,
         rel_tol=controls.rel_tol,
-        abs_tol=abs_tol,
+        abs_tol=1e-10 * scale0,
         magnitude=lambda y: float(np.max(np.abs(y[: 2 * J]))),
-        blow_magnitude=blow_mag,
-        blow_step_fraction=controls.blow_step_fraction,
-        max_steps=controls.max_steps,
-        max_step=controls.fixed_step if controls.fixed_step is not None else math.inf,
+        blow_magnitude=1e8 * scale0,
+        max_steps=5_000_000,
         on_step=on_step,
     )
     if not times or res.t - times[-1] > 1e-12 * max(1.0, res.t):
@@ -394,7 +336,7 @@ def evolve(
         field.r,
         res.y[0:J] + 1j * res.y[J : 2 * J],
         res.y[2 * J : 3 * J] + 1j * res.y[3 * J :],
-        res.t, h, n, axis, field.apex,
+        res.t, h, n,
     )
     return PdeRun(
         times=np.array(times),
@@ -402,9 +344,7 @@ def evolve(
         support_radius=np.array(supports),
         cone_radius=np.array(cones),
         energy=np.array(energies),
-        forcing=np.array(forcings),
         outside_mass=np.array(outsides),
-        max_abs_u=np.array(maxes),
         field0=field.copy(),
         field_final=final,
         termination=res.status,

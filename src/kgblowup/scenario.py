@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .certificate import TheoremInputs
@@ -35,19 +35,6 @@ class ScenarioError(ValueError):
     """Scenario file violates the schema or a parameter constraint."""
 
 
-_RUN_DEFAULTS: Dict[str, Any] = {
-    "t_end": None,
-    "rel_tol": 1e-10,
-    "pde_rel_tol": 1e-8,
-    "grid_h": 1e-2,
-    "r_max_factor": 1.25,
-    "output_interval": None,
-    "out": None,
-    "ode_mass_sq_const": None,
-    "ode_forcing_const": None,
-}
-
-
 @dataclass(frozen=True)
 class RunSettings:
     t_end: Optional[float] = None
@@ -59,6 +46,9 @@ class RunSettings:
     out: Optional[str] = None
     ode_mass_sq_const: Optional[float] = None
     ode_forcing_const: Optional[float] = None
+
+
+_RUN_DEFAULTS: Dict[str, Any] = asdict(RunSettings())
 
 
 @dataclass(frozen=True)

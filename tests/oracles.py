@@ -8,9 +8,19 @@ import math
 
 import numpy as np
 
-from kgblowup import ConfigurationError, CosmologyParams, scale_eval
-from kgblowup.certificate import TheoremInputs
-from kgblowup.pde import InitialData
+from kgblowup import (
+    ConfigurationError,
+    ConeGeometry,
+    CosmologyParams,
+    Monotonicity,
+    PreconditionError,
+    classify_q,
+    q_eval,
+    scale_eval,
+)
+from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow
+from kgblowup.ode import OdeTrajectory
+from kgblowup.pde import InitialData, PdeField, _volume_weights
 
 
 def curved_mass_sq_from_scale(params: CosmologyParams, t: float) -> float:
@@ -23,6 +33,57 @@ def curved_mass_sq_from_scale(params: CosmologyParams, t: float) -> float:
         - n * (n - 2) / (4.0 * c * c) * hub * hub
         - n / (2.0 * c * c) * (addot / a)
     )
+
+
+def mass_sign_change_time(params: CosmologyParams):
+    """Zero crossing of M^2 in contracting-horizon regimes with real mass.
+
+    Defined when (1+sigma)H < 0, sigma < 0 and m > sqrt(|sigma|) n|H| / 2c
+    (which needs m_squared > 0); otherwise None.
+    """
+    n, c, H, sigma = params.n, params.c, params.H, params.sigma
+    if not ((1.0 + sigma) * H < 0.0 and sigma < 0.0):
+        return None
+    if params.m_squared <= 0.0:
+        return None
+    m = math.sqrt(params.m_squared)
+    gate = math.sqrt(-sigma) * n * abs(H) / (2.0 * c)
+    if m <= gate:
+        return None
+    return -2.0 / (n * (1.0 + sigma) * H) * (1.0 - gate / m)
+
+
+def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
+    """Monotonized q by its definition: the constant q0 when q is
+    non-increasing, else q(t)."""
+    verdict = classify_q(geom).monotonicity
+    if verdict is Monotonicity.NOT_MONOTONE:
+        raise PreconditionError("q is not certified monotone")
+    if verdict is Monotonicity.NON_INCREASING:
+        return geom.q0
+    return q_eval(geom, t)
+
+
+def energy_series(traj: OdeTrajectory, inputs: TheoremInputs) -> np.ndarray:
+    """E(t) = w'^2 / 2c^2 - theta b~ w^{p+1} / (p+1), non-decreasing along
+    certified trajectories."""
+    Q = cone_ball_factor(inputs.params)
+    expo = inputs.params.n * (inputs.p - 1.0) / 2.0
+    bt = np.array(
+        [inputs.lam / rpow(Q * q_tilde_eval(inputs.geom, x), expo) for x in traj.t]
+    )
+    c2 = inputs.params.c ** 2
+    return traj.wdot**2 / (2.0 * c2) - inputs.theta * bt * np.abs(traj.w) ** (
+        inputs.p + 1.0
+    ) / (inputs.p + 1.0)
+
+
+def forcing_integral(field: PdeField, inputs: TheoremInputs) -> float:
+    """lambda a^{-n(p-1)/2} * integral of |u|^p, with the solver's volume
+    weights."""
+    a, _, _ = scale_eval(inputs.params, field.t)
+    coef = inputs.lam * rpow(a, -inputs.params.n * (inputs.p - 1.0) / 2.0)
+    return coef * float(np.sum(_volume_weights(field) * np.abs(field.u) ** inputs.p))
 
 
 def profile_antiderivative(data: InitialData, x) -> np.ndarray:

@@ -125,6 +125,30 @@ class TestAnalyze:
         assert (out1 / "certificate.json").read_bytes() == (out2 / "certificate.json").read_bytes()
 
 
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "pde --t-end nan",
+            "pde --t-end inf",
+            "ode --t-end nan",
+            *(f"{cmd} --grid-h {v}" for cmd in ("pde", "cone-check")
+              for v in ("0", "-0.01", "nan", "inf")),
+            "sweep --workers 0",
+            "sweep --workers -3",
+        ],
+    )
+    def test_bad_flag_is_a_scenario_error(self, tmp_path, capsys, command):
+        name, flag, value = command.split()
+        sweep = {"base": MINK, "axes": [{"path": "theorem.w0", "values": [16.0]}]}
+        path = write(tmp_path, sweep if name == "sweep" else MINK)
+        out = tmp_path / "out"
+        assert main([name, "--scenario", str(path), "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: {flag}: ") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestOdeCommand:
     def test_cubic_benchmark_csv(self, tmp_path):
         sc = {

@@ -14,11 +14,11 @@ from kgblowup import (
     comoving_radius,
     horizon_end,
     q_eval,
-    q_tilde_eval,
 )
-from kgblowup.cone import log_q_eval
+from kgblowup.cone import log_q_eval, log_q_tilde_eval
 
 from conftest import CASE_REGIONS, region_samples
+from oracles import q_tilde_eval
 
 
 def geom(H=0.0, sigma=0.0, n=1, c=1.0, a0=1.0, r0=1.0, m2=0.0):
@@ -199,15 +199,18 @@ class TestQTilde:
         g = geom(n=2, H=-1.0, sigma=0.0, r0=2.0)  # horizon at t = 1
         assert classify_q(g).monotonicity is Monotonicity.NON_INCREASING
         for t in (0.0, 0.5, 0.95):
-            assert q_tilde_eval(g, t) == 4.0
+            assert log_q_tilde_eval(g, t) == 2.0 * math.log(2.0)
+        with pytest.raises(DomainError):
+            log_q_tilde_eval(g, 1.0)
 
     def test_nondecreasing_tracks_q(self):
-        assert q_tilde_eval(geom(), 1.0) == pytest.approx(4.0)
+        assert log_q_tilde_eval(geom(), 1.0) == pytest.approx(math.log(4.0))
+        assert log_q_tilde_eval(geom(), 1.0) == log_q_eval(geom(), 1.0)
 
     def test_not_monotone_rejected(self):
         g = geom(n=2, H=-1.0, sigma=-0.9, r0=5.0)
         with pytest.raises(PreconditionError):
-            q_tilde_eval(g, 0.3)
+            log_q_tilde_eval(g, 0.3)
 
     def test_dominated_by_envelope(self):
         rng = np.random.default_rng(15)
@@ -225,5 +228,7 @@ class TestQTilde:
             T0 = horizon_end(g.params)
             hi = 5.0 if math.isinf(T0) else 0.95 * T0
             for t in np.linspace(0.0, hi, 40):
-                qt = q_tilde_eval(g, t)
-                assert qt <= max(g.q0, q_eval(g, t)) * (1 + 1e-12)
+                log_qt = log_q_tilde_eval(g, t)
+                direct = math.log(q_tilde_eval(g, t))
+                assert log_qt == pytest.approx(direct, rel=1e-12, abs=1e-12)
+                assert log_qt <= math.log(max(g.q0, q_eval(g, t))) + 1e-12

@@ -10,12 +10,11 @@ from kgblowup import (
     classify_mass_behavior,
     curved_mass_sq,
     horizon_end,
-    mass_sign_change_time,
     scale_eval,
 )
 
 from conftest import CASE_REGIONS, region_samples
-from oracles import curved_mass_sq_from_scale
+from oracles import curved_mass_sq_from_scale, mass_sign_change_time
 
 
 def params(n=1, c=1.0, a0=1.0, H=0.0, sigma=0.0, m2=0.0):

@@ -17,7 +17,6 @@ from kgblowup import (
 )
 from kgblowup.ode import (
     OdeControls,
-    energy_series,
     forcing_coefficient,
     growth_bound,
     trajectory_to_csv,
@@ -25,6 +24,7 @@ from kgblowup.ode import (
 from kgblowup.certificate import certify, rpow
 
 from conftest import certified_inputs, make_inputs
+from oracles import energy_series
 
 SQRT2 = math.sqrt(2.0)
 

@@ -17,11 +17,9 @@ family and polynomially otherwise), so the numeric optimizer never chases
 a divergent objective.  The optimizer works on log-objectives over a
 compactified grid plus golden-section refinement.
 
-The grid is evaluated as NumPy arrays (``log_q_tilde_array``,
-``curved_mass_sq_array``) and only ranks the nodes.  The value at the best
-node and the refinement around it come from the scalar objective: NumPy's
-exp and log differ from libm's by an ulp on some inputs, and scalar values
-keep A, B and T* identical to a node-by-node scalar evaluation.
+Each objective takes one time or an array of times.  The grid is evaluated
+as one array and only ranks the nodes; the value at the best node and the
+golden-section refinement around it are evaluated on floats.
 
 A and B read neither the data (w0, w1) nor theta and lambda, so a caller
 that certifies many related inputs (a sweep) passes one ``ExtremaMemo`` to
@@ -37,21 +35,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cone import (
-    ConeGeometry,
-    Monotonicity,
-    _a0_H,
-    classify_q,
-    log_q_tilde_array,
-    log_q_tilde_eval,
-)
+from .cone import ConeGeometry, Monotonicity, _a0_H, classify_q, log_q_tilde_eval
 from .cosmology import (
     HORIZON_SHAVE,
     CosmologyParams,
     MassTag,
     classify_mass_behavior,
     curved_mass_sq,
-    curved_mass_sq_array,
     horizon_end,
 )
 from .errors import DomainError, PreconditionError
@@ -261,33 +251,28 @@ def _golden_minimize(f: Callable[[float], float], lo: float, hi: float) -> Tuple
     return d, fd
 
 
-def _optimize_log(
-    f_log: Callable[[float], float],
-    f_grid: Callable[[np.ndarray], np.ndarray],
-    t_end: float,
-    nodes: int,
-) -> Tuple[float, float]:
+def _optimize_log(f: Callable, t_end: float, nodes: int) -> Tuple[float, float]:
     """Minimize a log-objective on (0, t_end); returns (t_min, f_min).
 
-    ``f_grid`` is the array form of ``f_log`` and only picks the best grid
-    node; the value there and the refinement come from ``f_log``.
+    ``f`` takes an array of times, which picks the best grid node, or one
+    time, which gives the value there and the refinement.
     """
     grid = _time_grid(t_end, nodes)
-    values = f_grid(grid)
+    values = f(grid)
     if np.isnan(values).all():
         raise DomainError(
             "the objective is NaN at every grid node: the closed forms overflow "
-            "at these parameters (for example a subnormal H)"
+            "at these parameters"
         )
     i = int(np.nanargmin(values))
     best_t = float(grid[i])
-    best_v = f_log(best_t)
+    best_v = f(best_t)
     if not math.isfinite(best_v):
         return best_t, best_v
     lo = float(grid[i - 1]) if i > 0 else float(grid[i])
     hi = float(grid[i + 1]) if i < grid.size - 1 else float(grid[i])
     if hi > lo:
-        t_ref, v_ref = _golden_minimize(f_log, lo, hi)
+        t_ref, v_ref = _golden_minimize(f, lo, hi)
         if v_ref < best_v:
             best_t, best_v = t_ref, v_ref
     return best_t, best_v
@@ -320,13 +305,10 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     n_half = params.n / 2.0
     geom = inputs.geom
 
-    def f_log(t: float) -> float:
+    def f_log(t):
         return growth * t - n_half * log_q_tilde_eval(geom, t, verdict)
 
-    def f_grid(t: np.ndarray) -> np.ndarray:
-        return growth * t - n_half * log_q_tilde_array(geom, t, verdict)
-
-    t_min, f_min = _optimize_log(f_log, f_grid, horizon_end(params), nodes)
+    t_min, f_min = _optimize_log(f_log, horizon_end(params), nodes)
     return ExtremumResult(math.exp(f_min), True, t_min, "positive infimum")
 
 
@@ -383,21 +365,18 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     inv_pm1 = 1.0 / (inputs.p - 1.0)
     n2 = inputs.N**2
 
-    def neg_log(t: float) -> float:
+    def neg_log(t):
         mass = n2 + curved_mass_sq(params, t)
-        if mass <= 0.0:
+        if isinstance(t, np.ndarray):
+            # the objective is 0, so -log is inf, wherever N^2 + M^2 <= 0
+            log_mass = np.log(mass, out=np.full(t.shape, -math.inf), where=mass > 0.0)
+        elif mass > 0.0:
+            log_mass = math.log(mass)
+        else:
             return math.inf  # objective 0 there
-        return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * math.log(mass) - decay * t)
+        return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * log_mass - decay * t)
 
-    def neg_log_grid(t: np.ndarray) -> np.ndarray:
-        log_q = log_q_tilde_array(geom, t, verdict)
-        mass = n2 + curved_mass_sq_array(params, t)
-        out = np.full(t.shape, math.inf)
-        pos = mass > 0.0
-        out[pos] = -(n_half * log_q[pos] + inv_pm1 * np.log(mass[pos]) - decay * t[pos])
-        return out
-
-    t_max, neg_min = _optimize_log(neg_log, neg_log_grid, horizon_end(params), nodes)
+    t_max, neg_min = _optimize_log(neg_log, horizon_end(params), nodes)
     if math.isinf(neg_min):
         return ExtremumResult(0.0, True, None, "objective vanishes identically")
     return ExtremumResult(math.exp(-neg_min), True, t_max, "finite supremum")

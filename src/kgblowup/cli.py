@@ -1,7 +1,8 @@
 """Command-line front end: analyze, ode, pde, cone-check, and sweep.
 
 Exit codes: 0 on success, 2 when a theorem hypothesis or containment check
-fails (machine-distinguishable from crashes), 1 on I/O or scenario errors.
+fails or the arithmetic leaves the float range (machine-distinguishable
+from crashes), 1 on I/O, scenario and command-line usage errors.
 All floats are serialized as shortest round-trip decimals so outputs are
 byte-identical across runs and worker counts.
 """
@@ -320,8 +321,16 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 means a failed hypothesis."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgblow",
         description=(
             "Blow-up certificates and numerics for semilinear Klein-Gordon "
@@ -350,8 +359,8 @@ def _check_flags(args) -> None:
     """The flags obey the rules of the scenario keys they override."""
     if args.grid_h is not None and not _finite(args.grid_h, "--grid-h") > 0:
         raise ScenarioError("--grid-h: must be positive")
-    if args.t_end is not None:
-        _finite(args.t_end, "--t-end")
+    if args.t_end is not None and not _finite(args.t_end, "--t-end") > 0:
+        raise ScenarioError("--t-end: must be positive")
     if args.workers is not None and args.workers < 1:
         raise ScenarioError("--workers: must be a positive integer")
 
@@ -366,6 +375,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (PreconditionError, ConfigurationError, DomainError) as exc:
         print(f"hypothesis/configuration failure: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"arithmetic failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

@@ -4,11 +4,15 @@ Data supported in |x| <= r0 at t = 0 stays inside |x| <= r(t) with
 
     r(t) = r0 + integral_0^t c / a(s) ds.
 
-On the closed-form family the integral has elementary antiderivatives
-(linear, power-law, logarithmic, or saturating-exponential).  The quantity
-q(t) = a(t) r(t)^2 / a0 controls the Jensen-type comparison of the spatial
-integral, and its monotonicity is decided by the sign of H together with
-the auxiliary function d = r + (2c / a0 H) (a/a0)^(n(1+sigma)/2 - 1).
+On the closed-form family the integral is one formula for every H and
+sigma: with e = n(1+sigma)/2 and s(t) = t L(e H t) (so log(a/a0) = H s),
+
+    r(t) - r0 = (c s / a0) E((e - 1) H s),   E(z) = expm1(z)/z, E(0) = 1,
+
+continuous through H = 0, sigma = -1 and the coasting point e = 1.  The
+quantity q(t) = a(t) r(t)^2 / a0 controls the Jensen-type comparison of
+the spatial integral, and its monotonicity is decided by the sign of H
+together with the auxiliary function d = r + (2c / a0 H) (a/a0)^(e - 1).
 """
 
 from __future__ import annotations
@@ -20,7 +24,13 @@ from typing import Optional
 
 import numpy as np
 
-from .cosmology import CosmologyParams, _check_time, horizon_end, scale_eval
+from .cosmology import (
+    CosmologyParams,
+    _check_time,
+    _array_ratio,
+    _expm1_ratio,
+    log_scale_time,
+)
 from .errors import DomainError, PreconditionError
 
 __all__ = [
@@ -32,7 +42,6 @@ __all__ = [
     "log_q_eval",
     "classify_q",
     "log_q_tilde_eval",
-    "log_q_tilde_array",
 ]
 
 _EXP_SAFE = 600.0  # switch to log-asymptotic forms beyond this exponent
@@ -72,21 +81,11 @@ class ConeGeometry:
 
     @property
     def end(self) -> float:
-        return horizon_end(self.params)
+        return self.params.T0
 
     @property
     def q0(self) -> float:
         return self.r0 * self.r0
-
-
-def _coasting(n: int, sigma: float) -> bool:
-    """n(1+sigma) == 2, where a(t) grows linearly and r(t) is logarithmic.
-
-    The second test catches spellings of -1 + 2/n that round differently
-    (n = 3: -0.3333333333333333); the first keeps the exact special point
-    at n where n(1+sigma) rounds away from 2 (n = 6).
-    """
-    return sigma == -1.0 + 2.0 / n or n * (1.0 + sigma) == 2.0
 
 
 def _a0_H(a0: float, H: float) -> float:
@@ -98,115 +97,56 @@ def _a0_H(a0: float, H: float) -> float:
     return a0H
 
 
-def _power_law_coef(params: CosmologyParams) -> float:
-    """2c / (a0 H (2 - n(1+sigma))), the scale of r(t) - r0 off the special points.
-
-    A subnormal H can round the denominator to 0; that is a typed error,
-    not a ZeroDivisionError.
-    """
-    n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
-    den = _a0_H(a0, H) * (2.0 - n * (1.0 + sigma))
-    if den == 0.0:
-        raise DomainError(f"H={H} is too small: a0 H (2 - n(1+sigma)) rounds to 0")
-    return 2.0 * c / den
+def _radius_terms(params: CosmologyParams, t):
+    """(s, w, k) with r(t) - r0 = w E(k s): s = t L(e H t), w = c s / a0,
+    and k = (e - 1) H, so that k s = (e - 1) log(a/a0)."""
+    s = log_scale_time(params, t)
+    return s, params.c * s / params.a0, (params.e - 1.0) * params.H
 
 
-def _radius_closed_form(params: CosmologyParams, r0: float, t: float) -> float:
-    n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
-    if H == 0.0:
-        return r0 + c * t / a0
-    if sigma == -1.0:
-        return r0 + c / _a0_H(a0, H) * (1.0 - math.exp(-H * t))
-    if _coasting(n, sigma):
-        return r0 + c * math.log1p(H * t) / _a0_H(a0, H)
-    k = n * (1.0 + sigma) * H / 2.0
-    beta = 2.0 / (n * (1.0 + sigma))
-    g = 1.0 + k * t
-    coef = _power_law_coef(params)
-    return r0 + coef * (1.0 - g ** (1.0 - beta))
+def _log_radius(r0: float, s, w, k):
+    """log r from the _radius_terms; past k s = _EXP_SAFE in log space, so
+    e^(k s) never overflows."""
+    if not isinstance(s, np.ndarray):
+        z = k * s
+        if z <= _EXP_SAFE:
+            return math.log(r0 + w * _expm1_ratio(k, s))
+        return math.log(w / z) + z + math.log1p(r0 * z / w * math.exp(-z))
+    if not (k > 0.0 and k * float(s.max()) > _EXP_SAFE):
+        return np.log(r0 + w * _expm1_ratio(k, s))
+    z = k * s
+    zs, zb = np.minimum(z, _EXP_SAFE), np.maximum(z, _EXP_SAFE)
+    # each form is evaluated at every time, and kept only where it applies
+    with np.errstate(all="ignore"):
+        small = np.log(r0 + w * _array_ratio(zs, np.expm1))
+        big = np.log(w / zb) + zb + np.log1p(r0 * zb / w * np.exp(-zb))
+    return np.where(z <= _EXP_SAFE, small, big)
 
 
-def _log_radius_closed_form(params: CosmologyParams, r0: float, t: float) -> float:
-    """log r(t), stable against exp/power overflow at large t."""
-    n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
-    if H == 0.0:
-        return math.log(r0 + c * t / a0)
-    if sigma == -1.0:
-        if H > 0.0:
-            return math.log(r0 + c / _a0_H(a0, H) * (1.0 - math.exp(-H * t)))
-        x = -H * t
-        scale = c / _a0_H(a0, -H)
-        if x <= _EXP_SAFE:
-            return math.log(r0 + scale * (math.exp(x) - 1.0))
-        return x + math.log(scale) + math.log1p((r0 - scale) / scale * math.exp(-x))
-    if _coasting(n, sigma):
-        return math.log(r0 + c * math.log1p(H * t) / _a0_H(a0, H))
-    k = n * (1.0 + sigma) * H / 2.0
-    beta = 2.0 / (n * (1.0 + sigma))
-    g = 1.0 + k * t
-    coef = _power_law_coef(params)
-    y = (1.0 - beta) * math.log(g)
-    if y <= _EXP_SAFE:
-        return math.log(r0 + coef * (1.0 - math.exp(y)))
-    # divergent branch: r ~ (-coef) * g^(1-beta), and -coef > 0 there
-    return y + math.log(-coef) + math.log1p((r0 + coef) / (-coef) * math.exp(-y))
-
-
-def _log_r0_plus_expm1(r0: float, s: float, y: np.ndarray) -> np.ndarray:
-    """Elementwise log(r0 + s (e^y - 1)), with s > 0 wherever y > _EXP_SAFE."""
-    out = np.empty_like(y)
-    small = y <= _EXP_SAFE
-    out[small] = np.log(r0 + s * (np.exp(y[small]) - 1.0))
-    if not small.all():
-        big = ~small
-        out[big] = y[big] + math.log(s) + np.log1p((r0 - s) / s * np.exp(-y[big]))
-    return out
-
-
-def _log_radius_array(params: CosmologyParams, r0: float, t: np.ndarray) -> np.ndarray:
-    """_log_radius_closed_form over an array of times, branch for branch."""
-    n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
-    if H == 0.0:
-        return np.log(r0 + c * t / a0)
-    if sigma == -1.0:
-        if H > 0.0:
-            return np.log(r0 + c / _a0_H(a0, H) * (1.0 - np.exp(-H * t)))
-        return _log_r0_plus_expm1(r0, c / _a0_H(a0, -H), -H * t)
-    if _coasting(n, sigma):
-        return np.log(r0 + c * np.log1p(H * t) / _a0_H(a0, H))
-    k = n * (1.0 + sigma) * H / 2.0
-    beta = 2.0 / (n * (1.0 + sigma))
-    coef = _power_law_coef(params)
-    return _log_r0_plus_expm1(r0, -coef, (1.0 - beta) * np.log(1.0 + k * t))
-
-
-def comoving_radius(geom: ConeGeometry, t: float) -> float:
-    """r(t) = r0 + integral of c/a, in closed form."""
+def comoving_radius(geom: ConeGeometry, t):
+    """r(t) = r0 + integral of c/a = r0 + (c s/a0) E((e-1) H s), s = t L(e H t)."""
     _check_time(t, geom.end)
-    return _radius_closed_form(geom.params, geom.r0, t)
+    s, w, k = _radius_terms(geom.params, t)
+    return geom.r0 + w * _expm1_ratio(k, s)
 
 
 def q_eval(geom: ConeGeometry, t: float) -> float:
-    """q(t) = a(t) r(t)^2 / a0; q(0) = r0^2 exactly."""
+    """q(t) = a(t) r(t)^2 / a0 at one time; q(0) = r0^2 exactly."""
     _check_time(t, geom.end)
     if t == 0.0:
         return geom.q0
-    r = comoving_radius(geom, t)
-    a, _, _ = scale_eval(geom.params, t)
-    return a * r * r / geom.params.a0
-
-
-def log_q_eval(geom: ConeGeometry, t: float) -> float:
-    """log q(t), valid far beyond exp overflow."""
-    _check_time(t, geom.end)
     params = geom.params
-    if params.sigma == -1.0:
-        log_a_ratio = params.H * t
-    else:
-        k = params.n * (1.0 + params.sigma) * params.H / 2.0
-        beta = 2.0 / (params.n * (1.0 + params.sigma))
-        log_a_ratio = beta * math.log(1.0 + k * t)
-    return log_a_ratio + 2.0 * _log_radius_closed_form(params, geom.r0, t)
+    s, w, k = _radius_terms(params, t)
+    r = geom.r0 + w * _expm1_ratio(k, s)
+    a = params.a0 * math.exp(params.H * s)
+    return a * r * r / params.a0
+
+
+def log_q_eval(geom: ConeGeometry, t):
+    """log q(t) = log(a/a0) + 2 log r, valid far beyond exp overflow."""
+    _check_time(t, geom.end)
+    s, w, k = _radius_terms(geom.params, t)
+    return geom.params.H * s + 2.0 * _log_radius(geom.r0, s, w, k)
 
 
 def classify_q(geom: ConeGeometry) -> QClassification:
@@ -246,38 +186,13 @@ def _monotone_verdict(geom: ConeGeometry) -> Monotonicity:
     return verdict
 
 
-def log_q_tilde_eval(
-    geom: ConeGeometry, t: float, verdict: Optional[Monotonicity] = None
-) -> float:
-    """log q~(t); ``verdict`` is q's certified monotonicity if the caller has it."""
+def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Optional[Monotonicity] = None):
+    """log q~ at a time or at every time of an array; ``verdict`` is q's
+    certified monotonicity if the caller has it."""
     if verdict is None:
         verdict = _monotone_verdict(geom)
     if verdict is Monotonicity.NON_INCREASING:
         _check_time(t, geom.end)
-        return 2.0 * math.log(geom.r0)
+        log_q0 = 2.0 * math.log(geom.r0)
+        return np.full(t.shape, log_q0) if isinstance(t, np.ndarray) else log_q0
     return log_q_eval(geom, t)
-
-
-def log_q_tilde_array(
-    geom: ConeGeometry, t: np.ndarray, verdict: Optional[Monotonicity] = None
-) -> np.ndarray:
-    """log_q_tilde_eval at every time in ``t``.
-
-    q is classified at most once and only the earliest and latest times are
-    checked against the horizon, so a grid the scalar form rejects at any
-    node raises the same error here.
-    """
-    if verdict is None:
-        verdict = _monotone_verdict(geom)
-    _check_time(float(t.min()), geom.end)
-    _check_time(float(t.max()), geom.end)
-    if verdict is Monotonicity.NON_INCREASING:
-        return np.full(t.shape, 2.0 * math.log(geom.r0))
-    params = geom.params
-    if params.sigma == -1.0:
-        log_a_ratio = params.H * t
-    else:
-        k = params.n * (1.0 + params.sigma) * params.H / 2.0
-        beta = 2.0 / (params.n * (1.0 + params.sigma))
-        log_a_ratio = beta * np.log(1.0 + k * t)
-    return log_a_ratio + 2.0 * _log_radius_array(params, geom.r0, t)

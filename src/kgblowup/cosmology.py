@@ -1,30 +1,37 @@
 """FLRW background: scale factor family, horizon, and curved mass.
 
 The closed-form family is parameterised by the Hubble constant H and an
-equation-of-state exponent sigma:
+equation-of-state exponent sigma.  With e = n(1+sigma)/2,
 
-    a(t) = a0 * (1 + n(1+sigma)H t / 2)^(2/(n(1+sigma)))   sigma != -1
-    a(t) = a0 * exp(H t)                                   sigma == -1
+    a(t) = a0 (1 + e H t)^(1/e),
 
-defined on [0, T0) where T0 is finite exactly when (1+sigma)H < 0.  The
-transformation u = v * a^(n/2) turns the damped wave operator into one with
-the time-dependent "curved" squared mass
+defined on [0, T0) where T0 = -1/(e H) is finite exactly when e H < 0.
+sigma = -1 (e = 0, a = a0 exp(H t)) and the coasting point e = 1 (a grows
+linearly) are removable singularities of this one formula, so it is
+evaluated in the form that is continuous through them and through H = 0:
+
+    log(a/a0) = H s(t),   s(t) = t L(e H t),   L(x) = log1p(x)/x, L(0) = 1.
+
+The transformation u = v * a^(n/2) turns the damped wave operator into one
+with the time-dependent "curved" squared mass
 
     M^2(t) = m^2 - n(n-2)/(4c^2) (adot/a)^2 - n/(2c^2) (addot/a),
 
 which on the closed-form family collapses to
 
-    M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)H t / 2)^(-2).
+    M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^(-2).
 
 A negative ``m_squared`` encodes a purely imaginary mass; only M^2 ever
-enters the formulas, so no square root is taken.
+enters the formulas, so no square root is taken.  Every evaluator takes
+one time (a float, evaluated with ``math``) or an array of times
+(evaluated with NumPy).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
@@ -36,9 +43,9 @@ __all__ = [
     "MassTag",
     "MassBehavior",
     "horizon_end",
+    "log_scale_time",
     "scale_eval",
     "curved_mass_sq",
-    "curved_mass_sq_array",
     "classify_mass_behavior",
 ]
 
@@ -53,7 +60,8 @@ HORIZON_SHAVE = 1e-9
 class CosmologyParams:
     """Background constants: dimension, light speed, scale family, mass.
 
-    ``m_squared`` may be any real; negative values encode m in i*R.
+    ``m_squared`` may be any real; negative values encode m in i*R.  The
+    exponent ``e`` = n(1+sigma)/2 and the horizon ``T0`` are derived once.
     """
 
     n: int
@@ -62,6 +70,8 @@ class CosmologyParams:
     H: float
     sigma: float
     m_squared: float
+    e: float = field(init=False, compare=False, repr=False)
+    T0: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
@@ -70,6 +80,12 @@ class CosmologyParams:
             raise ValueError("speed of light c must be positive")
         if not self.a0 > 0:
             raise ValueError("initial scale factor a0 must be positive")
+        e = self.n * (1.0 + self.sigma) / 2.0
+        # T0 from the rounded e H the closed forms use: 1 + e H t stays
+        # positive at every time the horizon check admits
+        rate = e * self.H
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "T0", -1.0 / rate if rate < 0.0 else math.inf)
 
     @property
     def excluded_region(self) -> bool:
@@ -79,10 +95,7 @@ class CosmologyParams:
 
 def horizon_end(params: CosmologyParams) -> float:
     """End of the spacetime: +inf, or -2/(n(1+sigma)H) when (1+sigma)H < 0."""
-    rate = (1.0 + params.sigma) * params.H
-    if rate >= 0.0:
-        return math.inf
-    return -2.0 / (params.n * (1.0 + params.sigma) * params.H)
+    return params.T0
 
 
 def t_cap(t_end: float, T0: float) -> float:
@@ -90,48 +103,67 @@ def t_cap(t_end: float, T0: float) -> float:
     return t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - HORIZON_SHAVE))
 
 
-def _check_time(t: float, end: float) -> None:
-    if t < 0:
-        raise DomainError(f"t={t} is negative")
-    if math.isfinite(end) and t >= end * (1.0 - HORIZON_MARGIN):
-        raise DomainError(f"t={t} is at or beyond the horizon T0={end}")
+def _check_time(t, end: float) -> None:
+    """t (or every time in an array t) lies in [0, end) short of the margin."""
+    if isinstance(t, np.ndarray):
+        lo, hi = float(t.min()), float(t.max())
+    else:
+        lo = hi = t
+    if lo < 0:
+        raise DomainError(f"t={lo} is negative")
+    if hi >= end * (1.0 - HORIZON_MARGIN) and math.isfinite(end):
+        raise DomainError(f"t={hi} is at or beyond the horizon T0={end}")
 
 
-def scale_eval(params: CosmologyParams, t: float) -> Tuple[float, float, float]:
+def _array_ratio(x: np.ndarray, f) -> np.ndarray:
+    """f(x)/x elementwise, with its limit 1 where x = 0."""
+    if x.all():
+        return f(x) / x
+    return np.divide(f(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _log1p_ratio(k: float, t):
+    """L(k t) = log1p(k t)/(k t), L(0) = 1; 1.0 at once when k is 0."""
+    if k == 0.0:
+        return 1.0
+    x = k * t
+    if isinstance(x, np.ndarray):
+        return _array_ratio(x, np.log1p)
+    return math.log1p(x) / x if x != 0.0 else 1.0
+
+
+def _expm1_ratio(k: float, t):
+    """E(k t) = expm1(k t)/(k t), E(0) = 1; 1.0 at once when k is 0."""
+    if k == 0.0:
+        return 1.0
+    x = k * t
+    if isinstance(x, np.ndarray):
+        return _array_ratio(x, np.expm1)
+    return math.expm1(x) / x if x != 0.0 else 1.0
+
+
+def log_scale_time(params: CosmologyParams, t):
+    """s(t) = t L(e H t), the integral of 1/(1 + e H t'), so that
+    log(a(t)/a0) = H s(t) on the whole family; t is not range-checked."""
+    return t * _log1p_ratio(params.e * params.H, t)
+
+
+def scale_eval(params: CosmologyParams, t) -> Tuple:
     """Return (a, adot, addot) at time t in [0, T0)."""
-    _check_time(t, horizon_end(params))
-    a0, H, sigma, n = params.a0, params.H, params.sigma, params.n
-    if sigma == -1.0:
-        a = a0 * math.exp(H * t)
-        return a, H * a, H * H * a
-    beta = 2.0 / (n * (1.0 + sigma))
-    g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
-    a = a0 * g**beta
-    adot = a0 * H * g ** (beta - 1.0)
-    addot = a0 * H * H * (beta - 1.0) / beta * g ** (beta - 2.0)
-    return a, adot, addot
+    _check_time(t, params.T0)
+    H, e = params.H, params.e
+    exp = np.exp if isinstance(t, np.ndarray) else math.exp
+    a = params.a0 * exp(H * log_scale_time(params, t))
+    g = 1.0 + e * H * t
+    return a, H * a / g, H * H * (1.0 - e) * a / (g * g)
 
 
-def curved_mass_sq(params: CosmologyParams, t: float) -> float:
-    """Closed-form M^2(t) = m^2 + sigma (nH/2c)^2 (1 + n(1+sigma)H t/2)^-2."""
-    _check_time(t, horizon_end(params))
-    n, c, H, sigma = params.n, params.c, params.H, params.sigma
-    if sigma == -1.0:
-        return params.m_squared - (n * H / (2.0 * c)) ** 2
-    g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
-    return params.m_squared + sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
-
-
-def curved_mass_sq_array(params: CosmologyParams, t: np.ndarray) -> np.ndarray:
-    """curved_mass_sq at every time in ``t``; the extreme times are range-checked."""
-    end = horizon_end(params)
-    _check_time(float(t.min()), end)
-    _check_time(float(t.max()), end)
-    n, c, H, sigma = params.n, params.c, params.H, params.sigma
-    if sigma == -1.0:
-        return np.full(t.shape, params.m_squared - (n * H / (2.0 * c)) ** 2)
-    g = 1.0 + n * (1.0 + sigma) * H * t / 2.0
-    return params.m_squared + sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
+def curved_mass_sq(params: CosmologyParams, t):
+    """Closed-form M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^-2."""
+    _check_time(t, params.T0)
+    n, c, H = params.n, params.c, params.H
+    g = 1.0 + params.e * H * t
+    return params.m_squared + params.sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
 
 
 class MassTag(enum.Enum):

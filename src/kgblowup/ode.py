@@ -236,7 +236,7 @@ def check_lemma21(
     b = forcing_coefficient(inputs)
     t, w, v = traj.t, traj.w, traj.wdot
     bt = np.array([b(x) for x in t])
-    m2 = np.array([curved_mass_sq(params, x) for x in t])
+    m2 = curved_mass_sq(params, t)
     p, theta, N = inputs.p, inputs.theta, inputs.N
 
     bound = inputs.w0 * np.exp(cN * t)

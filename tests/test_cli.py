@@ -82,22 +82,22 @@ class TestAnalyze:
         assert cert["valid"] is True
         assert 0.0 < cert["T_star"] < math.inf
 
-    @pytest.mark.parametrize(
-        "H, sigma, where",
-        [
-            (5e-324, 1.5, "rounds to 0"),  # a0 H (2 - n(1+sigma)) underflows
-            (2.2e-311, -1.0, "NaN at every grid node"),  # c/(a0 H) overflows
-        ],
-    )
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_subnormal_H_is_a_domain_error(self, tmp_path, capsys, H, sigma, where):
-        sc = json.loads(json.dumps(MINK))
-        sc["cosmology"].update(H=H, sigma=sigma)
-        sc["theorem"].update(N=1.5, w0=40.0, w1=450.0)
-        code = main(["analyze", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert where in err and "Traceback" not in err
+    @pytest.mark.parametrize("H, sigma", [(5e-324, 1.5), (2.2e-311, -1.0)])
+    def test_subnormal_H_certifies_as_H_zero(self, tmp_path, capsys, H, sigma):
+        """A subnormal H is within rounding of the flat background."""
+        certs, codes = [], []
+        for h in (H, 0.0):
+            sc = json.loads(json.dumps(MINK))
+            sc["cosmology"].update(H=h, sigma=sigma)
+            sc["theorem"].update(N=1.5, w0=40.0, w1=450.0)
+            out = tmp_path / repr(h)
+            codes.append(main(["analyze", "--scenario", str(write(tmp_path, sc)),
+                               "--out", str(out)]))
+            assert "Traceback" not in capsys.readouterr().err
+            certs.append(json.loads((out / "certificate.json").read_text()))
+        assert codes[0] == codes[1]
+        for key in ("A", "B", "T_star"):
+            assert certs[0][key] == pytest.approx(certs[1][key], rel=1e-12)
 
     @pytest.mark.parametrize("command", ["analyze", "ode", "pde", "cone-check"])
     def test_tiny_a0_H_is_a_domain_error(self, tmp_path, capsys, command):
@@ -132,6 +132,10 @@ class TestFlags:
             "pde --t-end nan",
             "pde --t-end inf",
             "ode --t-end nan",
+            "ode --t-end -1",
+            "ode --t-end 0",
+            "pde --t-end -1",
+            "cone-check --t-end 0",
             *(f"{cmd} --grid-h {v}" for cmd in ("pde", "cone-check")
               for v in ("0", "-0.01", "nan", "inf")),
             "sweep --workers 0",
@@ -147,6 +151,66 @@ class TestFlags:
         err = capsys.readouterr().err
         assert err.startswith(f"scenario error: {flag}: ") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("t_end", [-1.0, 0.0])
+    def test_run_t_end_must_be_positive(self, tmp_path, capsys, t_end):
+        sc = dict(MINK, run={"t_end": t_end})
+        out = tmp_path / "out"
+        assert main(["ode", "--scenario", str(write(tmp_path, sc)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "run.t_end: must be positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "pde --scenario s.json --grid-h abc",
+            "sweep --scenario s.json --workers abc",
+            "pde --out out",  # --scenario missing
+            "simulate --scenario s.json",  # no such subcommand
+        ],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pde", "--help"])
+        assert exc.value.code == 0
+
+
+# (block, key, value, commands): float overflow or division by zero
+ARITHMETIC = [
+    *((block, key, value, ("analyze", "ode", "pde", "cone-check")) for block, key, value in (
+        ("cosmology", "n", 171),
+        ("cosmology", "n", 200),
+        ("cosmology", "c", 1e300),
+        ("theorem", "p", 1e300),
+        ("theorem", "w0", 1e308),
+        ("theorem", "lambda", 5e-324),
+        ("cone", "r0", 1e-300),
+    )),
+    ("cosmology", "a0", 1e300, ("pde", "cone-check")),
+    ("theorem", "epsilon", 1e-300, ("ode",)),
+]
+
+
+@pytest.mark.parametrize(
+    "block, key, value, command",
+    [(b, k, v, cmd) for b, k, v, cmds in ARITHMETIC for cmd in cmds],
+)
+def test_float_range_failure_exits_2(tmp_path, capsys, block, key, value, command):
+    sc = json.loads(json.dumps(MINK))
+    sc[block][key] = value
+    sc["run"] = {"grid_h": 0.002}
+    code = main([command, "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "OverflowError" in err or "ZeroDivisionError" in err
 
 
 class TestOdeCommand:

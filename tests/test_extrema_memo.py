@@ -15,6 +15,7 @@ import pytest
 from kgblowup import certificate, cli
 from kgblowup.certificate import MEMO_CAP, ExtremaMemo, certify
 from kgblowup.cli import main
+from kgblowup.errors import DomainError
 from kgblowup.scenario import load_sweep_spec, scenario_from_dict, set_by_path
 
 BASE = {
@@ -61,6 +62,9 @@ def key_of(inputs, third):
     )
 
 
+RAISING_H = 2.2e-311  # compute_A raises DomainError at this H under ``counted``
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Count compute_A / compute_B body runs per key, as certify makes them."""
@@ -71,6 +75,8 @@ def counted(monkeypatch):
 
         def compute(inputs, nodes=certificate.GRID_NODES):
             calls[which].append(key_of(inputs, getattr(inputs, third)))
+            if which == "A" and inputs.params.H == RAISING_H:
+                raise DomainError(f"H={RAISING_H} raises by design")
             return original(inputs, nodes=nodes)
 
         return compute
@@ -112,10 +118,9 @@ def test_signed_zeros_are_distinct_keys(tmp_path):
     assert len(memo) == 4  # A and B for +0.0 and for -0.0
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_each_distinct_extremum_is_computed_once(tmp_path, counted):
     path = write_spec(tmp_path, [
-        ("cosmology.H", [0.45, -0.0, 0.0, 2.2e-311]),
+        ("cosmology.H", [0.45, -0.0, 0.0, RAISING_H]),
         ("cosmology.sigma", [-1.0]),
         ("theorem.N", [1.5, 2.0]),
         ("theorem.w0", [40.0, 60.0, 80.0]),
@@ -130,9 +135,9 @@ def test_each_distinct_extremum_is_computed_once(tmp_path, counted):
     assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
                  "--workers", "1"]) == 0
 
-    # H = 2.2e-311 makes every grid node NaN: compute_A raises DomainError,
-    # which is not kept, so each of those 12 points runs compute_A again
-    raising = [k for k in fresh["A"] if k[3] == (2.2e-311).hex()]
+    # compute_A raises DomainError at RAISING_H; the error is not kept, so
+    # each of those 12 points runs compute_A again
+    raising = [k for k in fresh["A"] if k[3] == RAISING_H.hex()]
     assert len(raising) == 12
     kept = set(fresh["A"]) - set(raising)
     assert Counter(counted["A"]) == Counter(kept) + Counter(raising)

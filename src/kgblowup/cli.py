@@ -139,6 +139,7 @@ def cmd_ode(args) -> int:
         "blowup_time": traj.blowup_time,
         "blowup_time_refined": ode_mod.detect_blowup_time(traj),
         "n_samples": int(traj.t.size),
+        "n_rejected": traj.n_rejected,
         "benchmark_overrides": benchmark_mode,
     }
     if cert.valid and not benchmark_mode:
@@ -179,6 +180,7 @@ def cmd_pde(args) -> int:
             "termination": result.termination,
             "blowup_time": result.blowup_time,
             "n_steps": result.n_steps,
+            "n_rejected": result.n_rejected,
             "cone_contained": cone.all_ok,
             "final_W": float(result.W[-1]),
         },

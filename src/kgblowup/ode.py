@@ -59,6 +59,7 @@ class OdeTrajectory:
     alpha_hint: float  # saturation exponent 1 + (p-1)/2 of the equality ODE
     p: float
     n_steps: int
+    n_rejected: int
     last_h: float
 
 
@@ -136,6 +137,7 @@ def integrate(
         alpha_hint=1.0 + (p - 1.0) / 2.0,
         p=p,
         n_steps=res.n_steps,
+        n_rejected=res.n_rejected,
         last_h=res.last_h,
     )
 

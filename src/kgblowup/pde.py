@@ -8,6 +8,14 @@ removable-singularity treatment n u_rr, and the last node is a homogeneous
 Dirichlet boundary on a domain sized past the forward cone.  The semilinear
 term adds the real scalar lambda a^{-n(p-1)/2} |u|^p, so real data stays
 real but the flow is not complex-analytic.
+
+The state keeps u and u_t as four real blocks (Re u, Im u, Re u_t, Im u_t).
+When both imaginary blocks of the initial state are all +0.0, as for the
+bump data every kgblow command starts from, ``evolve`` takes the real path:
+the kernel skips the imaginary stencil (see ``radial_accel``) and each
+record hands the observables real views of the state.  The imaginary
+blocks then stay exactly +0.0, as they would on the full path, so the step
+sequence and every output byte are the same; only the cost changes.
 """
 
 from __future__ import annotations
@@ -58,8 +66,8 @@ class PdeControls:
 @dataclass
 class PdeField:
     r: np.ndarray  # j h, j = 0..J-1; node 0 is the axis
-    u: np.ndarray  # complex128
-    ut: np.ndarray  # complex128
+    u: np.ndarray  # complex128; float64 views of the state on the real path
+    ut: np.ndarray  # complex128; float64 views of the state on the real path
     t: float
     h: float
     n: int
@@ -163,7 +171,9 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
     w = _volume_weights(field)
     kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
     pot = m2 * float(np.sum(w * np.abs(field.u) ** 2))
-    du = np.diff(field.u) / field.h
+    # NumPy divides a complex array by a float as x * (1/h) (Smith's
+    # algorithm); multiplying keeps real fields on the same bits
+    du = np.diff(field.u) * (1.0 / field.h)
     r_face = 0.5 * (field.r[:-1] + field.r[1:])
     face_w = field.n * unit_ball_volume(field.n) * field.h * np.abs(r_face) ** (field.n - 1)
     grad = float(np.sum(face_w * np.abs(du) ** 2)) / a**2
@@ -184,6 +194,11 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float) -> float:
 # solver
 # ---------------------------------------------------------------------------
 
+# Largest grid make_field builds.  The stepper holds about 17 arrays of the
+# 4-block state (stages, stage sums, RHS results), about 550 bytes a node:
+# some 0.6 GB at this size.
+MAX_GRID_NODES = 1 << 20
+
 
 def make_field(
     inputs: TheoremInputs,
@@ -198,7 +213,15 @@ def make_field(
     r_max = controls.r_max_factor * r_cone
     if data is None:
         data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
-    J = int(math.ceil(r_max / h)) + 1
+    cells = r_max / h
+    if not math.isfinite(cells):
+        raise ConfigurationError(f"grid: r_max / h = {r_max!r} / {h!r} is not finite")
+    J = int(math.ceil(cells)) + 1
+    if J > MAX_GRID_NODES:
+        raise ConfigurationError(
+            f"grid: r_max / h = {r_max!r} / {h!r} needs {J:.4g} nodes,"
+            f" more than the {MAX_GRID_NODES} allowed"
+        )
     r = np.arange(J, dtype=float) * h
     u = data.u0(r).astype(complex)
     ut = data.u1(r).astype(complex)
@@ -218,6 +241,7 @@ class PdeRun:
     termination: TerminationReason
     blowup_time: Optional[float]
     n_steps: int
+    n_rejected: int
 
 
 def evolve(
@@ -226,7 +250,11 @@ def evolve(
     t_end: float,
     controls: PdeControls = PdeControls(),
 ) -> PdeRun:
-    """Advance the field to t_end (or blow-up), recording observables."""
+    """Advance the field to t_end (or blow-up), recording observables.
+
+    Real initial data (both imaginary blocks all +0.0) takes the real path
+    of the kernel and of ``record``; see the module docstring.
+    """
     params = inputs.params
     if params.excluded_region:
         raise ExcludedRegionError(
@@ -259,6 +287,9 @@ def evolve(
     nl_expo = -n * (inputs.p - 1.0) / 2.0
 
     y0 = np.concatenate([field.u.real, field.u.imag, field.ut.real, field.ut.imag])
+    # real path iff Im u and Im u_t are all +0.0, the one float whose bits
+    # are all zero (-0.0 would let the full path make -0.0 entries)
+    real = not (y0[J : 2 * J].view(np.uint64).any() or y0[3 * J :].view(np.uint64).any())
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a, _, _ = scale_eval(params, t)
@@ -269,7 +300,7 @@ def evolve(
         res[: 2 * J] = y[2 * J :]
         radial_accel(
             y[0:J], y[J : 2 * J], res[2 * J : 3 * J], res[3 * J :],
-            cp, cm, a_lap, a_mass, a_nl, p, n,
+            cp, cm, a_lap, a_mass, a_nl, p, n, real=real,
         )
         return res
 
@@ -286,12 +317,15 @@ def evolve(
     geom = inputs.geom
 
     def record(t: float, y: np.ndarray) -> None:
-        snap = PdeField(
-            field.r,
-            y[0:J] + 1j * y[J : 2 * J],
-            y[2 * J : 3 * J] + 1j * y[3 * J :],
-            t, h, n,
-        )
+        if real:
+            snap = PdeField(field.r, y[0:J], y[2 * J : 3 * J], t, h, n)
+        else:
+            snap = PdeField(
+                field.r,
+                y[0:J] + 1j * y[J : 2 * J],
+                y[2 * J : 3 * J] + 1j * y[3 * J :],
+                t, h, n,
+            )
         cone_r = comoving_radius(geom, t)
         times.append(t)
         Ws.append(observable_w(snap))
@@ -350,6 +384,7 @@ def evolve(
         termination=res.status,
         blowup_time=res.blowup_time,
         n_steps=res.n_steps,
+        n_rejected=res.n_rejected,
     )
 
 
@@ -408,17 +443,11 @@ def cone_containment_check(
 
 
 def field_to_csv(path, field: PdeField) -> None:
+    columns = (field.r, field.u.real, field.u.imag, field.ut.real, field.ut.imag)
     with open(path, "w") as fh:
         fh.write("r,re_u,im_u,re_ut,im_ut\n")
-        for j in range(field.r.size):
-            row = (
-                field.r[j],
-                field.u[j].real,
-                field.u[j].imag,
-                field.ut[j].real,
-                field.ut[j].imag,
-            )
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        for row in zip(*(c.tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def observables_to_csv(path, run: PdeRun) -> None:

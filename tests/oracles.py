@@ -115,3 +115,18 @@ def dalembert_oracle(data: InitialData, inputs: TheoremInputs, t: float, x) -> n
     halves = 0.5 * (data.u0(left) + data.u0(right))
     anti = profile_antiderivative(data, right) - profile_antiderivative(data, left)
     return halves + data.s1 / (2.0 * c_eff) * anti
+
+
+def field_to_csv_per_element(path, field: PdeField) -> None:
+    """The field snapshot CSV written one NumPy scalar at a time."""
+    with open(path, "w") as fh:
+        fh.write("r,re_u,im_u,re_ut,im_ut\n")
+        for j in range(field.r.size):
+            row = (
+                field.r[j],
+                field.u[j].real,
+                field.u[j].imag,
+                field.ut[j].real,
+                field.ut[j].imag,
+            )
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")

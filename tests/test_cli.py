@@ -213,6 +213,30 @@ def test_float_range_failure_exits_2(tmp_path, capsys, block, key, value, comman
     assert "OverflowError" in err or "ZeroDivisionError" in err
 
 
+@pytest.mark.parametrize("command", ["pde", "cone-check"])
+@pytest.mark.parametrize(
+    "theorem, flags, message",
+    [
+        # T* near 1e300 sizes the domain for a cone radius near 1e300
+        ({"epsilon": 1e-300}, [], "nodes, more than the 1048576 allowed"),
+        ({}, ["--grid-h", "5e-324"], "is not finite"),
+    ],
+    ids=["epsilon_1e-300", "grid_h_5e-324"],
+)
+def test_oversized_grid_is_a_configuration_error(
+    tmp_path, capsys, command, theorem, flags, message
+):
+    sc = json.loads(json.dumps(MINK))
+    sc["theorem"].update(theorem)
+    out = tmp_path / "out"
+    code = main([command, "--scenario", str(write(tmp_path, sc)), "--out", str(out), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("hypothesis/configuration failure: grid: ") and message in err
+    assert not any(out.iterdir())
+
+
 class TestOdeCommand:
     def test_cubic_benchmark_csv(self, tmp_path):
         sc = {

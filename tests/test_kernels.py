@@ -62,6 +62,29 @@ def test_matches_per_node_loop(n, a_nl):
         np.testing.assert_allclose(got_re, ref_re, rtol=0, atol=8 * np.finfo(float).eps * scale)
 
 
+@pytest.mark.parametrize("a_nl", [0.0, 0.7])
+@pytest.mark.parametrize("a_mass", [A_MASS, -A_MASS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_real_flag_matches_full_path_on_zero_imaginary_part(n, a_mass, a_nl):
+    """The real path gives the full path's bits on u_im = +0.0, signed zeros
+    included: cm[1] < 0 at n >= 4 and a negative a_mass each make a -0.0
+    term, which must not reach acc_im."""
+    J = 257
+    rng = np.random.default_rng(11)
+    u_re = rng.standard_normal(J)
+    cp, cm = weights(J, n)
+    out = []
+    # the real path must not read u_im: hand it NaNs
+    for u_im, real in ((np.zeros(J), False), (np.full(J, np.nan), True)):
+        acc_re, acc_im = np.full(J, np.nan), np.full(J, np.nan)
+        radial_accel(u_re, u_im, acc_re, acc_im, cp, cm, A_LAP, a_mass, a_nl, P, n, real=real)
+        out.append((acc_re, acc_im))
+    (full_re, full_im), (real_re, real_im) = out
+    assert real_re.tobytes() == full_re.tobytes()
+    assert real_im.tobytes() == full_im.tobytes()
+    assert not np.any(real_im) and not np.any(np.signbit(real_im))
+
+
 def test_zero_field_zero_acceleration():
     z = np.zeros(64)
     acc_re, acc_im = call(z, z, 2)

@@ -24,12 +24,18 @@ from kgblowup.pde import (
     evolve,
     field_to_csv,
     observables_to_csv,
+    outside_cone_mass,
 )
 import kgblowup.pde as pde_mod
 from kgblowup.integrate import dopri_integrate
 
 from conftest import make_inputs
-from oracles import dalembert_oracle, forcing_integral, profile_antiderivative
+from oracles import (
+    dalembert_oracle,
+    field_to_csv_per_element,
+    forcing_integral,
+    profile_antiderivative,
+)
 
 
 def flat_inputs(**kw):
@@ -267,6 +273,79 @@ class TestNonlinearBlowup:
         assert forcing_integral(field, minkowski_inputs) == pytest.approx(ref, rel=1e-6)
 
 
+def kernel_spy(monkeypatch, full=False):
+    """Record the real flag of each kernel call; ``full`` runs every call on
+    the full path whatever the flag says."""
+    flags = []
+    kernel = pde_mod.radial_accel
+
+    def spy(*args, real=False):
+        flags.append(real)
+        kernel(*args, real=real and not full)
+
+    monkeypatch.setattr(pde_mod, "radial_accel", spy)
+    return flags
+
+
+def run_bytes(run):
+    """Every field of a PdeRun, arrays as raw bytes."""
+    out = {}
+    for key, value in vars(run).items():
+        if isinstance(value, PdeField):
+            value = (value.r.tobytes(), value.u.tobytes(), value.ut.tobytes(),
+                     value.t, value.h, value.n)
+        elif isinstance(value, np.ndarray):
+            value = (value.dtype, value.tobytes())
+        out[key] = value
+    return out
+
+
+class TestRealPath:
+    @pytest.mark.parametrize("case", ["blowup", "curved_n4"])
+    def test_same_bytes_as_the_full_path(self, case, minkowski_inputs, monkeypatch):
+        if case == "blowup":
+            inputs, t_end = minkowski_inputs, 0.525
+        else:  # cm[1] < 0 at n = 4, mass term on
+            inputs, t_end = make_inputs(1.0, 1.0, m2=2.0, n=4, w0=1.0, w1=0.5), 0.1
+        controls = PdeControls(grid_h=4e-3)
+        runs = {}
+        for full in (False, True):
+            with monkeypatch.context() as m:
+                flags = kernel_spy(m, full=full)
+                runs[full] = run_pde(inputs, t_end, controls)
+            assert flags and all(flags)
+        if case == "blowup":
+            assert runs[False].termination is TerminationReason.BLOWUP_THRESHOLD
+        assert run_bytes(runs[False]) == run_bytes(runs[True])
+
+    def test_observables_same_bits_on_real_views(self, blowup_run, minkowski_inputs):
+        rng = np.random.default_rng(8)
+        r = np.arange(200) * 0.01
+        noise = [
+            PdeField(r, rng.standard_normal(r.size) + 0j, rng.standard_normal(r.size) + 0j,
+                     0.0, 0.01, 1)
+            for _ in range(20)
+        ]
+        for f in (blowup_run.field0, blowup_run.field_final, *noise):
+            assert not f.u.imag.any() and not f.ut.imag.any()
+            real = PdeField(f.r, f.u.real.copy(), f.ut.real.copy(), f.t, f.h, f.n)
+            values = [
+                [observable_w(s), support_radius(s), discrete_energy(s, minkowski_inputs),
+                 outside_cone_mass(s, 0.7, 2.0 * s.h)]
+                for s in (f, real)
+            ]
+            assert np.array(values[0]).tobytes() == np.array(values[1]).tobytes()
+
+    def test_one_tiny_imaginary_node_takes_the_full_path(self, minkowski_inputs, monkeypatch):
+        controls = PdeControls(grid_h=4e-3)
+        field = make_field(minkowski_inputs, 0.1, controls)
+        field.u[5] += 1e-300j
+        flags = kernel_spy(monkeypatch)
+        run = evolve(field, minkowski_inputs, 0.1, controls)
+        assert flags and not any(flags)
+        assert run.field_final.u.imag.any()
+
+
 class TestGuards:
     def test_domain_too_small(self):
         inputs = flat_inputs()
@@ -290,6 +369,28 @@ class TestCsvExport:
         assert fp.read_text().splitlines()[0] == "r,re_u,im_u,re_ut,im_ut"
         header = op.read_text().splitlines()[0]
         assert header == "t,W,support_radius,cone_radius,energy"
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "signed_zero", "inf_nan"])
+    def test_field_bytes_match_the_per_element_writer(self, kind, tmp_path):
+        rng = np.random.default_rng(5)
+        J = 64
+        r = np.arange(J) * 0.1
+        u = rng.standard_normal(J) * 10.0 ** rng.integers(-300, 300, J)
+        ut = rng.standard_normal(J)
+        if kind == "complex":
+            u, ut = u + 1j * rng.standard_normal(J), ut - 1j * rng.standard_normal(J)
+        elif kind == "signed_zero":
+            zeros = np.where(np.arange(J) % 3 == 0, 0.0, -0.0)
+            u, ut = zeros.astype(complex), np.full(J, -0.0, dtype=complex)
+            u.imag, ut.imag = zeros[::-1], -zeros
+        elif kind == "inf_nan":
+            u = np.array([np.inf, -np.inf, np.nan, 1.0] * (J // 4)) * (1 - 1j)
+            ut = np.array([np.nan, 5e-324, -np.inf, 1e308] * (J // 4)) + 0j
+        field = PdeField(r, u, ut, 0.0, 0.1, 1)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        field_to_csv(new, field)
+        field_to_csv_per_element(old, field)
+        assert new.read_bytes() == old.read_bytes()
 
 
 class TestDiscreteEnergyDefinition:

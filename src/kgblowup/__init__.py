@@ -14,7 +14,7 @@ from .certificate import (
     lifespan,
     unit_ball_volume,
 )
-from .cone import ConeGeometry, Monotonicity, classify_q, comoving_radius, q_eval
+from .cone import ConeGeometry, Monotonicity, classify_q, comoving_radius
 from .cosmology import (
     CosmologyParams,
     MassTag,

@@ -475,7 +475,7 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
     if not N > 0.0:
         return CorollaryCaseResult(None, False, "corollary path requires N > 0", {})
 
-    hub_sq = (n * H / (2.0 * c)) ** 2
+    shift = params.mass_shift  # sigma (nH/2c)^2, so -(nH/2c)^2 at sigma = -1
     contracting_gate = -2.0 * c / _a0_H(a0, H) if H < 0.0 else None
 
     if H == 0.0:
@@ -484,17 +484,17 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
         case, clauses = "ii", {"N^2+m^2>=0": N**2 + m2 >= 0.0}
     elif H > 0.0 and -1.0 < sigma < 0.0:
         case = "iii"
-        clauses = {"N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + sigma * hub_sq >= 0.0}
+        clauses = {"N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0}
     elif H > 0.0 and sigma == -1.0:
         case = "iv"
         clauses = {
-            "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 - hub_sq >= 0.0,
+            "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
             "N>nH/(2c(1-eps))": N > n * H / (2.0 * c * (1.0 - eps)),
         }
     elif H < 0.0 and sigma > 0.0:
         case = "v"
         clauses = {
-            "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + sigma * hub_sq >= 0.0,
+            "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
             "r0>=-2c/(a0H)": r0 >= contracting_gate,
         }
     elif H < 0.0 and sigma == 0.0:
@@ -505,14 +505,14 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
     elif H < 0.0 and sigma == -1.0:
         case = "vii"
         clauses = {
-            "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 - hub_sq >= 0.0,
+            "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
             "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
             "N>n|H|/(2c(1-eps))": N > n * abs(H) / (2.0 * c * (1.0 - eps)),
         }
     else:  # H < 0 and sigma < -1
         case = "viii"
         clauses = {
-            "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + sigma * hub_sq >= 0.0,
+            "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
             "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
         }
 

@@ -139,7 +139,10 @@ def cmd_ode(args) -> int:
         "blowup_time": traj.blowup_time,
         "blowup_time_refined": ode_mod.detect_blowup_time(traj),
         "n_samples": int(traj.t.size),
+        "n_steps": traj.n_steps,
         "n_rejected": traj.n_rejected,
+        "n_rhs": traj.n_rhs,
+        "min_step": traj.min_step,
         "benchmark_overrides": benchmark_mode,
     }
     if cert.valid and not benchmark_mode:
@@ -181,6 +184,8 @@ def cmd_pde(args) -> int:
             "blowup_time": result.blowup_time,
             "n_steps": result.n_steps,
             "n_rejected": result.n_rejected,
+            "n_rhs": result.n_rhs,
+            "min_step": result.min_step,
             "cone_contained": cone.all_ok,
             "final_W": float(result.W[-1]),
         },

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "horizon_end",
     "log_scale_time",
     "scale_eval",
+    "mass_sq_function",
     "curved_mass_sq",
     "classify_mass_behavior",
 ]
@@ -60,8 +61,10 @@ HORIZON_SHAVE = 1e-9
 class CosmologyParams:
     """Background constants: dimension, light speed, scale family, mass.
 
-    ``m_squared`` may be any real; negative values encode m in i*R.  The
-    exponent ``e`` = n(1+sigma)/2 and the horizon ``T0`` are derived once.
+    ``m_squared`` may be any real; negative values encode m in i*R.  Derived
+    once: the exponent ``e`` = n(1+sigma)/2, the rates ``eH`` = e H and
+    ``radius_rate`` = (e - 1) H, the horizon ``T0`` and the coefficient
+    ``mass_shift`` = sigma (nH/2c)^2 of M^2.
     """
 
     n: int
@@ -71,7 +74,10 @@ class CosmologyParams:
     sigma: float
     m_squared: float
     e: float = field(init=False, compare=False, repr=False)
+    eH: float = field(init=False, compare=False, repr=False)
+    radius_rate: float = field(init=False, compare=False, repr=False)
     T0: float = field(init=False, compare=False, repr=False)
+    mass_shift: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or int(self.n) != self.n:
@@ -85,7 +91,11 @@ class CosmologyParams:
         # positive at every time the horizon check admits
         rate = e * self.H
         object.__setattr__(self, "e", e)
+        object.__setattr__(self, "eH", rate)
+        object.__setattr__(self, "radius_rate", (e - 1.0) * self.H)
         object.__setattr__(self, "T0", -1.0 / rate if rate < 0.0 else math.inf)
+        shift = self.sigma * (self.n * self.H / (2.0 * self.c)) ** 2
+        object.__setattr__(self, "mass_shift", shift)
 
     @property
     def excluded_region(self) -> bool:
@@ -145,7 +155,7 @@ def _expm1_ratio(k: float, t):
 def log_scale_time(params: CosmologyParams, t):
     """s(t) = t L(e H t), the integral of 1/(1 + e H t'), so that
     log(a(t)/a0) = H s(t) on the whole family; t is not range-checked."""
-    return t * _log1p_ratio(params.e * params.H, t)
+    return t * _log1p_ratio(params.eH, t)
 
 
 def scale_eval(params: CosmologyParams, t) -> Tuple:
@@ -154,16 +164,32 @@ def scale_eval(params: CosmologyParams, t) -> Tuple:
     H, e = params.H, params.e
     exp = np.exp if isinstance(t, np.ndarray) else math.exp
     a = params.a0 * exp(H * log_scale_time(params, t))
-    g = 1.0 + e * H * t
+    g = 1.0 + params.eH * t
     return a, H * a / g, H * H * (1.0 - e) * a / (g * g)
 
 
+def mass_sq_function(params: CosmologyParams) -> Callable:
+    """M^2 as a function of one time or an array of times, its constants
+    bound once: M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^-2.
+
+    A float time costs one range compare; any other time, or a float out
+    of range, goes through _check_time, which raises for the latter.
+    """
+    m2, shift, rate, end = params.m_squared, params.mass_shift, params.eH, params.T0
+    hi = end * (1.0 - HORIZON_MARGIN)
+
+    def mass_sq(t):
+        if not (isinstance(t, float) and 0.0 <= t < hi):
+            _check_time(t, end)
+        g = 1.0 + rate * t
+        return m2 + shift / (g * g)
+
+    return mass_sq
+
+
 def curved_mass_sq(params: CosmologyParams, t):
-    """Closed-form M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^-2."""
-    _check_time(t, params.T0)
-    n, c, H = params.n, params.c, params.H
-    g = 1.0 + params.e * H * t
-    return params.m_squared + params.sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
+    """Closed-form M^2(t) at one time or an array of times."""
+    return mass_sq_function(params)(t)
 
 
 class MassTag(enum.Enum):
@@ -193,14 +219,13 @@ class MassBehavior:
 
 def classify_mass_behavior(params: CosmologyParams) -> MassBehavior:
     """Sort the background into one of six monotonicity/boundedness rows."""
-    m2, n, c, H, sigma = params.m_squared, params.n, params.c, params.H, params.sigma
-    shift = m2 + sigma * (n * H / (2.0 * c)) ** 2  # value of M^2 at t = 0
+    m2, H, sigma = params.m_squared, params.H, params.sigma
+    shift = m2 + params.mass_shift  # value of M^2 at t = 0
 
     if H == 0.0 or sigma == 0.0:
         return MassBehavior(MassTag.CONSTANT_M2, m2, m2, m2)
     if sigma == -1.0:
-        val = m2 - (n * H / (2.0 * c)) ** 2
-        return MassBehavior(MassTag.DE_SITTER_CONSTANT, val, val, val)
+        return MassBehavior(MassTag.DE_SITTER_CONSTANT, shift, shift, shift)
     if H > 0.0 and sigma > 0.0:
         # decreasing from shift toward m^2
         return MassBehavior(MassTag.DECREASING_BOUNDED, m2, shift, m2)

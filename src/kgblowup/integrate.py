@@ -12,13 +12,16 @@ and its RMS norm) has two arithmetics, picked by the type of ``y0``:
 
 * a tuple runs on Python floats, and ``rhs`` gets and returns tuples.  A
   2-element state costs more in NumPy call overhead than in arithmetic.
+  The trial is written out one tableau row per line, with the coefficients
+  bound as locals: each stage is one comprehension over the components.
 * an ndarray runs on NumPy, and the stage sums write into buffers that are
   allocated once per integration.
 
-Both add the stage terms in one order, ``((0 + a0 k0) + a1 k1) + ...``,
-then multiply by ``h`` and add ``y``; the leading 0 turns a ``-0.0`` first
-term into ``+0.0``.  The norm is ``sqrt(mean(q^2))`` with the mean summed in
-index order, as NumPy sums fewer than 8 terms.  So for states of up to 7
+Both add the stage terms in one order, ``((0 + a0 k0) + a1 k1) + ...``
+with the zero coefficients included, then multiply by ``h`` and add ``y``;
+the leading 0 turns a ``-0.0`` first term into ``+0.0``.  The norm is
+``sqrt(mean(q^2))`` with the mean summed in index order, as NumPy sums
+fewer than 8 terms.  So for states of up to 7
 components the two arithmetics give the same bytes.
 """
 
@@ -59,12 +62,21 @@ class TerminationReason(enum.Enum):
 
 @dataclass
 class RkResult:
+    """Where and why the integration stopped, and what it took.
+
+    ``n_rhs`` counts the calls of ``rhs``: the start slope, the initial-step
+    probe and six per trial step.  ``min_step`` is the smallest accepted
+    step, None when no step was accepted.
+    """
+
     status: TerminationReason
     t: float
     y: np.ndarray
     blowup_time: Optional[float]
     n_steps: int
     n_rejected: int
+    n_rhs: int
+    min_step: Optional[float]
     last_h: float
 
 
@@ -92,30 +104,46 @@ def _rms(q: np.ndarray, scale: np.ndarray) -> float:
 
 
 def _float_trial(rhs, rel_tol: float, abs_tol: float):
-    """Trial step on tuples of Python floats."""
+    """Trial step on tuples of Python floats, one tableau row per line."""
+    _, c1, c2, c3, c4, c5, c6 = _C
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
+    a50, a51, a52, a53, a54 = _A[5]
+    a60, a61, a62, a63, a64, a65 = _A[6]
+    e0, e1, e2, e3, e4, e5, e6 = _ERR
 
     def trial(t: float, h: float, y: tuple, k0: Sequence[float]):
-        k = [k0]
-        for i in range(1, 7):
-            row = _A[i]
-            stage = []
-            for yc, kc in zip(y, zip(*k)):
-                s = 0.0
-                for a, v in zip(row, kc):
-                    s += a * v
-                stage.append(yc + h * s)
-            stage = tuple(stage)
-            k.append(rhs(t + _C[i] * h, stage))
-        errs = []
-        scales = []
-        for yc, nc, kc in zip(y, stage, zip(*k)):
-            s = 0.0
-            for a, v in zip(_ERR, kc):
-                s += a * v
-            errs.append(h * s)
-            # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
-            # with a NaN or inf error term, so err is inf either way
-            scales.append(abs_tol + rel_tol * max(abs(yc), abs(nc)))
+        k1 = rhs(t + c1 * h, tuple([
+            yc + h * (0.0 + a10 * p0) for yc, p0 in zip(y, k0)
+        ]))
+        k2 = rhs(t + c2 * h, tuple([
+            yc + h * ((0.0 + a20 * p0) + a21 * p1) for yc, p0, p1 in zip(y, k0, k1)
+        ]))
+        k3 = rhs(t + c3 * h, tuple([
+            yc + h * (((0.0 + a30 * p0) + a31 * p1) + a32 * p2)
+            for yc, p0, p1, p2 in zip(y, k0, k1, k2)
+        ]))
+        k4 = rhs(t + c4 * h, tuple([
+            yc + h * ((((0.0 + a40 * p0) + a41 * p1) + a42 * p2) + a43 * p3)
+            for yc, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)
+        ]))
+        k5 = rhs(t + c5 * h, tuple([
+            yc + h * (((((0.0 + a50 * p0) + a51 * p1) + a52 * p2) + a53 * p3) + a54 * p4)
+            for yc, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)
+        ]))
+        y_new = tuple([
+            yc + h * ((((((0.0 + a60 * p0) + a61 * p1) + a62 * p2) + a63 * p3)
+                       + a64 * p4) + a65 * p5)
+            for yc, p0, p1, p2, p3, p4, p5 in zip(y, k0, k1, k2, k3, k4, k5)
+        ])
+        k6 = rhs(t + c6 * h, y_new)
+        errs = [
+            h * (((((((0.0 + e0 * p0) + e1 * p1) + e2 * p2) + e3 * p3) + e4 * p4)
+                  + e5 * p5) + e6 * p6)
+            for p0, p1, p2, p3, p4, p5, p6 in zip(k0, k1, k2, k3, k4, k5, k6)
+        ]
+        # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
+        # with a NaN or inf error term, so err is inf either way
+        scales = [abs_tol + rel_tol * max(abs(yc), abs(nc)) for yc, nc in zip(y, y_new)]
         try:
             sq = 0.0
             for e, sc in zip(errs, scales):
@@ -124,7 +152,7 @@ def _float_trial(rhs, rel_tol: float, abs_tol: float):
             err = math.sqrt(sq / len(errs))
         except ZeroDivisionError:  # IEEE inf/NaN, as NumPy gives
             err = _rms(np.array(errs), np.array(scales))
-        return stage, k[6], err
+        return y_new, k6, err
 
     return trial
 
@@ -163,9 +191,12 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float):
     return trial
 
 
-def _result(status, t, y, blowup_time, n_steps, n_rejected, h) -> RkResult:
+def _result(status, t, y, blowup_time, n_steps, n_rejected, min_step, h) -> RkResult:
+    n_rhs = 2 + 6 * (n_steps + n_rejected)
+    min_step = None if math.isinf(min_step) else min_step
     return RkResult(
-        status, t, np.asarray(y, dtype=float), blowup_time, n_steps, n_rejected, h
+        status, t, np.asarray(y, dtype=float), blowup_time, n_steps, n_rejected,
+        n_rhs, min_step, h,
     )
 
 
@@ -209,13 +240,18 @@ def dopri_integrate(
         trial = _array_trial(rhs, y, rel_tol, abs_tol)
     h = min(h, max_step)
     n_steps = n_rejected = 0
+    min_step = math.inf
 
     while t < t_end:
         if n_steps >= max_steps:
-            return _result(TerminationReason.MAX_STEPS, t, y, None, n_steps, n_rejected, h)
+            return _result(
+                TerminationReason.MAX_STEPS, t, y, None, n_steps, n_rejected, min_step, h
+            )
         h = min(h, t_end - t)
         if t + h == t:  # t_end within one ulp of t
-            return _result(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
+            return _result(
+                TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, min_step, h
+            )
         step_floor = min_step_fraction * max(1.0, abs(t))
         blow_floor = blow_step_fraction * max(1.0, abs(t))
         if not h >= step_floor:  # "not >=" so that a NaN step ends here too
@@ -223,7 +259,9 @@ def dopri_integrate(
             reason = (
                 TerminationReason.BLOWUP_THRESHOLD if big else TerminationReason.STEP_UNDERFLOW
             )
-            return _result(reason, t, y, t if big else None, n_steps, n_rejected, h)
+            return _result(
+                reason, t, y, t if big else None, n_steps, n_rejected, min_step, h
+            )
 
         y_new, k_new, err = trial(t, h, y, k0)
         if not math.isfinite(err):
@@ -231,6 +269,8 @@ def dopri_integrate(
 
         if err <= 1.0:
             n_steps += 1
+            if h < min_step:
+                min_step = h
             t = t + h
             y, k0 = y_new, k_new  # FSAL: the last stage's slope is rhs(t+h, y_new)
             if on_step is not None:
@@ -241,7 +281,8 @@ def dopri_integrate(
                 and magnitude(y) > blow_magnitude
             ):
                 return _result(
-                    TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h
+                    TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected,
+                    min_step, h,
                 )
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = min(h * factor, max_step)
@@ -251,10 +292,14 @@ def dopri_integrate(
             if not h >= step_floor:
                 if magnitude is not None and magnitude(y) > blow_magnitude:
                     return _result(
-                        TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h
+                        TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected,
+                        min_step, h,
                     )
                 return _result(
-                    TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h
+                    TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected,
+                    min_step, h,
                 )
 
-    return _result(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
+    return _result(
+        TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, min_step, h
+    )

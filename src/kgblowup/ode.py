@@ -20,8 +20,8 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
-from .cone import q_eval
-from .cosmology import curved_mass_sq, horizon_end, t_cap
+from .cone import q_function
+from .cosmology import curved_mass_sq, horizon_end, mass_sq_function, t_cap
 from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -60,18 +60,21 @@ class OdeTrajectory:
     p: float
     n_steps: int
     n_rejected: int
+    n_rhs: int
+    min_step: Optional[float]
     last_h: float
 
 
 def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
-    """b(t) = lambda / (Q q(t))^(n(p-1)/2) built from the cone geometry."""
+    """b(t) = lambda / (Q q(t))^(n(p-1)/2) built from the cone geometry,
+    its constants bound once."""
     Q = cone_ball_factor(inputs.params)
     expo = inputs.params.n * (inputs.p - 1.0) / 2.0
     lam = inputs.lam
-    geom = inputs.geom
+    q = q_function(inputs.geom)
 
     def b(t: float) -> float:
-        return lam / rpow(Q * q_eval(geom, t), expo)
+        return lam / rpow(Q * q(t), expo)
 
     return b
 
@@ -92,7 +95,7 @@ def integrate(
     if controls.mass_sq_const is not None:
         mass = lambda t: controls.mass_sq_const  # noqa: E731
     else:
-        mass = lambda t: curved_mass_sq(params, t)  # noqa: E731
+        mass = mass_sq_function(params)
     if controls.forcing_const is not None:
         forcing = lambda t: controls.forcing_const  # noqa: E731
     else:
@@ -138,6 +141,8 @@ def integrate(
         p=p,
         n_steps=res.n_steps,
         n_rejected=res.n_rejected,
+        n_rhs=res.n_rhs,
+        min_step=res.min_step,
         last_h=res.last_h,
     )
 

@@ -242,6 +242,8 @@ class PdeRun:
     blowup_time: Optional[float]
     n_steps: int
     n_rejected: int
+    n_rhs: int
+    min_step: Optional[float]
 
 
 def evolve(
@@ -385,6 +387,8 @@ def evolve(
         blowup_time=res.blowup_time,
         n_steps=res.n_steps,
         n_rejected=res.n_rejected,
+        n_rhs=res.n_rhs,
+        min_step=res.min_step,
     )
 
 

@@ -197,8 +197,9 @@ def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenari
     for key in ("rel_tol", "pde_rel_tol", "grid_h", "r_max_factor"):
         if merged[key] is None or not merged[key] > 0:
             raise ScenarioError(f"{where}.run.{key}: must be positive")
-    if merged["t_end"] is not None and not merged["t_end"] > 0:
-        raise ScenarioError(f"{where}.run.t_end: must be positive")
+    for key in ("t_end", "output_interval"):
+        if merged[key] is not None and not merged[key] > 0:
+            raise ScenarioError(f"{where}.run.{key}: must be positive")
     run = RunSettings(**merged)
 
     return Scenario(params=params, r0=r0, run=run, **pieces)

@@ -15,12 +15,42 @@ from kgblowup import (
     Monotonicity,
     PreconditionError,
     classify_q,
-    q_eval,
     scale_eval,
 )
 from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow
+from kgblowup.cone import _expm1_ratio, _radius_terms
+from kgblowup.cosmology import _check_time
 from kgblowup.ode import OdeTrajectory
 from kgblowup.pde import InitialData, PdeField, _volume_weights
+
+
+def q_eval(geom: ConeGeometry, t: float) -> float:
+    """q(t) = a(t) r(t)^2 / a0 at one time from the generic evaluators,
+    every constant recomputed per call; q(0) = r0^2 exactly."""
+    _check_time(t, geom.end)
+    if t == 0.0:
+        return geom.q0
+    params = geom.params
+    s, w, k = _radius_terms(params, t)
+    r = geom.r0 + w * _expm1_ratio(k, s)
+    a = params.a0 * math.exp(params.H * s)
+    return a * r * r / params.a0
+
+
+def forcing_per_call(inputs: TheoremInputs, t: float) -> float:
+    """b(t) = lambda / (Q q(t))^(n(p-1)/2), composed afresh at each call."""
+    Q = cone_ball_factor(inputs.params)
+    expo = inputs.params.n * (inputs.p - 1.0) / 2.0
+    return inputs.lam / rpow(Q * q_eval(inputs.geom, t), expo)
+
+
+def curved_mass_sq_per_call(params: CosmologyParams, t: float) -> float:
+    """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^-2 with every constant
+    recomputed per call."""
+    _check_time(t, params.T0)
+    n, c, H = params.n, params.c, params.H
+    g = 1.0 + params.e * H * t
+    return params.m_squared + params.sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
 
 
 def curved_mass_sq_from_scale(params: CosmologyParams, t: float) -> float:

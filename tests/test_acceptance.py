@@ -31,14 +31,13 @@ from kgblowup import (
     envelope_pole,
     horizon_end,
     integrate_ode,
-    q_eval,
     scale_eval,
 )
 from kgblowup.ode import OdeControls
 from kgblowup.pde import PdeControls, run_pde
 
 from conftest import CASE_REGIONS, CASE_SEEDS, certified_inputs, make_inputs, region_samples
-from oracles import curved_mass_sq_from_scale, dalembert_oracle
+from oracles import curved_mass_sq_from_scale, dalembert_oracle, q_eval
 
 
 @contextmanager

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from kgblowup import pde as pde_mod
 from kgblowup.cli import main
+from kgblowup.integrate import dopri_integrate
 from kgblowup.scenario import ScenarioError, load_scenario, load_sweep_spec
 
 MINK = {
@@ -161,6 +163,17 @@ class TestFlags:
         assert err.startswith("scenario error: ") and "run.t_end: must be positive" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("interval", [0.0, -1.0, -0.0, "Infinity", "NaN"])
+    def test_run_output_interval_must_be_positive(self, tmp_path, capsys, interval):
+        path = write(tmp_path, dict(MINK, run={"output_interval": 0.0}))
+        path.write_text(path.read_text().replace('"output_interval": 0.0',
+                                                 f'"output_interval": {interval}'))
+        out = tmp_path / "out"
+        assert main(["pde", "--scenario", str(path), "--out", str(out), "--t-end", "0.05"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and "run.output_interval: must be" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -257,6 +270,10 @@ class TestOdeCommand:
         report = json.loads((tmp_path / "ode_report.json").read_text())
         assert report["blowup_detected"] is True
         assert report["blowup_time_refined"] == pytest.approx(1.0, rel=0.01)
+        assert report["n_steps"] == report["n_samples"] - 1 == len(rows) - 2
+        assert report["n_rhs"] == 2 + 6 * (report["n_steps"] + report["n_rejected"])
+        # blow-up is declared once the step is below 1e-14 max(1, t)
+        assert 0.0 < report["min_step"] < 1e-13
 
     def test_certified_run_includes_lemma_report(self, tmp_path):
         code = main(["ode", "--scenario", str(write(tmp_path, MINK)), "--out", str(tmp_path)])
@@ -273,7 +290,17 @@ class TestOdeCommand:
 
 
 class TestPdeCommands:
-    def test_pde_outputs(self, tmp_path):
+    def test_pde_outputs(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(rhs, *args, **kwargs):
+            def counted(t, y):
+                calls.append(t)
+                return rhs(t, y)
+
+            return dopri_integrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(pde_mod, "dopri_integrate", counting)
         sc = json.loads(json.dumps(MINK))
         sc["run"] = {"grid_h": 0.01}
         code = main([
@@ -285,6 +312,8 @@ class TestPdeCommands:
             assert (tmp_path / name).exists()
         report = json.loads((tmp_path / "pde_report.json").read_text())
         assert report["certificate_valid"] is True
+        assert report["n_rhs"] == len(calls) > 0
+        assert 0.0 < report["min_step"] <= 0.2
 
     def test_cone_check_contained(self, tmp_path):
         sc = json.loads(json.dumps(MINK))

@@ -13,12 +13,11 @@ from kgblowup import (
     classify_q,
     comoving_radius,
     horizon_end,
-    q_eval,
 )
 from kgblowup.cone import log_q_eval, log_q_tilde_eval
 
 from conftest import CASE_REGIONS, region_samples
-from oracles import q_tilde_eval
+from oracles import q_eval, q_tilde_eval
 
 
 def geom(H=0.0, sigma=0.0, n=1, c=1.0, a0=1.0, r0=1.0, m2=0.0):

@@ -69,8 +69,24 @@ def reference_dopri(
     blow_magnitude=math.inf, blow_step_fraction=1e-14, min_step_fraction=1e-16,
     max_steps=2_000_000, max_step=math.inf, on_step=None,
 ):
-    """The generator-sum Dormand-Prince stepper; ndarray states only."""
-    R = RkResult
+    """The generator-sum Dormand-Prince stepper; ndarray states only.
+
+    Its counters are kept apart from the stepping: every call of ``rhs`` is
+    counted, and ``min_step`` is the least step handed to an acceptance.
+    """
+    calls = [0]
+    accepted = []
+
+    def counted(t, y):
+        calls[0] += 1
+        return f(t, y)
+
+    f, rhs = rhs, counted
+
+    def R(status, t, y, blowup_time, n_steps, n_rejected, h):
+        min_step = min(accepted) if accepted else None
+        return RkResult(status, t, y, blowup_time, n_steps, n_rejected, calls[0], min_step, h)
+
     y = np.array(y0, dtype=float, copy=True)
     t = float(t0)
     f0 = rhs(t, y)
@@ -107,6 +123,7 @@ def reference_dopri(
 
         if err <= 1.0:
             n_steps += 1
+            accepted.append(h)
             t = t + h
             y = y_new
             k[0] = k[6].copy()
@@ -146,8 +163,9 @@ def _fingerprint(integrator, rhs, y0, t_end, **kw):
     res = integrator(rhs, 0.0, y0, t_end, on_step=on_step, **kw)
     assert isinstance(res.y, np.ndarray)
     blow = None if res.blowup_time is None else _bytes(res.blowup_time)
+    min_step = None if res.min_step is None else _bytes(res.min_step)
     fields = (res.status, _bytes(res.t), _bytes(res.y), blow, res.n_steps,
-              res.n_rejected, _bytes(res.last_h))
+              res.n_rejected, res.n_rhs, min_step, _bytes(res.last_h))
     return fields, calls
 
 
@@ -202,6 +220,15 @@ CASES = {
         lambda t, y: (y[1], -y[0]), (1.0, 0.0), 1.0, dict(max_step=0.01),
         TerminationReason.REACHED_HORIZON,
     ),
+    # the tuple trial is generic in the number of components
+    "one_component": (
+        lambda t, y: (math.cos(3.0 * t) - y[0] * abs(y[0]),), (-0.5,), 3.0, {},
+        TerminationReason.REACHED_HORIZON,
+    ),
+    "three_components": (
+        lambda t, y: (y[1] - 0.3 * y[2], -y[0] + y[2] * y[2], -0.5 * y[2] + math.sin(t)),
+        (1.0, -0.0, 0.25), 4.0, dict(rel_tol=1e-8), TerminationReason.REACHED_HORIZON,
+    ),
 }
 
 
@@ -225,6 +252,35 @@ def test_signed_zero_first_term_becomes_positive():
     ref, arr, tup = _all_three(f, (-0.0, 0.0), 0.5, max_steps=3)
     assert np.frombuffer(ref[0][2], dtype=float)[1] > 0.0
     assert arr == ref and tup == ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    size=st.integers(1, 4),
+    signs=st.lists(st.booleans(), min_size=28, max_size=28),
+)
+def test_signed_zero_stages_agree(size, signs):
+    """Slopes of signed zeros from a -0.0 state: a stage state is -0.0 only
+    if its sum lost the leading +0.0, so every stage the rhs sees, and the
+    step's result, must have the same bits in both arithmetics."""
+    zeros = [-0.0 if s else 0.0 for s in signs]
+
+    def make_rhs(wrap, seen):
+        def rhs(t, y):
+            seen.append(_bytes(list(y)))
+            i = len(seen) % 7
+            return wrap(zeros[i * size:(i + 1) * size])
+
+        return rhs
+
+    y = (-0.0,) * size
+    f_seen, a_seen = [], []
+    f_out = _float_trial(make_rhs(tuple, f_seen), 1e-8, 1e-9)(0.0, 0.5, y, tuple(zeros[:size]))
+    a_out = _array_trial(make_rhs(np.array, a_seen), np.array(y), 1e-8, 1e-9)(
+        0.0, 0.5, np.array(y), np.array(zeros[:size])
+    )
+    assert f_seen == a_seen
+    assert [_bytes(v) for v in f_out] == [_bytes(v) for v in a_out]
 
 
 def test_zero_scale_gives_nan_not_an_exception():

@@ -20,7 +20,6 @@ from .cosmology import (
     MassTag,
     classify_mass_behavior,
     curved_mass_sq,
-    horizon_end,
     scale_eval,
 )
 from .errors import (
@@ -34,7 +33,6 @@ from .integrate import TerminationReason
 from .ode import check_lemma21, detect_blowup_time, envelope, envelope_pole
 from .ode import integrate as integrate_ode
 from .pde import (
-    cone_containment_check,
     make_field,
     make_initial_data,
     observable_w,

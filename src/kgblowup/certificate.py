@@ -41,8 +41,7 @@ from .cosmology import (
     CosmologyParams,
     MassTag,
     classify_mass_behavior,
-    curved_mass_sq,
-    horizon_end,
+    mass_sq_function,
 )
 from .errors import DomainError, PreconditionError
 
@@ -214,7 +213,7 @@ def _q_growth(inputs: TheoremInputs, verdict: Monotonicity) -> Tuple[float, bool
         return 0.0, False
     if params.sigma == -1.0 and params.H != 0.0:
         return abs(params.H), False
-    if math.isinf(horizon_end(params)):
+    if math.isinf(params.T0):
         return 0.0, True
     return 0.0, params.excluded_region
 
@@ -295,7 +294,7 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
             None,
             f"decay rate {rate}: exponential growth of q~ outruns e^(cN(1-eps)t)",
         )
-    if poly_unbounded and (growth == 0.0 or math.isfinite(horizon_end(params))):
+    if poly_unbounded and (growth == 0.0 or math.isfinite(params.T0)):
         # q~ diverges while the exponential cannot compensate (either it is
         # constant, or the horizon is finite so it stays bounded)
         return ExtremumResult(
@@ -308,7 +307,7 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     def f_log(t):
         return growth * t - n_half * log_q_tilde_eval(geom, t, verdict)
 
-    t_min, f_min = _optimize_log(f_log, horizon_end(params), nodes)
+    t_min, f_min = _optimize_log(f_log, params.T0, nodes)
     return ExtremumResult(math.exp(f_min), True, t_min, "positive infimum")
 
 
@@ -364,9 +363,10 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     geom = inputs.geom
     inv_pm1 = 1.0 / (inputs.p - 1.0)
     n2 = inputs.N**2
+    mass_sq = mass_sq_function(params)
 
     def neg_log(t):
-        mass = n2 + curved_mass_sq(params, t)
+        mass = n2 + mass_sq(t)
         if isinstance(t, np.ndarray):
             # the objective is 0, so -log is inf, wherever N^2 + M^2 <= 0
             log_mass = np.log(mass, out=np.full(t.shape, -math.inf), where=mass > 0.0)
@@ -376,7 +376,7 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
             return math.inf  # objective 0 there
         return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * log_mass - decay * t)
 
-    t_max, neg_min = _optimize_log(neg_log, horizon_end(params), nodes)
+    t_max, neg_min = _optimize_log(neg_log, params.T0, nodes)
     if math.isinf(neg_min):
         return ExtremumResult(0.0, True, None, "objective vanishes identically")
     return ExtremumResult(math.exp(-neg_min), True, t_max, "finite supremum")
@@ -448,8 +448,7 @@ def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
     # C^2 = D * w0^{(1-eps)(p-1)}
     C_squared = D * rpow(inputs.w0, (1.0 - eps) * (p - 1.0))
     alpha = 1.0 + eps * (p - 1.0) / 2.0
-    T0 = horizon_end(inputs.params)
-    return LifespanResult(D, T_star, C_squared, alpha, T_star <= T0)
+    return LifespanResult(D, T_star, C_squared, alpha, T_star <= inputs.params.T0)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +581,7 @@ def certify(
     params = inputs.params
     omega_n = unit_ball_volume(params.n)
     Q = cone_ball_factor(params)
-    T0 = horizon_end(params)
+    T0 = params.T0
     alpha = 1.0 + inputs.epsilon * (inputs.p - 1.0) / 2.0
     reasons: List[str] = []
     verdicts: Dict[str, bool] = {name: False for name in VERDICT_NAMES}

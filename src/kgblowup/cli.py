@@ -1,5 +1,13 @@
 """Command-line front end: analyze, ode, pde, cone-check, and sweep.
 
+Every command takes ``--scenario`` and ``--out`` and, on top of those, only
+the flags it reads (``COMMANDS``): ``ode`` takes ``--t-end``, ``pde`` and
+``cone-check`` take ``--grid-h`` and ``--t-end``, ``sweep`` takes
+``--workers``.  Any other flag is a usage error.  The four scenario
+commands share one prologue: load the scenario, create the output
+directory, certify.  The run reports take the integrator counters from the
+``RkResult`` each run keeps.
+
 Exit codes: 0 on success, 2 when a theorem hypothesis or containment check
 fails or the arithmetic leaves the float range (machine-distinguishable
 from crashes), 1 on I/O, scenario and command-line usage errors.
@@ -19,14 +27,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import ode as ode_mod
 from . import pde as pde_mod
-from .certificate import BlowupCertificate, ExtremaMemo, certify
+from .certificate import BlowupCertificate, ExtremaMemo, TheoremInputs, certify
 from .cosmology import t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
-from .integrate import TerminationReason
+from .integrate import RkResult, TerminationReason
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -71,13 +79,18 @@ def _write_json(path: Path, payload: Any) -> None:
         fh.write("\n")
 
 
-def _out_dir(args, scenario: Optional[Scenario]) -> Path:
-    out = args.out
-    if out is None and scenario is not None and scenario.run.out is not None:
-        out = scenario.run.out
+def _out_dir(out: Optional[str]) -> Path:
     path = Path(out) if out is not None else Path(".")
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _prologue(args) -> Tuple[Scenario, Path, TheoremInputs, BlowupCertificate]:
+    """Load the scenario, create the output directory, then certify."""
+    scenario = load_scenario(args.scenario)
+    out = _out_dir(args.out if args.out is not None else scenario.run.out)
+    inputs = scenario.inputs()
+    return scenario, out, inputs, certify(inputs)
 
 
 def _resolve_t_end(scenario: Scenario, cert: BlowupCertificate, cli_t_end) -> float:
@@ -92,15 +105,23 @@ def _resolve_t_end(scenario: Scenario, cert: BlowupCertificate, cli_t_end) -> fl
     return t_cap(t, cert.T0)
 
 
+def _counters(rk: RkResult) -> Dict[str, Any]:
+    """The integrator counters both run reports carry, in report order."""
+    return {
+        "n_steps": rk.n_steps,
+        "n_rejected": rk.n_rejected,
+        "n_rhs": rk.n_rhs,
+        "min_step": rk.min_step,
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = _out_dir(args, scenario)
-    cert = certify(scenario.inputs())
+    _, out, _, cert = _prologue(args)
     _write_json(out / "certificate.json", cert)
     status = "valid" if cert.valid else ("inconclusive" if cert.inconclusive else "invalid")
     print(f"certificate: {status}")
@@ -112,10 +133,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = _out_dir(args, scenario)
-    inputs = scenario.inputs()
-    cert = certify(inputs)
+    scenario, out, inputs, cert = _prologue(args)
     t_end = _resolve_t_end(scenario, cert, args.t_end)
     run = scenario.run
     controls = ode_mod.OdeControls(
@@ -134,15 +152,12 @@ def cmd_ode(args) -> int:
         "certificate_valid": cert.valid,
         "certificate_reasons": cert.reasons,
         "T_star": cert.T_star,
-        "termination": traj.termination,
+        "termination": traj.rk.status,
         "blowup_detected": traj.blowup_detected,
-        "blowup_time": traj.blowup_time,
+        "blowup_time": traj.rk.blowup_time,
         "blowup_time_refined": ode_mod.detect_blowup_time(traj),
         "n_samples": int(traj.t.size),
-        "n_steps": traj.n_steps,
-        "n_rejected": traj.n_rejected,
-        "n_rhs": traj.n_rhs,
-        "min_step": traj.min_step,
+        **_counters(traj.rk),
         "benchmark_overrides": benchmark_mode,
     }
     if cert.valid and not benchmark_mode:
@@ -151,17 +166,16 @@ def cmd_ode(args) -> int:
         report["lemma_all_hold"] = lemma.all_hold
     _write_json(out / "ode_report.json", report)
     last_t = float(traj.t[-1])
-    print(f"ode: {traj.termination.value} at t={last_t!r}")
+    print(f"ode: {traj.rk.status.value} at t={last_t!r}")
     if traj.blowup_detected:
-        print(f"blow-up detected at t={traj.blowup_time!r}")
+        print(f"blow-up detected at t={traj.rk.blowup_time!r}")
     return 0
 
 
-def cmd_pde(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = _out_dir(args, scenario)
-    inputs = scenario.inputs()
-    cert = certify(inputs)
+def _pde_run(args, linear: bool) -> Tuple[Path, BlowupCertificate, pde_mod.PdeRun]:
+    """The prologue, then the PDE run that ``pde`` and ``cone-check`` share;
+    ``linear`` drops the semilinear term."""
+    scenario, out, inputs, cert = _prologue(args)
     t_end = _resolve_t_end(scenario, cert, args.t_end)
     run = scenario.run
     controls = pde_mod.PdeControls(
@@ -169,60 +183,49 @@ def cmd_pde(args) -> int:
         rel_tol=run.pde_rel_tol,
         r_max_factor=run.r_max_factor,
         output_interval=run.output_interval,
+        linear=linear,
     )
-    result = pde_mod.run_pde(inputs, t_end, controls)
+    return out, cert, pde_mod.run_pde(inputs, t_end, controls)
+
+
+def cmd_pde(args) -> int:
+    out, cert, result = _pde_run(args, linear=False)
     pde_mod.observables_to_csv(out / "observables.csv", result)
     pde_mod.field_to_csv(out / "field_initial.csv", result.field0)
     pde_mod.field_to_csv(out / "field_final.csv", result.field_final)
-    cone = pde_mod.cone_containment_check(result, inputs.geom)
     _write_json(
         out / "pde_report.json",
         {
             "certificate_valid": cert.valid,
             "T_star": cert.T_star,
-            "termination": result.termination,
-            "blowup_time": result.blowup_time,
-            "n_steps": result.n_steps,
-            "n_rejected": result.n_rejected,
-            "n_rhs": result.n_rhs,
-            "min_step": result.min_step,
-            "cone_contained": cone.all_ok,
+            "termination": result.rk.status,
+            "blowup_time": result.rk.blowup_time,
+            **_counters(result.rk),
+            "cone_contained": bool(result.contained.all()),
             "final_W": float(result.W[-1]),
         },
     )
-    print(f"pde: {result.termination.value} at t={float(result.times[-1])!r}")
+    print(f"pde: {result.rk.status.value} at t={float(result.times[-1])!r}")
     return 0
 
 
 def cmd_cone_check(args) -> int:
-    scenario = load_scenario(args.scenario)
-    out = _out_dir(args, scenario)
-    inputs = scenario.inputs()
-    cert = certify(inputs)
-    t_end = _resolve_t_end(scenario, cert, args.t_end)
-    run = scenario.run
-    controls = pde_mod.PdeControls(
-        grid_h=args.grid_h if args.grid_h is not None else run.grid_h,
-        rel_tol=run.pde_rel_tol,
-        r_max_factor=run.r_max_factor,
-        output_interval=run.output_interval,
-        linear=True,
-    )
-    result = pde_mod.run_pde(inputs, t_end, controls)
-    report = pde_mod.cone_containment_check(result, inputs.geom)
+    out, _, result = _pde_run(args, linear=True)
+    contained = result.contained
+    all_ok = bool(contained.all())
     _write_json(
         out / "cone_report.json",
         {
-            "all_contained": report.all_ok,
-            "times": report.times,
-            "support_radius": report.support,
-            "cone_radius": report.cone,
-            "contained": [bool(v) for v in report.ok],
+            "all_contained": all_ok,
+            "times": result.times,
+            "support_radius": result.support_radius,
+            "cone_radius": result.cone_radius,
+            "contained": contained,
             "max_outside_mass": float(result.outside_mass.max()),
         },
     )
-    print(f"cone-check: {'contained' if report.all_ok else 'violated'}")
-    return 0 if report.all_ok else 2
+    print(f"cone-check: {'contained' if all_ok else 'violated'}")
+    return 0 if all_ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def _format_cell(value: Any) -> str:
 
 def cmd_sweep(args) -> int:
     spec: SweepSpec = load_sweep_spec(args.scenario)
-    out = _out_dir(args, None)
+    out = _out_dir(args.out)
     workers = args.workers if args.workers is not None else spec.parallelism
     # the pool forks every worker at its first map: never more than the CPUs
     workers = min(workers, os.cpu_count() or 1)
@@ -328,6 +331,18 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# each command takes --scenario and --out, plus the flags it reads; argparse
+# rejects any other flag (exit 1, nothing written)
+COMMANDS = (
+    ("analyze", cmd_analyze, ()),
+    ("ode", cmd_ode, ("--t-end",)),
+    ("pde", cmd_pde, ("--grid-h", "--t-end")),
+    ("cone-check", cmd_cone_check, ("--grid-h", "--t-end")),
+    ("sweep", cmd_sweep, ("--workers",)),
+)
+_FLAG_TYPES = {"--t-end": float, "--grid-h": float, "--workers": int}
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1: exit code 2 means a failed hypothesis."""
 
@@ -345,30 +360,26 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("analyze", cmd_analyze),
-        ("ode", cmd_ode),
-        ("pde", cmd_pde),
-        ("cone-check", cmd_cone_check),
-        ("sweep", cmd_sweep),
-    ):
+    for name, fn, flags in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario (or sweep spec) JSON")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--grid-h", dest="grid_h", type=float, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
+        for flag in flags:
+            p.add_argument(flag, type=_FLAG_TYPES[flag], default=None)
         p.set_defaults(func=fn)
     return parser
 
 
 def _check_flags(args) -> None:
-    """The flags obey the rules of the scenario keys they override."""
-    if args.grid_h is not None and not _finite(args.grid_h, "--grid-h") > 0:
+    """The flags obey the rules of the scenario keys they override; a
+    command that does not take a flag has no attribute for it."""
+    grid_h, t_end = getattr(args, "grid_h", None), getattr(args, "t_end", None)
+    workers = getattr(args, "workers", None)
+    if grid_h is not None and not _finite(grid_h, "--grid-h") > 0:
         raise ScenarioError("--grid-h: must be positive")
-    if args.t_end is not None and not _finite(args.t_end, "--t-end") > 0:
+    if t_end is not None and not _finite(t_end, "--t-end") > 0:
         raise ScenarioError("--t-end: must be positive")
-    if args.workers is not None and args.workers < 1:
+    if workers is not None and workers < 1:
         raise ScenarioError("--workers: must be a positive integer")
 
 

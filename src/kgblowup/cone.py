@@ -81,10 +81,6 @@ class ConeGeometry:
             raise ValueError("initial support radius r0 must be positive")
 
     @property
-    def end(self) -> float:
-        return self.params.T0
-
-    @property
     def q0(self) -> float:
         return self.r0 * self.r0
 
@@ -126,7 +122,7 @@ def _log_radius(r0: float, s, w, k):
 
 def comoving_radius(geom: ConeGeometry, t):
     """r(t) = r0 + integral of c/a = r0 + (c s/a0) E((e-1) H s), s = t L(e H t)."""
-    _check_time(t, geom.end)
+    _check_time(t, geom.params.T0)
     s, w, k = _radius_terms(geom.params, t)
     return geom.r0 + w * _expm1_ratio(k, s)
 
@@ -142,7 +138,7 @@ def q_function(geom: ConeGeometry) -> Callable[[float], float]:
     """
     params = geom.params
     eH, k, c, a0, H = params.eH, params.radius_rate, params.c, params.a0, params.H
-    r0, q0, end = geom.r0, geom.q0, geom.end
+    r0, q0, end = geom.r0, geom.q0, params.T0
     hi = end * (1.0 - HORIZON_MARGIN)
     log1p, expm1, exp = math.log1p, math.expm1, math.exp
 
@@ -164,7 +160,7 @@ def q_function(geom: ConeGeometry) -> Callable[[float], float]:
 
 def log_q_eval(geom: ConeGeometry, t):
     """log q(t) = log(a/a0) + 2 log r, valid far beyond exp overflow."""
-    _check_time(t, geom.end)
+    _check_time(t, geom.params.T0)
     s, w, k = _radius_terms(geom.params, t)
     return geom.params.H * s + 2.0 * _log_radius(geom.r0, s, w, k)
 
@@ -212,7 +208,7 @@ def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Optional[Monotonicity] = No
     if verdict is None:
         verdict = _monotone_verdict(geom)
     if verdict is Monotonicity.NON_INCREASING:
-        _check_time(t, geom.end)
+        _check_time(t, geom.params.T0)
         log_q0 = 2.0 * math.log(geom.r0)
         return np.full(t.shape, log_q0) if isinstance(t, np.ndarray) else log_q0
     return log_q_eval(geom, t)

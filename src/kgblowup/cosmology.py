@@ -42,7 +42,6 @@ __all__ = [
     "CosmologyParams",
     "MassTag",
     "MassBehavior",
-    "horizon_end",
     "log_scale_time",
     "scale_eval",
     "mass_sq_function",
@@ -101,11 +100,6 @@ class CosmologyParams:
     def excluded_region(self) -> bool:
         """(1+sigma)H < 0 with sigma < 0: curved mass unbounded below."""
         return (1.0 + self.sigma) * self.H < 0.0 and self.sigma < 0.0
-
-
-def horizon_end(params: CosmologyParams) -> float:
-    """End of the spacetime: +inf, or -2/(n(1+sigma)H) when (1+sigma)H < 0."""
-    return params.T0
 
 
 def t_cap(t_end: float, T0: float) -> float:

@@ -21,7 +21,7 @@ from .certificate import (
     rpow,
 )
 from .cone import q_function
-from .cosmology import curved_mass_sq, horizon_end, mass_sq_function, t_cap
+from .cosmology import curved_mass_sq, mass_sq_function, t_cap
 from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -53,16 +53,12 @@ class OdeTrajectory:
     t: np.ndarray
     w: np.ndarray
     wdot: np.ndarray
-    blowup_detected: bool
-    blowup_time: Optional[float]
-    termination: TerminationReason
     alpha_hint: float  # saturation exponent 1 + (p-1)/2 of the equality ODE
-    p: float
-    n_steps: int
-    n_rejected: int
-    n_rhs: int
-    min_step: Optional[float]
-    last_h: float
+    rk: RkResult  # where and why the integration stopped, and its counters
+
+    @property
+    def blowup_detected(self) -> bool:
+        return self.rk.status is TerminationReason.BLOWUP_THRESHOLD
 
 
 def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
@@ -88,7 +84,7 @@ def integrate(
         raise ExcludedRegionError(
             "background has (1+sigma)H<0 with sigma<0; not integrated"
         )
-    T0 = horizon_end(params)
+    T0 = params.T0
     if t_end > T0:
         raise DomainError(f"t_end={t_end} exceeds the horizon T0={T0}")
 
@@ -134,16 +130,8 @@ def integrate(
         t=np.array(ts),
         w=np.array(ws),
         wdot=np.array(vs),
-        blowup_detected=res.status is TerminationReason.BLOWUP_THRESHOLD,
-        blowup_time=res.blowup_time,
-        termination=res.status,
         alpha_hint=1.0 + (p - 1.0) / 2.0,
-        p=p,
-        n_steps=res.n_steps,
-        n_rejected=res.n_rejected,
-        n_rhs=res.n_rhs,
-        min_step=res.min_step,
-        last_h=res.last_h,
+        rk=res,
     )
 
 
@@ -161,7 +149,7 @@ def detect_blowup_time(traj: OdeTrajectory, alpha: Optional[float] = None) -> Op
     t = traj.t[mask][-8:]
     w = traj.w[mask][-8:]
     if t.size < 2:
-        return traj.blowup_time
+        return traj.rk.blowup_time
     z = w ** (1.0 - a)
     roots: List[float] = []
     for i in range(t.size - 1, 0, -1):
@@ -173,7 +161,7 @@ def detect_blowup_time(traj: OdeTrajectory, alpha: Optional[float] = None) -> Op
         if len(roots) == 3:
             break
     if not roots:
-        return traj.blowup_time
+        return traj.rk.blowup_time
     roots = roots[::-1]
     est = roots[-1]
     if len(roots) == 3:

@@ -28,17 +28,16 @@ import numpy as np
 
 from ._kernels import radial_accel
 from .certificate import TheoremInputs, rpow, unit_ball_volume
-from .cone import ConeGeometry, comoving_radius
-from .cosmology import curved_mass_sq, horizon_end, scale_eval, t_cap
+from .cone import comoving_radius
+from .cosmology import curved_mass_sq, mass_sq_function, scale_eval, t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError
-from .integrate import RkResult, TerminationReason, dopri_integrate
+from .integrate import RkResult, dopri_integrate
 
 __all__ = [
     "PdeControls",
     "PdeField",
     "InitialData",
     "PdeRun",
-    "ConeReport",
     "make_initial_data",
     "bump_ball_integral",
     "make_field",
@@ -48,7 +47,6 @@ __all__ = [
     "support_radius",
     "discrete_energy",
     "outside_cone_mass",
-    "cone_containment_check",
     "field_to_csv",
     "observables_to_csv",
 ]
@@ -209,7 +207,7 @@ def make_field(
     """Grid sized past the forward cone at t_end, filled with bump data."""
     params = inputs.params
     h = controls.grid_h
-    r_cone = comoving_radius(inputs.geom, t_cap(t_end, horizon_end(params)))
+    r_cone = comoving_radius(inputs.geom, t_cap(t_end, params.T0))
     r_max = controls.r_max_factor * r_cone
     if data is None:
         data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
@@ -238,12 +236,20 @@ class PdeRun:
     outside_mass: np.ndarray
     field0: PdeField
     field_final: PdeField
-    termination: TerminationReason
-    blowup_time: Optional[float]
-    n_steps: int
-    n_rejected: int
-    n_rhs: int
-    min_step: Optional[float]
+    rk: RkResult  # where and why the integration stopped, and its counters
+
+    @property
+    def contained(self) -> np.ndarray:
+        """Cone containment verdict per recorded time.
+
+        A time passes when the relative L1 mass of |u| beyond cone_radius + 2h
+        stays at or below 1e-6.  The centered stencil carries an evanescent
+        precursor (front amplitude O(h^2), geometric decay per cell), so a
+        radius-at-floor comparison would flag that numerical tail instead of a
+        genuine propagation violation; violations of the cone enter at O(1)
+        mass and trip any tolerance here.
+        """
+        return self.outside_mass <= 1e-6
 
 
 def evolve(
@@ -262,7 +268,7 @@ def evolve(
         raise ExcludedRegionError(
             "background has (1+sigma)H<0 with sigma<0; not simulated"
         )
-    T0 = horizon_end(params)
+    T0 = params.T0
     if t_end > T0:
         raise DomainError(f"t_end={t_end} exceeds the horizon T0={T0}")
     t_stop = t_cap(t_end, T0)
@@ -287,6 +293,7 @@ def evolve(
     p = inputs.p
     lam = 0.0 if controls.linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
+    mass_sq = mass_sq_function(params)
 
     y0 = np.concatenate([field.u.real, field.u.imag, field.ut.real, field.ut.imag])
     # real path iff Im u and Im u_t are all +0.0, the one float whose bits
@@ -296,7 +303,7 @@ def evolve(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         a, _, _ = scale_eval(params, t)
         a_lap = c2 / (a * a * h * h)
-        a_mass = c2 * curved_mass_sq(params, t)
+        a_mass = c2 * mass_sq(t)
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
         res = np.empty_like(y)
         res[: 2 * J] = y[2 * J :]
@@ -383,12 +390,7 @@ def evolve(
         outside_mass=np.array(outsides),
         field0=field.copy(),
         field_final=final,
-        termination=res.status,
-        blowup_time=res.blowup_time,
-        n_steps=res.n_steps,
-        n_rejected=res.n_rejected,
-        n_rhs=res.n_rhs,
-        min_step=res.min_step,
+        rk=res,
     )
 
 
@@ -400,45 +402,6 @@ def run_pde(
 ) -> PdeRun:
     field = make_field(inputs, t_end, controls, data)
     return evolve(field, inputs, t_end, controls)
-
-
-# ---------------------------------------------------------------------------
-# cone containment
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConeReport:
-    times: np.ndarray
-    support: np.ndarray
-    cone: np.ndarray
-    outside_mass: np.ndarray
-    ok: np.ndarray
-    all_ok: bool
-
-
-def cone_containment_check(
-    run: PdeRun, geom: ConeGeometry, mass_tol: float = 1e-6
-) -> ConeReport:
-    """Containment verdict per recorded time, aggregated with AND.
-
-    A time passes when the relative L1 mass of |u| beyond cone_radius + 2h
-    stays below ``mass_tol``.  The centered stencil carries an evanescent
-    precursor (front amplitude O(h^2), geometric decay per cell), so a
-    radius-at-floor comparison would flag that numerical tail instead of a
-    genuine propagation violation; violations of the cone enter at O(1)
-    mass and trip any tolerance here.  The raw support radii are included
-    for inspection.
-    """
-    ok = run.outside_mass <= mass_tol
-    return ConeReport(
-        times=run.times,
-        support=run.support_radius,
-        cone=run.cone_radius,
-        outside_mass=run.outside_mass,
-        ok=ok,
-        all_ok=bool(np.all(ok)),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,7 @@ def load_sweep_spec(path) -> SweepSpec:
     if not isinstance(axes_raw, list) or not axes_raw:
         raise ScenarioError(f"{path}.axes: must be a non-empty list")
     axes: List[Tuple[str, List[float]]] = []
+    first: Dict[str, int] = {}  # axis index of each path
     for i, axis in enumerate(axes_raw):
         axis = _require_mapping(axis, f"{path}.axes[{i}]")
         _reject_unknown(axis, {"path", "values"}, f"{path}.axes[{i}]")
@@ -272,6 +273,12 @@ def load_sweep_spec(path) -> SweepSpec:
             raise ScenarioError(
                 f"{path}.axes[{i}].path: must start with one of {_AXIS_PREFIXES}"
             )
+        if p in first:
+            # the later axis would overwrite the earlier one at every point
+            raise ScenarioError(
+                f"{path}.axes[{i}].path: '{p}' repeats axes[{first[p]}].path"
+            )
+        first[p] = i
         values = axis.get("values")
         if not isinstance(values, list) or not values:
             raise ScenarioError(f"{path}.axes[{i}].values: must be a non-empty list")

@@ -27,7 +27,7 @@ from kgblowup.pde import InitialData, PdeField, _volume_weights
 def q_eval(geom: ConeGeometry, t: float) -> float:
     """q(t) = a(t) r(t)^2 / a0 at one time from the generic evaluators,
     every constant recomputed per call; q(0) = r0^2 exactly."""
-    _check_time(t, geom.end)
+    _check_time(t, geom.params.T0)
     if t == 0.0:
         return geom.q0
     params = geom.params

@@ -29,7 +29,6 @@ from kgblowup import (
     detect_blowup_time,
     envelope,
     envelope_pole,
-    horizon_end,
     integrate_ode,
     scale_eval,
 )
@@ -81,7 +80,7 @@ def test_criterion_01_curved_mass_identity():
         params_list = _random_cosmologies(101, 25)
         assert len(params_list) >= 200
         for p in params_list:
-            T0 = horizon_end(p)
+            T0 = p.T0
             hi = 10.0 if math.isinf(T0) else 0.99 * T0
             for t in rng.uniform(0.0, hi, 100):
                 a = curved_mass_sq_from_scale(p, t)
@@ -93,7 +92,7 @@ def test_criterion_02_hubble_identity():
     with criterion(2, "hubble-identity", 1.0):
         rng = np.random.default_rng(200)
         for p in _random_cosmologies(201, 25):
-            T0 = horizon_end(p)
+            T0 = p.T0
             hi = 10.0 if math.isinf(T0) else 0.99 * T0
             for t in rng.uniform(0.0, hi, 100):
                 a, adot, _ = scale_eval(p, t)
@@ -133,7 +132,7 @@ def test_criterion_03_monotonicity_rows():
             geom = ConeGeometry(params, r0)
             verdict = classify_q(geom).monotonicity
             assert verdict is not Monotonicity.NOT_MONOTONE, (n, H, sigma, r0)
-            T0 = horizon_end(params)
+            T0 = params.T0
             hi = 5.0 if math.isinf(T0) else 0.95 * T0
             for t in np.linspace(1e-4, hi, 500):
                 h = 1e-6 * max(1.0, t)
@@ -153,7 +152,7 @@ def test_criterion_04_exact_ode_blowup():
     with criterion(4, "exact-ode-blowup", 1.0):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=math.sqrt(2.0), w1=math.sqrt(2.0))
         traj = integrate_ode(inputs, 1.5, OdeControls(mass_sq_const=0.0, forcing_const=1.0))
-        assert traj.termination is TerminationReason.BLOWUP_THRESHOLD
+        assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
         t_blow = detect_blowup_time(traj)
         assert abs(t_blow - 1.0) <= 0.01
 
@@ -223,8 +222,8 @@ def test_criterion_09_pde_blowup_consistency(minkowski_inputs, minkowski_cert):
     with criterion(9, "pde-blowup-consistency", 120.0):
         controls = PdeControls(grid_h=1e-3, rel_tol=1e-8)
         run = run_pde(minkowski_inputs, 0.525, controls)
-        assert run.termination is TerminationReason.BLOWUP_THRESHOLD
-        assert run.blowup_time <= 1.05 * minkowski_cert.T_star
+        assert run.rk.status is TerminationReason.BLOWUP_THRESHOLD
+        assert run.rk.blowup_time <= 1.05 * minkowski_cert.T_star
         c, N = minkowski_inputs.params.c, minkowski_inputs.N
         bound = minkowski_inputs.w0 * np.exp(c * N * run.times)
         assert np.all(run.W >= bound * (1.0 - 5e-3))

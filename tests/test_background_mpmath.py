@@ -62,7 +62,7 @@ def assert_close(got, want, rel):
 @given(geom=backgrounds(), frac=st.floats(0.0, 1.0))
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # a beyond 1e308
 def test_background_matches_mpmath(geom, frac):
-    T0 = geom.end
+    T0 = geom.params.T0
     t = frac * min(0.9 * T0, 4095.0)
     times = np.array([t, 0.5 * t, 0.0])
     a_arr, r_arr, logq_arr = (

@@ -138,7 +138,7 @@ NODES = st.sampled_from([2, 5, 64, 257, certificate.GRID_NODES])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(geom=backgrounds(), nodes=NODES)
 def test_log_q_tilde_array_matches_scalar(geom, nodes):
-    grid = _time_grid(geom.end, nodes)
+    grid = _time_grid(geom.params.T0, nodes)
     _assert_same(
         _scalar(lambda t: log_q_tilde_eval(geom, t), grid),
         _array(lambda t: log_q_tilde_eval(geom, t), grid),
@@ -148,7 +148,7 @@ def test_log_q_tilde_array_matches_scalar(geom, nodes):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(geom=backgrounds(), nodes=NODES)
 def test_curved_mass_sq_array_matches_scalar(geom, nodes):
-    grid = _time_grid(geom.end, nodes)
+    grid = _time_grid(geom.params.T0, nodes)
     _assert_same(
         _scalar(lambda t: curved_mass_sq(geom.params, t), grid),
         _array(lambda t: curved_mass_sq(geom.params, t), grid),
@@ -159,7 +159,7 @@ def test_curved_mass_sq_array_matches_scalar(geom, nodes):
 @given(geom=backgrounds(), beyond=st.floats(1.0, 4.0), where=st.sampled_from(["last", "middle"]))
 def test_rejected_grids_raise_like_the_scalar_path(geom, beyond, where):
     """A node past the horizon or before t = 0 raises, never becomes NaN."""
-    end = geom.end
+    end = geom.params.T0
     grid = _time_grid(end, 9)
     if math.isfinite(end):
         bad = end * beyond
@@ -178,7 +178,7 @@ def test_rejected_grids_raise_like_the_scalar_path(geom, beyond, where):
 def test_not_monotone_q_raises_precondition():
     # H < 0, sigma above the n = 1 gate 0, r0 below -2c/(a0 H) = 2
     geom = ConeGeometry(CosmologyParams(1, 1.0, 1.0, -1.0, 0.5, 0.0), 1.0)
-    grid = _time_grid(geom.end, 16)
+    grid = _time_grid(geom.params.T0, 16)
     with pytest.raises(PreconditionError):
         log_q_tilde_eval(geom, float(grid[1]))
     with pytest.raises(PreconditionError):

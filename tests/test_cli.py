@@ -189,6 +189,32 @@ class TestFlags:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("analyze", "--t-end", "0.5"),
+            ("analyze", "--grid-h", "1e-3"),
+            ("analyze", "--workers", "2"),
+            ("ode", "--grid-h", "1e-3"),
+            ("ode", "--workers", "2"),
+            ("pde", "--workers", "2"),
+            ("cone-check", "--workers", "2"),
+            ("sweep", "--t-end", "0.5"),
+            ("sweep", "--grid-h", "1e-3"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_1(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        sweep = {"base": MINK, "axes": [{"path": "theorem.w0", "values": [16.0]}]}
+        path = write(tmp_path, sweep if command == "sweep" else MINK)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", str(path), "--out", str(out), flag, value])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pde", "--help"])
@@ -429,6 +455,20 @@ class TestSweep:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(rows) == 7
 
+    def test_repeated_axis_path_rejected(self, tmp_path, capsys):
+        axes = [
+            {"path": "theorem.w0", "values": [1.0, 2.0]},
+            {"path": "theorem.N", "values": [2.0]},
+            {"path": "theorem.w0", "values": [300.0]},
+        ]
+        out = tmp_path / "out"
+        assert main(["sweep", "--scenario", str(self.spec(tmp_path, axes=axes)),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:")
+        assert "axes[2].path: 'theorem.w0' repeats axes[0].path" in err
+        assert not out.exists()
+
     def test_empty_axes_rejected(self, tmp_path):
         path = write(tmp_path, {"base": MINK, "axes": []}, name="bad.json")
         with pytest.raises(ScenarioError):
@@ -483,6 +523,29 @@ class TestShippedScenarios:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_report_keys_in_order(self, tmp_path):
+        scenario = f"{self.SCEN}/minkowski_blowup.json"
+        counters = ["n_steps", "n_rejected", "n_rhs", "min_step"]
+        expected = {
+            "ode": ("ode_report.json", [
+                "certificate_valid", "certificate_reasons", "T_star", "termination",
+                "blowup_detected", "blowup_time", "blowup_time_refined", "n_samples",
+                *counters, "benchmark_overrides", "lemma_properties", "lemma_all_hold",
+            ]),
+            "pde": ("pde_report.json", [
+                "certificate_valid", "T_star", "termination", "blowup_time", *counters,
+                "cone_contained", "final_W",
+            ]),
+            "cone-check": ("cone_report.json", [
+                "all_contained", "times", "support_radius", "cone_radius", "contained",
+                "max_outside_mass",
+            ]),
+        }
+        for command, (name, keys) in expected.items():
+            out = tmp_path / command
+            assert main([command, "--scenario", scenario, "--out", str(out)]) == 0
+            assert list(json.loads((out / name).read_text())) == keys, command
 
     def test_sweep_spec_loads(self):
         spec = load_sweep_spec(f"{self.SCEN}/sweep_w0.json")

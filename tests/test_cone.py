@@ -12,7 +12,6 @@ from kgblowup import (
     PreconditionError,
     classify_q,
     comoving_radius,
-    horizon_end,
 )
 from kgblowup.cone import log_q_eval, log_q_tilde_eval
 
@@ -27,7 +26,7 @@ def geom(H=0.0, sigma=0.0, n=1, c=1.0, a0=1.0, r0=1.0, m2=0.0):
 
 def numeric_qdot(g, t):
     h = 1e-6 * max(1.0, t)
-    end = g.end
+    end = g.params.T0
     if math.isfinite(end):
         h = min(h, 0.4 * (end * (1 - 1e-12) - t), 0.4 * t if t > 0 else h)
     if t - h < 0:
@@ -68,7 +67,7 @@ class TestRadius:
         for case in CASE_REGIONS:
             H, sigma = region_samples(rng, case, 1)[0]
             g = geom(H=H, sigma=sigma, n=int(rng.integers(1, 4)))
-            T0 = horizon_end(g.params)
+            T0 = g.params.T0
             hi = 8.0 if math.isinf(T0) else 0.98 * T0
             ts = np.linspace(0.0, hi, 50)
             rs = [comoving_radius(g, t) for t in ts]
@@ -80,7 +79,7 @@ class TestRadius:
         for case in ("ii", "v", "viii"):
             H, sigma = region_samples(rng, case, 1)[0]
             g = geom(H=H, sigma=sigma, n=2, r0=0.5)
-            T0 = horizon_end(g.params)
+            T0 = g.params.T0
             hi = 3.0 if math.isinf(T0) else 0.9 * T0
             with mpmath.workdps(30):
                 k = g.params.n * (1 + mpmath.mpf(sigma)) * H / 2  # a = a0 (1 + k s)^(H/k)
@@ -114,7 +113,7 @@ class TestQ:
         for case in CASE_REGIONS:
             H, sigma = region_samples(rng, case, 1)[0]
             g = geom(H=H, sigma=sigma, n=2, r0=1.3)
-            T0 = horizon_end(g.params)
+            T0 = g.params.T0
             hi = 5.0 if math.isinf(T0) else 0.9 * T0
             for t in np.linspace(0.1, hi, 9):
                 assert log_q_eval(g, t) == pytest.approx(
@@ -182,7 +181,7 @@ class TestClassification:
             if verdict is Monotonicity.NOT_MONOTONE:
                 continue
             checked += 1
-            T0 = horizon_end(g.params)
+            T0 = g.params.T0
             hi = 5.0 if math.isinf(T0) else 0.95 * T0
             for t in np.linspace(1e-4, hi, 100):
                 qd = numeric_qdot(g, t)
@@ -224,7 +223,7 @@ class TestQTilde:
                 continue
             if classify_q(g).monotonicity is Monotonicity.NOT_MONOTONE:
                 continue
-            T0 = horizon_end(g.params)
+            T0 = g.params.T0
             hi = 5.0 if math.isinf(T0) else 0.95 * T0
             for t in np.linspace(0.0, hi, 40):
                 log_qt = log_q_tilde_eval(g, t)

@@ -9,7 +9,6 @@ from kgblowup import (
     MassTag,
     classify_mass_behavior,
     curved_mass_sq,
-    horizon_end,
     scale_eval,
 )
 
@@ -40,13 +39,13 @@ def random_params(rng, case):
 
 class TestHorizon:
     def test_zero_rate_is_infinite(self):
-        assert horizon_end(params(n=3, H=0.0, sigma=7.0)) == math.inf
+        assert params(n=3, H=0.0, sigma=7.0).T0 == math.inf
 
     def test_contracting(self):
-        assert horizon_end(params(n=3, H=-1.0, sigma=0.0)) == pytest.approx(2.0 / 3.0)
+        assert params(n=3, H=-1.0, sigma=0.0).T0 == pytest.approx(2.0 / 3.0)
 
     def test_big_rip(self):
-        assert horizon_end(params(n=1, H=1.0, sigma=-2.0)) == pytest.approx(2.0)
+        assert params(n=1, H=1.0, sigma=-2.0).T0 == pytest.approx(2.0)
 
 
 class TestScaleEval:
@@ -77,7 +76,7 @@ class TestScaleEval:
         rng = np.random.default_rng(2)
         for case in CASE_REGIONS:
             p = random_params(rng, case)
-            T0 = horizon_end(p)
+            T0 = p.T0
             for t in sample_times(rng, T0, 5):
                 # h = 1e-4 balances truncation against cancellation in the
                 # second difference
@@ -105,7 +104,7 @@ class TestScaleEval:
         for case in CASE_REGIONS:
             for _ in range(3):
                 p = random_params(rng, case)
-                for t in sample_times(rng, horizon_end(p), 100):
+                for t in sample_times(rng, p.T0, 100):
                     a, adot, _ = scale_eval(p, t)
                     expected = p.H * (a / p.a0) ** (-p.n * (1 + p.sigma) / 2)
                     assert adot / a == pytest.approx(
@@ -139,7 +138,7 @@ class TestCurvedMass:
         for case in CASE_REGIONS:
             for _ in range(3):
                 p = random_params(rng, case)
-                for t in sample_times(rng, horizon_end(p), 20):
+                for t in sample_times(rng, p.T0, 20):
                     lhs = curved_mass_sq_from_scale(p, t)
                     rhs = curved_mass_sq(p, t)
                     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
@@ -198,7 +197,7 @@ class TestClassification:
         for case in CASE_REGIONS:
             p = random_params(rng, case)
             b = classify_mass_behavior(p)
-            T0 = horizon_end(p)
+            T0 = p.T0
             ts = np.linspace(1e-9, 10.0 if math.isinf(T0) else 0.999 * T0, 1000)
             vals = np.array([curved_mass_sq(p, t) for t in ts])
             slack = 1e-9 * np.maximum(1.0, np.abs(vals))

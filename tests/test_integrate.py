@@ -369,9 +369,9 @@ def test_comparison_ode_matches_the_reference(monkeypatch):
     for a, b in zip(new, old):
         for field in ("t", "w", "wdot"):
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
-        assert (a.termination, a.n_steps) == (b.termination, b.n_steps)
-        assert _bytes(a.last_h) == _bytes(b.last_h)
-        assert a.blowup_time == b.blowup_time
+        assert (a.rk.status, a.rk.n_steps) == (b.rk.status, b.rk.n_steps)
+        assert _bytes(a.rk.last_h) == _bytes(b.rk.last_h)
+        assert a.rk.blowup_time == b.rk.blowup_time
 
 
 def test_complex_pde_grid_matches_the_reference(monkeypatch):
@@ -389,8 +389,8 @@ def test_complex_pde_grid_matches_the_reference(monkeypatch):
         assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
     for name in ("u", "ut"):
         assert getattr(new.field_final, name).tobytes() == getattr(old.field_final, name).tobytes()
-    assert (new.termination, new.n_steps, new.blowup_time) == (
-        old.termination, old.n_steps, old.blowup_time
+    assert (new.rk.status, new.rk.n_steps, new.rk.blowup_time) == (
+        old.rk.status, old.rk.n_steps, old.rk.blowup_time
     )
 
 

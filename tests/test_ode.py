@@ -40,7 +40,7 @@ CUBIC_CONTROLS = OdeControls(mass_sq_const=0.0, forcing_const=1.0)
 class TestIntegrate:
     def test_cubic_blowup_at_one(self):
         traj = integrate_ode(cubic_inputs(), 1.5, CUBIC_CONTROLS)
-        assert traj.termination is TerminationReason.BLOWUP_THRESHOLD
+        assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
         assert traj.blowup_detected
         t_blow = detect_blowup_time(traj)
         assert t_blow == pytest.approx(1.0, rel=0.01)
@@ -55,7 +55,7 @@ class TestIntegrate:
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=0.7, w1=-0.4)
         controls = OdeControls(mass_sq_const=k * k, forcing_const=0.0)
         traj = integrate_ode(inputs, 5.0, controls)
-        assert traj.termination is TerminationReason.REACHED_HORIZON
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON
         assert not traj.blowup_detected
         exact = 0.7 * np.cos(k * traj.t) - 0.4 * np.sin(k * traj.t) / k
         assert np.max(np.abs(traj.w - exact)) < 1e-8
@@ -94,7 +94,7 @@ class TestIntegrate:
     def test_horizon_stop_before_finite_T0(self):
         inputs = make_inputs(-1.0, 0.0, N=0.5, w0=1.0, w1=0.0)  # T0 = 2
         traj = integrate_ode(inputs, 2.0)
-        assert traj.termination is TerminationReason.REACHED_HORIZON
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON
         assert traj.t[-1] <= 2.0 * (1.0 - 1e-10)
 
     def test_excluded_region_rejected(self):

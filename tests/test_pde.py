@@ -8,7 +8,6 @@ from kgblowup import (
     ConfigurationError,
     ExcludedRegionError,
     TerminationReason,
-    cone_containment_check,
     make_field,
     make_initial_data,
     observable_w,
@@ -27,7 +26,7 @@ from kgblowup.pde import (
     outside_cone_mass,
 )
 import kgblowup.pde as pde_mod
-from kgblowup.integrate import dopri_integrate
+from kgblowup.integrate import RkResult, dopri_integrate
 
 from conftest import make_inputs
 from oracles import (
@@ -170,8 +169,6 @@ class TestLinearEvolution:
 
     def test_finite_speed_all_case_backgrounds(self):
         # one background per corollary sign region, nonlinearity off
-        from kgblowup import horizon_end
-
         cases = [
             (0.0, 0.0),
             (1.0, 1.0),
@@ -184,22 +181,20 @@ class TestLinearEvolution:
         ]
         for H, sigma in cases:
             inputs = make_inputs(H, sigma, N=1.0, w0=2.0, w1=1.0)
-            T0 = horizon_end(inputs.params)
+            T0 = inputs.params.T0
             t_end = 1.0 if math.isinf(T0) else 0.5 * T0
             controls = PdeControls(grid_h=2e-3, rel_tol=1e-10, linear=True, r_max_factor=1.6)
             run = run_pde(inputs, t_end, controls)
             assert float(run.outside_mass.max()) < 1e-8, (H, sigma)
-            report = cone_containment_check(run, inputs.geom)
-            assert report.all_ok, (H, sigma)
+            assert run.contained.all(), (H, sigma)
 
     def test_widened_support_flagged_at_t0(self):
         inputs = flat_inputs()
         wide = make_initial_data(1, 1.6, 2.0, 0.0)  # support beyond r0 = 1
         controls = PdeControls(grid_h=5e-3, linear=True, r_max_factor=2.2)
         run = run_pde(inputs, 0.2, controls, data=wide)
-        report = cone_containment_check(run, inputs.geom)
-        assert not report.ok[0]
-        assert not report.all_ok
+        assert not run.contained[0]
+        assert not run.contained.all()
 
 
 @pytest.fixture(scope="module")
@@ -210,8 +205,8 @@ def blowup_run(minkowski_inputs):
 
 class TestNonlinearBlowup:
     def test_detects_blowup_before_lifespan_bound(self, blowup_run, minkowski_cert):
-        assert blowup_run.termination is TerminationReason.BLOWUP_THRESHOLD
-        assert blowup_run.blowup_time <= 1.05 * minkowski_cert.T_star
+        assert blowup_run.rk.status is TerminationReason.BLOWUP_THRESHOLD
+        assert blowup_run.rk.blowup_time <= 1.05 * minkowski_cert.T_star
 
     def test_spatial_integral_respects_growth_bound(self, blowup_run, minkowski_inputs):
         c, N = minkowski_inputs.params.c, minkowski_inputs.N
@@ -296,6 +291,8 @@ def run_bytes(run):
                      value.t, value.h, value.n)
         elif isinstance(value, np.ndarray):
             value = (value.dtype, value.tobytes())
+        elif isinstance(value, RkResult):
+            value = {**vars(value), "y": value.y.tobytes()}
         out[key] = value
     return out
 
@@ -315,7 +312,7 @@ class TestRealPath:
                 runs[full] = run_pde(inputs, t_end, controls)
             assert flags and all(flags)
         if case == "blowup":
-            assert runs[False].termination is TerminationReason.BLOWUP_THRESHOLD
+            assert runs[False].rk.status is TerminationReason.BLOWUP_THRESHOLD
         assert run_bytes(runs[False]) == run_bytes(runs[True])
 
     def test_observables_same_bits_on_real_views(self, blowup_run, minkowski_inputs):

@@ -308,7 +308,10 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
         return growth * t - n_half * log_q_tilde_eval(geom, t, verdict)
 
     t_min, f_min = _optimize_log(f_log, params.T0, nodes)
-    return ExtremumResult(math.exp(f_min), True, t_min, "positive infimum")
+    A = math.exp(f_min)
+    if A == 0.0:
+        return ExtremumResult(0.0, False, t_min, f"A underflows to 0: log A = {f_min}")
+    return ExtremumResult(A, True, t_min, "positive infimum")
 
 
 def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
@@ -586,7 +589,7 @@ def certify(
     reasons: List[str] = []
     verdicts: Dict[str, bool] = {name: False for name in VERDICT_NAMES}
 
-    verdicts["support_radius_positive"] = inputs.geom.r0 > 0.0
+    verdicts["support_radius_positive"] = inputs.geom.r0 > 0.0  # ConeGeometry rejects r0 <= 0
 
     n_ok, n_reason = check_N(inputs)
     verdicts["admissible_N"] = n_ok
@@ -614,6 +617,11 @@ def certify(
             verdicts["B_finite"] = b_res.ok
             if not b_res.ok:
                 reasons.append(f"B_finite: {b_res.reason}")
+        else:
+            reasons.append("B_finite: not computed, N is not admissible")
+    else:
+        reasons.append("A_positive: not computed, q is not certified monotone")
+        reasons.append("B_finite: not computed, q is not certified monotone")
 
     w0_thr = w1_thr = None
     if B is not None and math.isfinite(B):
@@ -628,6 +636,9 @@ def certify(
             reasons.append(
                 f"w1_above_threshold: w1={inputs.w1} < threshold {w1_thr}"
             )
+    else:
+        reasons.append("w0_above_threshold: no threshold without a finite B")
+        reasons.append("w1_above_threshold: no threshold without a finite B")
 
     D = C_squared = T_star = None
     if A is not None and A > 0.0 and inputs.w0 > 0.0:
@@ -638,6 +649,8 @@ def certify(
             reasons.append(
                 f"lifespan_within_horizon: T*={T_star} exceeds T0={T0} (inconclusive)"
             )
+    else:
+        reasons.append("lifespan_within_horizon: not computed, it needs A > 0 and w0 > 0")
 
     corollary = corollary_case_check(inputs)
     others = [v for k, v in verdicts.items() if k != "lifespan_within_horizon"]

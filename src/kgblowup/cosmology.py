@@ -44,6 +44,7 @@ __all__ = [
     "MassBehavior",
     "log_scale_time",
     "scale_eval",
+    "scale_function",
     "mass_sq_function",
     "curved_mass_sq",
     "classify_mass_behavior",
@@ -160,6 +161,27 @@ def scale_eval(params: CosmologyParams, t) -> Tuple:
     a = params.a0 * exp(H * log_scale_time(params, t))
     g = 1.0 + params.eH * t
     return a, H * a / g, H * H * (1.0 - e) * a / (g * g)
+
+
+def scale_function(params: CosmologyParams) -> Callable[[float], float]:
+    """a(t) at one time, its constants bound once.
+
+    The s and a of log_scale_time and scale_eval written out on floats: the
+    same operations in the same order, so the same bits.  A time in range
+    costs one compare; any other goes through _check_time, which raises.
+    """
+    eH, H, a0, end = params.eH, params.H, params.a0, params.T0
+    hi = end * (1.0 - HORIZON_MARGIN)
+    log1p, exp = math.log1p, math.exp
+
+    def a(t: float) -> float:
+        if not 0.0 <= t < hi:
+            _check_time(t, end)
+        x = eH * t
+        s = t * (log1p(x) / x) if x != 0.0 else t
+        return a0 * exp(H * s)
+
+    return a
 
 
 def mass_sq_function(params: CosmologyParams) -> Callable:

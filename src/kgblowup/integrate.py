@@ -23,6 +23,24 @@ the leading 0 turns a ``-0.0`` first term into ``+0.0``.  The norm is
 ``sqrt(mean(q^2))`` with the mean summed in index order, as NumPy sums
 fewer than 8 terms.  So for states of up to 7
 components the two arithmetics give the same bytes.
+
+An ndarray state may come with a window: ``active(y)`` returns a basic
+index (slices only) into the state, and the trial computes its stage sums,
+new solution and error terms on ``buf[index]`` alone.  The contract:
+
+* outside the index, ``y`` and every slope the full computation of the
+  trial would make are zeros of either sign;
+* the index never shrinks from one trial to the next;
+* ``abs_tol > 0``.
+
+Each stage sum starts from +0.0, so outside the index the full
+computation's stage states, new solution and error terms are all +0.0
+(``-0.0 + h (+0.0)`` is +0.0 too).  Every buffer is zero-filled once and
+written only at the index, so it holds those same +0.0 there, and ``rhs``
+sees the states it would see on the full computation.  The norm still
+takes ``np.mean`` over the whole buffer, whose tail is +0.0 where
+``0 / abs_tol`` was: the same terms in the same pairwise order, so the
+same bits.  The default index, ``...``, is the whole state.
 """
 
 from __future__ import annotations
@@ -30,7 +48,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,12 +113,19 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
     return min(100.0 * h0, h1, t_span)
 
 
-def _rms(q: np.ndarray, scale: np.ndarray) -> float:
-    """sqrt(mean((q / scale)^2)), overwriting ``q``."""
+def _rms(q: np.ndarray, scale: np.ndarray, index=...) -> float:
+    """sqrt(mean((q / scale)^2)), overwriting ``q[index]``; ``scale`` has
+    the shape of ``q[index]``, and the mean runs over all of ``q``."""
     with np.errstate(invalid="ignore", over="ignore"):
-        np.divide(q, scale, out=q)
-        np.multiply(q, q, out=q)
+        v = q[index]
+        np.divide(v, scale, out=v)
+        np.multiply(v, v, out=v)
         return math.sqrt(float(np.mean(q)))
+
+
+def _whole(y: np.ndarray):
+    """The default window: every component of the state."""
+    return ...
 
 
 def _float_trial(rhs, rel_tol: float, abs_tol: float):
@@ -157,36 +182,44 @@ def _float_trial(rhs, rel_tol: float, abs_tol: float):
     return trial
 
 
-def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float):
+def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_whole):
     """Trial step on float ndarrays, with the stage sums in reused buffers.
 
     Stages 1-5 each get their own buffer, so an ``rhs`` that returns (a
     view of) its argument stays correct; stage 6, the new solution, is a
     fresh array because it becomes ``y`` and is handed to ``on_step``.
+    Each buffer starts at +0.0 and is written only at ``active(y)``; see
+    the module docstring for the window contract.
     """
-    acc = np.empty_like(y)
-    term = np.empty_like(y)
-    stages = [np.empty_like(y) for _ in range(5)]
+    acc = np.zeros_like(y)
+    term = np.zeros_like(y)
+    stages = [np.zeros_like(y) for _ in range(5)]
 
-    def combine(weights, k, out):
+    def combine(weights, k, out, tmp):
         np.multiply(weights[0], k[0], out=out)
         np.add(0.0, out, out=out)
         for w, kj in zip(weights[1:], k[1:]):
-            np.multiply(w, kj, out=term)
-            np.add(out, term, out=out)
+            np.multiply(w, kj, out=tmp)
+            np.add(out, tmp, out=out)
         return out
 
     def trial(t: float, h: float, y: np.ndarray, k0: np.ndarray):
-        k = [k0]
+        ix = active(y)
+        y_ix, acc_ix, term_ix = y[ix], acc[ix], term[ix]
+        k = [k0[ix]]
         for i in range(1, 7):
-            s = np.multiply(h, combine(_A[i], k, acc), out=acc)
-            stage = np.add(y, s, out=stages[i - 1] if i < 6 else None)
-            k.append(rhs(t + _C[i] * h, stage))
-        err_vec = np.multiply(h, combine(_ERR, k, acc), out=acc)
-        scale = np.maximum(np.abs(y, out=term), np.abs(stage, out=stages[0]), out=term)
+            s = np.multiply(h, combine(_A[i], k, acc_ix, term_ix), out=acc_ix)
+            stage = stages[i - 1] if i < 6 else np.zeros_like(y)
+            np.add(y_ix, s, out=stage[ix])
+            k_last = rhs(t + _C[i] * h, stage)
+            k.append(k_last[ix])
+        err_ix = np.multiply(h, combine(_ERR, k, acc_ix, term_ix), out=acc_ix)
+        scale = np.maximum(
+            np.abs(y_ix, out=term_ix), np.abs(stage[ix], out=stages[0][ix]), out=term_ix
+        )
         np.multiply(rel_tol, scale, out=scale)
         np.add(abs_tol, scale, out=scale)
-        return stage, k[6], _rms(err_vec, scale)
+        return stage, k_last, _rms(acc, scale, ix)
 
     return trial
 
@@ -215,6 +248,7 @@ def dopri_integrate(
     max_steps: int = 2_000_000,
     max_step: float = math.inf,
     on_step: Optional[Callable[[float, State, float], None]] = None,
+    active: Callable[[np.ndarray], Any] = _whole,
 ) -> RkResult:
     """Integrate y' = rhs(t, y) from t0 to t_end.
 
@@ -223,6 +257,9 @@ def dopri_integrate(
     accepted step.  Blow-up is declared when ``magnitude(y) >
     blow_magnitude`` and the step size has fallen below
     ``blow_step_fraction * max(1, t)``.  ``RkResult.y`` is an array either way.
+
+    ``active(y)``, for an array state, gives the index each trial computes
+    on; the module docstring states what the caller promises for it.
     """
     t = float(t0)
     if isinstance(y0, tuple):
@@ -237,7 +274,7 @@ def dopri_integrate(
         y = np.array(y0, dtype=float, copy=True)
         k0 = rhs(t, y)
         h = _initial_step(rhs, t, y, k0, rel_tol, abs_tol, t_end - t0)
-        trial = _array_trial(rhs, y, rel_tol, abs_tol)
+        trial = _array_trial(rhs, y, rel_tol, abs_tol, active)
     h = min(h, max_step)
     n_steps = n_rejected = 0
     min_step = math.inf

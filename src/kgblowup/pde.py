@@ -9,13 +9,43 @@ Dirichlet boundary on a domain sized past the forward cone.  The semilinear
 term adds the real scalar lambda a^{-n(p-1)/2} |u|^p, so real data stays
 real but the flow is not complex-analytic.
 
-The state keeps u and u_t as four real blocks (Re u, Im u, Re u_t, Im u_t).
-When both imaginary blocks of the initial state are all +0.0, as for the
-bump data every kgblow command starts from, ``evolve`` takes the real path:
-the kernel skips the imaginary stencil (see ``radial_accel``) and each
-record hands the observables real views of the state.  The imaginary
-blocks then stay exactly +0.0, as they would on the full path, so the step
-sequence and every output byte are the same; only the cost changes.
+The state is a C-contiguous (4, J) array whose rows are Re u, Im u,
+Re u_t and Im u_t.  When both imaginary rows of the initial state are all
++0.0, as for the bump data every kgblow command starts from, ``evolve``
+takes the real path: the kernel skips the imaginary stencil (see
+``radial_accel``), the stepper skips the imaginary rows, and each record
+hands the observables real views of the state.  The imaginary rows then
+stay exactly +0.0, as they would on the full path, so the step sequence
+and every output byte are the same; only the cost changes.
+
+Light-cone window.  The stencil couples only neighbouring nodes, so the
+field spreads by at most one node per RHS evaluation, and compactly
+supported data leaves the nodes ahead of it at exactly +0.0.  ``evolve``
+keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The kernel
+runs on that prefix and the RHS writes +0.0 to the tail; the stepper's
+``active`` index is columns ``[:w]`` of rows 0 and 2 on the real path and
+of all four rows otherwise (see ``integrate`` for the stepper's side).
+
+* Margin.  A trial that starts with last nonzero node L has stage i within
+  L + i, the new solution within L + 6 and its slope within L + 7.  The
+  prefix kernel pins node w - 1 (its Dirichlet node) and reads nodes up to
+  w - 1, so it equals the full kernel when the state is zero from node
+  w - 2 on: w >= L + 9 is required.  (The bounds are loose: u_t is
+  copied, not differenced, so the field spreads one node per two calls.)
+* Growth.  ``w`` starts at min(J, L0 + 9) for the initial state's last
+  nonzero node L0 and is updated from every accepted state ``on_step``
+  sees: when one of its last 8 columns holds a nonzero, ``w`` becomes
+  min(J, that node + 9).  It never shrinks, so stale stage values never
+  lie outside it.  The window lives in the RHS, not in the stepper, so
+  a stepper that ignores ``active`` still gets a correct RHS.
+* Signed zeros.  Each stage sum starts from +0.0, so ``0.0 + a (+-0.0)`` is
+  +0.0 and a stage state is never -0.0 where the field is zero; the zero
+  sign of a slope outside the window never reaches a stage state, the
+  step size or an output.  The bits are those of
+  the full computation as long as the kernel's coefficients are finite.
+
+The observables (W, support radius, energy, outside mass) still run over
+all J nodes once per record.
 """
 
 from __future__ import annotations
@@ -29,7 +59,7 @@ import numpy as np
 from ._kernels import radial_accel
 from .certificate import TheoremInputs, rpow, unit_ball_volume
 from .cone import comoving_radius
-from .cosmology import curved_mass_sq, mass_sq_function, scale_eval, t_cap
+from .cosmology import curved_mass_sq, mass_sq_function, scale_eval, scale_function, t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError
 from .integrate import RkResult, dopri_integrate
 
@@ -293,23 +323,39 @@ def evolve(
     p = inputs.p
     lam = 0.0 if controls.linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
+    scale_at = scale_function(params)
     mass_sq = mass_sq_function(params)
 
-    y0 = np.concatenate([field.u.real, field.u.imag, field.ut.real, field.ut.imag])
+    y0 = np.stack([field.u.real, field.u.imag, field.ut.real, field.ut.imag])
     # real path iff Im u and Im u_t are all +0.0, the one float whose bits
     # are all zero (-0.0 would let the full path make -0.0 entries)
-    real = not (y0[J : 2 * J].view(np.uint64).any() or y0[3 * J :].view(np.uint64).any())
+    real = not (y0[1].view(np.uint64).any() or y0[3].view(np.uint64).any())
+    rows = slice(0, None, 2) if real else slice(None)
+
+    # the light-cone window: columns [:w] can be nonzero (module docstring)
+    nonzero = np.flatnonzero(y0.any(axis=0))
+    last = int(nonzero[-1]) if nonzero.size else -1
+    state = {"next_out": 0.0, "w": min(J, last + 9)}
+
+    def grow(y: np.ndarray) -> None:
+        w = state["w"]
+        if w < J:
+            edge = np.flatnonzero(y[:, w - 8 : w].any(axis=0))
+            if edge.size:  # node w - 8 + e needs a window of w + e + 1
+                state["w"] = min(J, w + int(edge[-1]) + 1)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        a, _, _ = scale_eval(params, t)
+        w = state["w"]
+        a = scale_at(t)
         a_lap = c2 / (a * a * h * h)
         a_mass = c2 * mass_sq(t)
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
         res = np.empty_like(y)
-        res[: 2 * J] = y[2 * J :]
+        res[:, w:] = 0.0
+        res[:2, :w] = y[2:, :w]
         radial_accel(
-            y[0:J], y[J : 2 * J], res[2 * J : 3 * J], res[3 * J :],
-            cp, cm, a_lap, a_mass, a_nl, p, n, real=real,
+            y[0, :w], y[1, :w], res[2, :w], res[3, :w],
+            cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n, real=real,
         )
         return res
 
@@ -327,14 +373,9 @@ def evolve(
 
     def record(t: float, y: np.ndarray) -> None:
         if real:
-            snap = PdeField(field.r, y[0:J], y[2 * J : 3 * J], t, h, n)
+            snap = PdeField(field.r, y[0], y[2], t, h, n)
         else:
-            snap = PdeField(
-                field.r,
-                y[0:J] + 1j * y[J : 2 * J],
-                y[2 * J : 3 * J] + 1j * y[3 * J :],
-                t, h, n,
-            )
+            snap = PdeField(field.r, y[0] + 1j * y[1], y[2] + 1j * y[3], t, h, n)
         cone_r = comoving_radius(geom, t)
         times.append(t)
         Ws.append(observable_w(snap))
@@ -346,10 +387,10 @@ def evolve(
     out_dt = controls.output_interval
     if out_dt is None:
         out_dt = t_stop / 200.0 if t_stop > 0 else 1.0
-    state = {"next_out": 0.0}
 
     def on_step(t: float, y: np.ndarray, h_used: float) -> None:
-        mag = float(np.max(np.abs(y[: 2 * J])))
+        grow(y)
+        mag = float(np.max(np.abs(y[:2])))
         # switch to per-step (geometric near a pole) output in the blow-up regime
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
@@ -367,20 +408,16 @@ def evolve(
         t_stop,
         rel_tol=controls.rel_tol,
         abs_tol=1e-10 * scale0,
-        magnitude=lambda y: float(np.max(np.abs(y[: 2 * J]))),
+        magnitude=lambda y: float(np.max(np.abs(y[:2]))),
         blow_magnitude=1e8 * scale0,
         max_steps=5_000_000,
         on_step=on_step,
+        active=lambda y: (rows, slice(0, state["w"])),
     )
     if not times or res.t - times[-1] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
 
-    final = PdeField(
-        field.r,
-        res.y[0:J] + 1j * res.y[J : 2 * J],
-        res.y[2 * J : 3 * J] + 1j * res.y[3 * J :],
-        res.t, h, n,
-    )
+    final = PdeField(field.r, res.y[0] + 1j * res.y[1], res.y[2] + 1j * res.y[3], res.t, h, n)
     return PdeRun(
         times=np.array(times),
         W=np.array(Ws),

@@ -70,6 +70,14 @@ class TestComputeA:
         res = compute_A(make_inputs(0.0, 0.0, N=0.0))
         assert not res.ok and res.value == 0.0
 
+    @pytest.mark.parametrize("sigma", [-1.0 + 1e-12, -1.0 + 1e-6])
+    def test_underflow_to_zero_is_not_positive(self, sigma):
+        # q~ outgrows e^{cN(1-eps)t} only slowly near sigma = -1: the
+        # infimum over the long time grid underflows to 0.0
+        res = compute_A(make_inputs(1.0, sigma, m2=1.0, N=0.5))
+        assert res.value == 0.0
+        assert not res.ok and res.reason.startswith("A underflows to 0")
+
     def test_interior_minimum(self):
         # N large enough that the exponential wins, minimum away from 0:
         # objective e^{cN(1-eps)t}/(1+t): derivative zero at t = 1/g - 1
@@ -249,6 +257,31 @@ class TestCertify:
             inputs, cert = certified_inputs(case)
             for name in ("admissible_N", "q_monotone", "A_positive", "B_finite"):
                 assert cert.verdicts[name], (case, name, cert.reasons)
+
+    @pytest.mark.parametrize("sigma", [-1.0 + 1e-12, -1.0 + 1e-6])
+    def test_underflowing_A_fails_its_verdict(self, sigma):
+        cert = certify(make_inputs(1.0, sigma, m2=1.0, N=0.5))
+        assert cert.A == 0.0 and not cert.verdicts["A_positive"]
+        assert not cert.valid and not cert.inconclusive
+        assert "A_positive: A underflows to 0" in " ".join(cert.reasons)
+
+    @pytest.mark.parametrize("kw", [
+        dict(H=1.0, sigma=-1.0 + 1e-12, m2=1.0, N=0.5),  # A underflows
+        dict(H=0.0, sigma=0.0, N=0.0, w0=16.0, w1=64.0),  # A fails its gate
+        dict(H=0.0, sigma=0.0, N=2.0, w0=0.0, w1=64.0),  # lifespan needs w0 > 0
+        dict(H=0.0, sigma=0.0, N=2.0, w0=-1.0, w1=64.0),
+        dict(H=1.0, sigma=-2.0, N=1.0, w0=100.0, w1=100.0),  # excluded region
+        dict(H=-1.0, sigma=-0.9, n=2, N=1.0, r0=5.0, w0=10.0, w1=10.0),  # not monotone
+        dict(H=-1.0, sigma=1.0, N=0.5, w0=10.0, w1=10.0),  # B diverges (case v)
+        dict(H=0.0, sigma=0.0, N=2.0, w0=16.0, w1=1.0),  # w1 below its threshold
+        dict(H=1.0, sigma=-1.0, N=1.5, w0=1e-3, w1=1e-3),  # T* beyond T0 or thresholds
+    ])
+    def test_every_false_verdict_has_a_reason(self, kw):
+        cert = certify(make_inputs(**kw))
+        failed = [name for name, ok in cert.verdicts.items() if not ok]
+        assert failed and not cert.valid
+        for name in failed:
+            assert any(r.startswith(f"{name}: ") for r in cert.reasons), (name, cert.reasons)
 
     def test_not_monotone_reported(self):
         cert = certify(make_inputs(-1.0, -0.9, n=2, N=1.0, r0=5.0, w0=10.0, w1=10.0))

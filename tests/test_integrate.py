@@ -26,8 +26,11 @@ from kgblowup.integrate import (
 )
 from kgblowup.ode import OdeControls
 from kgblowup.pde import PdeControls
+from kgblowup.scenario import load_scenario
 
 from conftest import make_inputs
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # --------------------------------------------------------------------------
 # the oracle: the generator-sum stepper, unchanged
@@ -67,12 +70,13 @@ def _reference_initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
 def reference_dopri(
     rhs, t0, y0, t_end, rel_tol=1e-10, abs_tol=1e-12, *, magnitude=None,
     blow_magnitude=math.inf, blow_step_fraction=1e-14, min_step_fraction=1e-16,
-    max_steps=2_000_000, max_step=math.inf, on_step=None,
+    max_steps=2_000_000, max_step=math.inf, on_step=None, active=None,
 ):
     """The generator-sum Dormand-Prince stepper; ndarray states only.
 
     Its counters are kept apart from the stepping: every call of ``rhs`` is
     counted, and ``min_step`` is the least step handed to an acceptance.
+    ``active`` is accepted and ignored: every trial runs on the whole state.
     """
     calls = [0]
     accepted = []
@@ -392,6 +396,170 @@ def test_complex_pde_grid_matches_the_reference(monkeypatch):
     assert (new.rk.status, new.rk.n_steps, new.rk.blowup_time) == (
         old.rk.status, old.rk.n_steps, old.rk.blowup_time
     )
+
+
+def _pde_case(name):
+    """(field, inputs, t_end, controls) of one windowed-PDE case."""
+    if name == "cubic_ode_benchmark":  # the window reaches every node
+        scenario = load_scenario(SCENARIOS / "cubic_ode_benchmark.json")
+        inputs, run = scenario.inputs(), scenario.run
+        t_end, controls = run.t_end, PdeControls(grid_h=run.grid_h, rel_tol=run.pde_rel_tol)
+    elif name == "curved_n4":  # cm[1] < 0 at n = 4, mass term on
+        inputs, t_end = make_inputs(1.0, 1.0, m2=2.0, n=4, w0=1.0, w1=0.5), 0.1
+        controls = PdeControls(grid_h=4e-3)
+    else:
+        sign = -1.0 if name == "negative" else 1.0  # negative data: a -0.0 tail
+        inputs = make_inputs(0.0, 0.0, N=2.0, w0=16.0 * sign, w1=64.0 * sign)
+        t_end, controls = (0.525, PdeControls(grid_h=4e-3)) if name == "blowup" else (
+            0.2, PdeControls(grid_h=1e-2))
+    field = pde.make_field(inputs, t_end, controls)
+    if name == "complex":  # still compactly supported
+        field.u = field.u + 0.25j * np.roll(field.u.real, 5)
+        field.ut = field.ut - 0.5j * field.u.real
+    return field, inputs, t_end, controls
+
+
+@pytest.mark.parametrize("name", ["blowup", "curved_n4", "complex", "negative",
+                                  "cubic_ode_benchmark"])
+def test_windowed_pde_matches_the_reference(name, monkeypatch):
+    """pde.evolve with its light-cone window against evolve driven by the
+    whole-state reference stepper, byte for byte.  Under both steppers
+    every RHS call gets a state that is zero from node w - 2 on, which is
+    what makes the prefix kernel call equal the full one (see
+    test_kernels.py); or w is the whole grid."""
+    field, inputs, t_end, controls = _pde_case(name)
+    J = field.r.size
+    sizes = []
+    kernel = pde.radial_accel
+
+    def spy(u_re, *args, **kw):
+        sizes.append(u_re.size)
+        kernel(u_re, *args, **kw)
+
+    def checked(stepper):
+        def call(rhs, *args, **kw):
+            def rhs_checked(t, y):
+                out = rhs(t, y)
+                w = sizes[-1]
+                assert w == J or not y[:, w - 2:].any(), (t, w)
+                assert not out[:, w:].view(np.uint64).any()  # a +0.0 tail
+                return out
+
+            return stepper(rhs_checked, *args, **kw)
+
+        return call
+
+    monkeypatch.setattr(pde, "radial_accel", spy)
+    runs = []
+    for stepper in (dopri_integrate, reference_dopri):
+        monkeypatch.setattr(pde, "dopri_integrate", checked(stepper))
+        runs.append(pde.evolve(field.copy(), inputs, t_end, controls))
+    new, old = runs
+    for key in ("times", "W", "support_radius", "cone_radius", "energy", "outside_mass"):
+        assert getattr(new, key).tobytes() == getattr(old, key).tobytes(), key
+    for key in ("u", "ut"):
+        assert getattr(new.field_final, key).tobytes() == getattr(old.field_final, key).tobytes()
+    assert {**vars(new.rk), "y": new.rk.y.tobytes()} == {**vars(old.rk), "y": old.rk.y.tobytes()}
+    if name == "cubic_ode_benchmark":
+        assert sizes[-1] == J
+    else:
+        assert sizes[0] < J
+    if name == "complex":
+        assert new.field_final.u.imag.any()
+    if name == "negative":
+        assert np.signbit(field.u.real[-1]) and np.signbit(field.ut.real[-1])
+    if name == "blowup":
+        assert new.rk.status is TerminationReason.BLOWUP_THRESHOLD
+
+
+# --------------------------------------------------------------------------
+# the window: trials on active(y) alone, the same bytes as whole-state trials
+# --------------------------------------------------------------------------
+
+
+def _stencil_system(J, rows, c_lap, c_mass, c_nl):
+    """A compactly supported system on a (rows, J) state: u' = v + D2 u
+    and v' = c_lap D2 u - c_mass u + c_nl u |u| per pair of rows (u, v) =
+    (row i, row i + rows/2), D2 the centred second difference with zero
+    ends.  A node's slope reads only its neighbours, and both rows spread
+    by one node per call, so data with last nonzero node L has stage i of
+    a trial within L + i and every slope within L + 7: the bound is tight."""
+    half = rows // 2
+
+    def rhs(t, y):
+        out = np.empty_like(y)
+        u = y[:half]
+        lap = np.zeros_like(u)
+        lap[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1]) + u[:, :-2]
+        out[:half] = y[half:] + lap
+        out[half:] = (c_lap * lap - c_mass * u) + c_nl * (u * np.abs(u))
+        return out
+
+    return rhs
+
+
+def _window(J, rows, margin):
+    """Columns [:w] with w = last nonzero column + margin, never shrinking."""
+    w = [0]
+
+    def active(y):
+        nonzero = np.flatnonzero(y.any(axis=0))
+        last = int(nonzero[-1]) if nonzero.size else -1
+        w[0] = max(w[0], min(J, last + margin))
+        return rows, slice(0, w[0])
+
+    return active, w
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    J=st.integers(10, 60),
+    support=st.integers(0, 20),
+    four_rows=st.booleans(),
+    c_lap=st.sampled_from([1.0, 30.0, -0.5]),
+    c_mass=st.sampled_from([0.0, 2.0, -2.0]),
+    c_nl=st.sampled_from([0.0, 1.5, -1.5]),
+    negative=st.booleans(),
+    t_end=st.floats(0.05, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_windowed_trials_match_the_reference(
+    J, support, four_rows, c_lap, c_mass, c_nl, negative, t_end, seed
+):
+    """dopri_integrate with ``active`` against the whole-state reference on
+    a compactly supported stencil system.  Negative coefficients make
+    -0.0 slopes outside the support, and negative data a -0.0 tail in y0.
+    On four rows (u, u', and two rows that stay zero, like the PDE's
+    imaginary rows on its real path) the window skips the zero rows too."""
+    rng = np.random.default_rng(seed)
+    rows = 4 if four_rows else 2
+    y0 = np.zeros((rows, J))
+    L = min(support, J - 1)
+    y0[0, : L + 1] = rng.uniform(0.1, 1.0, L + 1)
+    y0[rows // 2, : L + 1] = rng.standard_normal(L + 1)
+    if negative:
+        y0 = -y0
+    rhs = _stencil_system(J, rows, c_lap, c_mass, c_nl)
+    active, w = _window(J, slice(0, None, 2) if four_rows else slice(None), 8)
+    kw = dict(rel_tol=1e-6, abs_tol=1e-9, max_steps=300)
+    with np.errstate(all="ignore"):
+        ref = _fingerprint(reference_dopri, rhs, y0, t_end, **kw)
+        win = _fingerprint(dopri_integrate, rhs, y0, t_end, active=active, **kw)
+    assert win == ref
+    assert w[0] >= min(J, L + 8)
+
+
+def test_window_that_reaches_the_whole_state():
+    """A window that grows to every column, then keeps stepping there."""
+    J = 24
+    y0 = np.zeros((2, J))
+    y0[0, :3] = [1.0, 0.5, 0.25]
+    rhs = _stencil_system(J, 2, 40.0, 1.0, 0.0)
+    active, w = _window(J, slice(None), 8)
+    ref = _fingerprint(reference_dopri, rhs, y0, 2.0, rel_tol=1e-6, abs_tol=1e-9)
+    win = _fingerprint(dopri_integrate, rhs, y0, 2.0, rel_tol=1e-6, abs_tol=1e-9, active=active)
+    assert w[0] == J and ref[0][4] > 20
+    assert win == ref
 
 
 # --------------------------------------------------------------------------

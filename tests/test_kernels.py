@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kgblowup
 from kgblowup._kernels import radial_accel
@@ -83,6 +85,44 @@ def test_real_flag_matches_full_path_on_zero_imaginary_part(n, a_mass, a_nl):
     assert real_re.tobytes() == full_re.tobytes()
     assert real_im.tobytes() == full_im.tobytes()
     assert not np.any(real_im) and not np.any(np.signbit(real_im))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    J=st.integers(3, 60),
+    support=st.integers(0, 60),
+    w_extra=st.integers(0, 60),
+    a_mass=st.sampled_from([A_MASS, -A_MASS, 0.0]),
+    a_nl=st.sampled_from([0.7, -0.7, 0.0]),
+    p=st.sampled_from([P, 2.0, 3.0, 5.0]),
+    real=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prefix_with_zero_tail_matches_the_full_call(
+    n, J, support, w_extra, a_mass, a_nl, p, real, seed
+):
+    """The light-cone window's kernel call: on a field that is +0.0 from
+    node w - 2 on, the call on the prefix [:w] with +0.0 written to the
+    tail gives the full-length call's bytes, signed zeros included (cm[1]
+    < 0 at n >= 4, a negative a_mass or a_nl each make -0.0 terms)."""
+    w = min(J, 2 + support + w_extra)  # at least 2 nodes in the prefix
+    L = min(support, w - 3)  # last node that may be nonzero; -1: none
+    rng = np.random.default_rng(seed)
+    u_re, u_im = np.zeros(J), np.zeros(J)
+    u_re[: L + 1] = rng.standard_normal(L + 1)
+    if not real:
+        u_im[: L + 1] = rng.standard_normal(L + 1)
+    u_re[rng.random(J) < 0.2] = 0.0  # zeros inside the support too
+    cp, cm = weights(J, n)
+    full_re, full_im = np.full(J, np.nan), np.full(J, np.nan)
+    radial_accel(u_re, u_im, full_re, full_im, cp, cm, A_LAP, a_mass, a_nl, p, n, real=real)
+    pre_re, pre_im = np.full(J, np.nan), np.full(J, np.nan)
+    pre_re[w:] = pre_im[w:] = 0.0
+    radial_accel(u_re[:w], u_im[:w], pre_re[:w], pre_im[:w], cp[:w], cm[:w],
+                 A_LAP, a_mass, a_nl, p, n, real=real)
+    assert pre_re.tobytes() == full_re.tobytes()
+    assert pre_im.tobytes() == full_im.tobytes()
 
 
 def test_zero_field_zero_acceleration():

@@ -11,10 +11,11 @@ the spatial integral of the solution diverges in finite time:
   * the data thresholds on w0 and w1,
   * the lifespan bound T* <= T0.
 
-Positivity of A and finiteness of B are decided analytically first by
-comparing exponential orders (q~ grows like e^{|H|t} in the exponential
-family and polynomially otherwise), so the numeric optimizer never chases
-a divergent objective.  The optimizer works on log-objectives over a
+Positivity of A and finiteness of B are decided analytically first: each
+log-objective is compared, as t -> T0, against the leading order of log q~
+from ``cone.q_order`` and the limit of N^2 + M^2 from
+``classify_mass_behavior``, so the numeric optimizer never chases a
+divergent objective.  The optimizer works on log-objectives over a
 compactified grid plus golden-section refinement.
 
 Each objective takes one time or an array of times.  The grid is evaluated
@@ -35,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cone import ConeGeometry, Monotonicity, _a0_H, classify_q, log_q_tilde_eval
+from .cone import ConeGeometry, Monotonicity, _a0_H, classify_q, log_q_tilde_eval, q_order
 from .cosmology import (
     HORIZON_SHAVE,
     CosmologyParams,
@@ -184,8 +185,6 @@ def check_N(inputs: TheoremInputs) -> Tuple[bool, str]:
     behavior = classify_mass_behavior(inputs.params)
     if behavior.tag is MassTag.DIVERGES_MINUS:
         return False, "excluded region: curved mass unbounded below"
-    if inputs.N < 0:
-        return False, "N is negative"
     if inputs.N**2 + behavior.inf_m2 < 0.0:
         return False, (
             f"N^2 + inf M^2 = {inputs.N ** 2 + behavior.inf_m2} < 0"
@@ -196,26 +195,6 @@ def check_N(inputs: TheoremInputs) -> Tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # A and B: analytic gate + log-space optimization
 # ---------------------------------------------------------------------------
-
-
-def _q_growth(inputs: TheoremInputs, verdict: Monotonicity) -> Tuple[float, bool]:
-    """(exponential rate of q~, polynomially-unbounded flag).
-
-    Rate |H| in the exponential family (sigma == -1, H != 0) when q~ tracks
-    q; otherwise rate 0.  The flag says whether a rate-0 q~ still diverges:
-    always on an infinite horizon outside the exponential family, and on a
-    finite horizon exactly in the excluded region (Big-Rip/Big-Crunch make
-    a r^2 blow up there); the non-excluded monotone finite-horizon cases
-    keep q bounded.
-    """
-    params = inputs.params
-    if verdict is Monotonicity.NON_INCREASING:
-        return 0.0, False
-    if params.sigma == -1.0 and params.H != 0.0:
-        return abs(params.H), False
-    if math.isinf(params.T0):
-        return 0.0, True
-    return 0.0, params.excluded_region
 
 
 def _time_grid(t_end: float, nodes: int) -> np.ndarray:
@@ -280,28 +259,30 @@ def _optimize_log(f: Callable, t_end: float, nodes: int) -> Tuple[float, float]:
 def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     """A = inf over (0, T0) of e^{cN(1-eps)t} / q~^{n/2}(t)."""
     params = inputs.params
-    verdict = classify_q(inputs.geom).monotonicity
+    verdict = classify_q(inputs.geom)
     if verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone; A is undefined")
 
+    # log of the objective: growth t - n/2 (rho s + 2 [log_s] log s) + O(1)
     growth = params.c * inputs.N * (1.0 - inputs.epsilon)
-    exp_rate_q, poly_unbounded = _q_growth(inputs, verdict)
-    rate = growth - params.n / 2.0 * exp_rate_q
-    if rate < 0.0:
-        return ExtremumResult(
-            0.0,
-            False,
-            None,
-            f"decay rate {rate}: exponential growth of q~ outruns e^(cN(1-eps)t)",
-        )
-    if poly_unbounded and (growth == 0.0 or math.isfinite(params.T0)):
-        # q~ diverges while the exponential cannot compensate (either it is
-        # constant, or the horizon is finite so it stays bounded)
+    n_half = params.n / 2.0
+    order = q_order(inputs.geom, verdict)
+    if order.clock == 0:  # t = s
+        rate = growth - n_half * order.rho
+        if rate < 0.0:
+            return ExtremumResult(
+                0.0,
+                False,
+                None,
+                f"decay rate {rate}: exponential growth of q~ outruns e^(cN(1-eps)t)",
+            )
+    # e^(cN(1-eps)t) compensates an unbounded q~ unless it is constant or t
+    # stays below a finite horizon; at clock 0 q~ is never bounded
+    if not order.bounded and (growth == 0.0 or order.clock < 0):
         return ExtremumResult(
             0.0, False, None, "q~ diverges with no exponential compensation"
         )
 
-    n_half = params.n / 2.0
     geom = inputs.geom
 
     def f_log(t):
@@ -320,7 +301,7 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     ok, reason = check_N(inputs)
     if not ok:
         raise PreconditionError(f"B needs admissible N: {reason}")
-    verdict = classify_q(inputs.geom).monotonicity
+    verdict = classify_q(inputs.geom)
     if verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone; B is undefined")
 
@@ -333,36 +314,36 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
             "curved mass diverges to +infinity at the finite horizon",
         )
 
+    # log of the objective: n/2 (rho s + 2 [log_s] log s) + log(N^2 + M^2)/(p-1)
+    # - decay t + O(1)
     decay = params.c * inputs.N
-    exp_rate_q, poly_unbounded = _q_growth(inputs, verdict)
-    rate = params.n / 2.0 * exp_rate_q - decay
-    if rate > 0.0:
-        return ExtremumResult(
-            math.inf,
-            False,
-            None,
-            f"growth rate {rate}: q~^(n/2) outruns e^(cNt)",
-        )
-    if rate == 0.0 and exp_rate_q == 0.0 and poly_unbounded:
-        # N == 0 with polynomially unbounded q~: finite only if the mass
-        # factor decays fast enough (possible only when the limit of
-        # N^2 + M^2 vanishes).
-        limit_mass = inputs.N**2 + behavior.limit
-        if limit_mass > 0.0:
+    n_half = params.n / 2.0
+    order = q_order(inputs.geom, verdict)
+    if order.clock == 0:  # t = s
+        rate = n_half * order.rho - decay
+        if rate > 0.0:
+            return ExtremumResult(
+                math.inf,
+                False,
+                None,
+                f"growth rate {rate}: q~^(n/2) outruns e^(cNt)",
+            )
+    if not order.bounded and (decay == 0.0 or order.clock < 0):
+        # e^(-cNt) cannot cancel q~, so B is finite only if N^2 + M^2
+        # vanishes in the limit, where it decays like t^-2 unless constant
+        if inputs.N**2 + behavior.limit > 0.0:
             return ExtremumResult(
                 math.inf, False, None, "q~ unbounded and N^2 + M^2 has a positive limit"
             )
-        if params.sigma == 0.0 or params.H == 0.0:
+        if behavior.tag is MassTag.CONSTANT_M2:
             # M^2 constant and equal to -N^2: the objective vanishes
             return ExtremumResult(0.0, True, None, "N^2 + M^2 vanishes identically")
-        deg_q, logs = _poly_degree_q(params)
-        deg = params.n / 2.0 * deg_q - 2.0 / (inputs.p - 1.0)
-        if deg > 0.0 or (deg == 0.0 and logs):
+        deg = n_half * order.degree - 2.0 / (inputs.p - 1.0)
+        if deg > 0.0 or (deg == 0.0 and order.log_s):
             return ExtremumResult(
                 math.inf, False, None, "polynomial degree comparison diverges"
             )
 
-    n_half = params.n / 2.0
     geom = inputs.geom
     inv_pm1 = 1.0 / (inputs.p - 1.0)
     n2 = inputs.N**2
@@ -383,17 +364,6 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     if math.isinf(neg_min):
         return ExtremumResult(0.0, True, None, "objective vanishes identically")
     return ExtremumResult(math.exp(-neg_min), True, t_max, "finite supremum")
-
-
-def _poly_degree_q(params: CosmologyParams) -> Tuple[float, bool]:
-    """Polynomial degree in t of q(t) as t -> infinity (sigma != -1, H != 0),
-    plus a flag for logarithmic correction factors."""
-    beta = 2.0 / (params.n * (1.0 + params.sigma))
-    if beta < 1.0:
-        return 2.0 - beta, False
-    if beta == 1.0:
-        return 1.0, True
-    return beta, False
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +566,7 @@ def certify(
     if not n_ok:
         reasons.append(f"admissible_N: {n_reason}")
 
-    q_class = classify_q(inputs.geom)
-    monotone = q_class.monotonicity is not Monotonicity.NOT_MONOTONE
+    monotone = classify_q(inputs.geom) is not Monotonicity.NOT_MONOTONE
     verdicts["q_monotone"] = monotone
     if not monotone:
         reasons.append("q_monotone: parameters fall outside the monotonicity rows")

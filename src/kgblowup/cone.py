@@ -11,8 +11,8 @@ sigma: with e = n(1+sigma)/2 and s(t) = t L(e H t) (so log(a/a0) = H s),
 
 continuous through H = 0, sigma = -1 and the coasting point e = 1.  The
 quantity q(t) = a(t) r(t)^2 / a0 controls the Jensen-type comparison of
-the spatial integral, and its monotonicity is decided by the sign of H
-together with the auxiliary function d = r + (2c / a0 H) (a/a0)^(e - 1).
+the spatial integral; classify_q decides its monotonicity, and q_order the
+leading order of its monotone envelope q~ as t -> T0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -32,17 +32,18 @@ from .cosmology import (
     _expm1_ratio,
     log_scale_time,
 )
-from .errors import DomainError, PreconditionError
+from .errors import DomainError
 
 __all__ = [
     "Monotonicity",
-    "QClassification",
+    "QOrder",
     "ConeGeometry",
     "comoving_radius",
     "q_function",
     "log_q_eval",
     "classify_q",
     "log_q_tilde_eval",
+    "q_order",
 ]
 
 _EXP_SAFE = 600.0  # switch to log-asymptotic forms beyond this exponent
@@ -52,21 +53,6 @@ class Monotonicity(enum.Enum):
     NON_DECREASING = "NonDecreasing"
     NON_INCREASING = "NonIncreasing"
     NOT_MONOTONE = "NotMonotone"
-
-
-@dataclass(frozen=True)
-class QClassification:
-    """Verdict plus the diagnostics used to reach it.
-
-    ``d0`` is d(0) = r0 + 2c/(a0 H) for H != 0 (None when H == 0);
-    ``qdot0`` is the initial slope (2 c r0 / a0 when H == 0);
-    ``r0_threshold`` is -2c/(a0 H), the support-radius gate for H < 0.
-    """
-
-    monotonicity: Monotonicity
-    d0: Optional[float]
-    qdot0: float
-    r0_threshold: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -165,7 +151,7 @@ def log_q_eval(geom: ConeGeometry, t):
     return geom.params.H * s + 2.0 * _log_radius(geom.r0, s, w, k)
 
 
-def classify_q(geom: ConeGeometry) -> QClassification:
+def classify_q(geom: ConeGeometry) -> Monotonicity:
     """Monotonicity of q by the sufficient sign conditions.
 
     NonDecreasing for H >= 0, or for H < 0 with sigma <= -1 + 1/n and
@@ -176,39 +162,52 @@ def classify_q(geom: ConeGeometry) -> QClassification:
     params = geom.params
     n, c, a0, H, sigma = params.n, params.c, params.a0, params.H, params.sigma
     if H == 0.0:
-        qdot0 = 2.0 * c * geom.r0 / a0
-        return QClassification(Monotonicity.NON_DECREASING, None, qdot0, None)
-    a0H = _a0_H(a0, H)
-    d0 = geom.r0 + 2.0 * c / a0H
-    qdot0 = H * geom.r0 * d0
-    threshold = -2.0 * c / a0H if H < 0.0 else None
+        return Monotonicity.NON_DECREASING
+    threshold = -2.0 * c / _a0_H(a0, H)
     if H > 0.0:
-        return QClassification(Monotonicity.NON_DECREASING, d0, qdot0, threshold)
+        return Monotonicity.NON_DECREASING
     sigma_gate = -1.0 + 1.0 / n
     if sigma <= sigma_gate and geom.r0 <= threshold:
-        return QClassification(Monotonicity.NON_DECREASING, d0, qdot0, threshold)
+        return Monotonicity.NON_DECREASING
     if sigma >= sigma_gate and geom.r0 >= threshold:
-        return QClassification(Monotonicity.NON_INCREASING, d0, qdot0, threshold)
-    return QClassification(Monotonicity.NOT_MONOTONE, d0, qdot0, threshold)
+        return Monotonicity.NON_INCREASING
+    return Monotonicity.NOT_MONOTONE
 
 
-def _monotone_verdict(geom: ConeGeometry) -> Monotonicity:
-    verdict = classify_q(geom).monotonicity
-    if verdict is Monotonicity.NOT_MONOTONE:
-        raise PreconditionError(
-            "q is not certified monotone for these parameters; "
-            "the monotonized envelope is undefined"
-        )
-    return verdict
-
-
-def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Optional[Monotonicity] = None):
+def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Monotonicity):
     """log q~ at a time or at every time of an array; ``verdict`` is q's
-    certified monotonicity if the caller has it."""
-    if verdict is None:
-        verdict = _monotone_verdict(geom)
+    certified monotonicity."""
     if verdict is Monotonicity.NON_INCREASING:
         _check_time(t, geom.params.T0)
         log_q0 = 2.0 * math.log(geom.r0)
         return np.full(t.shape, log_q0) if isinstance(t, np.ndarray) else log_q0
     return log_q_eval(geom, t)
+
+
+@dataclass(frozen=True)
+class QOrder:
+    """Leading order of log q~ as t -> T0; see q_order."""
+
+    clock: int  # sign(e) sign(H): t grows like e^{eH s} (+1), t = s (0), t < T0 (-1)
+    rho: float  # coefficient of s
+    log_s: bool  # a 2 log s term, [k = 0]
+    bounded: bool  # q~ = r0^2, or rho = 0 with no log term (e = 1/2, H < 0) and finite T0
+    degree: float  # q~ ~ t^degree (log t)^(2 log_s) when clock = +1; inf elsewhere
+
+
+def q_order(geom: ConeGeometry, verdict: Monotonicity) -> QOrder:
+    """log q~ = rho s + 2 [k = 0] log s + O(1) as t -> T0, where s = t L(e H t)
+    -> inf, k = (e - 1) H, rho = H + 2 max(0, k), and q~ = r0^2 if the
+    certified ``verdict`` is non-increasing.  Every zero and sign comes from
+    the exact factors e and H, never from a product that can underflow."""
+    e, H, T0 = geom.params.e, geom.params.H, geom.params.T0
+    clock = ((e > 0.0) - (e < 0.0)) * ((H > 0.0) - (H < 0.0))
+    if verdict is Monotonicity.NON_INCREASING:
+        return QOrder(clock, 0.0, False, True, math.inf)
+    log_s = e == 1.0 or H == 0.0
+    k_positive = (e < 1.0) == (H < 0.0) and not log_s  # k = (e - 1) H > 0
+    rho = (2.0 * e - 1.0) * H if k_positive else H  # H + 2k, exactly |H| at e = 0
+    degree = math.inf  # rho / (e H), written as 1/e and 2 - 1/e
+    if clock > 0:
+        degree = 1.0 if log_s else 2.0 - 1.0 / e if k_positive else 1.0 / e
+    return QOrder(clock, rho, log_s, H < 0.0 and e == 0.5 and math.isfinite(T0), degree)

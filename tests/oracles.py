@@ -86,7 +86,7 @@ def mass_sign_change_time(params: CosmologyParams):
 def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
     """Monotonized q by its definition: the constant q0 when q is
     non-increasing, else q(t)."""
-    verdict = classify_q(geom).monotonicity
+    verdict = classify_q(geom)
     if verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone")
     if verdict is Monotonicity.NON_INCREASING:

@@ -130,7 +130,7 @@ def test_criterion_03_monotonicity_rows():
         for n, H, sigma, r0 in _row_parameter_sets():
             params = CosmologyParams(n=n, c=1.0, a0=1.0, H=H, sigma=sigma, m_squared=0.0)
             geom = ConeGeometry(params, r0)
-            verdict = classify_q(geom).monotonicity
+            verdict = classify_q(geom)
             assert verdict is not Monotonicity.NOT_MONOTONE, (n, H, sigma, r0)
             T0 = params.T0
             hi = 5.0 if math.isinf(T0) else 0.95 * T0

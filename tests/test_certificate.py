@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from kgblowup import (
     unit_ball_volume,
 )
 from kgblowup.certificate import rpow
+from kgblowup.scenario import load_scenario
 
 from conftest import CASE_SEEDS, certified_inputs, make_inputs
 
@@ -78,6 +80,28 @@ class TestComputeA:
         assert res.value == 0.0
         assert not res.ok and res.reason.startswith("A underflows to 0")
 
+    @pytest.mark.parametrize("H, sigma, n, N", [
+        (1e-300, -1.0 - 1e-12, 4, 2.0),  # e H = -2e-312: -1/(e H) overflows
+        (1e-320, -1.0 - 1e-12, 4, 2.0),  # e H rounds to 0
+        (-1e-310, -0.5, 2, 0.0),  # e = 1/2: q~ tends to ~1e620 at T0 = 2e310
+    ])
+    def test_overflowed_finite_horizon_is_not_positive(self, H, sigma, n, N):
+        # sign(e) sign(H) = -1, so the horizon is finite, but its float
+        # T0 is inf and the time grid cannot reach it: q~ diverges there,
+        # or (e = 1/2) tends to a bound so large that the true A is 0
+        inputs = make_inputs(H, sigma, n=n, N=N)
+        assert math.isinf(inputs.params.T0)
+        res = compute_A(inputs)
+        assert not res.ok and res.value == 0.0
+        assert res.reason == "q~ diverges with no exponential compensation"
+
+    @pytest.mark.parametrize("H", [5e-324, -5e-324])
+    def test_exponential_q_with_an_underflowing_rate_is_not_positive(self, H):
+        # sigma = -1: q~ grows like e^(|H| t) with nothing to compensate it
+        # at N = 0, though n/2 |H| rounds to 0 at n = 1
+        res = compute_A(make_inputs(H, -1.0, n=1, N=0.0, r0=0.5))
+        assert not res.ok and res.value == 0.0
+
     def test_interior_minimum(self):
         # N large enough that the exponential wins, minimum away from 0:
         # objective e^{cN(1-eps)t}/(1+t): derivative zero at t = 1/g - 1
@@ -111,6 +135,11 @@ class TestComputeB:
         slow = compute_B(make_inputs(-1.0, -1.0, N=0.4, m2=1.0))
         assert fast.ok
         assert not slow.ok and math.isinf(slow.value)
+
+    def test_exponential_q_with_an_underflowing_rate_diverges(self):
+        # n/2 |H| rounds to 0, but q~ still grows like e^(|H| t) at N = 0
+        res = compute_B(make_inputs(5e-324, -1.0, n=1, N=0.0, m2=1.0))
+        assert not res.ok and math.isinf(res.value)
 
     def test_finite_horizon_mass_divergence(self):
         # contracting with sigma > 0: curved mass blows up at T0 while q~ is
@@ -287,3 +316,87 @@ class TestCertify:
         cert = certify(make_inputs(-1.0, -0.9, n=2, N=1.0, r0=5.0, w0=10.0, w1=10.0))
         assert not cert.valid
         assert not cert.verdicts["q_monotone"]
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+NO_LIFESPAN = "lifespan_within_horizon: not computed, it needs A > 0 and w0 > 0"
+NO_THRESHOLDS = [
+    "w0_above_threshold: no threshold without a finite B",
+    "w1_above_threshold: no threshold without a finite B",
+]
+A_DIVERGES = "A_positive: q~ diverges with no exponential compensation"
+
+# (scenario file or make_inputs keywords, failed verdicts, reasons): the
+# four shipped scenarios, then one input for each reason of the A and B gates
+PINNED = {
+    "minkowski_blowup": ("minkowski_blowup", [], []),
+    "cubic_ode_benchmark": (
+        "cubic_ode_benchmark",
+        ["A_positive", "lifespan_within_horizon"],
+        [A_DIVERGES, NO_LIFESPAN],
+    ),
+    "excluded_region": (
+        "excluded_region",
+        ["admissible_N", "A_positive", "B_finite", "w0_above_threshold",
+         "w1_above_threshold", "lifespan_within_horizon"],
+        ["admissible_N: excluded region: curved mass unbounded below", A_DIVERGES,
+         "B_finite: not computed, N is not admissible", *NO_THRESHOLDS, NO_LIFESPAN],
+    ),
+    "desitter_expanding": ("desitter_expanding", [], []),
+    "A_decay_rate": (
+        dict(H=1.0, sigma=-1.0, N=1.0, n=2),
+        ["A_positive", "lifespan_within_horizon"],
+        ["A_positive: decay rate -0.5: exponential growth of q~ outruns e^(cN(1-eps)t)",
+         NO_LIFESPAN],
+    ),
+    "A_q_diverges": (
+        dict(H=0.0, sigma=0.0, N=0.0),
+        ["A_positive", "lifespan_within_horizon"],
+        [A_DIVERGES, NO_LIFESPAN],
+    ),
+    "B_mass_diverges": (
+        dict(H=-1.0, sigma=1.0, N=50.0, r0=3.0),
+        ["B_finite", "w0_above_threshold", "w1_above_threshold", "lifespan_within_horizon"],
+        ["B_finite: curved mass diverges to +infinity at the finite horizon", *NO_THRESHOLDS,
+         "lifespan_within_horizon: T*=23.999999999399996 exceeds T0=1.0 (inconclusive)"],
+    ),
+    "B_growth_rate": (
+        dict(H=-1.0, sigma=-1.0, N=0.4, m2=1.0),
+        ["A_positive", "B_finite", "w0_above_threshold", "w1_above_threshold",
+         "lifespan_within_horizon"],
+        ["A_positive: decay rate -0.3: exponential growth of q~ outruns e^(cN(1-eps)t)",
+         "B_finite: growth rate 0.09999999999999998: q~^(n/2) outruns e^(cNt)",
+         *NO_THRESHOLDS, NO_LIFESPAN],
+    ),
+    "B_positive_limit": (
+        dict(H=0.0, sigma=0.0, N=0.0, m2=1.0),
+        ["A_positive", "B_finite", "w0_above_threshold", "w1_above_threshold",
+         "lifespan_within_horizon"],
+        [A_DIVERGES, "B_finite: q~ unbounded and N^2 + M^2 has a positive limit",
+         *NO_THRESHOLDS, NO_LIFESPAN],
+    ),
+    "B_vanishes": (
+        dict(H=0.0, sigma=0.0, N=0.0, m2=0.0),
+        ["A_positive", "lifespan_within_horizon"],
+        [A_DIVERGES, NO_LIFESPAN],
+    ),
+    "B_degree": (
+        dict(H=1.0, sigma=1.0, n=3, N=0.0, m2=0.0),
+        ["A_positive", "B_finite", "w0_above_threshold", "w1_above_threshold",
+         "lifespan_within_horizon"],
+        [A_DIVERGES, "B_finite: polynomial degree comparison diverges", *NO_THRESHOLDS,
+         NO_LIFESPAN],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_pinned_verdicts_and_reasons(name):
+    source, failed, reasons = PINNED[name]
+    if isinstance(source, str):
+        inputs = load_scenario(SCENARIOS / f"{source}.json").inputs()
+    else:
+        inputs = make_inputs(**source)
+    cert = certify(inputs)
+    assert [k for k, ok in cert.verdicts.items() if not ok] == failed
+    assert cert.reasons == reasons

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgblowup import ConeGeometry, CosmologyParams, compute_A, compute_B
+from kgblowup import ConeGeometry, CosmologyParams, Monotonicity, compute_A, compute_B
 from kgblowup import certificate
 from kgblowup.certificate import _golden_minimize, _time_grid
-from kgblowup.cone import log_q_tilde_eval
+from kgblowup.cone import classify_q, log_q_tilde_eval
 from kgblowup.cosmology import curved_mass_sq
 from kgblowup.errors import DomainError, PreconditionError
 
@@ -139,9 +139,10 @@ NODES = st.sampled_from([2, 5, 64, 257, certificate.GRID_NODES])
 @given(geom=backgrounds(), nodes=NODES)
 def test_log_q_tilde_array_matches_scalar(geom, nodes):
     grid = _time_grid(geom.params.T0, nodes)
+    verdict = classify_q(geom)
     _assert_same(
-        _scalar(lambda t: log_q_tilde_eval(geom, t), grid),
-        _array(lambda t: log_q_tilde_eval(geom, t), grid),
+        _scalar(lambda t: log_q_tilde_eval(geom, t, verdict), grid),
+        _array(lambda t: log_q_tilde_eval(geom, t, verdict), grid),
     )
 
 
@@ -166,20 +167,20 @@ def test_rejected_grids_raise_like_the_scalar_path(geom, beyond, where):
     else:
         bad = -beyond
     grid[-1 if where == "last" else 4] = bad
+    verdict = classify_q(geom)
     for fn in (
-        lambda t: log_q_tilde_eval(geom, t),
+        lambda t: log_q_tilde_eval(geom, t, verdict),
         lambda t: curved_mass_sq(geom.params, t),
     ):
         scalar, array = _scalar(fn, grid), _array(fn, grid)
         _assert_same(scalar, array)
-        assert array[1] in (DomainError, PreconditionError)
+        assert array[1] is DomainError
 
 
 def test_not_monotone_q_raises_precondition():
     # H < 0, sigma above the n = 1 gate 0, r0 below -2c/(a0 H) = 2
-    geom = ConeGeometry(CosmologyParams(1, 1.0, 1.0, -1.0, 0.5, 0.0), 1.0)
-    grid = _time_grid(geom.params.T0, 16)
-    with pytest.raises(PreconditionError):
-        log_q_tilde_eval(geom, float(grid[1]))
-    with pytest.raises(PreconditionError):
-        log_q_tilde_eval(geom, grid)
+    inputs = make_inputs(-1.0, 0.5, n=1, r0=1.0)
+    assert classify_q(inputs.geom) is Monotonicity.NOT_MONOTONE
+    for extremum in (compute_A, compute_B):
+        with pytest.raises(PreconditionError):
+            extremum(inputs, nodes=16)

@@ -10,8 +10,11 @@ from kgblowup import (
     DomainError,
     Monotonicity,
     PreconditionError,
+    TheoremInputs,
     classify_q,
     comoving_radius,
+    compute_A,
+    compute_B,
 )
 from kgblowup.cone import log_q_eval, log_q_tilde_eval
 
@@ -129,40 +132,19 @@ class TestQ:
 
 class TestClassification:
     def test_expanding_always_nondecreasing(self):
-        assert (
-            classify_q(geom(H=1.0, sigma=-5.0, r0=0.1)).monotonicity
-            is Monotonicity.NON_DECREASING
-        )
+        assert classify_q(geom(H=1.0, sigma=-5.0, r0=0.1)) is Monotonicity.NON_DECREASING
 
     def test_contracting_nonincreasing(self):
-        cls = classify_q(geom(n=2, H=-1.0, sigma=0.0, r0=3.0))
-        assert cls.monotonicity is Monotonicity.NON_INCREASING
-        assert cls.r0_threshold == pytest.approx(2.0)
+        # r0 = 3 above the gate -2c/(a0 H) = 2; r0 = 1 below it
+        assert classify_q(geom(n=2, H=-1.0, sigma=0.0, r0=3.0)) is Monotonicity.NON_INCREASING
+        assert classify_q(geom(n=2, H=-1.0, sigma=0.0, r0=1.0)) is Monotonicity.NOT_MONOTONE
 
     def test_between_rows_is_not_monotone(self):
-        cls = classify_q(geom(n=2, H=-1.0, sigma=-0.9, r0=5.0))
-        assert cls.monotonicity is Monotonicity.NOT_MONOTONE
+        assert classify_q(geom(n=2, H=-1.0, sigma=-0.9, r0=5.0)) is Monotonicity.NOT_MONOTONE
 
     def test_boundary_prefers_nondecreasing(self):
         # both rows apply only at sigma = -1 + 1/n with r0 at the threshold
-        cls = classify_q(geom(n=2, H=-1.0, sigma=-0.5, r0=2.0))
-        assert cls.monotonicity is Monotonicity.NON_DECREASING
-
-    def test_d0_identity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            H = rng.uniform(-2, 2)
-            if H == 0:
-                continue
-            g = geom(H=H, sigma=rng.uniform(-2, 2), r0=rng.uniform(0.2, 3.0))
-            cls = classify_q(g)
-            assert cls.d0 == pytest.approx(
-                g.r0 + 2 * g.params.c / (g.params.a0 * H), rel=1e-12
-            )
-
-    def test_flat_slope_reported(self):
-        cls = classify_q(geom(r0=1.5))
-        assert cls.qdot0 == pytest.approx(3.0)
+        assert classify_q(geom(n=2, H=-1.0, sigma=-0.5, r0=2.0)) is Monotonicity.NON_DECREASING
 
     def test_classified_sign_matches_numeric_qdot(self):
         rng = np.random.default_rng(14)
@@ -177,7 +159,7 @@ class TestClassification:
                 # q overflows the float range near the Big-Rip horizon; every
                 # consumer rejects this region before evaluating q
                 continue
-            verdict = classify_q(g).monotonicity
+            verdict = classify_q(g)
             if verdict is Monotonicity.NOT_MONOTONE:
                 continue
             checked += 1
@@ -195,20 +177,27 @@ class TestClassification:
 class TestQTilde:
     def test_nonincreasing_returns_q0(self):
         g = geom(n=2, H=-1.0, sigma=0.0, r0=2.0)  # horizon at t = 1
-        assert classify_q(g).monotonicity is Monotonicity.NON_INCREASING
+        verdict = classify_q(g)
+        assert verdict is Monotonicity.NON_INCREASING
         for t in (0.0, 0.5, 0.95):
-            assert log_q_tilde_eval(g, t) == 2.0 * math.log(2.0)
+            assert log_q_tilde_eval(g, t, verdict) == 2.0 * math.log(2.0)
         with pytest.raises(DomainError):
-            log_q_tilde_eval(g, 1.0)
+            log_q_tilde_eval(g, 1.0, verdict)
 
     def test_nondecreasing_tracks_q(self):
-        assert log_q_tilde_eval(geom(), 1.0) == pytest.approx(math.log(4.0))
-        assert log_q_tilde_eval(geom(), 1.0) == log_q_eval(geom(), 1.0)
+        verdict = Monotonicity.NON_DECREASING
+        assert log_q_tilde_eval(geom(), 1.0, verdict) == pytest.approx(math.log(4.0))
+        assert log_q_tilde_eval(geom(), 1.0, verdict) == log_q_eval(geom(), 1.0)
 
     def test_not_monotone_rejected(self):
-        g = geom(n=2, H=-1.0, sigma=-0.9, r0=5.0)
-        with pytest.raises(PreconditionError):
-            log_q_tilde_eval(g, 0.3)
+        # q~ is undefined, so neither extremum is computed
+        inputs = TheoremInputs(
+            geom(n=2, H=-1.0, sigma=-0.9, r0=5.0),
+            N=1.0, epsilon=0.5, theta=0.5, lam=1.0, p=3.0, w0=1.0, w1=1.0,
+        )
+        for extremum in (compute_A, compute_B):
+            with pytest.raises(PreconditionError):
+                extremum(inputs)
 
     def test_dominated_by_envelope(self):
         rng = np.random.default_rng(15)
@@ -221,12 +210,13 @@ class TestQTilde:
             )
             if g.params.excluded_region:
                 continue
-            if classify_q(g).monotonicity is Monotonicity.NOT_MONOTONE:
+            verdict = classify_q(g)
+            if verdict is Monotonicity.NOT_MONOTONE:
                 continue
             T0 = g.params.T0
             hi = 5.0 if math.isinf(T0) else 0.95 * T0
             for t in np.linspace(0.0, hi, 40):
-                log_qt = log_q_tilde_eval(g, t)
+                log_qt = log_q_tilde_eval(g, t, verdict)
                 direct = math.log(q_tilde_eval(g, t))
                 assert log_qt == pytest.approx(direct, rel=1e-12, abs=1e-12)
                 assert log_qt <= math.log(max(g.q0, q_eval(g, t))) + 1e-12

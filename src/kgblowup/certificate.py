@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -179,16 +180,37 @@ class BlowupCertificate:
 # ---------------------------------------------------------------------------
 
 
+# the classification rows whose infimum of M^2 is M^2(0) = m^2 + sigma (nH/2c)^2
+_INF_AT_START = (MassTag.INCREASING_BOUNDED, MassTag.DE_SITTER_CONSTANT, MassTag.DIVERGES_PLUS)
+
+
+def _start_sum_nonnegative(total: float, inputs: TheoremInputs) -> bool:
+    """total >= 0, for total = N^2 + M^2(0) = N^2 + m^2 + sigma (nH/2c)^2
+    summed in floats.
+
+    A nonzero sum is a plain compare.  A zero sum can hide a negative
+    value: sigma (nH/2c)^2 underflows to -0.0 at tiny H.  Its sign then
+    comes from the exact rational value of the float inputs.
+    """
+    if total != 0.0:
+        return total > 0.0
+    params = inputs.params
+    N, H, c = Fraction(inputs.N), Fraction(params.H), Fraction(params.c)
+    shift = Fraction(params.sigma) * (params.n * H / (2 * c)) ** 2
+    return N * N + Fraction(params.m_squared) + shift >= 0
+
+
 def check_N(inputs: TheoremInputs) -> Tuple[bool, str]:
     """N >= 0 and N^2 + inf M^2 >= 0, with the infimum taken from the
     exact classification bounds."""
     behavior = classify_mass_behavior(inputs.params)
     if behavior.tag is MassTag.DIVERGES_MINUS:
         return False, "excluded region: curved mass unbounded below"
-    if inputs.N**2 + behavior.inf_m2 < 0.0:
-        return False, (
-            f"N^2 + inf M^2 = {inputs.N ** 2 + behavior.inf_m2} < 0"
-        )
+    total = inputs.N**2 + behavior.inf_m2
+    if total < 0.0:
+        return False, f"N^2 + inf M^2 = {total} < 0"
+    if behavior.tag in _INF_AT_START and not _start_sum_nonnegative(total, inputs):
+        return False, "N^2 + inf M^2 < 0 exactly, though it rounds to 0.0"
     return True, "admissible"
 
 
@@ -448,6 +470,7 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
         return CorollaryCaseResult(None, False, "corollary path requires N > 0", {})
 
     shift = params.mass_shift  # sigma (nH/2c)^2, so -(nH/2c)^2 at sigma = -1
+    start_ok = _start_sum_nonnegative(N**2 + m2 + shift, inputs)  # N^2 + M^2(0) >= 0
     contracting_gate = -2.0 * c / _a0_H(a0, H) if H < 0.0 else None
 
     if H == 0.0:
@@ -456,17 +479,17 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
         case, clauses = "ii", {"N^2+m^2>=0": N**2 + m2 >= 0.0}
     elif H > 0.0 and -1.0 < sigma < 0.0:
         case = "iii"
-        clauses = {"N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0}
+        clauses = {"N^2+m^2+sigma(nH/2c)^2>=0": start_ok}
     elif H > 0.0 and sigma == -1.0:
         case = "iv"
         clauses = {
-            "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
+            "N^2+m^2-(nH/2c)^2>=0": start_ok,
             "N>nH/(2c(1-eps))": N > n * H / (2.0 * c * (1.0 - eps)),
         }
     elif H < 0.0 and sigma > 0.0:
         case = "v"
         clauses = {
-            "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
+            "N^2+m^2+sigma(nH/2c)^2>=0": start_ok,
             "r0>=-2c/(a0H)": r0 >= contracting_gate,
         }
     elif H < 0.0 and sigma == 0.0:
@@ -477,14 +500,14 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
     elif H < 0.0 and sigma == -1.0:
         case = "vii"
         clauses = {
-            "N^2+m^2-(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
+            "N^2+m^2-(nH/2c)^2>=0": start_ok,
             "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
             "N>n|H|/(2c(1-eps))": N > n * abs(H) / (2.0 * c * (1.0 - eps)),
         }
     else:  # H < 0 and sigma < -1
         case = "viii"
         clauses = {
-            "N^2+m^2+sigma(nH/2c)^2>=0": N**2 + m2 + shift >= 0.0,
+            "N^2+m^2+sigma(nH/2c)^2>=0": start_ok,
             "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
         }
 

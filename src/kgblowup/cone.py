@@ -20,12 +20,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .cosmology import (
-    HORIZON_MARGIN,
     CosmologyParams,
     _check_time,
     _array_ratio,
@@ -39,7 +37,6 @@ __all__ = [
     "QOrder",
     "ConeGeometry",
     "comoving_radius",
-    "q_function",
     "log_q_eval",
     "classify_q",
     "log_q_tilde_eval",
@@ -111,37 +108,6 @@ def comoving_radius(geom: ConeGeometry, t):
     _check_time(t, geom.params.T0)
     s, w, k = _radius_terms(geom.params, t)
     return geom.r0 + w * _expm1_ratio(k, s)
-
-
-def q_function(geom: ConeGeometry) -> Callable[[float], float]:
-    """q(t) = a(t) r(t)^2 / a0 at one time, its constants bound once;
-    q(0) = r0^2 exactly.
-
-    s, r and a are those of _radius_terms and scale_eval written out on
-    floats: the same operations in the same order, so the same bits.  A
-    time in range costs one compare; any other goes through _check_time,
-    which raises.
-    """
-    params = geom.params
-    eH, k, c, a0, H = params.eH, params.radius_rate, params.c, params.a0, params.H
-    r0, q0, end = geom.r0, geom.q0, params.T0
-    hi = end * (1.0 - HORIZON_MARGIN)
-    log1p, expm1, exp = math.log1p, math.expm1, math.exp
-
-    def q(t: float) -> float:
-        if not 0.0 <= t < hi:
-            _check_time(t, end)
-        if t == 0.0:
-            return q0
-        x = eH * t
-        s = t * (log1p(x) / x) if x != 0.0 else t
-        w = c * s / a0
-        z = k * s
-        r = r0 + w * (expm1(z) / z) if z != 0.0 else r0 + w
-        a = a0 * exp(H * s)
-        return a * r * r / a0
-
-    return q
 
 
 def log_q_eval(geom: ConeGeometry, t):

@@ -11,9 +11,11 @@ A trial step (six stage states, the 5th-order solution, the error vector
 and its RMS norm) has two arithmetics, picked by the type of ``y0``:
 
 * a tuple runs on Python floats, and ``rhs`` gets and returns tuples.  A
-  2-element state costs more in NumPy call overhead than in arithmetic.
-  The trial is written out one tableau row per line, with the coefficients
-  bound as locals: each stage is one comprehension over the components.
+  2-element state costs more in NumPy call overhead than in arithmetic,
+  and a loop or comprehension per stage costs more than its sums.  So the
+  trial is straight-line code generated from ``_A``, ``_C`` and ``_ERR``
+  for the state's size, one name per stage and component and the
+  coefficients as literals, compiled once per size and cached.
 * an ndarray runs on NumPy, and the stage sums write into buffers that are
   allocated once per integration.
 
@@ -21,8 +23,9 @@ Both add the stage terms in one order, ``((0 + a0 k0) + a1 k1) + ...``
 with the zero coefficients included, then multiply by ``h`` and add ``y``;
 the leading 0 turns a ``-0.0`` first term into ``+0.0``.  The norm is
 ``sqrt(mean(q^2))`` with the mean summed in index order, as NumPy sums
-fewer than 8 terms.  So for states of up to 7
-components the two arithmetics give the same bytes.
+fewer than 8 terms.  So for states of up to 7 components the two
+arithmetics give the same bytes, up to the sign of a NaN, which IEEE 754
+leaves open (and ``dopri_integrate`` reads any non-finite norm as inf).
 
 An ndarray state may come with a window: ``active(y)`` returns a basic
 index (slices only) into the state, and the trial computes its stage sums,
@@ -46,9 +49,10 @@ same bits.  The default index, ``...``, is the whole state.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -128,58 +132,57 @@ def _whole(y: np.ndarray):
     return ...
 
 
-def _float_trial(rhs, rel_tol: float, abs_tol: float):
-    """Trial step on tuples of Python floats, one tableau row per line."""
-    _, c1, c2, c3, c4, c5, c6 = _C
-    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
-    a50, a51, a52, a53, a54 = _A[5]
-    a60, a61, a62, a63, a64, a65 = _A[6]
-    e0, e1, e2, e3, e4, e5, e6 = _ERR
+def _trial_source(size: int) -> str:
+    """Source of the tuple trial factory for states of ``size`` components.
 
-    def trial(t: float, h: float, y: tuple, k0: Sequence[float]):
-        k1 = rhs(t + c1 * h, tuple([
-            yc + h * (0.0 + a10 * p0) for yc, p0 in zip(y, k0)
-        ]))
-        k2 = rhs(t + c2 * h, tuple([
-            yc + h * ((0.0 + a20 * p0) + a21 * p1) for yc, p0, p1 in zip(y, k0, k1)
-        ]))
-        k3 = rhs(t + c3 * h, tuple([
-            yc + h * (((0.0 + a30 * p0) + a31 * p1) + a32 * p2)
-            for yc, p0, p1, p2 in zip(y, k0, k1, k2)
-        ]))
-        k4 = rhs(t + c4 * h, tuple([
-            yc + h * ((((0.0 + a40 * p0) + a41 * p1) + a42 * p2) + a43 * p3)
-            for yc, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)
-        ]))
-        k5 = rhs(t + c5 * h, tuple([
-            yc + h * (((((0.0 + a50 * p0) + a51 * p1) + a52 * p2) + a53 * p3) + a54 * p4)
-            for yc, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)
-        ]))
-        y_new = tuple([
-            yc + h * ((((((0.0 + a60 * p0) + a61 * p1) + a62 * p2) + a63 * p3)
-                       + a64 * p4) + a65 * p5)
-            for yc, p0, p1, p2, p3, p4, p5 in zip(y, k0, k1, k2, k3, k4, k5)
-        ])
-        k6 = rhs(t + c6 * h, y_new)
-        errs = [
-            h * (((((((0.0 + e0 * p0) + e1 * p1) + e2 * p2) + e3 * p3) + e4 * p4)
-                  + e5 * p5) + e6 * p6)
-            for p0, p1, p2, p3, p4, p5, p6 in zip(k0, k1, k2, k3, k4, k5, k6)
+    Each tableau row becomes one sum per component, ``((0.0 + a0 * k0_j) +
+    a1 * k1_j) + ...`` with the zero weights kept, and each coefficient a
+    ``repr`` literal, which reads back as the same float.
+    """
+    comps = range(size)
+
+    def row(names):  # a tuple display, or the left side of an unpacking
+        return "(" + ", ".join(names) + ",)"
+
+    def weighted(weights, j):
+        expr = "0.0"
+        for i, w in enumerate(weights):
+            expr = f"({expr} + {w!r} * k{i}_{j})"
+        return expr
+
+    body = [f"{row(f'y_{j}' for j in comps)} = y", f"{row(f'k0_{j}' for j in comps)} = k0"]
+    for i in range(1, 7):  # stage 6 is the new solution
+        body += [
+            f"state = {row(f'y_{j} + h * {weighted(_A[i], j)}' for j in comps)}",
+            f"k = rhs(t + {_C[i]!r} * h, state)",
+            f"{row(f'k{i}_{j}' for j in comps)} = k",
         ]
-        # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
-        # with a NaN or inf error term, so err is inf either way
-        scales = [abs_tol + rel_tol * max(abs(yc), abs(nc)) for yc, nc in zip(y, y_new)]
-        try:
-            sq = 0.0
-            for e, sc in zip(errs, scales):
-                q = e / sc
-                sq += q * q
-            err = math.sqrt(sq / len(errs))
-        except ZeroDivisionError:  # IEEE inf/NaN, as NumPy gives
-            err = _rms(np.array(errs), np.array(scales))
-        return y_new, k6, err
+    body.append(f"{row(f'n_{j}' for j in comps)} = state")
+    body += [f"e_{j} = h * {weighted(_ERR, j)}" for j in comps]
+    # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
+    # with a NaN or inf error term, so err is inf either way
+    body += [f"s_{j} = abs_tol + rel_tol * max(abs(y_{j}), abs(n_{j}))" for j in comps]
+    body += ["try:", "    sq = 0.0"]
+    for j in comps:
+        body += [f"    q = e_{j} / s_{j}", "    sq += q * q"]
+    body += [
+        f"    err = sqrt(sq / {size})",
+        "except ZeroDivisionError:  # IEEE inf/NaN, as NumPy gives",
+        f"    err = _rms(np.array({row(f'e_{j}' for j in comps)}), "
+        f"np.array({row(f's_{j}' for j in comps)}))",
+        "return state, k, err",
+    ]
+    head = ["def factory(rhs, rel_tol, abs_tol):", "    def trial(t, h, y, k0):"]
+    return "\n".join(head + ["        " + line for line in body] + ["    return trial\n"])
 
-    return trial
+
+@functools.cache
+def _float_trial(size: int):
+    """The trial factory for tuple states of ``size`` components, compiled
+    once per size; ``_float_trial(size)(rhs, rel_tol, abs_tol)`` is a trial."""
+    namespace = {"np": np, "sqrt": math.sqrt, "_rms": _rms}
+    exec(compile(_trial_source(size), f"<dopri trial, {size} components>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_whole):
@@ -269,7 +272,7 @@ def dopri_integrate(
             lambda s, v: np.array(rhs(s, tuple(v.tolist())), dtype=float),
             t, np.array(y), np.array(k0, dtype=float), rel_tol, abs_tol, t_end - t0,
         )
-        trial = _float_trial(rhs, rel_tol, abs_tol)
+        trial = _float_trial(len(y))(rhs, rel_tol, abs_tol)
     else:
         y = np.array(y0, dtype=float, copy=True)
         k0 = rhs(t, y)

@@ -20,8 +20,7 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
-from .cone import q_function
-from .cosmology import curved_mass_sq, mass_sq_function, t_cap
+from .cosmology import HORIZON_MARGIN, _check_time, curved_mass_sq, mass_sq_function, t_cap
 from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -62,15 +61,35 @@ class OdeTrajectory:
 
 
 def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
-    """b(t) = lambda / (Q q(t))^(n(p-1)/2) built from the cone geometry,
-    its constants bound once."""
-    Q = cone_ball_factor(inputs.params)
-    expo = inputs.params.n * (inputs.p - 1.0) / 2.0
-    lam = inputs.lam
-    q = q_function(inputs.geom)
+    """b(t) = lambda / (Q q(t))^(n(p-1)/2), its constants bound once.
+
+    q = a r^2 / a0 (q(0) = r0^2 exactly) is ``cone._radius_terms`` and
+    ``scale_eval`` written out on floats, and the power ``rpow`` without its
+    domain check (Q q >= 0): the same operations in the same order, so the
+    same bits.  A time out of range goes through _check_time, which raises.
+    """
+    params = inputs.params
+    Q = cone_ball_factor(params)
+    expo = params.n * (inputs.p - 1.0) / 2.0
+    lam, r0, q0 = inputs.lam, inputs.geom.r0, inputs.geom.q0
+    eH, k, c, a0, H, end = params.eH, params.radius_rate, params.c, params.a0, params.H, params.T0
+    hi = end * (1.0 - HORIZON_MARGIN)
+    log1p, expm1, exp, log = math.log1p, math.expm1, math.exp, math.log
 
     def b(t: float) -> float:
-        return lam / rpow(Q * q(t), expo)
+        if not 0.0 <= t < hi:
+            _check_time(t, end)
+        if t == 0.0:
+            q = q0
+        else:
+            x = eH * t
+            s = t * (log1p(x) / x) if x != 0.0 else t
+            w = c * s / a0
+            z = k * s
+            r = r0 + w * (expm1(z) / z) if z != 0.0 else r0 + w
+            q = a0 * exp(H * s) * r * r / a0
+        x = Q * q
+        return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
 
     return b
 
@@ -99,10 +118,11 @@ def integrate(
 
     c2 = params.c * params.c
     p = inputs.p
+    exp, log = math.exp, math.log
 
     def rhs(t: float, y: Tuple[float, float]) -> Tuple[float, float]:
-        w, v = y
-        return v, c2 * (forcing(t) * rpow(abs(w), p) - mass(t) * w)
+        w, v = y  # |w|^p is rpow(abs(w), p) written out
+        return v, c2 * (forcing(t) * (exp(p * log(abs(w))) if w != 0.0 else 0.0) - mass(t) * w)
 
     ts: List[float] = [0.0]
     ws: List[float] = [inputs.w0]

@@ -20,6 +20,7 @@ from kgblowup import (
 from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow
 from kgblowup.cone import _expm1_ratio, _radius_terms
 from kgblowup.cosmology import _check_time
+from kgblowup.integrate import _A, _C, _ERR, _rms
 from kgblowup.ode import OdeTrajectory
 from kgblowup.pde import InitialData, PdeField, _volume_weights
 
@@ -35,6 +36,63 @@ def q_eval(geom: ConeGeometry, t: float) -> float:
     r = geom.r0 + w * _expm1_ratio(k, s)
     a = params.a0 * math.exp(params.H * s)
     return a * r * r / params.a0
+
+
+def comprehension_float_trial(rhs, rel_tol: float, abs_tol: float):
+    """The tuple trial step as one comprehension per tableau row: each
+    stage sums ``((0.0 + a0 k0) + a1 k1) + ...`` over zipped components,
+    the zero weights included.  ``integrate._float_trial`` generates the
+    same arithmetic written out per component."""
+    _, c1, c2, c3, c4, c5, c6 = _C
+    (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43) = _A[1:5]
+    a50, a51, a52, a53, a54 = _A[5]
+    a60, a61, a62, a63, a64, a65 = _A[6]
+    e0, e1, e2, e3, e4, e5, e6 = _ERR
+
+    def trial(t: float, h: float, y: tuple, k0: tuple):
+        k1 = rhs(t + c1 * h, tuple([
+            yc + h * (0.0 + a10 * p0) for yc, p0 in zip(y, k0)
+        ]))
+        k2 = rhs(t + c2 * h, tuple([
+            yc + h * ((0.0 + a20 * p0) + a21 * p1) for yc, p0, p1 in zip(y, k0, k1)
+        ]))
+        k3 = rhs(t + c3 * h, tuple([
+            yc + h * (((0.0 + a30 * p0) + a31 * p1) + a32 * p2)
+            for yc, p0, p1, p2 in zip(y, k0, k1, k2)
+        ]))
+        k4 = rhs(t + c4 * h, tuple([
+            yc + h * ((((0.0 + a40 * p0) + a41 * p1) + a42 * p2) + a43 * p3)
+            for yc, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)
+        ]))
+        k5 = rhs(t + c5 * h, tuple([
+            yc + h * (((((0.0 + a50 * p0) + a51 * p1) + a52 * p2) + a53 * p3) + a54 * p4)
+            for yc, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)
+        ]))
+        y_new = tuple([
+            yc + h * ((((((0.0 + a60 * p0) + a61 * p1) + a62 * p2) + a63 * p3)
+                       + a64 * p4) + a65 * p5)
+            for yc, p0, p1, p2, p3, p4, p5 in zip(y, k0, k1, k2, k3, k4, k5)
+        ])
+        k6 = rhs(t + c6 * h, y_new)
+        errs = [
+            h * (((((((0.0 + e0 * p0) + e1 * p1) + e2 * p2) + e3 * p3) + e4 * p4)
+                  + e5 * p5) + e6 * p6)
+            for p0, p1, p2, p3, p4, p5, p6 in zip(k0, k1, k2, k3, k4, k5, k6)
+        ]
+        # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
+        # with a NaN or inf error term, so err is inf either way
+        scales = [abs_tol + rel_tol * max(abs(yc), abs(nc)) for yc, nc in zip(y, y_new)]
+        try:
+            sq = 0.0
+            for e, sc in zip(errs, scales):
+                q = e / sc
+                sq += q * q
+            err = math.sqrt(sq / len(errs))
+        except ZeroDivisionError:  # IEEE inf/NaN, as NumPy gives
+            err = _rms(np.array(errs), np.array(scales))
+        return y_new, k6, err
+
+    return trial
 
 
 def forcing_per_call(inputs: TheoremInputs, t: float) -> float:

@@ -16,6 +16,7 @@ from kgblowup import (
     unit_ball_volume,
 )
 from kgblowup.certificate import rpow
+from kgblowup.errors import PreconditionError
 from kgblowup.scenario import load_scenario
 
 from conftest import CASE_SEEDS, certified_inputs, make_inputs
@@ -48,6 +49,24 @@ class TestCheckN:
     def test_excluded_region(self):
         ok, reason = check_N(make_inputs(1.0, -2.0, N=5.0))
         assert not ok and "excluded" in reason
+
+    @pytest.mark.parametrize("n, sigma", [(3, -1.0 / 3.0 + 1e-12), (1, -1.0)])
+    def test_underflowing_shift_is_still_negative(self, n, sigma):
+        # sigma (nH/2c)^2 rounds to -0.0 at H = 1e-300, so N^2 + inf M^2 is
+        # 0.0 in floats while its exact value is negative
+        inputs = make_inputs(1e-300, sigma, m2=0.0, N=0.0, n=n, p=1.5)
+        ok, reason = check_N(inputs)
+        assert not ok and "exactly" in reason
+        with pytest.raises(PreconditionError, match="admissible N"):
+            compute_B(inputs)
+        cert = certify(inputs)
+        assert not cert.verdicts["admissible_N"] and not cert.valid
+
+    def test_underflowing_terms_keep_their_exact_sign(self):
+        # N^2 = 1e-400 and the shift both round to 0; exactly, N^2 is larger
+        assert check_N(make_inputs(1e-300, -1.0, N=1e-200))[0]
+        # N^2 + m^2 = 0 exactly, so the underflowed shift decides
+        assert not check_N(make_inputs(-1e-300, -1.0, m2=-1.0, N=1.0, n=2))[0]
 
 
 class TestComputeA:
@@ -205,6 +224,15 @@ class TestCorollaryCases:
         res = corollary_case_check(make_inputs(-1.0, -1.0, m2=1.0, N=2.0))
         assert res.case == "vii"
         assert all(res.clauses.values())
+
+    @pytest.mark.parametrize("H, sigma, case", [
+        (1e-300, -1.0 / 3.0 + 1e-12, "iii"), (1e-300, -1.0, "iv"), (-1e-300, -1.0, "vii"),
+    ])
+    def test_underflowing_shift_fails_the_mass_clause(self, H, sigma, case):
+        # N^2 + m^2 = 0 and sigma (nH/2c)^2 rounds to -0.0
+        res = corollary_case_check(make_inputs(H, sigma, m2=-1.0, N=1.0, n=3))
+        assert res.case is None and f"candidate case ({case}) fails" in res.reason
+        assert [k for k, v in res.clauses.items() if not v][0].startswith("N^2+m^2")
 
     def test_requires_positive_N(self):
         res = corollary_case_check(make_inputs(0.0, 0.0, m2=1.0, N=0.0))

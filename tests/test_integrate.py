@@ -279,7 +279,9 @@ def test_signed_zero_stages_agree(size, signs):
 
     y = (-0.0,) * size
     f_seen, a_seen = [], []
-    f_out = _float_trial(make_rhs(tuple, f_seen), 1e-8, 1e-9)(0.0, 0.5, y, tuple(zeros[:size]))
+    f_out = _float_trial(size)(make_rhs(tuple, f_seen), 1e-8, 1e-9)(
+        0.0, 0.5, y, tuple(zeros[:size])
+    )
     a_out = _array_trial(make_rhs(np.array, a_seen), np.array(y), 1e-8, 1e-9)(
         0.0, 0.5, np.array(y), np.array(zeros[:size])
     )
@@ -291,7 +293,7 @@ def test_zero_scale_gives_nan_not_an_exception():
     """With abs_tol = 0 a component that stays 0 divides 0 by 0; the float
     arithmetic then falls back to NumPy's IEEE result."""
     zero = lambda t, y: (0.0, 0.0)  # noqa: E731
-    f_err = _float_trial(zero, 1e-8, 0.0)(0.0, 0.1, (0.0, 1.0), (0.0, 0.0))[2]
+    f_err = _float_trial(2)(zero, 1e-8, 0.0)(0.0, 0.1, (0.0, 1.0), (0.0, 0.0))[2]
     y = np.array([0.0, 1.0])
     a_err = _array_trial(lambda t, v: np.zeros(2), y, 1e-8, 0.0)(0.0, 0.1, y, np.zeros(2))[2]
     assert math.isnan(f_err) and _bytes(f_err) == _bytes(a_err)

@@ -184,9 +184,16 @@ class BlowupCertificate:
 _INF_AT_START = (MassTag.INCREASING_BOUNDED, MassTag.DE_SITTER_CONSTANT, MassTag.DIVERGES_PLUS)
 
 
+def _exact_start_sum(inputs: TheoremInputs) -> Fraction:
+    """N^2 + M^2(0) = N^2 + m^2 + sigma (nH/2c)^2, exact in the float inputs."""
+    params = inputs.params
+    N, H, c = Fraction(inputs.N), Fraction(params.H), Fraction(params.c)
+    shift = Fraction(params.sigma) * (params.n * H / (2 * c)) ** 2
+    return N * N + Fraction(params.m_squared) + shift
+
+
 def _start_sum_nonnegative(total: float, inputs: TheoremInputs) -> bool:
-    """total >= 0, for total = N^2 + M^2(0) = N^2 + m^2 + sigma (nH/2c)^2
-    summed in floats.
+    """total >= 0, for total = N^2 + M^2(0) summed in floats.
 
     A nonzero sum is a plain compare.  A zero sum can hide a negative
     value: sigma (nH/2c)^2 underflows to -0.0 at tiny H.  Its sign then
@@ -194,10 +201,7 @@ def _start_sum_nonnegative(total: float, inputs: TheoremInputs) -> bool:
     """
     if total != 0.0:
         return total > 0.0
-    params = inputs.params
-    N, H, c = Fraction(inputs.N), Fraction(params.H), Fraction(params.c)
-    shift = Fraction(params.sigma) * (params.n * H / (2 * c)) ** 2
-    return N * N + Fraction(params.m_squared) + shift >= 0
+    return _exact_start_sum(inputs) >= 0
 
 
 def check_N(inputs: TheoremInputs) -> Tuple[bool, str]:
@@ -357,7 +361,7 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
             return ExtremumResult(
                 math.inf, False, None, "q~ unbounded and N^2 + M^2 has a positive limit"
             )
-        if behavior.tag is MassTag.CONSTANT_M2:
+        if behavior.tag is MassTag.CONSTANT_M2 and _exact_start_sum(inputs) == 0:
             # M^2 constant and equal to -N^2: the objective vanishes
             return ExtremumResult(0.0, True, None, "N^2 + M^2 vanishes identically")
         deg = n_half * order.degree - 2.0 / (inputs.p - 1.0)
@@ -383,8 +387,11 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
         return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * log_mass - decay * t)
 
     t_max, neg_min = _optimize_log(neg_log, params.T0, nodes)
-    if math.isinf(neg_min):
-        return ExtremumResult(0.0, True, None, "objective vanishes identically")
+    if math.isinf(neg_min):  # exactly 0 only if M^2 = -N^2 is constant
+        constant = behavior.tag in (MassTag.CONSTANT_M2, MassTag.DE_SITTER_CONSTANT)
+        if constant and _exact_start_sum(inputs) == 0:
+            return ExtremumResult(0.0, True, None, "objective vanishes identically")
+        return ExtremumResult(math.inf, False, None, "objective underflows to 0 but is not 0")
     return ExtremumResult(math.exp(-neg_min), True, t_max, "finite supremum")
 
 

@@ -16,8 +16,14 @@ and its RMS norm) has two arithmetics, picked by the type of ``y0``:
   trial is straight-line code generated from ``_A``, ``_C`` and ``_ERR``
   for the state's size, one name per stage and component and the
   coefficients as literals, compiled once per size and cached.
-* an ndarray runs on NumPy, and the stage sums write into buffers that are
-  allocated once per integration.
+* an ndarray runs on NumPy, and ``rhs(t, y, out)`` writes the slope into
+  ``out`` and returns it.  Stage sums and slopes live in buffers made once
+  per integration, so a step allocates only the new solution.  Of the
+  seven slope buffers each ``rhs`` call gets one that is not the current
+  ``k0``; first-same-as-last hands the last stage's buffer on as the next
+  ``k0``.  ``out`` holds what ``rhs`` last wrote there (+0.0 at first), so
+  an ``rhs`` that writes only inside a never-shrinking window leaves +0.0
+  outside it.
 
 Both add the stage terms in one order, ``((0 + a0 k0) + a1 k1) + ...``
 with the zero coefficients included, then multiply by ``h`` and add ``y``;
@@ -29,7 +35,8 @@ leaves open (and ``dopri_integrate`` reads any non-finite norm as inf).
 
 An ndarray state may come with a window: ``active(y)`` returns a basic
 index (slices only) into the state, and the trial computes its stage sums,
-new solution and error terms on ``buf[index]`` alone.  The contract:
+new solution and error terms on ``buf[index]`` alone, and reads only
+``out[index]`` of each slope.  The contract:
 
 * outside the index, ``y`` and every slope the full computation of the
   trial would make are zeros of either sign;
@@ -38,10 +45,10 @@ new solution and error terms on ``buf[index]`` alone.  The contract:
 
 Each stage sum starts from +0.0, so outside the index the full
 computation's stage states, new solution and error terms are all +0.0
-(``-0.0 + h (+0.0)`` is +0.0 too).  Every buffer is zero-filled once and
-written only at the index, so it holds those same +0.0 there, and ``rhs``
-sees the states it would see on the full computation.  The norm still
-takes ``np.mean`` over the whole buffer, whose tail is +0.0 where
+(``-0.0 + h (+0.0)`` is +0.0 too).  Every stage buffer is zero-filled once
+and written only at the index, so it holds those same +0.0 there, and
+``rhs`` sees the states it would see on the full computation.  The norm
+still takes ``np.mean`` over the whole buffer, whose tail is +0.0 where
 ``0 / abs_tol`` was: the same terms in the same pairwise order, so the
 same bits.  The default index, ``...``, is the whole state.
 """
@@ -120,7 +127,7 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
 def _rms(q: np.ndarray, scale: np.ndarray, index=...) -> float:
     """sqrt(mean((q / scale)^2)), overwriting ``q[index]``; ``scale`` has
     the shape of ``q[index]``, and the mean runs over all of ``q``."""
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v = q[index]
         np.divide(v, scale, out=v)
         np.multiply(v, v, out=v)
@@ -159,8 +166,8 @@ def _trial_source(size: int) -> str:
         ]
     body.append(f"{row(f'n_{j}' for j in comps)} = state")
     body += [f"e_{j} = h * {weighted(_ERR, j)}" for j in comps]
-    # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
-    # with a NaN or inf error term, so err is inf either way
+    # max(a, b) drops a NaN b, as the array trial's np.fmax does; a NaN a
+    # (in y) makes b (in y_new) NaN too, and both then keep it
     body += [f"s_{j} = abs_tol + rel_tol * max(abs(y_{j}), abs(n_{j}))" for j in comps]
     body += ["try:", "    sq = 0.0"]
     for j in comps:
@@ -186,7 +193,8 @@ def _float_trial(size: int):
 
 
 def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_whole):
-    """Trial step on float ndarrays, with the stage sums in reused buffers.
+    """Trial step on float ndarrays, with stage sums and slopes in reused
+    buffers; returns ``(trial, slopes)``, ``slopes`` the seven slope buffers.
 
     Stages 1-5 each get their own buffer, so an ``rhs`` that returns (a
     view of) its argument stays correct; stage 6, the new solution, is a
@@ -197,6 +205,7 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_who
     acc = np.zeros_like(y)
     term = np.zeros_like(y)
     stages = [np.zeros_like(y) for _ in range(5)]
+    slopes = [np.zeros_like(y) for _ in range(7)]
 
     def combine(weights, k, out, tmp):
         np.multiply(weights[0], k[0], out=out)
@@ -209,22 +218,23 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_who
     def trial(t: float, h: float, y: np.ndarray, k0: np.ndarray):
         ix = active(y)
         y_ix, acc_ix, term_ix = y[ix], acc[ix], term[ix]
+        outs = [k for k in slopes if k is not k0]
         k = [k0[ix]]
         for i in range(1, 7):
             s = np.multiply(h, combine(_A[i], k, acc_ix, term_ix), out=acc_ix)
             stage = stages[i - 1] if i < 6 else np.zeros_like(y)
             np.add(y_ix, s, out=stage[ix])
-            k_last = rhs(t + _C[i] * h, stage)
+            k_last = rhs(t + _C[i] * h, stage, outs[i - 1])
             k.append(k_last[ix])
         err_ix = np.multiply(h, combine(_ERR, k, acc_ix, term_ix), out=acc_ix)
-        scale = np.maximum(
+        scale = np.fmax(
             np.abs(y_ix, out=term_ix), np.abs(stage[ix], out=stages[0][ix]), out=term_ix
         )
         np.multiply(rel_tol, scale, out=scale)
         np.add(abs_tol, scale, out=scale)
         return stage, k_last, _rms(acc, scale, ix)
 
-    return trial
+    return trial, slopes
 
 
 def _result(status, t, y, blowup_time, n_steps, n_rejected, min_step, h) -> RkResult:
@@ -237,7 +247,7 @@ def _result(status, t, y, blowup_time, n_steps, n_rejected, min_step, h) -> RkRe
 
 
 def dopri_integrate(
-    rhs: Callable[[float, State], State],
+    rhs: Callable[..., State],
     t0: float,
     y0: State,
     t_end: float,
@@ -256,7 +266,8 @@ def dopri_integrate(
     """Integrate y' = rhs(t, y) from t0 to t_end.
 
     ``y0`` is a tuple of floats (``rhs``, ``on_step`` and ``magnitude`` then
-    see tuples) or an array.  ``on_step(t, y, h)`` is invoked after every
+    see tuples) or an array (``rhs(t, y, out)`` then fills ``out``), with at
+    least one component.  ``on_step(t, y, h)`` is invoked after every
     accepted step.  Blow-up is declared when ``magnitude(y) >
     blow_magnitude`` and the step size has fallen below
     ``blow_step_fraction * max(1, t)``.  ``RkResult.y`` is an array either way.
@@ -264,6 +275,8 @@ def dopri_integrate(
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
     """
+    if np.size(y0) == 0:
+        raise ValueError("dopri_integrate needs a state with at least one component")
     t = float(t0)
     if isinstance(y0, tuple):
         y = tuple(float(v) for v in y0)
@@ -275,9 +288,10 @@ def dopri_integrate(
         trial = _float_trial(len(y))(rhs, rel_tol, abs_tol)
     else:
         y = np.array(y0, dtype=float, copy=True)
-        k0 = rhs(t, y)
-        h = _initial_step(rhs, t, y, k0, rel_tol, abs_tol, t_end - t0)
-        trial = _array_trial(rhs, y, rel_tol, abs_tol, active)
+        trial, slopes = _array_trial(rhs, y, rel_tol, abs_tol, active)
+        k0 = rhs(t, y, slopes[0])  # the initial-step probe writes slopes[1]
+        probe = lambda s, v: rhs(s, v, slopes[1])  # noqa: E731
+        h = _initial_step(probe, t, y, k0, rel_tol, abs_tol, t_end - t0)
     h = min(h, max_step)
     n_steps = n_rejected = 0
     min_step = math.inf

@@ -21,10 +21,11 @@ and every output byte are the same; only the cost changes.
 Light-cone window.  The stencil couples only neighbouring nodes, so the
 field spreads by at most one node per RHS evaluation, and compactly
 supported data leaves the nodes ahead of it at exactly +0.0.  ``evolve``
-keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The kernel
-runs on that prefix and the RHS writes +0.0 to the tail; the stepper's
-``active`` index is columns ``[:w]`` of rows 0 and 2 on the real path and
-of all four rows otherwise (see ``integrate`` for the stepper's side).
+keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The RHS and
+the kernel write that prefix of the stepper's ``out`` in place, whose tail
+keeps its +0.0; the stepper's ``active`` index (and the magnitude test) is
+columns ``[:w]`` of rows 0 and 2 on the real path and of all four rows
+otherwise (see ``integrate`` for the stepper's side).
 
 * Margin.  A trial that starts with last nonzero node L has stage i within
   L + i, the new solution within L + 6 and its slope within L + 7.  The
@@ -45,14 +46,14 @@ of all four rows otherwise (see ``integrate`` for the stepper's side).
   the full computation as long as the kernel's coefficients are finite.
 
 The observables (W, support radius, energy, outside mass) still run over
-all J nodes once per record.
+all J nodes once per record, with weights built once per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -168,9 +169,17 @@ def _volume_weights(field: PdeField) -> np.ndarray:
     return field.n * unit_ball_volume(field.n) * w * np.abs(field.r) ** (field.n - 1)
 
 
-def observable_w(field: PdeField) -> float:
+def _grid_weights(field: PdeField) -> Tuple[np.ndarray, np.ndarray]:
+    """Node and cell-face weights: the observables' ``weights`` (None: these)."""
+    r_face = 0.5 * (field.r[:-1] + field.r[1:])
+    face_w = field.n * unit_ball_volume(field.n) * field.h * np.abs(r_face) ** (field.n - 1)
+    return _volume_weights(field), face_w
+
+
+def observable_w(field: PdeField, weights=None) -> float:
     """W = Re integral of u over space (trapezoid against the volume element)."""
-    return float(np.sum(_volume_weights(field) * field.u.real))
+    w, _ = _grid_weights(field) if weights is None else weights
+    return float(np.sum(w * field.u.real))
 
 
 def support_radius(field: PdeField, floor: Optional[float] = None) -> float:
@@ -187,7 +196,7 @@ def support_radius(field: PdeField, floor: Optional[float] = None) -> float:
     return float(np.max(field.r[hit]))
 
 
-def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
+def discrete_energy(field: PdeField, inputs: TheoremInputs, weights=None) -> float:
     """c^-2 |ut|^2 + a^-2 |u_r|^2 + M^2 |u|^2 integrated on the grid.
 
     The gradient term lives on cell faces, which makes the value an exact
@@ -196,21 +205,19 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs) -> float:
     params = inputs.params
     a, _, _ = scale_eval(params, field.t)
     m2 = curved_mass_sq(params, field.t)
-    w = _volume_weights(field)
+    w, face_w = _grid_weights(field) if weights is None else weights
     kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
     pot = m2 * float(np.sum(w * np.abs(field.u) ** 2))
     # NumPy divides a complex array by a float as x * (1/h) (Smith's
     # algorithm); multiplying keeps real fields on the same bits
     du = np.diff(field.u) * (1.0 / field.h)
-    r_face = 0.5 * (field.r[:-1] + field.r[1:])
-    face_w = field.n * unit_ball_volume(field.n) * field.h * np.abs(r_face) ** (field.n - 1)
     grad = float(np.sum(face_w * np.abs(du) ** 2)) / a**2
     return kin + grad + pot
 
 
-def outside_cone_mass(field: PdeField, cone_r: float, pad: float) -> float:
+def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights=None) -> float:
     """Relative L1 mass of |u| strictly beyond cone_r + pad."""
-    w = _volume_weights(field)
+    w, _ = _grid_weights(field) if weights is None else weights
     total = float(np.sum(w * np.abs(field.u)))
     if total == 0.0:
         return 0.0
@@ -223,8 +230,8 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float) -> float:
 # ---------------------------------------------------------------------------
 
 # Largest grid make_field builds.  The stepper holds about 17 arrays of the
-# 4-block state (stages, stage sums, RHS results), about 550 bytes a node:
-# some 0.6 GB at this size.
+# 4-block state (stages, stage sums, slopes, y and the new solution), about
+# 550 bytes a node: some 0.6 GB at this size.
 MAX_GRID_NODES = 1 << 20
 
 
@@ -331,6 +338,7 @@ def evolve(
     # are all zero (-0.0 would let the full path make -0.0 entries)
     real = not (y0[1].view(np.uint64).any() or y0[3].view(np.uint64).any())
     rows = slice(0, None, 2) if real else slice(None)
+    top = 1 if real else 2  # the rows of u whose slope is u_t
 
     # the light-cone window: columns [:w] can be nonzero (module docstring)
     nonzero = np.flatnonzero(y0.any(axis=0))
@@ -344,20 +352,18 @@ def evolve(
             if edge.size:  # node w - 8 + e needs a window of w + e + 1
                 state["w"] = min(J, w + int(edge[-1]) + 1)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         w = state["w"]
         a = scale_at(t)
         a_lap = c2 / (a * a * h * h)
         a_mass = c2 * mass_sq(t)
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
-        res = np.empty_like(y)
-        res[:, w:] = 0.0
-        res[:2, :w] = y[2:, :w]
+        out[:top, :w] = y[2 : 2 + top, :w]
         radial_accel(
-            y[0, :w], y[1, :w], res[2, :w], res[3, :w],
+            y[0, :w], y[1, :w], out[2, :w], out[3, :w],
             cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n, real=real,
         )
-        return res
+        return out
 
     scale0 = max(1.0, float(np.max(np.abs(y0))))
     regime_gate = 1e3 * scale0
@@ -370,6 +376,7 @@ def evolve(
     outsides: List[float] = []
 
     geom = inputs.geom
+    weights = _grid_weights(field)
 
     def record(t: float, y: np.ndarray) -> None:
         if real:
@@ -378,11 +385,11 @@ def evolve(
             snap = PdeField(field.r, y[0] + 1j * y[1], y[2] + 1j * y[3], t, h, n)
         cone_r = comoving_radius(geom, t)
         times.append(t)
-        Ws.append(observable_w(snap))
+        Ws.append(observable_w(snap, weights))
         supports.append(support_radius(snap))
         cones.append(cone_r)
-        energies.append(discrete_energy(snap, inputs))
-        outsides.append(outside_cone_mass(snap, cone_r, 2.0 * h))
+        energies.append(discrete_energy(snap, inputs, weights))
+        outsides.append(outside_cone_mass(snap, cone_r, 2.0 * h, weights))
 
     out_dt = controls.output_interval
     if out_dt is None:
@@ -390,12 +397,13 @@ def evolve(
 
     def on_step(t: float, y: np.ndarray, h_used: float) -> None:
         grow(y)
-        mag = float(np.max(np.abs(y[:2])))
+        mag = magnitude(y)
         # switch to per-step (geometric near a pole) output in the blow-up regime
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
             state["next_out"] = t + out_dt
 
+    magnitude = lambda y: float(np.max(np.abs(y[:2, : state["w"]])))  # noqa: E731
     record(0.0, y0)
     state["next_out"] = out_dt
 
@@ -408,7 +416,7 @@ def evolve(
         t_stop,
         rel_tol=controls.rel_tol,
         abs_tol=1e-10 * scale0,
-        magnitude=lambda y: float(np.max(np.abs(y[:2]))),
+        magnitude=magnitude,
         blow_magnitude=1e8 * scale0,
         max_steps=5_000_000,
         on_step=on_step,

@@ -144,6 +144,26 @@ class TestComputeB:
         res = compute_B(inputs)
         assert res.ok and res.value == 0.0
 
+    @pytest.mark.parametrize("H, sigma", [(1e-300, -1.0), (0.0, 0.0)])
+    def test_underflowing_objective_is_not_zero(self, H, sigma):
+        # N^2 = 1e-400 rounds to 0.0, and so does the de Sitter shift at
+        # H = 1e-300: the objective is 0.0 at every grid node, but the true
+        # B is about 1e-200, so B = 0 would be an underestimate
+        inputs = make_inputs(H, sigma, n=1, N=1e-200, m2=0.0, p=3.0)
+        assert check_N(inputs)[0]
+        res = compute_B(inputs)
+        assert not res.ok and math.isinf(res.value)
+        assert res.reason == "objective underflows to 0 but is not 0"
+
+    def test_underflowing_mass_sum_is_not_a_vanishing_mass(self):
+        # c N = 1e-400 and N^2 + m^2 = 1e-400 both round to 0.0, but they
+        # are positive: e^(-cNt) tames the growth of q~ only at t ~ 1e400,
+        # so the true B overflows any float, and B = 0 would be optimistic
+        inputs = make_inputs(0.0, 0.0, n=1, N=1e-200, m2=0.0, c=1e-200)
+        assert check_N(inputs)[0]
+        res = compute_B(inputs)
+        assert not res.ok and math.isinf(res.value)
+
     def test_positive_limit_mass_diverges(self):
         inputs = make_inputs(0.0, 0.0, N=0.0, m2=1.0)
         res = compute_B(inputs)

@@ -320,9 +320,9 @@ class TestPdeCommands:
         calls = []
 
         def counting(rhs, *args, **kwargs):
-            def counted(t, y):
+            def counted(t, y, out):
                 calls.append(t)
-                return rhs(t, y)
+                return rhs(t, y, out)
 
             return dopri_integrate(counted, *args, **kwargs)
 

@@ -86,10 +86,17 @@ def test_generated_trial_matches_the_comprehension_and_array_trials(
         _float_trial(size)(make_rhs(tuple, seen[0]), rel_tol, abs_tol)(t, h, y, k0),
         comprehension_float_trial(make_rhs(tuple, seen[1]), rel_tol, abs_tol)(t, h, y, k0),
     ]
+    array_formula = make_rhs(list, seen[2])
+
+    def array_rhs(s, v, out):
+        out[...] = array_formula(s, v)
+        return out
+
     with np.errstate(all="ignore"):
         arr = np.array(y, dtype=float)
-        trial = _array_trial(make_rhs(np.array, seen[2]), arr, rel_tol, abs_tol)
-        outs.append(trial(t, h, arr, np.array(k0, dtype=float)))
+        trial, buffers = _array_trial(array_rhs, arr, rel_tol, abs_tol)
+        buffers[0][...] = k0
+        outs.append(trial(t, h, arr, buffers[0]))
     assert seen[0] == seen[1] == seen[2]
     generated, comprehension, array = ([_bits(v) for v in out] for out in outs)
     assert generated == comprehension == array

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -77,13 +78,14 @@ def reference_dopri(
     Its counters are kept apart from the stepping: every call of ``rhs`` is
     counted, and ``min_step`` is the least step handed to an acceptance.
     ``active`` is accepted and ignored: every trial runs on the whole state.
+    Each call ``rhs(t, y, out)`` gets a fresh zeroed ``out``.
     """
     calls = [0]
     accepted = []
 
     def counted(t, y):
         calls[0] += 1
-        return f(t, y)
+        return f(t, y, np.zeros_like(y))
 
     f, rhs = rhs, counted
 
@@ -174,8 +176,13 @@ def _fingerprint(integrator, rhs, y0, t_end, **kw):
 
 
 def _as_array_rhs(f):
-    """An ndarray rhs from a per-component formula."""
-    return lambda t, y: np.array(f(t, y), dtype=float)
+    """An ndarray rhs ``rhs(t, y, out)`` from a per-component formula."""
+
+    def rhs(t, y, out):
+        out[...] = f(t, y)
+        return out
+
+    return rhs
 
 
 def _all_three(f, y0, t_end, **kw):
@@ -269,22 +276,22 @@ def test_signed_zero_stages_agree(size, signs):
     step's result, must have the same bits in both arithmetics."""
     zeros = [-0.0 if s else 0.0 for s in signs]
 
-    def make_rhs(wrap, seen):
+    def make_rhs(seen):
         def rhs(t, y):
             seen.append(_bytes(list(y)))
             i = len(seen) % 7
-            return wrap(zeros[i * size:(i + 1) * size])
+            return tuple(zeros[i * size:(i + 1) * size])
 
         return rhs
 
     y = (-0.0,) * size
     f_seen, a_seen = [], []
-    f_out = _float_trial(size)(make_rhs(tuple, f_seen), 1e-8, 1e-9)(
+    f_out = _float_trial(size)(make_rhs(f_seen), 1e-8, 1e-9)(
         0.0, 0.5, y, tuple(zeros[:size])
     )
-    a_out = _array_trial(make_rhs(np.array, a_seen), np.array(y), 1e-8, 1e-9)(
-        0.0, 0.5, np.array(y), np.array(zeros[:size])
-    )
+    trial, slopes = _array_trial(_as_array_rhs(make_rhs(a_seen)), np.array(y), 1e-8, 1e-9)
+    slopes[0][...] = zeros[:size]
+    a_out = trial(0.0, 0.5, np.array(y), slopes[0])
     assert f_seen == a_seen
     assert [_bytes(v) for v in f_out] == [_bytes(v) for v in a_out]
 
@@ -295,17 +302,55 @@ def test_zero_scale_gives_nan_not_an_exception():
     zero = lambda t, y: (0.0, 0.0)  # noqa: E731
     f_err = _float_trial(2)(zero, 1e-8, 0.0)(0.0, 0.1, (0.0, 1.0), (0.0, 0.0))[2]
     y = np.array([0.0, 1.0])
-    a_err = _array_trial(lambda t, v: np.zeros(2), y, 1e-8, 0.0)(0.0, 0.1, y, np.zeros(2))[2]
+    trial, slopes = _array_trial(_as_array_rhs(zero), y, 1e-8, 0.0)
+    a_err = trial(0.0, 0.1, y, slopes[0])[2]
     assert math.isnan(f_err) and _bytes(f_err) == _bytes(a_err)
+
+
+def test_zero_scale_with_an_error_gives_inf_without_a_warning():
+    """rel_tol = abs_tol = 0 makes every scale 0, so a nonzero error term
+    divides by zero: both arithmetics give the inf norm, and no
+    RuntimeWarning, which -W error would turn into an exception."""
+    rhs = lambda t, y: (math.exp(t),)  # noqa: E731
+    y = np.zeros(1)
+    trial, slopes = _array_trial(_as_array_rhs(rhs), y, 0.0, 0.0)
+    slopes[0][...] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_err = _float_trial(1)(rhs, 0.0, 0.0)(0.0, 0.5, (0.0,), (1.0,))[2]
+        a_err = trial(0.0, 0.5, y, slopes[0])[2]
+    assert f_err == a_err == math.inf
+
+
+@pytest.mark.parametrize("y0", [(), np.zeros(0), np.zeros((4, 0))], ids=["tuple", "1d", "2d"])
+def test_empty_state_is_a_value_error(y0):
+    with pytest.raises(ValueError, match="at least one component"):
+        dopri_integrate(lambda t, y, *out: y, 0.0, y0, 1.0)
+
+
+def test_slope_buffers_are_reused():
+    """An ndarray rhs writes into a few buffers the stepper owns, never
+    into the state it reads, however many steps the run takes."""
+    buffers = {}  # keeps each buffer alive, so no id is reused
+
+    def rhs(t, y, out):  # the rate jumps at t = 1, which forces rejections
+        assert not np.shares_memory(out, y)
+        buffers[id(out)] = out
+        return np.multiply(y, -20.0 if t > 1.0 else -1.0, out=out)
+
+    res = dopri_integrate(rhs, 0.0, np.ones(3), 5.0, rel_tol=1e-8, abs_tol=1e-10)
+    assert res.n_steps > 50 and res.n_rejected > 0
+    assert len(buffers) <= 8
 
 
 NAN_STEP_CASES = {
     "abs_tol=0 with a zero component": (
-        "dopri_integrate(lambda t, y: -y, 0.0, np.array([1.0, 0.0]), 1.0, abs_tol=0.0)"
+        "dopri_integrate(lambda t, y, out: np.negative(y, out=out), 0.0, np.array([1.0, 0.0]), "
+        "1.0, abs_tol=0.0)"
     ),
     "NaN slope at t0": (
-        "dopri_integrate(lambda t, y: y * np.nan if t == 0.0 else -y, "
-        "0.0, np.array([1.0, 0.0]), 1.0)"
+        "dopri_integrate(lambda t, y, out: np.multiply(y, np.nan, out=out) if t == 0.0 "
+        "else np.negative(y, out=out), 0.0, np.array([1.0, 0.0]), 1.0)"
     ),
     "NaN slope at t0, tuple state": (
         "dopri_integrate(lambda t, y: (math.nan, 0.0) if t == 0.0 else (-y[0], -y[1]), "
@@ -339,8 +384,8 @@ def test_nan_step_ends_in_step_underflow(name):
 
 def test_identity_rhs_returning_its_argument():
     """An rhs that returns the stage state itself is not corrupted by reuse."""
-    ref = _fingerprint(reference_dopri, lambda t, y: y, np.array([1.0, -2.0]), 1.0)
-    arr = _fingerprint(dopri_integrate, lambda t, y: y, np.array([1.0, -2.0]), 1.0)
+    ref = _fingerprint(reference_dopri, lambda t, y, out: y, np.array([1.0, -2.0]), 1.0)
+    arr = _fingerprint(dopri_integrate, lambda t, y, out: y, np.array([1.0, -2.0]), 1.0)
     assert arr == ref
 
 
@@ -348,7 +393,7 @@ def test_on_step_states_are_not_reused():
     """States handed to on_step keep their values after later steps."""
     kept = []
     dopri_integrate(
-        lambda t, y: -y, 0.0, np.ones(3), 1.0,
+        lambda t, y, out: np.negative(y, out=out), 0.0, np.ones(3), 1.0,
         on_step=lambda t, y, h: kept.append((y, y.copy())),
     )
     assert len(kept) > 2
@@ -364,9 +409,7 @@ def test_comparison_ode_matches_the_reference(monkeypatch):
     ]
 
     def via_reference(rhs, t0, y0, t_end, **kw):
-        return reference_dopri(
-            lambda t, y: np.array(rhs(t, y)), t0, np.array(y0, dtype=float), t_end, **kw
-        )
+        return reference_dopri(_as_array_rhs(rhs), t0, np.array(y0, dtype=float), t_end, **kw)
 
     new = [ode.integrate(inputs, t_end, controls) for inputs, controls, t_end in runs]
     monkeypatch.setattr(ode, "dopri_integrate", via_reference)
@@ -440,8 +483,8 @@ def test_windowed_pde_matches_the_reference(name, monkeypatch):
 
     def checked(stepper):
         def call(rhs, *args, **kw):
-            def rhs_checked(t, y):
-                out = rhs(t, y)
+            def rhs_checked(t, y, out):
+                out = rhs(t, y, out)
                 w = sizes[-1]
                 assert w == J or not y[:, w - 2:].any(), (t, w)
                 assert not out[:, w:].view(np.uint64).any()  # a +0.0 tail
@@ -474,6 +517,35 @@ def test_windowed_pde_matches_the_reference(name, monkeypatch):
         assert new.rk.status is TerminationReason.BLOWUP_THRESHOLD
 
 
+def test_pde_rhs_fills_the_buffer_it_is_given(monkeypatch):
+    """pde.evolve's rhs returns the ``out`` it was handed, +0.0 past the
+    window, and the stepper hands it at most 8 buffers over the run."""
+    field, inputs, t_end, controls = _pde_case("blowup")
+    sizes, buffers = [], {}
+    kernel = pde.radial_accel
+
+    def spy(u_re, *args, **kw):
+        sizes.append(u_re.size)
+        kernel(u_re, *args, **kw)
+
+    def stepper(rhs, *args, **kw):
+        def rhs_checked(t, y, out):
+            buffers[id(out)] = out
+            got = rhs(t, y, out)
+            assert got is out
+            assert sizes[-1] < out.shape[1]
+            assert not out[:, sizes[-1]:].view(np.uint64).any()
+            return got
+
+        return dopri_integrate(rhs_checked, *args, **kw)
+
+    monkeypatch.setattr(pde, "radial_accel", spy)
+    monkeypatch.setattr(pde, "dopri_integrate", stepper)
+    run = pde.evolve(field, inputs, t_end, controls)
+    assert run.rk.n_steps > 50
+    assert len(buffers) <= 8
+
+
 # --------------------------------------------------------------------------
 # the window: trials on active(y) alone, the same bytes as whole-state trials
 # --------------------------------------------------------------------------
@@ -488,8 +560,7 @@ def _stencil_system(J, rows, c_lap, c_mass, c_nl):
     a trial within L + i and every slope within L + 7: the bound is tight."""
     half = rows // 2
 
-    def rhs(t, y):
-        out = np.empty_like(y)
+    def rhs(t, y, out):
         u = y[:half]
         lap = np.zeros_like(u)
         lap[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1]) + u[:, :-2]
@@ -589,7 +660,7 @@ def test_tuple_and_array_states_agree(m, y0, rel_tol, abs_tol, t_end, bad_call, 
     assume(abs_tol > 0.0 or min(abs(v) for v in y0) > 1e-3)
     m00, m01, m10, m11 = m
 
-    def make_rhs(wrap):
+    def make_rhs():
         count = [0]
 
         def rhs(t, y):
@@ -597,14 +668,14 @@ def test_tuple_and_array_states_agree(m, y0, rel_tol, abs_tol, t_end, bad_call, 
             first = m00 * y[0] + m01 * y[1]
             if count[0] == bad_call:
                 first = bad_value
-            return wrap((first, m10 * y[0] + m11 * y[1]))
+            return (first, m10 * y[0] + m11 * y[1])
 
         return rhs
 
     kw = dict(rel_tol=rel_tol, abs_tol=abs_tol, max_steps=400)
     with np.errstate(all="ignore"):
-        ref = _fingerprint(reference_dopri, make_rhs(np.array), np.array(y0), t_end, **kw)
-        arr = _fingerprint(dopri_integrate, make_rhs(np.array), np.array(y0), t_end, **kw)
-        tup = _fingerprint(dopri_integrate, make_rhs(tuple), tuple(y0), t_end, **kw)
+        ref = _fingerprint(reference_dopri, _as_array_rhs(make_rhs()), np.array(y0), t_end, **kw)
+        arr = _fingerprint(dopri_integrate, _as_array_rhs(make_rhs()), np.array(y0), t_end, **kw)
+        tup = _fingerprint(dopri_integrate, make_rhs(), tuple(y0), t_end, **kw)
     assert arr == ref
     assert tup == arr

@@ -256,8 +256,6 @@ def dopri_integrate(
     *,
     magnitude: Optional[Callable[[State], float]] = None,
     blow_magnitude: float = math.inf,
-    blow_step_fraction: float = 1e-14,
-    min_step_fraction: float = 1e-16,
     max_steps: int = 2_000_000,
     max_step: float = math.inf,
     on_step: Optional[Callable[[float, State, float], None]] = None,
@@ -269,8 +267,9 @@ def dopri_integrate(
     see tuples) or an array (``rhs(t, y, out)`` then fills ``out``), with at
     least one component.  ``on_step(t, y, h)`` is invoked after every
     accepted step.  Blow-up is declared when ``magnitude(y) >
-    blow_magnitude`` and the step size has fallen below
-    ``blow_step_fraction * max(1, t)``.  ``RkResult.y`` is an array either way.
+    blow_magnitude`` and the step size has fallen below ``1e-14 * max(1,
+    t)``; a step below ``1e-16 * max(1, t)`` ends the run.  ``RkResult.y``
+    is an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
@@ -306,8 +305,8 @@ def dopri_integrate(
             return _result(
                 TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, min_step, h
             )
-        step_floor = min_step_fraction * max(1.0, abs(t))
-        blow_floor = blow_step_fraction * max(1.0, abs(t))
+        step_floor = 1e-16 * max(1.0, abs(t))
+        blow_floor = 1e-14 * max(1.0, abs(t))
         if not h >= step_floor:  # "not >=" so that a NaN step ends here too
             big = magnitude is not None and magnitude(y) > blow_magnitude
             reason = (

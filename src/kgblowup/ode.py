@@ -133,8 +133,8 @@ def integrate(
         ws.append(y[0])
         vs.append(y[1])
 
-    # blow-up: |w| above 1e8 max(1, |w0|) with the step below the default
-    # blow_step_fraction (1e-14) of max(1, t)
+    # blow-up: |w| above 1e8 max(1, |w0|) with the step below the
+    # stepper's blow-up fraction (1e-14) of max(1, t)
     res: RkResult = dopri_integrate(
         rhs,
         0.0,
@@ -155,7 +155,7 @@ def integrate(
     )
 
 
-def detect_blowup_time(traj: OdeTrajectory, alpha: Optional[float] = None) -> Optional[float]:
+def detect_blowup_time(traj: OdeTrajectory) -> Optional[float]:
     """Refine the blow-up time by extrapolating w^(1-alpha) to zero.
 
     Near the singularity w ~ K (T-t)^(-2/(p-1)), so with the saturation
@@ -164,7 +164,7 @@ def detect_blowup_time(traj: OdeTrajectory, alpha: Optional[float] = None) -> Op
     """
     if not traj.blowup_detected:
         return None
-    a = traj.alpha_hint if alpha is None else alpha
+    a = traj.alpha_hint
     mask = traj.w > 0
     t = traj.t[mask][-8:]
     w = traj.w[mask][-8:]

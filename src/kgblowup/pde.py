@@ -7,25 +7,25 @@ axis, where the second-order centered Laplacian u_rr + (n-1)/r u_r gets the
 removable-singularity treatment n u_rr, and the last node is a homogeneous
 Dirichlet boundary on a domain sized past the forward cone.  The semilinear
 term adds the real scalar lambda a^{-n(p-1)/2} |u|^p, so real data stays
-real but the flow is not complex-analytic.
+real.  Every kgblow command starts from real bump data, so the field is
+real: ``PdeField`` holds float64 ``u`` and ``ut``, and ``evolve`` rejects
+a complex one.
 
-The state is a C-contiguous (4, J) array whose rows are Re u, Im u,
-Re u_t and Im u_t.  When both imaginary rows of the initial state are all
-+0.0, as for the bump data every kgblow command starts from, ``evolve``
-takes the real path: the kernel skips the imaginary stencil (see
-``radial_accel``), the stepper skips the imaginary rows, and each record
-hands the observables real views of the state.  The imaginary rows then
-stay exactly +0.0, as they would on the full path, so the step sequence
-and every output byte are the same; only the cost changes.
+The stepper state is a C-contiguous (4, J) array whose rows are u, 0, u_t
+and 0.  Nothing writes the two zero rows; they keep the error norm a mean
+over 4J terms in the same pairwise order (see ``integrate``), so the step
+sequence stays that of the layout the state had when the field was
+complex.  The stepper's ``active`` index covers rows 0 and 2 only, and
+each record hands the observables views of rows 0 and 2.
 
 Light-cone window.  The stencil couples only neighbouring nodes, so the
 field spreads by at most one node per RHS evaluation, and compactly
 supported data leaves the nodes ahead of it at exactly +0.0.  ``evolve``
 keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The RHS and
 the kernel write that prefix of the stepper's ``out`` in place, whose tail
-keeps its +0.0; the stepper's ``active`` index (and the magnitude test) is
-columns ``[:w]`` of rows 0 and 2 on the real path and of all four rows
-otherwise (see ``integrate`` for the stepper's side).
+keeps its +0.0; the stepper's ``active`` index is columns ``[:w]`` of
+rows 0 and 2, and the magnitude test reads columns ``[:w]`` of row 0 (see
+``integrate`` for the stepper's side).
 
 * Margin.  A trial that starts with last nonzero node L has stage i within
   L + i, the new solution within L + 6 and its slope within L + 7.  The
@@ -95,8 +95,8 @@ class PdeControls:
 @dataclass
 class PdeField:
     r: np.ndarray  # j h, j = 0..J-1; node 0 is the axis
-    u: np.ndarray  # complex128; float64 views of the state on the real path
-    ut: np.ndarray  # complex128; float64 views of the state on the real path
+    u: np.ndarray  # float64
+    ut: np.ndarray  # float64
     t: float
     h: float
     n: int
@@ -182,15 +182,13 @@ def observable_w(field: PdeField, weights=None) -> float:
     return float(np.sum(w * field.u.real))
 
 
-def support_radius(field: PdeField, floor: Optional[float] = None) -> float:
-    """Largest r whose node carries |u| or |ut| above the floor."""
+def support_radius(field: PdeField) -> float:
+    """Largest r whose node carries |u| or |ut| above 1e-10 of their peak."""
     mag = np.maximum(np.abs(field.u), np.abs(field.ut))
     top = float(mag.max()) if mag.size else 0.0
     if top == 0.0:
         return 0.0
-    if floor is None:
-        floor = 1e-10 * top
-    hit = mag > floor
+    hit = mag > 1e-10 * top
     if not np.any(hit):
         return 0.0
     return float(np.max(field.r[hit]))
@@ -208,8 +206,8 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs, weights=None) -> flo
     w, face_w = _grid_weights(field) if weights is None else weights
     kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
     pot = m2 * float(np.sum(w * np.abs(field.u) ** 2))
-    # NumPy divides a complex array by a float as x * (1/h) (Smith's
-    # algorithm); multiplying keeps real fields on the same bits
+    # times the reciprocal, not / h: the two can round differently, and
+    # the energy outputs are pinned to the reciprocal's bits
     du = np.diff(field.u) * (1.0 / field.h)
     grad = float(np.sum(face_w * np.abs(du) ** 2)) / a**2
     return kin + grad + pot
@@ -258,9 +256,7 @@ def make_field(
             f" more than the {MAX_GRID_NODES} allowed"
         )
     r = np.arange(J, dtype=float) * h
-    u = data.u0(r).astype(complex)
-    ut = data.u1(r).astype(complex)
-    return PdeField(r, u, ut, 0.0, h, params.n)
+    return PdeField(r, data.u0(r), data.u1(r), 0.0, h, params.n)
 
 
 @dataclass
@@ -295,11 +291,9 @@ def evolve(
     t_end: float,
     controls: PdeControls = PdeControls(),
 ) -> PdeRun:
-    """Advance the field to t_end (or blow-up), recording observables.
-
-    Real initial data (both imaginary blocks all +0.0) takes the real path
-    of the kernel and of ``record``; see the module docstring.
-    """
+    """Advance the real field to t_end (or blow-up), recording observables."""
+    if np.iscomplexobj(field.u) or np.iscomplexobj(field.ut):
+        raise ValueError("evolve takes a real field; u and ut must be float arrays")
     params = inputs.params
     if params.excluded_region:
         raise ExcludedRegionError(
@@ -333,12 +327,9 @@ def evolve(
     scale_at = scale_function(params)
     mass_sq = mass_sq_function(params)
 
-    y0 = np.stack([field.u.real, field.u.imag, field.ut.real, field.ut.imag])
-    # real path iff Im u and Im u_t are all +0.0, the one float whose bits
-    # are all zero (-0.0 would let the full path make -0.0 entries)
-    real = not (y0[1].view(np.uint64).any() or y0[3].view(np.uint64).any())
-    rows = slice(0, None, 2) if real else slice(None)
-    top = 1 if real else 2  # the rows of u whose slope is u_t
+    zero = np.zeros(J)
+    y0 = np.stack([field.u, zero, field.ut, zero])
+    tmp = np.empty(J)  # the kernel's scratch
 
     # the light-cone window: columns [:w] can be nonzero (module docstring)
     nonzero = np.flatnonzero(y0.any(axis=0))
@@ -358,11 +349,8 @@ def evolve(
         a_lap = c2 / (a * a * h * h)
         a_mass = c2 * mass_sq(t)
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
-        out[:top, :w] = y[2 : 2 + top, :w]
-        radial_accel(
-            y[0, :w], y[1, :w], out[2, :w], out[3, :w],
-            cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n, real=real,
-        )
+        out[0, :w] = y[2, :w]
+        radial_accel(y[0, :w], out[2, :w], tmp[:w], cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n)
         return out
 
     scale0 = max(1.0, float(np.max(np.abs(y0))))
@@ -379,10 +367,7 @@ def evolve(
     weights = _grid_weights(field)
 
     def record(t: float, y: np.ndarray) -> None:
-        if real:
-            snap = PdeField(field.r, y[0], y[2], t, h, n)
-        else:
-            snap = PdeField(field.r, y[0] + 1j * y[1], y[2] + 1j * y[3], t, h, n)
+        snap = PdeField(field.r, y[0], y[2], t, h, n)
         cone_r = comoving_radius(geom, t)
         times.append(t)
         Ws.append(observable_w(snap, weights))
@@ -403,12 +388,12 @@ def evolve(
             record(t, y)
             state["next_out"] = t + out_dt
 
-    magnitude = lambda y: float(np.max(np.abs(y[:2, : state["w"]])))  # noqa: E731
+    magnitude = lambda y: float(np.max(np.abs(y[0, : state["w"]])))  # noqa: E731
     record(0.0, y0)
     state["next_out"] = out_dt
 
-    # blow-up: some |Re u| or |Im u| above 1e8 scale0 with the step below
-    # the default blow_step_fraction (1e-14) of max(1, t)
+    # blow-up: some |u| above 1e8 scale0 with the step below the
+    # stepper's blow-up fraction (1e-14) of max(1, t)
     res: RkResult = dopri_integrate(
         rhs,
         0.0,
@@ -420,12 +405,14 @@ def evolve(
         blow_magnitude=1e8 * scale0,
         max_steps=5_000_000,
         on_step=on_step,
-        active=lambda y: (rows, slice(0, state["w"])),
+        active=lambda y: (slice(0, None, 2), slice(0, state["w"])),
     )
     if not times or res.t - times[-1] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
 
-    final = PdeField(field.r, res.y[0] + 1j * res.y[1], res.y[2] + 1j * res.y[3], res.t, h, n)
+    # + 0.0 makes the -0.0 of negative data that no step has touched
+    # (a run stopped before its first step) +0.0, as stepped nodes are
+    final = PdeField(field.r, res.y[0] + 0.0, res.y[2] + 0.0, res.t, h, n)
     return PdeRun(
         times=np.array(times),
         W=np.array(Ws),

@@ -353,6 +353,27 @@ class TestPdeCommands:
         assert report["all_contained"] is True
         assert all(report["contained"])
 
+    def test_run_stopped_before_its_first_step_writes_no_negative_zero(self, tmp_path):
+        """Negated bump data has a -0.0 tail, which the first step makes
+        +0.0; a run too short for any step writes +0.0 there too."""
+        sc = json.loads(json.dumps(MINK))
+        sc["theorem"].update(w0=-16.0, w1=-64.0)
+        sc["run"] = {"grid_h": 0.01}
+        code = main([
+            "pde", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path),
+            "--t-end", "1e-300",
+        ])
+        assert code == 0
+        report = json.loads((tmp_path / "pde_report.json").read_text())
+        assert report["n_steps"] == 0
+
+        def values(name):
+            rows = (tmp_path / name).read_text().splitlines()[1:]
+            return [v for row in rows for v in row.split(",")]
+
+        assert "-0.0" in values("field_initial.csv")
+        assert "-0.0" not in values("field_final.csv")
+
 
 class TestSweep:
     def spec(self, tmp_path, **kw):

@@ -84,8 +84,7 @@ class TestObservables:
         h = 1e-3
         R = 2.0
         r = np.arange(int(R / h) + 1) * h
-        field = PdeField(r, np.ones_like(r, dtype=complex),
-                         np.zeros_like(r, dtype=complex), 0.0, h, 3)
+        field = PdeField(r, np.ones_like(r), np.zeros_like(r), 0.0, h, 3)
         assert observable_w(field) == pytest.approx(4.0 * math.pi / 3.0 * R**3, rel=1e-5)
 
     def test_zero_field(self):
@@ -162,10 +161,12 @@ class TestLinearEvolution:
         assert float(drift.max()) < 1e-6
 
     def test_realness_preserved(self):
+        # the field stays float64, and the state's two zero rows stay +0.0
         inputs = flat_inputs(w0=2.0, w1=1.0)
         run = run_pde(inputs, 0.5, PdeControls(grid_h=5e-3, linear=True))
-        top = np.max(np.abs(run.field_final.u))
-        assert np.max(np.abs(run.field_final.u.imag)) <= 1e-12 * top
+        assert run.field_final.u.dtype == run.field_final.ut.dtype == np.float64
+        assert np.any(run.field_final.u) and np.any(run.field_final.ut)
+        assert not run.rk.y[1::2].view(np.uint64).any()
 
     def test_finite_speed_all_case_backgrounds(self):
         # one background per corollary sign region, nonlinearity off
@@ -233,7 +234,7 @@ class TestNonlinearBlowup:
         run = run_pde(minkowski_inputs, 0.06, controls)
 
         def forcing_at(x):
-            u = states[x][0] + 1j * states[x][1]
+            u = states[x][0]
             return forcing_integral(replace(run.field0, u=u, t=x), minkowski_inputs)
 
         t, W = run.times, run.W
@@ -267,18 +268,16 @@ class TestNonlinearBlowup:
         assert forcing_integral(field, minkowski_inputs) == pytest.approx(ref, rel=1e-6)
 
 
-def kernel_spy(monkeypatch, full=False):
-    """Record the real flag of each kernel call; ``full`` runs every call on
-    the full path whatever the flag says."""
-    flags = []
-    kernel = pde_mod.radial_accel
+def every_row(rhs, *args, active, **kw):
+    """``dopri_integrate`` stepping all four rows of the window: the two
+    zero rows too, which ``evolve``'s ``active`` skips."""
 
-    def spy(*args, real=False):
-        flags.append(real)
-        kernel(*args, real=real and not full)
+    def rows_too(y):
+        rows, columns = active(y)
+        assert rows == slice(0, None, 2)
+        return slice(None), columns
 
-    monkeypatch.setattr(pde_mod, "radial_accel", spy)
-    return flags
+    return dopri_integrate(rhs, *args, active=rows_too, **kw)
 
 
 def run_bytes(run):
@@ -299,6 +298,8 @@ def run_bytes(run):
 class TestRealPath:
     @pytest.mark.parametrize("case", ["blowup", "curved_n4"])
     def test_same_bytes_as_the_full_path(self, case, minkowski_inputs, monkeypatch):
+        """Skipping the state's two zero rows changes no byte: stepped,
+        they stay +0.0."""
         if case == "blowup":
             inputs, t_end = minkowski_inputs, 0.525
         else:  # cm[1] < 0 at n = 4, mass term on
@@ -307,14 +308,16 @@ class TestRealPath:
         runs = {}
         for full in (False, True):
             with monkeypatch.context() as m:
-                flags = kernel_spy(m, full=full)
+                if full:
+                    m.setattr(pde_mod, "dopri_integrate", every_row)
                 runs[full] = run_pde(inputs, t_end, controls)
-            assert flags and all(flags)
         if case == "blowup":
             assert runs[False].rk.status is TerminationReason.BLOWUP_THRESHOLD
         assert run_bytes(runs[False]) == run_bytes(runs[True])
 
     def test_observables_same_bits_on_real_views(self, blowup_run, minkowski_inputs):
+        """A complex field with a +0.0 imaginary part and its real part give
+        the observables the same bits."""
         rng = np.random.default_rng(8)
         r = np.arange(200) * 0.01
         noise = [
@@ -332,14 +335,16 @@ class TestRealPath:
             ]
             assert np.array(values[0]).tobytes() == np.array(values[1]).tobytes()
 
-    def test_one_tiny_imaginary_node_takes_the_full_path(self, minkowski_inputs, monkeypatch):
+    @pytest.mark.parametrize("name", ["u", "ut"])
+    def test_complex_field_is_a_value_error(self, name, minkowski_inputs):
+        """evolve refuses a complex u or ut, even with a zero imaginary
+        part, rather than drop the imaginary part."""
         controls = PdeControls(grid_h=4e-3)
         field = make_field(minkowski_inputs, 0.1, controls)
-        field.u[5] += 1e-300j
-        flags = kernel_spy(monkeypatch)
-        run = evolve(field, minkowski_inputs, 0.1, controls)
-        assert flags and not any(flags)
-        assert run.field_final.u.imag.any()
+        values = getattr(field, name)
+        for bad in (values + 1e-300j, values.astype(complex)):
+            with pytest.raises(ValueError, match="real field"):
+                evolve(replace(field, **{name: bad}), minkowski_inputs, 0.1, controls)
 
 
 class TestGuards:
@@ -366,22 +371,18 @@ class TestCsvExport:
         header = op.read_text().splitlines()[0]
         assert header == "t,W,support_radius,cone_radius,energy"
 
-    @pytest.mark.parametrize("kind", ["real", "complex", "signed_zero", "inf_nan"])
+    @pytest.mark.parametrize("kind", ["real", "signed_zero", "inf_nan"])
     def test_field_bytes_match_the_per_element_writer(self, kind, tmp_path):
         rng = np.random.default_rng(5)
         J = 64
         r = np.arange(J) * 0.1
         u = rng.standard_normal(J) * 10.0 ** rng.integers(-300, 300, J)
         ut = rng.standard_normal(J)
-        if kind == "complex":
-            u, ut = u + 1j * rng.standard_normal(J), ut - 1j * rng.standard_normal(J)
-        elif kind == "signed_zero":
-            zeros = np.where(np.arange(J) % 3 == 0, 0.0, -0.0)
-            u, ut = zeros.astype(complex), np.full(J, -0.0, dtype=complex)
-            u.imag, ut.imag = zeros[::-1], -zeros
+        if kind == "signed_zero":
+            u, ut = np.where(np.arange(J) % 3 == 0, 0.0, -0.0), np.full(J, -0.0)
         elif kind == "inf_nan":
-            u = np.array([np.inf, -np.inf, np.nan, 1.0] * (J // 4)) * (1 - 1j)
-            ut = np.array([np.nan, 5e-324, -np.inf, 1e308] * (J // 4)) + 0j
+            u = np.array([np.inf, -np.inf, np.nan, -np.nan] * (J // 4))
+            ut = np.array([np.nan, 5e-324, -np.inf, 1e308] * (J // 4))
         field = PdeField(r, u, ut, 0.0, 0.1, 1)
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         field_to_csv(new, field)
@@ -397,7 +398,7 @@ class TestDiscreteEnergyDefinition:
         r = np.arange(int(2.0 / h) + 1) * h
         u = np.exp(-(r**2)) * (1.0 - r**2)
         ut = np.sin(r) * np.exp(-(r**2))
-        field = PdeField(r, u.astype(complex), ut.astype(complex), 0.0, h, 1)
+        field = PdeField(r, u, ut, 0.0, h, 1)
         grid = np.linspace(0, 2.0, 400001)
         uu = np.exp(-(grid**2)) * (1.0 - grid**2)
         uut = np.sin(grid) * np.exp(-(grid**2))

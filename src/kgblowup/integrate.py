@@ -17,26 +17,40 @@ and its RMS norm) has two arithmetics, picked by the type of ``y0``:
   for the state's size, one name per stage and component and the
   coefficients as literals, compiled once per size and cached.
 * an ndarray runs on NumPy, and ``rhs(t, y, out)`` writes the slope into
-  ``out`` and returns it.  Stage sums and slopes live in buffers made once
-  per integration, so a step allocates only the new solution.  Of the
-  seven slope buffers each ``rhs`` call gets one that is not the current
-  ``k0``; first-same-as-last hands the last stage's buffer on as the next
-  ``k0``.  ``out`` holds what ``rhs`` last wrote there (+0.0 at first), so
-  an ``rhs`` that writes only inside a never-shrinking window leaves +0.0
-  outside it.
+  ``out`` and returns it.  The seven slopes live in one ``(7, *y.shape)``
+  stack: stage ``i`` hands ``rhs`` row ``i`` as ``out`` (a returned array
+  that is not ``out`` is copied there), and an accepted trial copies row 6
+  into row 0, first-same-as-last.  The stack and the stage and scratch
+  buffers are made once, so a step allocates only the new solution.
 
 Both add the stage terms in one order, ``((0 + a0 k0) + a1 k1) + ...``
 with the zero coefficients included, then multiply by ``h`` and add ``y``;
-the leading 0 turns a ``-0.0`` first term into ``+0.0``.  The norm is
+the leading 0 turns a ``-0.0`` first term into ``+0.0``.  On ndarrays the
+sum is one ``np.einsum`` over the stack's first axis, which zero-fills its
+output and, for outputs of two or more elements, adds the terms in index
+order (``tests/test_integrate.py`` pins this bit for bit).  A one-element
+output goes to einsum's reduction kernel, which may reorder the terms, so
+a one-component ndarray state can step differently from the tuple; no
+command integrates one (the comparison ODE is a tuple).  The norm is
 ``sqrt(mean(q^2))`` with the mean summed in index order, as NumPy sums
-fewer than 8 terms.  So for states of up to 7 components the two
+fewer than 8 terms.  So for states of 2 to 7 components the two
 arithmetics give the same bytes, up to the sign of a NaN, which IEEE 754
-leaves open (and ``dopri_integrate`` reads any non-finite norm as inf).
+leaves open (and a non-finite norm is a rejection either way).
+
+Step control is shared.  A rejection scales ``h`` by ``max(0.2, 0.9
+err^-1/5)``.  An accepted trial that follows an accepted trial with error
+``err_old > 0`` and step ``h_old`` takes Gustafsson's predictive factor
+``0.9 (h / h_old) (err_old / err^2)^(1/5)``; other accepted trials take
+``0.9 err^-1/5`` (5 at ``err == 0``).  The factor is clamped to [0.2, 5],
+and to at most 1 right after a rejection.  The prediction follows an error
+that grows along the solution, as towards a blow-up, where the plain rule
+has every other trial rejected.
 
 An ndarray state may come with a window: ``active(y)`` returns a basic
-index (slices only) into the state, and the trial computes its stage sums,
-new solution and error terms on ``buf[index]`` alone, and reads only
-``out[index]`` of each slope.  The contract:
+index into the state, a tuple of slices, and the trial computes its stage
+sums, new solution and error terms on ``buf[index]`` alone, contracts the
+stack's rows at that index alone, and copies returned slopes there alone.
+The contract:
 
 * outside the index, ``y`` and every slope the full computation of the
   trial would make are zeros of either sign;
@@ -45,12 +59,12 @@ new solution and error terms on ``buf[index]`` alone, and reads only
 
 Each stage sum starts from +0.0, so outside the index the full
 computation's stage states, new solution and error terms are all +0.0
-(``-0.0 + h (+0.0)`` is +0.0 too).  Every stage buffer is zero-filled once
-and written only at the index, so it holds those same +0.0 there, and
-``rhs`` sees the states it would see on the full computation.  The norm
-still takes ``np.mean`` over the whole buffer, whose tail is +0.0 where
-``0 / abs_tol`` was: the same terms in the same pairwise order, so the
-same bits.  The default index, ``...``, is the whole state.
+(``-0.0 + h (+0.0)`` is +0.0 too).  The buffers and the stack start at
++0.0 and are written only at the index, so they hold those same +0.0
+there, and ``rhs`` sees the states it would see on the full computation.
+The norm still takes ``np.mean`` over the whole buffer, whose tail is +0.0
+where ``0 / abs_tol`` was: the same terms in the same pairwise order, so
+the same bits.  The default index, ``(...,)``, is the whole state.
 """
 
 from __future__ import annotations
@@ -136,7 +150,7 @@ def _rms(q: np.ndarray, scale: np.ndarray, index=...) -> float:
 
 def _whole(y: np.ndarray):
     """The default window: every component of the state."""
-    return ...
+    return (...,)
 
 
 def _trial_source(size: int) -> str:
@@ -192,58 +206,56 @@ def _float_trial(size: int):
     return namespace["factory"]
 
 
+def _stage_sum(row: np.ndarray, stack: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``((0 + row[0] stack[0]) + row[1] stack[1]) + ...`` into ``out``, as
+    one contraction over the first axis of ``stack`` (see the module
+    docstring for the order, and its one-element exception)."""
+    return np.einsum("i,i...->...", row, stack, out=out)
+
+
 def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_whole):
-    """Trial step on float ndarrays, with stage sums and slopes in reused
-    buffers; returns ``(trial, slopes)``, ``slopes`` the seven slope buffers.
+    """Trial step on float ndarrays; returns ``(trial, slopes)``, ``slopes``
+    the rows of the slope stack, ``slopes[i]`` the ``out`` of stage ``i``.
 
-    Stages 1-5 each get their own buffer, so an ``rhs`` that returns (a
-    view of) its argument stays correct; stage 6, the new solution, is a
-    fresh array because it becomes ``y`` and is handed to ``on_step``.
-    Each buffer starts at +0.0 and is written only at ``active(y)``; see
-    the module docstring for the window contract.
+    The trial reads ``k0`` from row 0, not from its argument.  One buffer
+    serves stages 1-5; stage 6, the new solution, is a fresh array because
+    it becomes ``y`` and is handed to ``on_step``.
     """
-    acc = np.zeros_like(y)
-    term = np.zeros_like(y)
-    stages = [np.zeros_like(y) for _ in range(5)]
-    slopes = [np.zeros_like(y) for _ in range(7)]
+    stack = np.zeros((7,) + y.shape)
+    slopes = list(stack)  # views made once, so ``k is slopes[i]`` can be tested
+    acc, stage, scale = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+    rows = [np.array(row) for row in _A[1:] + (_ERR,)]
 
-    def combine(weights, k, out, tmp):
-        np.multiply(weights[0], k[0], out=out)
-        np.add(0.0, out, out=out)
-        for w, kj in zip(weights[1:], k[1:]):
-            np.multiply(w, kj, out=tmp)
-            np.add(out, tmp, out=out)
-        return out
+    def contract(row, ix, h):  # h (row . stack[:len(row)]) into acc[ix]
+        out = _stage_sum(row, stack[(slice(0, row.size),) + ix], acc[ix])
+        return np.multiply(h, out, out=out)
 
     def trial(t: float, h: float, y: np.ndarray, k0: np.ndarray):
         ix = active(y)
-        y_ix, acc_ix, term_ix = y[ix], acc[ix], term[ix]
-        outs = [k for k in slopes if k is not k0]
-        k = [k0[ix]]
+        y_ix = y[ix]
         for i in range(1, 7):
-            s = np.multiply(h, combine(_A[i], k, acc_ix, term_ix), out=acc_ix)
-            stage = stages[i - 1] if i < 6 else np.zeros_like(y)
-            np.add(y_ix, s, out=stage[ix])
-            k_last = rhs(t + _C[i] * h, stage, outs[i - 1])
-            k.append(k_last[ix])
-        err_ix = np.multiply(h, combine(_ERR, k, acc_ix, term_ix), out=acc_ix)
-        scale = np.fmax(
-            np.abs(y_ix, out=term_ix), np.abs(stage[ix], out=stages[0][ix]), out=term_ix
-        )
-        np.multiply(rel_tol, scale, out=scale)
-        np.add(abs_tol, scale, out=scale)
-        return stage, k_last, _rms(acc, scale, ix)
+            new = stage if i < 6 else np.zeros_like(y)
+            np.add(y_ix, contract(rows[i - 1], ix, h), out=new[ix])
+            k = rhs(t + _C[i] * h, new, slopes[i])
+            if k is not slopes[i]:
+                slopes[i][ix] = k[ix]
+        contract(rows[6], ix, h)  # the error terms, in acc
+        s = np.fmax(np.abs(y_ix, out=scale[ix]), np.abs(new[ix], out=stage[ix]), out=scale[ix])
+        np.multiply(rel_tol, s, out=s)
+        np.add(abs_tol, s, out=s)
+        err = _rms(acc, s, ix)
+        if err <= 1.0:  # dopri_integrate accepts the step: first-same-as-last
+            slopes[0][ix] = slopes[6][ix]
+        return new, slopes[6], err
 
     return trial, slopes
 
 
-def _result(status, t, y, blowup_time, n_steps, n_rejected, min_step, h) -> RkResult:
-    n_rhs = 2 + 6 * (n_steps + n_rejected)
-    min_step = None if math.isinf(min_step) else min_step
-    return RkResult(
-        status, t, np.asarray(y, dtype=float), blowup_time, n_steps, n_rejected,
-        n_rhs, min_step, h,
-    )
+def _stalled(magnitude, blow_magnitude, y, t):
+    """Status and blow-up time of a run whose step fell below the floor."""
+    if magnitude is not None and magnitude(y) > blow_magnitude:
+        return TerminationReason.BLOWUP_THRESHOLD, t
+    return TerminationReason.STEP_UNDERFLOW, None
 
 
 def dopri_integrate(
@@ -288,39 +300,32 @@ def dopri_integrate(
     else:
         y = np.array(y0, dtype=float, copy=True)
         trial, slopes = _array_trial(rhs, y, rel_tol, abs_tol, active)
-        k0 = rhs(t, y, slopes[0])  # the initial-step probe writes slopes[1]
+        slopes[0][...] = k0 = rhs(t, y, slopes[0])  # the probe below writes slopes[1]
         probe = lambda s, v: rhs(s, v, slopes[1])  # noqa: E731
         h = _initial_step(probe, t, y, k0, rel_tol, abs_tol, t_end - t0)
     h = min(h, max_step)
     n_steps = n_rejected = 0
     min_step = math.inf
+    t_scale = max(1.0, abs(t))  # the step floors are 1e-16 and 1e-14 of it
+    # the controller's memory: the last trial's h and err if it was
+    # accepted with err > 0 (else err_old = 0), and the factor's cap
+    h_old, err_old, cap = h, 0.0, 5.0
+    status, blowup_time = TerminationReason.REACHED_HORIZON, None
 
     while t < t_end:
         if n_steps >= max_steps:
-            return _result(
-                TerminationReason.MAX_STEPS, t, y, None, n_steps, n_rejected, min_step, h
-            )
-        h = min(h, t_end - t)
+            status = TerminationReason.MAX_STEPS
+            break
+        if h > t_end - t:
+            h = t_end - t
         if t + h == t:  # t_end within one ulp of t
-            return _result(
-                TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, min_step, h
-            )
-        step_floor = 1e-16 * max(1.0, abs(t))
-        blow_floor = 1e-14 * max(1.0, abs(t))
-        if not h >= step_floor:  # "not >=" so that a NaN step ends here too
-            big = magnitude is not None and magnitude(y) > blow_magnitude
-            reason = (
-                TerminationReason.BLOWUP_THRESHOLD if big else TerminationReason.STEP_UNDERFLOW
-            )
-            return _result(
-                reason, t, y, t if big else None, n_steps, n_rejected, min_step, h
-            )
+            break
+        if not h >= 1e-16 * t_scale:  # "not >=" so that a NaN step ends here too
+            status, blowup_time = _stalled(magnitude, blow_magnitude, y, t)
+            break
 
         y_new, k_new, err = trial(t, h, y, k0)
-        if not math.isfinite(err):
-            err = math.inf
-
-        if err <= 1.0:
+        if err <= 1.0:  # False for a NaN norm too
             n_steps += 1
             if h < min_step:
                 min_step = h
@@ -328,31 +333,28 @@ def dopri_integrate(
             y, k0 = y_new, k_new  # FSAL: the last stage's slope is rhs(t+h, y_new)
             if on_step is not None:
                 on_step(t, y, h)
-            if (
-                magnitude is not None
-                and h < blow_floor
-                and magnitude(y) > blow_magnitude
-            ):
-                return _result(
-                    TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected,
-                    min_step, h,
-                )
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = min(h * factor, max_step)
-        else:
+            if magnitude is not None and h < 1e-14 * t_scale and magnitude(y) > blow_magnitude:
+                status, blowup_time = TerminationReason.BLOWUP_THRESHOLD, t
+                break
+            t_scale = max(1.0, abs(t))
+            if err == 0.0:
+                factor = 5.0
+            elif err_old > 0.0:  # Gustafsson's predictive controller
+                factor = 0.9 * (h / h_old) * (err_old / err / err) ** 0.2
+            else:
+                factor = 0.9 * err ** -0.2
+            h_old, err_old = h, err
+            h = min(h * min(cap, max(0.2, factor)), max_step)
+            cap = 5.0
+        else:  # inf and NaN norms shrink h by 0.2
             n_rejected += 1
+            err_old, cap = 0.0, 1.0
             h *= max(0.2, 0.9 * err ** -0.2)
-            if not h >= step_floor:
-                if magnitude is not None and magnitude(y) > blow_magnitude:
-                    return _result(
-                        TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected,
-                        min_step, h,
-                    )
-                return _result(
-                    TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected,
-                    min_step, h,
-                )
+            if not h >= 1e-16 * t_scale:
+                status, blowup_time = _stalled(magnitude, blow_magnitude, y, t)
+                break
 
-    return _result(
-        TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, min_step, h
+    return RkResult(
+        status, t, np.asarray(y, dtype=float), blowup_time, n_steps, n_rejected,
+        2 + 6 * (n_steps + n_rejected), None if math.isinf(min_step) else min_step, h,
     )

@@ -11,12 +11,8 @@ real.  Every kgblow command starts from real bump data, so the field is
 real: ``PdeField`` holds float64 ``u`` and ``ut``, and ``evolve`` rejects
 a complex one.
 
-The stepper state is a C-contiguous (4, J) array whose rows are u, 0, u_t
-and 0.  Nothing writes the two zero rows; they keep the error norm a mean
-over 4J terms in the same pairwise order (see ``integrate``), so the step
-sequence stays that of the layout the state had when the field was
-complex.  The stepper's ``active`` index covers rows 0 and 2 only, and
-each record hands the observables views of rows 0 and 2.
+The stepper state is a C-contiguous (2, J) array whose rows are u and
+u_t; each record hands the observables views of the two rows.
 
 Light-cone window.  The stencil couples only neighbouring nodes, so the
 field spreads by at most one node per RHS evaluation, and compactly
@@ -24,7 +20,7 @@ supported data leaves the nodes ahead of it at exactly +0.0.  ``evolve``
 keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The RHS and
 the kernel write that prefix of the stepper's ``out`` in place, whose tail
 keeps its +0.0; the stepper's ``active`` index is columns ``[:w]`` of
-rows 0 and 2, and the magnitude test reads columns ``[:w]`` of row 0 (see
+both rows, and the magnitude test reads columns ``[:w]`` of row 0 (see
 ``integrate`` for the stepper's side).
 
 * Margin.  A trial that starts with last nonzero node L has stage i within
@@ -227,9 +223,11 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights=None) 
 # solver
 # ---------------------------------------------------------------------------
 
-# Largest grid make_field builds.  The stepper holds about 17 arrays of the
-# 4-block state (stages, stage sums, slopes, y and the new solution), about
-# 550 bytes a node: some 0.6 GB at this size.
+# Largest grid make_field builds.  evolve holds about 37 float64 arrays of
+# J nodes: 24 in the stepper (the (7, 2, J) slope stack, its three (2, J)
+# buffers, y and the new solution) and the rest for the field, its copies
+# and the stencil and observable weights.  That is about 300 bytes a node
+# (tracemalloc: 293), some 0.31 GB at this size.
 MAX_GRID_NODES = 1 << 20
 
 
@@ -327,8 +325,7 @@ def evolve(
     scale_at = scale_function(params)
     mass_sq = mass_sq_function(params)
 
-    zero = np.zeros(J)
-    y0 = np.stack([field.u, zero, field.ut, zero])
+    y0 = np.stack([field.u, field.ut])
     tmp = np.empty(J)  # the kernel's scratch
 
     # the light-cone window: columns [:w] can be nonzero (module docstring)
@@ -349,8 +346,8 @@ def evolve(
         a_lap = c2 / (a * a * h * h)
         a_mass = c2 * mass_sq(t)
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
-        out[0, :w] = y[2, :w]
-        radial_accel(y[0, :w], out[2, :w], tmp[:w], cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n)
+        out[0, :w] = y[1, :w]
+        radial_accel(y[0, :w], out[1, :w], tmp[:w], cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n)
         return out
 
     scale0 = max(1.0, float(np.max(np.abs(y0))))
@@ -367,7 +364,7 @@ def evolve(
     weights = _grid_weights(field)
 
     def record(t: float, y: np.ndarray) -> None:
-        snap = PdeField(field.r, y[0], y[2], t, h, n)
+        snap = PdeField(field.r, y[0], y[1], t, h, n)
         cone_r = comoving_radius(geom, t)
         times.append(t)
         Ws.append(observable_w(snap, weights))
@@ -405,14 +402,14 @@ def evolve(
         blow_magnitude=1e8 * scale0,
         max_steps=5_000_000,
         on_step=on_step,
-        active=lambda y: (slice(0, None, 2), slice(0, state["w"])),
+        active=lambda y: (slice(None), slice(0, state["w"])),
     )
     if not times or res.t - times[-1] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
 
     # + 0.0 makes the -0.0 of negative data that no step has touched
     # (a run stopped before its first step) +0.0, as stepped nodes are
-    final = PdeField(field.r, res.y[0] + 0.0, res.y[2] + 0.0, res.t, h, n)
+    final = PdeField(field.r, res.y[0] + 0.0, res.y[1] + 0.0, res.t, h, n)
     return PdeRun(
         times=np.array(times),
         W=np.array(Ws),

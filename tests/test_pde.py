@@ -26,7 +26,7 @@ from kgblowup.pde import (
     outside_cone_mass,
 )
 import kgblowup.pde as pde_mod
-from kgblowup.integrate import RkResult, dopri_integrate
+from kgblowup.integrate import dopri_integrate
 
 from conftest import make_inputs
 from oracles import (
@@ -161,12 +161,12 @@ class TestLinearEvolution:
         assert float(drift.max()) < 1e-6
 
     def test_realness_preserved(self):
-        # the field stays float64, and the state's two zero rows stay +0.0
+        # the field stays float64 on a (2, J) state of u and u_t
         inputs = flat_inputs(w0=2.0, w1=1.0)
         run = run_pde(inputs, 0.5, PdeControls(grid_h=5e-3, linear=True))
         assert run.field_final.u.dtype == run.field_final.ut.dtype == np.float64
         assert np.any(run.field_final.u) and np.any(run.field_final.ut)
-        assert not run.rk.y[1::2].view(np.uint64).any()
+        assert run.rk.y.shape == (2, run.field_final.u.size)
 
     def test_finite_speed_all_case_backgrounds(self):
         # one background per corollary sign region, nonlinearity off
@@ -268,53 +268,7 @@ class TestNonlinearBlowup:
         assert forcing_integral(field, minkowski_inputs) == pytest.approx(ref, rel=1e-6)
 
 
-def every_row(rhs, *args, active, **kw):
-    """``dopri_integrate`` stepping all four rows of the window: the two
-    zero rows too, which ``evolve``'s ``active`` skips."""
-
-    def rows_too(y):
-        rows, columns = active(y)
-        assert rows == slice(0, None, 2)
-        return slice(None), columns
-
-    return dopri_integrate(rhs, *args, active=rows_too, **kw)
-
-
-def run_bytes(run):
-    """Every field of a PdeRun, arrays as raw bytes."""
-    out = {}
-    for key, value in vars(run).items():
-        if isinstance(value, PdeField):
-            value = (value.r.tobytes(), value.u.tobytes(), value.ut.tobytes(),
-                     value.t, value.h, value.n)
-        elif isinstance(value, np.ndarray):
-            value = (value.dtype, value.tobytes())
-        elif isinstance(value, RkResult):
-            value = {**vars(value), "y": value.y.tobytes()}
-        out[key] = value
-    return out
-
-
 class TestRealPath:
-    @pytest.mark.parametrize("case", ["blowup", "curved_n4"])
-    def test_same_bytes_as_the_full_path(self, case, minkowski_inputs, monkeypatch):
-        """Skipping the state's two zero rows changes no byte: stepped,
-        they stay +0.0."""
-        if case == "blowup":
-            inputs, t_end = minkowski_inputs, 0.525
-        else:  # cm[1] < 0 at n = 4, mass term on
-            inputs, t_end = make_inputs(1.0, 1.0, m2=2.0, n=4, w0=1.0, w1=0.5), 0.1
-        controls = PdeControls(grid_h=4e-3)
-        runs = {}
-        for full in (False, True):
-            with monkeypatch.context() as m:
-                if full:
-                    m.setattr(pde_mod, "dopri_integrate", every_row)
-                runs[full] = run_pde(inputs, t_end, controls)
-        if case == "blowup":
-            assert runs[False].rk.status is TerminationReason.BLOWUP_THRESHOLD
-        assert run_bytes(runs[False]) == run_bytes(runs[True])
-
     def test_observables_same_bits_on_real_views(self, blowup_run, minkowski_inputs):
         """A complex field with a +0.0 imaginary part and its real part give
         the observables the same bits."""

@@ -253,13 +253,14 @@ def _sweep_point(base, overrides, with_ode, memo: ExtremaMemo) -> Dict[str, Any]
                 traj = ode_mod.integrate(inputs, t_cap(1.05 * cert.T_star, cert.T0))
                 blow = ode_mod.detect_blowup_time(traj)
             row["blowup_time"] = blow
-        row["error"] = ""
+        row["error_class"] = row["error"] = ""
     except Exception as exc:  # recorded per-row, never aborts the sweep
         row.setdefault("corollary_case", "")
         row.setdefault("valid", "")
         row.setdefault("T_star", "")
         if with_ode:
             row.setdefault("blowup_time", "")
+        row["error_class"] = type(exc).__name__
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -304,7 +305,7 @@ def cmd_sweep(args) -> int:
     columns = ["index"] + paths + ["corollary_case", "valid", "T_star"]
     if spec.with_ode:
         columns.append("blowup_time")
-    columns.append("error")
+    columns += ["error_class", "error"]
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)

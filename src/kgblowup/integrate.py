@@ -3,9 +3,12 @@
 One controller drives both the scalar comparison ODE and the method-of-lines
 PDE system: step-size control, the termination rules, the counters,
 ``on_step`` and the first-same-as-last hand-over exist once, in
-``dopri_integrate``.  Blow-up is declared only when the solution magnitude
-exceeds a threshold *and* the accepted step size has collapsed, which
-separates a genuine finite-time singularity from ordinary stiffness.
+``dopri_integrate``.  A run ends in blow-up by one of two rules.  The
+caller's ``on_step`` returns true: the comparison ODE's rule, a magnitude
+threshold it can read off variables in which the singularity sits at
+infinite time (see ``ode.integrate``).  Or, the PDE's rule, ``magnitude(y)``
+exceeds ``blow_magnitude`` *and* the accepted step has collapsed, which
+separates a finite-time singularity from ordinary stiffness.
 
 A trial step (six stage states, the 5th-order solution, the error vector
 and its RMS norm) has two arithmetics, picked by the type of ``y0``:
@@ -270,7 +273,7 @@ def dopri_integrate(
     blow_magnitude: float = math.inf,
     max_steps: int = 2_000_000,
     max_step: float = math.inf,
-    on_step: Optional[Callable[[float, State, float], None]] = None,
+    on_step: Optional[Callable[[float, State, float], Optional[bool]]] = None,
     active: Callable[[np.ndarray], Any] = _whole,
 ) -> RkResult:
     """Integrate y' = rhs(t, y) from t0 to t_end.
@@ -278,10 +281,10 @@ def dopri_integrate(
     ``y0`` is a tuple of floats (``rhs``, ``on_step`` and ``magnitude`` then
     see tuples) or an array (``rhs(t, y, out)`` then fills ``out``), with at
     least one component.  ``on_step(t, y, h)`` is invoked after every
-    accepted step.  Blow-up is declared when ``magnitude(y) >
-    blow_magnitude`` and the step size has fallen below ``1e-14 * max(1,
-    t)``; a step below ``1e-16 * max(1, t)`` ends the run.  ``RkResult.y``
-    is an array either way.
+    accepted step; a true return ends the run in BlowupThreshold at ``t``.
+    Blow-up is also declared when ``magnitude(y) > blow_magnitude`` and the
+    step size has fallen below ``1e-14 * max(1, t)``; a step below ``1e-16 *
+    max(1, t)`` ends the run.  ``RkResult.y`` is an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
@@ -331,9 +334,9 @@ def dopri_integrate(
                 min_step = h
             t = t + h
             y, k0 = y_new, k_new  # FSAL: the last stage's slope is rhs(t+h, y_new)
-            if on_step is not None:
-                on_step(t, y, h)
-            if magnitude is not None and h < 1e-14 * t_scale and magnitude(y) > blow_magnitude:
+            if (on_step is not None and on_step(t, y, h)) or (
+                magnitude is not None and h < 1e-14 * t_scale and magnitude(y) > blow_magnitude
+            ):
                 status, blowup_time = TerminationReason.BLOWUP_THRESHOLD, t
                 break
             t_scale = max(1.0, abs(t))

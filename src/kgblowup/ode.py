@@ -20,7 +20,9 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
+from .cone import comoving_radius
 from .cosmology import HORIZON_MARGIN, _check_time, curved_mass_sq, mass_sq_function, t_cap
+from .cosmology import scale_eval
 from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 
@@ -35,6 +37,7 @@ __all__ = [
     "envelope_pole",
     "growth_bound",
     "forcing_coefficient",
+    "forcing_array",
     "trajectory_to_csv",
 ]
 
@@ -52,8 +55,8 @@ class OdeTrajectory:
     t: np.ndarray
     w: np.ndarray
     wdot: np.ndarray
-    alpha_hint: float  # saturation exponent 1 + (p-1)/2 of the equality ODE
-    rk: RkResult  # where and why the integration stopped, and its counters
+    blowup_time_refined: Optional[float]  # T^ = t + w/(k w') as t -> T, see integrate
+    rk: RkResult  # where and why the integration stopped, and its counters, both phases
 
     @property
     def blowup_detected(self) -> bool:
@@ -94,10 +97,36 @@ def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
     return b
 
 
+def forcing_array(inputs: TheoremInputs, t: np.ndarray) -> np.ndarray:
+    """b at every time of an array: ``forcing_coefficient``'s operations on
+    NumPy, from ``scale_eval`` and ``comoving_radius``, within a few ulp."""
+    params = inputs.params
+    r = comoving_radius(inputs.geom, t)
+    x = cone_ball_factor(params) * (scale_eval(params, t)[0] * r * r / params.a0)
+    return inputs.lam / np.exp(params.n * (inputs.p - 1.0) / 2.0 * np.log(x))
+
+
 def integrate(
     inputs: TheoremInputs, t_end: float, controls: OdeControls = OdeControls()
 ) -> OdeTrajectory:
-    """Integrate the equality dynamics from (w0, w1) up to t_end <= T0."""
+    """Integrate the equality dynamics from (w0, w1) up to t_end <= T0.
+
+    Phase 1 steps (w, w') in t up to the first sample where w runs away from
+    0 (w w' > 0, w w'' > 0) with |w| > 100 max(1, |w0|) or, at large p, with
+    w/(k w') < 1e-6 max(1, t), k = (p-1)/2.  From it, (t_s, w_s, w'_s), sigma
+    = sign(w_s), g = |w'_s/w_s| and d = (|w|/|w_s|)^-k, phase 2 steps tau =
+    g (t - t_s), l = log|w| and r = (w'/w) d / g in a time with dt/ds = d/g:
+
+        tau' = d,  l' = r,  r' = c^2 (sigma |w_s|^(p-1) b(t) - M^2 d^2) / g^2 - (k+1) r^2,
+
+    smooth up to a blow-up, which sits at s -> inf with r settling to a
+    constant: the step does not collapse for any p > 1.  Blow-up is declared
+    at the first sample with |w| > 1e8 max(1, |w0|); phase 2 then steps on,
+    unrecorded, until T^ = t + d/(g k r) = t + w/(k w') gives the same float
+    twice.  Phase 1 resumes from the last sample when |w| falls below |w_s|/e,
+    past the threshold too (with no blow-up, and a gap in the samples), and
+    ends the run alone when t would pass t_end or a phase 2 leg stalls.
+    """
     params = inputs.params
     if params.excluded_region:
         raise ExcludedRegionError(
@@ -118,80 +147,89 @@ def integrate(
 
     c2 = params.c * params.c
     p = inputs.p
+    k = (p - 1.0) / 2.0
     exp, log = math.exp, math.log
+    t_stop = t_cap(t_end, T0)
+    big = max(1.0, abs(inputs.w0))
+    w_hand, l_blow = 100.0 * big, log(1e8 * big)
+    samples: List[Tuple[float, float, float]] = [(0.0, inputs.w0, inputs.w1)]  # (t, w, w')
 
     def rhs(t: float, y: Tuple[float, float]) -> Tuple[float, float]:
         w, v = y  # |w|^p is rpow(abs(w), p) written out
         return v, c2 * (forcing(t) * (exp(p * log(abs(w))) if w != 0.0 else 0.0) - mass(t) * w)
 
-    ts: List[float] = [0.0]
-    ws: List[float] = [inputs.w0]
-    vs: List[float] = [inputs.w1]
+    def on_step(t: float, y: Tuple[float, float], h: float) -> bool:
+        w, v = y
+        samples.append((t, w, v))
+        a = abs(w)  # w w' > 0 and, checked last, w w'' > 0: w runs away from 0
+        return (armed and 0.0 < w * v and (a > w_hand or a < 1e-6 * k * abs(v) * max(1.0, t))
+                and math.copysign(forcing(t), w) * exp((p - 1.0) * log(a)) > mass(t))
 
-    def on_step(t: float, y: Tuple[float, float], h: float) -> None:
-        ts.append(t)
-        ws.append(y[0])
-        vs.append(y[1])
+    legs: List[RkResult] = []  # phase 1, phase 2, phase 1, ...
+    armed, t_blow, t_hat = True, None, None
+    while True:
+        t_s, w_s, v_s = samples[-1]
+        legs.append(dopri_integrate(
+            rhs, t_s, (w_s, v_s), t_stop, rel_tol=controls.rel_tol,
+            abs_tol=1e-12 * max(1.0, abs(inputs.w0), abs(inputs.w1)), on_step=on_step,
+        ))
+        if legs[-1].status is not TerminationReason.BLOWUP_THRESHOLD:
+            break
+        t_s, w_s, v_s = samples[-1]
+        l_s, g, sigma = log(abs(w_s)), abs(v_s / w_s), math.copysign(1.0, w_s)
+        ms, bs = c2 / (g * g), sigma * c2 / (g * g) * exp((p - 1.0) * l_s)
 
-    # blow-up: |w| above 1e8 max(1, |w0|) with the step below the
-    # stepper's blow-up fraction (1e-14) of max(1, t)
-    res: RkResult = dopri_integrate(
-        rhs,
-        0.0,
-        (inputs.w0, inputs.w1),
-        t_cap(t_end, T0),
-        rel_tol=controls.rel_tol,
-        abs_tol=1e-12 * max(1.0, abs(inputs.w0), abs(inputs.w1)),
-        magnitude=lambda y: abs(y[0]),
-        blow_magnitude=1e8 * max(1.0, abs(inputs.w0)),
-        on_step=on_step,
+        def rhs_s(s: float, y: Tuple[float, float, float]) -> Tuple[float, float, float]:
+            tau, l, r = y  # past t_stop, or d past the float range, only in a dropped step
+            t = min(t_s + tau / g, t_stop)
+            d = exp(x) if (x := k * (l_s - l)) < 700.0 else math.inf
+            return d, r, bs * forcing(t) - ms * mass(t) * d * d - (k + 1.0) * r * r
+
+        def on_step_s(s: float, y: Tuple[float, float, float], h: float) -> bool:
+            nonlocal armed, t_blow, t_hat
+            tau, l, r = y
+            t = t_s + tau / g
+            if t >= t_stop:  # no blow-up before t_stop: phase 1 ends the run
+                armed, t_blow, t_hat = False, None, None
+                return True
+            if l < l_s - 1.0:  # |w| turned back, past the threshold or not: no blow-up
+                t_blow = t_hat = None
+            elif t_blow is not None:  # the tail, not recorded
+                t_hat, last = t_s + (tau + exp(k * (l_s - l)) / (k * r)) / g, t_hat
+                return t_hat == last
+            w = sigma * exp(l)
+            try:
+                samples.append((t, w, w * g * r * exp(k * (l - l_s))))
+            except OverflowError:  # w' is past the float range
+                samples.append((t, w, math.copysign(math.inf, w * r)))
+            t_blow = t if l > l_blow else None
+            return l < l_s - 1.0
+
+        legs.append(dopri_integrate(
+            rhs_s, 0.0, (0.0, l_s, math.copysign(1.0, v_s / w_s)), math.inf,
+            rel_tol=controls.rel_tol, abs_tol=1e-12, on_step=on_step_s,
+        ))
+        if legs[-1].status is not TerminationReason.BLOWUP_THRESHOLD:
+            armed, t_blow, t_hat = False, None, None  # phase 2 stalled: phase 1 ends the run
+        elif t_blow is not None:
+            break  # T^ settled
+
+    # the counters sum every leg; min_step is over the steps in t
+    status = TerminationReason.BLOWUP_THRESHOLD if t_blow is not None else legs[-1].status
+    steps = [r.min_step for r in legs[::2] if r.min_step is not None]
+    t, w, wdot = np.array(samples).T
+    rk = RkResult(
+        status, t[-1], np.array([w[-1], wdot[-1]]), t_blow, sum(r.n_steps for r in legs),
+        sum(r.n_rejected for r in legs), sum(r.n_rhs for r in legs), min(steps, default=None),
+        legs[-1].last_h,
     )
-    return OdeTrajectory(
-        t=np.array(ts),
-        w=np.array(ws),
-        wdot=np.array(vs),
-        alpha_hint=1.0 + (p - 1.0) / 2.0,
-        rk=res,
-    )
+    return OdeTrajectory(t, w, wdot, t_blow if t_hat is None else t_hat, rk)
 
 
 def detect_blowup_time(traj: OdeTrajectory) -> Optional[float]:
-    """Refine the blow-up time by extrapolating w^(1-alpha) to zero.
-
-    Near the singularity w ~ K (T-t)^(-2/(p-1)), so with the saturation
-    exponent alpha = 1 + (p-1)/2 the quantity w^(1-alpha) is asymptotically
-    linear in t; secant roots from the final samples are Aitken-accelerated.
-    """
-    if not traj.blowup_detected:
-        return None
-    a = traj.alpha_hint
-    mask = traj.w > 0
-    t = traj.t[mask][-8:]
-    w = traj.w[mask][-8:]
-    if t.size < 2:
-        return traj.rk.blowup_time
-    z = w ** (1.0 - a)
-    roots: List[float] = []
-    for i in range(t.size - 1, 0, -1):
-        dz = z[i] - z[i - 1]
-        dt = t[i] - t[i - 1]
-        if dz == 0.0 or dt == 0.0:
-            continue
-        roots.append(float(t[i] - z[i] * dt / dz))
-        if len(roots) == 3:
-            break
-    if not roots:
-        return traj.rk.blowup_time
-    roots = roots[::-1]
-    est = roots[-1]
-    if len(roots) == 3:
-        r0, r1, r2 = roots
-        denom = (r2 - r1) - (r1 - r0)
-        if denom != 0.0:
-            acc = r2 - (r2 - r1) ** 2 / denom
-            if math.isfinite(acc) and abs(acc - r2) <= abs(r1 - r2) + 1e-12:
-                est = acc
-    return est
+    """The blow-up time T^ that phase 2 settled on (see ``integrate``),
+    None when no blow-up was declared."""
+    return traj.blowup_time_refined if traj.blowup_detected else None
 
 
 @dataclass(frozen=True)
@@ -247,11 +285,9 @@ def check_lemma21(
             f"lemma hypotheses fail: w1={inputs.w1} < cN w0={cN * inputs.w0}"
         )
 
-    params = inputs.params
-    b = forcing_coefficient(inputs)
     t, w, v = traj.t, traj.w, traj.wdot
-    bt = np.array([b(x) for x in t])
-    m2 = curved_mass_sq(params, t)
+    bt = forcing_array(inputs, t)
+    m2 = curved_mass_sq(inputs.params, t)
     p, theta, N = inputs.p, inputs.theta, inputs.N
 
     bound = inputs.w0 * np.exp(cN * t)

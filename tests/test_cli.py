@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -295,11 +296,15 @@ class TestOdeCommand:
         assert last_t == pytest.approx(1.0, rel=0.01)
         report = json.loads((tmp_path / "ode_report.json").read_text())
         assert report["blowup_detected"] is True
-        assert report["blowup_time_refined"] == pytest.approx(1.0, rel=0.01)
-        assert report["n_steps"] == report["n_samples"] - 1 == len(rows) - 2
-        assert report["n_rhs"] == 2 + 6 * (report["n_steps"] + report["n_rejected"])
-        # blow-up is declared once the step is below 1e-14 max(1, t)
-        assert 0.0 < report["min_step"] < 1e-13
+        assert report["blowup_time_refined"] == pytest.approx(1.0, abs=1e-9)
+        # the trajectory ends at the first sample past 1e8 max(1, |w0|); the
+        # tail steps that settle the refined time are counted, not recorded
+        assert report["n_samples"] == len(rows) - 1 < report["n_steps"] + 1
+        # one leg in t and one in blow-up variables, each with a start slope
+        # and an initial-step probe
+        assert report["n_rhs"] == 4 + 6 * (report["n_steps"] + report["n_rejected"])
+        # no step collapse: min_step is the least step in t
+        assert 1e-6 < report["min_step"] < 1e-2
 
     def test_certified_run_includes_lemma_report(self, tmp_path):
         code = main(["ode", "--scenario", str(write(tmp_path, MINK)), "--out", str(tmp_path)])
@@ -396,6 +401,18 @@ class TestSweep:
         threshold = 4.0 * math.sqrt(2.0)  # 5.6568...
         for w0, ok in verdicts.items():
             assert ok == (w0 > threshold), (w0, ok)
+
+    def test_error_class_column(self, tmp_path):
+        """The exception's class name sits next to its message; both are
+        empty on a row that ran."""
+        spec = self.spec(tmp_path, axes=[{"path": "theorem.p", "values": [3.0, 0.5]}], with_ode=True)
+        assert main(["sweep", "--scenario", str(spec), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-3:] == ["blowup_time", "error_class", "error"]
+        assert rows[1][-2:] == ["", ""] and float(rows[1][-3]) > 0.0
+        assert rows[2][-2] == "ScenarioError"
+        assert rows[2][-1].startswith("ScenarioError: ")
 
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

@@ -5,9 +5,9 @@ tuple state of ``size`` components as straight-line code.  It must give,
 bit for bit, what ``oracles.comprehension_float_trial`` gives and, for two
 or more components, what ``integrate._array_trial`` gives on the same
 state as an ndarray: the stage states ``rhs`` sees, the new solution, the
-last slope and the error norm.  ``ode.integrate``, whose right-hand side writes ``b(t)`` and
-``|w|^p`` out inline, must give the trajectory of the comprehension trial
-driven by the per-call composition of ``b``, ``rpow`` and ``M^2``.
+last slope and the error norm.  ``ode.integrate``, whose phase-1 right-hand side writes ``b(t)``
+and ``|w|^p`` out inline, must give the trajectory of the comprehension
+trial driven by the per-call composition of ``b``, ``rpow`` and ``M^2``.
 """
 
 import math
@@ -110,13 +110,13 @@ def test_each_size_compiles_once():
 
 
 def _p5_point():
-    """A certified sweep_ode point with p near 5: its run ends in
-    StepUnderflow, not BlowupThreshold."""
+    """A certified sweep_ode point with p near 5, where a stop rule that
+    waits for the step to collapse ends in StepUnderflow."""
     inputs = make_inputs(0.5, -1.0, N=1.5, p=5.0, w0=60.0, w1=1e6)
     cert = certify(inputs)
     assert cert.valid
     t_end = t_cap(1.05 * cert.T_star, cert.T0)
-    return inputs, OdeControls(), t_end, TerminationReason.STEP_UNDERFLOW
+    return inputs, OdeControls(), t_end, TerminationReason.BLOWUP_THRESHOLD
 
 
 def _cubic_benchmark():
@@ -156,7 +156,9 @@ def test_comparison_ode_matches_the_comprehension_trial(monkeypatch):
             return v, c2 * (b * rpow(abs(w), p) - m2 * w)
 
         def via_oracles(rhs, t0, y0, t_stop, rhs_oracle=per_call_rhs, **kw):
-            return dopri_integrate(rhs_oracle, t0, y0, t_stop, **kw)
+            # phase 2's (t, l, rho) right-hand side reads b and M^2 through
+            # the same closures as phase 1's, so it is kept
+            return dopri_integrate(rhs_oracle if len(y0) == 2 else rhs, t0, y0, t_stop, **kw)
 
         with monkeypatch.context() as m:
             m.setattr(integrate_mod, "_float_trial", lambda size: comprehension_float_trial)

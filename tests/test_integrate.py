@@ -144,8 +144,8 @@ def reference_dopri(
             t = t + h
             y = y_new
             k[0] = k[6].copy()
-            if on_step is not None:
-                on_step(t, y, h)
+            if on_step is not None and on_step(t, y, h):
+                return R(TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h)
             if magnitude is not None and h < blow_floor and magnitude(y) > blow_magnitude:
                 return R(TerminationReason.BLOWUP_THRESHOLD, t, y, t, n_steps, n_rejected, h)
             if err == 0.0:
@@ -600,22 +600,18 @@ def test_predictive_controller_on_the_shipped_pde_runs(scenario, t_blow, tmp_pat
     assert abs(report["blowup_time"] - t_blow) <= 1e-9
 
 
-# p of a sweep_ode-shaped point: (status, accepted steps under the plain
-# controller).  p near 5 ends in StepUnderflow, the stop-rule defect the
-# controller does not touch.
-_ODE_POINTS = {
-    2.19: (TerminationReason.BLOWUP_THRESHOLD, 1718),
-    3.03: (TerminationReason.BLOWUP_THRESHOLD, 1139),
-    5.03: (TerminationReason.STEP_UNDERFLOW, 929),
-}
+# p of a sweep_ode-shaped point: an upper bound on its accepted steps, about
+# 1.1 times the 220-225, 157-159 and 265 of the two-phase integration.  The
+# one-phase stepper, which waited for the step to collapse, took 1718, 1139
+# and 929 and ended in StepUnderflow at p near 5.
+_ODE_POINTS = {2.19: 245, 3.03: 175, 5.03: 290}
 
 
 @pytest.mark.parametrize("p", sorted(_ODE_POINTS))
 @pytest.mark.parametrize("H", [0.0, 0.5, 0.99])
 def test_predictive_controller_on_the_comparison_ode(p, H):
-    """Comparison ODE runs as a sweep with the ODE makes them: every verdict
-    as under the plain controller, with at most 5% more accepted steps."""
-    status, plain_steps = _ODE_POINTS[p]
+    """Comparison ODE runs as a sweep with the ODE makes them: every one
+    ends in BlowupThreshold, no later than T*, within its step bound."""
     inputs = scenario_from_dict({
         "cosmology": {"n": 1, "c": 1.0, "a0": 1.0, "H": H, "sigma": -1.0, "m_squared": 0.0},
         "cone": {"r0": 1.0},
@@ -624,11 +620,9 @@ def test_predictive_controller_on_the_comparison_ode(p, H):
     }).inputs()
     cert = certify(inputs)
     traj = ode.integrate(inputs, t_cap(1.05 * cert.T_star, cert.T0))
-    assert traj.rk.status is status
-    assert traj.rk.n_steps <= 1.05 * plain_steps
-    blow = ode.detect_blowup_time(traj)
-    assert (blow is not None) == (status is TerminationReason.BLOWUP_THRESHOLD)
-    assert blow is None or blow <= cert.T_star
+    assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
+    assert traj.rk.n_steps <= _ODE_POINTS[p]
+    assert traj.rk.blowup_time <= ode.detect_blowup_time(traj) <= cert.T_star
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgblowup import (
     ExcludedRegionError,
@@ -17,16 +20,20 @@ from kgblowup import (
 )
 from kgblowup.ode import (
     OdeControls,
+    forcing_array,
     forcing_coefficient,
     growth_bound,
     trajectory_to_csv,
 )
 from kgblowup.certificate import certify, rpow
+from kgblowup.cosmology import t_cap
+from kgblowup.scenario import load_scenario
 
 from conftest import certified_inputs, make_inputs
 from oracles import energy_series
 
 SQRT2 = math.sqrt(2.0)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def cubic_inputs():
@@ -60,6 +67,53 @@ class TestIntegrate:
         exact = 0.7 * np.cos(k * traj.t) - 0.4 * np.sin(k * traj.t) / k
         assert np.max(np.abs(traj.w - exact)) < 1e-8
 
+    @staticmethod
+    def swing(b, w1, t_end):
+        """w'' = w + b |w|^3 from w0 = -1: w runs out, accelerating, to
+        about -sqrt(2/b), turns back, crosses 0 and blows up on the far side.
+        Returns the run and its energy drift over 1/b, the size of the
+        energy terms at the turn."""
+        inputs = make_inputs(0.0, 0.0, N=0.0, p=3.0, w0=-1.0, w1=w1)
+        traj = integrate_ode(inputs, t_end, OdeControls(mass_sq_const=-1.0, forcing_const=b))
+        w, v = traj.w, traj.wdot
+        energy = v * v / 2.0 - w * w / 2.0 - b * w * np.abs(w) ** 3 / 4.0
+        return traj, np.max(np.abs(energy - energy[0])) * b
+
+    def test_swing_past_the_hand_over_returns_to_phase_one(self):
+        """|w| passes 100 max(1, |w0|) while w runs away, so phase 2 takes
+        the swing; it hands back to phase 1 as |w| falls, with no blow-up."""
+        traj, drift = self.swing(1e-8, -2.0, 24.0)
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 24.0
+        assert detect_blowup_time(traj) is None
+        assert np.min(traj.w) < -1e4 and traj.w[-1] > 0.0 and drift < 1e-8
+
+    def test_turn_back_past_the_threshold_is_no_blowup(self):
+        """|w| passes 1e8 max(1, |w0|) and turns back: phase 1 takes over
+        where |w| fell back and runs on through 0 to t_end."""
+        traj, drift = self.swing(1e-20, -1e8, 14.0)
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 14.0
+        assert detect_blowup_time(traj) is None
+        assert np.min(traj.w) < -1e8 and traj.w[-1] > 0.0 and drift < 1e-8
+
+    def test_blowup_after_a_turn_back_past_the_threshold(self):
+        """The same swing run on: the blow-up on the far side is still found.
+        Stepping in t alone at rel_tol 1e-13 puts it at 19.0139393; the turn
+        through 0 is ill-conditioned, hence the loose bound."""
+        traj, _ = self.swing(1e-20, -1e8, 20.0)
+        assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD and traj.w[-1] > 1e8
+        assert detect_blowup_time(traj) == pytest.approx(19.0139393, abs=1e-3)
+
+    def test_oscillation_past_the_threshold_is_no_blowup(self):
+        """w = cos 2t + 1e9 sin 2t passes 1e8 max(1, |w0|) but never runs
+        away (w w'' < 0): the run ends at t_end, with no blow-up and the
+        closed form kept."""
+        inputs = make_inputs(0.0, 0.0, N=0.0, w0=1.0, w1=2e9)
+        traj = integrate_ode(inputs, 10.0, OdeControls(mass_sq_const=4.0, forcing_const=0.0))
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 10.0
+        assert detect_blowup_time(traj) is None and np.max(np.abs(traj.w)) > 1e8
+        exact = np.cos(2.0 * traj.t) + 1e9 * np.sin(2.0 * traj.t)
+        assert np.max(np.abs(traj.w - exact)) < 1e-8 * 1e9
+
     def test_zero_data_equilibrium(self):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=0.0, w1=0.0)
         traj = integrate_ode(inputs, 2.0)
@@ -85,6 +139,31 @@ class TestIntegrate:
         )
         t1, t2 = detect_blowup_time(tight), detect_blowup_time(loose)
         assert abs(t1 - t2) / t1 < 1e-3
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=st.floats(1.05, 30.0), log_K=st.floats(-2.0, 2.0))
+    def test_exact_family_blows_up_at_one(self, p, log_K):
+        """w = K (1-t)^-beta, beta = 2/(p-1), solves w'' = beta (beta+1)
+        K^(1-p) |w|^p: every p ends in BlowupThreshold with the refined
+        time at 1, the large p where the step underflowed first included."""
+        K = 10.0 ** log_K
+        beta = 2.0 / (p - 1.0)
+        inputs = make_inputs(0.0, 0.0, N=0.0, p=p, w0=K, w1=beta * K)
+        controls = OdeControls(mass_sq_const=0.0, forcing_const=beta * (beta + 1.0) * K ** (1.0 - p))
+        traj = integrate_ode(inputs, 1.5, controls)
+        assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
+        assert abs(traj.w[-1]) > 1e8 * max(1.0, K)
+        assert abs(detect_blowup_time(traj) - 1.0) <= 1e-9
+
+    def test_horizon_before_blowup_ends_at_t_end(self):
+        """|w| passes the hand-over magnitude before t_end, the blow-up
+        comes after it: the run ends at exactly t_end, as the cubic's
+        closed form sqrt(2)/(1-t) says."""
+        t_end = 0.995  # w = 283 > 100 max(1, w0)
+        traj = integrate_ode(cubic_inputs(), t_end, CUBIC_CONTROLS)
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON
+        assert traj.t[-1] == t_end and detect_blowup_time(traj) is None
+        assert traj.w[-1] == pytest.approx(SQRT2 / (1.0 - t_end), rel=1e-8)
 
     def test_detect_none_without_blowup(self):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=1.0, w1=0.0)
@@ -184,6 +263,17 @@ class TestExport:
         assert first[0] == 0.0 and first[1] == 16.0 and first[2] == 64.0
         assert first[3] == pytest.approx(16.0)  # envelope(0) = w0
         assert first[4] == pytest.approx(16.0)  # w0 e^0
+
+    @pytest.mark.parametrize("name", ["minkowski_blowup", "desitter_expanding"])
+    def test_forcing_array_matches_the_scalar_forcing(self, name):
+        """check_lemma21's b column, on the whole trajectory at once, within
+        1e-15 of the ODE's per-call b (NumPy's exp and log may differ from
+        the C library's in the last bits)."""
+        inputs = load_scenario(f"{SCENARIOS}/{name}.json").inputs()
+        cert = certify(inputs)
+        t = integrate_ode(inputs, t_cap(1.05 * cert.T_star, cert.T0)).t
+        b = forcing_coefficient(inputs)
+        np.testing.assert_allclose(forcing_array(inputs, t), [b(x) for x in t], rtol=1e-15, atol=0)
 
     def test_forcing_coefficient_matches_geometry(self, minkowski_inputs):
         b = forcing_coefficient(minkowski_inputs)

@@ -1,14 +1,12 @@
-"""Embedded Dormand-Prince 5(4) stepper with blow-up aware termination.
+"""Embedded Dormand-Prince 5(4) stepper with a caller-given stop rule.
 
 One controller drives both the scalar comparison ODE and the method-of-lines
 PDE system: step-size control, the termination rules, the counters,
 ``on_step`` and the first-same-as-last hand-over exist once, in
-``dopri_integrate``.  A run ends in blow-up by one of two rules.  The
-caller's ``on_step`` returns true: the comparison ODE's rule, a magnitude
-threshold it can read off variables in which the singularity sits at
-infinite time (see ``ode.integrate``).  Or, the PDE's rule, ``magnitude(y)``
-exceeds ``blow_magnitude`` *and* the accepted step has collapsed, which
-separates a finite-time singularity from ordinary stiffness.
+``dopri_integrate``.  A run ends in blow-up by one rule: the caller's
+``on_step`` returns true.  The caller owns its blow-up test (see
+``ode.integrate`` and ``pde.evolve``); the stepper only ends a run whose
+step falls below its floor, in StepUnderflow.
 
 A trial step (six stage states, the 5th-order solution, the error vector
 and its RMS norm) has two arithmetics, picked by the type of ``y0``:
@@ -254,13 +252,6 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_who
     return trial, slopes
 
 
-def _stalled(magnitude, blow_magnitude, y, t):
-    """Status and blow-up time of a run whose step fell below the floor."""
-    if magnitude is not None and magnitude(y) > blow_magnitude:
-        return TerminationReason.BLOWUP_THRESHOLD, t
-    return TerminationReason.STEP_UNDERFLOW, None
-
-
 def dopri_integrate(
     rhs: Callable[..., State],
     t0: float,
@@ -269,22 +260,18 @@ def dopri_integrate(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
     *,
-    magnitude: Optional[Callable[[State], float]] = None,
-    blow_magnitude: float = math.inf,
     max_steps: int = 2_000_000,
-    max_step: float = math.inf,
     on_step: Optional[Callable[[float, State, float], Optional[bool]]] = None,
     active: Callable[[np.ndarray], Any] = _whole,
 ) -> RkResult:
     """Integrate y' = rhs(t, y) from t0 to t_end.
 
-    ``y0`` is a tuple of floats (``rhs``, ``on_step`` and ``magnitude`` then
-    see tuples) or an array (``rhs(t, y, out)`` then fills ``out``), with at
-    least one component.  ``on_step(t, y, h)`` is invoked after every
-    accepted step; a true return ends the run in BlowupThreshold at ``t``.
-    Blow-up is also declared when ``magnitude(y) > blow_magnitude`` and the
-    step size has fallen below ``1e-14 * max(1, t)``; a step below ``1e-16 *
-    max(1, t)`` ends the run.  ``RkResult.y`` is an array either way.
+    ``y0`` is a tuple of floats (``rhs`` and ``on_step`` then see tuples)
+    or an array (``rhs(t, y, out)`` then fills ``out``), with at least one
+    component.  ``on_step(t, y, h)`` is invoked after every accepted step; a
+    true return ends the run in BlowupThreshold at ``t``.  A step below
+    ``1e-16 * max(1, t)`` ends the run in StepUnderflow.  ``RkResult.y`` is
+    an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
@@ -306,10 +293,9 @@ def dopri_integrate(
         slopes[0][...] = k0 = rhs(t, y, slopes[0])  # the probe below writes slopes[1]
         probe = lambda s, v: rhs(s, v, slopes[1])  # noqa: E731
         h = _initial_step(probe, t, y, k0, rel_tol, abs_tol, t_end - t0)
-    h = min(h, max_step)
     n_steps = n_rejected = 0
     min_step = math.inf
-    t_scale = max(1.0, abs(t))  # the step floors are 1e-16 and 1e-14 of it
+    t_scale = max(1.0, abs(t))  # the step floor is 1e-16 of it
     # the controller's memory: the last trial's h and err if it was
     # accepted with err > 0 (else err_old = 0), and the factor's cap
     h_old, err_old, cap = h, 0.0, 5.0
@@ -324,7 +310,7 @@ def dopri_integrate(
         if t + h == t:  # t_end within one ulp of t
             break
         if not h >= 1e-16 * t_scale:  # "not >=" so that a NaN step ends here too
-            status, blowup_time = _stalled(magnitude, blow_magnitude, y, t)
+            status = TerminationReason.STEP_UNDERFLOW
             break
 
         y_new, k_new, err = trial(t, h, y, k0)
@@ -334,9 +320,7 @@ def dopri_integrate(
                 min_step = h
             t = t + h
             y, k0 = y_new, k_new  # FSAL: the last stage's slope is rhs(t+h, y_new)
-            if (on_step is not None and on_step(t, y, h)) or (
-                magnitude is not None and h < 1e-14 * t_scale and magnitude(y) > blow_magnitude
-            ):
+            if on_step is not None and on_step(t, y, h):
                 status, blowup_time = TerminationReason.BLOWUP_THRESHOLD, t
                 break
             t_scale = max(1.0, abs(t))
@@ -347,14 +331,14 @@ def dopri_integrate(
             else:
                 factor = 0.9 * err ** -0.2
             h_old, err_old = h, err
-            h = min(h * min(cap, max(0.2, factor)), max_step)
+            h *= min(cap, max(0.2, factor))
             cap = 5.0
         else:  # inf and NaN norms shrink h by 0.2
             n_rejected += 1
             err_old, cap = 0.0, 1.0
             h *= max(0.2, 0.9 * err ** -0.2)
             if not h >= 1e-16 * t_scale:
-                status, blowup_time = _stalled(magnitude, blow_magnitude, y, t)
+                status = TerminationReason.STEP_UNDERFLOW
                 break
 
     return RkResult(

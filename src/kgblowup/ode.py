@@ -155,15 +155,17 @@ def integrate(
     samples: List[Tuple[float, float, float]] = [(0.0, inputs.w0, inputs.w1)]  # (t, w, w')
 
     def rhs(t: float, y: Tuple[float, float]) -> Tuple[float, float]:
-        w, v = y  # |w|^p is rpow(abs(w), p) written out
-        return v, c2 * (forcing(t) * (exp(p * log(abs(w))) if w != 0.0 else 0.0) - mass(t) * w)
+        w, v = y  # |w|^p is rpow(abs(w), p) written out, skipped (it may overflow) at b = 0
+        b = forcing(t)
+        return v, c2 * (b * (exp(p * log(abs(w))) if w != 0.0 and b != 0.0 else 0.0) - mass(t) * w)
 
     def on_step(t: float, y: Tuple[float, float], h: float) -> bool:
         w, v = y
         samples.append((t, w, v))
         a = abs(w)  # w w' > 0 and, checked last, w w'' > 0: w runs away from 0
         return (armed and 0.0 < w * v and (a > w_hand or a < 1e-6 * k * abs(v) * max(1.0, t))
-                and math.copysign(forcing(t), w) * exp((p - 1.0) * log(a)) > mass(t))
+                and math.copysign(b := forcing(t), w)
+                * (exp((p - 1.0) * log(a)) if b != 0.0 else 0.0) > mass(t))
 
     legs: List[RkResult] = []  # phase 1, phase 2, phase 1, ...
     armed, t_blow, t_hat = True, None, None

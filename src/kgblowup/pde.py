@@ -20,7 +20,7 @@ supported data leaves the nodes ahead of it at exactly +0.0.  ``evolve``
 keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The RHS and
 the kernel write that prefix of the stepper's ``out`` in place, whose tail
 keeps its +0.0; the stepper's ``active`` index is columns ``[:w]`` of
-both rows, and the magnitude test reads columns ``[:w]`` of row 0 (see
+both rows, and the blow-up test reads columns ``[:w]`` of row 0 (see
 ``integrate`` for the stepper's side).
 
 * Margin.  A trial that starts with last nonzero node L has stage i within
@@ -43,12 +43,19 @@ both rows, and the magnitude test reads columns ``[:w]`` of row 0 (see
 
 The observables (W, support radius, energy, outside mass) still run over
 all J nodes once per record, with weights built once per run.
+
+Blow-up.  ``evolve`` owns the PDE's stop rule.  With scale0 = max(1,
+max|u0|, max|ut0|), the run ends in BlowupThreshold at ``t`` when max|u| >
+1e8 scale0 after an accepted step shorter than 1e-14 max(1, t'), t' the
+time before the step; or when the stepper stops in StepUnderflow (a step
+below 1e-16 max(1, t)) with max|u| above that level.  A large field whose
+step has not collapsed is stiffness, not a singularity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -58,7 +65,7 @@ from .certificate import TheoremInputs, rpow, unit_ball_volume
 from .cone import comoving_radius
 from .cosmology import curved_mass_sq, mass_sq_function, scale_eval, scale_function, t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError
-from .integrate import RkResult, dopri_integrate
+from .integrate import RkResult, TerminationReason, dopri_integrate
 
 __all__ = [
     "PdeControls",
@@ -127,8 +134,6 @@ class InitialData:
     r0: float
     s0: float
     s1: float
-    target_w0: float
-    target_w1: float
     exponent: int = 3
 
     def profile(self, r: np.ndarray) -> np.ndarray:
@@ -150,7 +155,7 @@ def make_initial_data(n: int, r0: float, w0: float, w1: float) -> InitialData:
     if not r0 > 0:
         raise ValueError("r0 must be positive")
     mass = bump_ball_integral(n, r0, 3)
-    return InitialData(n=n, r0=r0, s0=w0 / mass, s1=w1 / mass, target_w0=w0, target_w1=w1)
+    return InitialData(n=n, r0=r0, s0=w0 / mass, s1=w1 / mass)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +240,13 @@ def make_field(
     inputs: TheoremInputs,
     t_end: float,
     controls: PdeControls = PdeControls(),
-    data: Optional[InitialData] = None,
 ) -> PdeField:
     """Grid sized past the forward cone at t_end, filled with bump data."""
     params = inputs.params
     h = controls.grid_h
     r_cone = comoving_radius(inputs.geom, t_cap(t_end, params.T0))
     r_max = controls.r_max_factor * r_cone
-    if data is None:
-        data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
+    data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
     cells = r_max / h
     if not math.isfinite(cells):
         raise ConfigurationError(f"grid: r_max / h = {r_max!r} / {h!r} is not finite")
@@ -331,7 +334,7 @@ def evolve(
     # the light-cone window: columns [:w] can be nonzero (module docstring)
     nonzero = np.flatnonzero(y0.any(axis=0))
     last = int(nonzero[-1]) if nonzero.size else -1
-    state = {"next_out": 0.0, "w": min(J, last + 9)}
+    state = {"next_out": 0.0, "w": min(J, last + 9), "t": 0.0}  # t: the last accepted time
 
     def grow(y: np.ndarray) -> None:
         w = state["w"]
@@ -351,7 +354,7 @@ def evolve(
         return out
 
     scale0 = max(1.0, float(np.max(np.abs(y0))))
-    regime_gate = 1e3 * scale0
+    regime_gate, blow_gate = 1e3 * scale0, 1e8 * scale0
 
     times: List[float] = []
     Ws: List[float] = []
@@ -377,20 +380,20 @@ def evolve(
     if out_dt is None:
         out_dt = t_stop / 200.0 if t_stop > 0 else 1.0
 
-    def on_step(t: float, y: np.ndarray, h_used: float) -> None:
+    def on_step(t: float, y: np.ndarray, h_used: float) -> bool:
         grow(y)
         mag = magnitude(y)
         # switch to per-step (geometric near a pole) output in the blow-up regime
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
             state["next_out"] = t + out_dt
+        t_prev, state["t"] = state["t"], t
+        return mag > blow_gate and h_used < 1e-14 * max(1.0, t_prev)  # the step collapsed
 
     magnitude = lambda y: float(np.max(np.abs(y[0, : state["w"]])))  # noqa: E731
     record(0.0, y0)
     state["next_out"] = out_dt
 
-    # blow-up: some |u| above 1e8 scale0 with the step below the
-    # stepper's blow-up fraction (1e-14) of max(1, t)
     res: RkResult = dopri_integrate(
         rhs,
         0.0,
@@ -398,12 +401,12 @@ def evolve(
         t_stop,
         rel_tol=controls.rel_tol,
         abs_tol=1e-10 * scale0,
-        magnitude=magnitude,
-        blow_magnitude=1e8 * scale0,
         max_steps=5_000_000,
         on_step=on_step,
         active=lambda y: (slice(None), slice(0, state["w"])),
     )
+    if res.status is TerminationReason.STEP_UNDERFLOW and magnitude(res.y) > blow_gate:
+        res = replace(res, status=TerminationReason.BLOWUP_THRESHOLD, blowup_time=res.t)
     if not times or res.t - times[-1] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
 
@@ -427,9 +430,8 @@ def run_pde(
     inputs: TheoremInputs,
     t_end: float,
     controls: PdeControls = PdeControls(),
-    data: Optional[InitialData] = None,
 ) -> PdeRun:
-    field = make_field(inputs, t_end, controls, data)
+    field = make_field(inputs, t_end, controls)
     return evolve(field, inputs, t_end, controls)
 
 

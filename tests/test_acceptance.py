@@ -184,18 +184,17 @@ def test_criterion_06_lifespan_bound(minkowski_inputs, minkowski_cert):
 
 def test_criterion_07_pde_linear_oracle():
     with criterion(7, "pde-linear-oracle", 30.0):
-        from kgblowup.pde import InitialData, bump_ball_integral
+        from kgblowup.pde import InitialData, bump_ball_integral, evolve, make_field
 
         mass = bump_ball_integral(1, 1.0, 6)
-        smooth_data = InitialData(
-            n=1, r0=1.0, s0=2.0 / mass, s1=0.0,
-            target_w0=2.0, target_w1=0.0, exponent=6,
-        )
+        smooth_data = InitialData(n=1, r0=1.0, s0=2.0 / mass, s1=0.0, exponent=6)
         inputs = make_inputs(0.0, 0.0, N=1.0, w0=2.0, w1=0.0)
         errs = []
         for h in (4e-3, 2e-3):
             controls = PdeControls(grid_h=h, rel_tol=1e-10, linear=True, r_max_factor=1.6)
-            run = run_pde(inputs, 0.5, controls, data=smooth_data)
+            field = make_field(inputs, 0.5, controls)
+            field = replace(field, u=smooth_data.u0(field.r), ut=smooth_data.u1(field.r))
+            run = evolve(field, inputs, 0.5, controls)
             f = run.field_final
             oracle = dalembert_oracle(smooth_data, inputs, f.t, f.r)
             errs.append(float(np.max(np.abs(f.u.real - oracle))))

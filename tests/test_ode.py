@@ -114,6 +114,15 @@ class TestIntegrate:
         exact = np.cos(2.0 * traj.t) + 1e9 * np.sin(2.0 * traj.t)
         assert np.max(np.abs(traj.w - exact)) < 1e-8 * 1e9
 
+    def test_zero_forcing_with_a_large_power(self):
+        """b = 0 and |w|^30 past the float range: w = cos 2t + (w1/2) sin 2t
+        to t_end, where |w|^p used to raise OverflowError."""
+        inputs = make_inputs(0.0, 0.0, N=0.0, p=30.0, w0=1.0, w1=1e14)
+        traj = integrate_ode(inputs, 10.0, OdeControls(mass_sq_const=4.0, forcing_const=0.0))
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 10.0
+        exact = math.cos(20.0) + 0.5e14 * math.sin(20.0)
+        assert abs(traj.w[-1] - exact) < 1e-9 * 0.5e14
+
     def test_zero_data_equilibrium(self):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=0.0, w1=0.0)
         traj = integrate_ode(inputs, 2.0)

@@ -43,6 +43,13 @@ def flat_inputs(**kw):
     return make_inputs(**base)
 
 
+def run_with_data(inputs, t_end, controls, data):
+    """run_pde with the bump data replaced by ``data``'s."""
+    field = make_field(inputs, t_end, controls)
+    field = replace(field, u=data.u0(field.r), ut=data.u1(field.r))
+    return evolve(field, inputs, t_end, controls)
+
+
 class TestInitialData:
     def test_line_normalization(self):
         # integral of (1-x^2)^3 over [-1, 1] is 32/35
@@ -134,15 +141,14 @@ class TestDalembertOracle:
 @pytest.fixture(scope="module")
 def smooth_data():
     mass = bump_ball_integral(1, 1.0, 6)
-    return InitialData(n=1, r0=1.0, s0=2.0 / mass, s1=0.0,
-                       target_w0=2.0, target_w1=0.0, exponent=6)
+    return InitialData(n=1, r0=1.0, s0=2.0 / mass, s1=0.0, exponent=6)
 
 
 class TestLinearEvolution:
     def errors_at(self, h, data):
         inputs = flat_inputs()
         controls = PdeControls(grid_h=h, rel_tol=1e-10, linear=True, r_max_factor=1.6)
-        run = run_pde(inputs, 0.5, controls, data=data)
+        run = run_with_data(inputs, 0.5, controls, data)
         f = run.field_final
         oracle = dalembert_oracle(data, inputs, f.t, f.r)
         return float(np.max(np.abs(f.u.real - oracle)))
@@ -193,7 +199,7 @@ class TestLinearEvolution:
         inputs = flat_inputs()
         wide = make_initial_data(1, 1.6, 2.0, 0.0)  # support beyond r0 = 1
         controls = PdeControls(grid_h=5e-3, linear=True, r_max_factor=2.2)
-        run = run_pde(inputs, 0.2, controls, data=wide)
+        run = run_with_data(inputs, 0.2, controls, wide)
         assert not run.contained[0]
         assert not run.contained.all()
 
@@ -216,8 +222,9 @@ class TestNonlinearBlowup:
 
     def test_w_dynamics_consistency(self, minkowski_inputs, monkeypatch):
         # c^-2 W'' + M^2 W = (forcing integral) >= b |W|^p along the run;
-        # steps capped at the output interval make the recorded times
-        # uniform, so the centered second difference is second-order accurate
+        # integrating in segments of the output interval makes the recorded
+        # times uniform, so the centered second difference is second-order
+        # accurate
         states = {}
 
         def capped(rhs, t0, y0, t_end, *, on_step, **kw):
@@ -225,9 +232,14 @@ class TestNonlinearBlowup:
 
             def keep(t, y, h_used):
                 states[t] = y.copy()
-                on_step(t, y, h_used)
+                return on_step(t, y, h_used)
 
-            return dopri_integrate(rhs, t0, y0, t_end, max_step=4e-4, on_step=keep, **kw)
+            res = dopri_integrate(rhs, t0, y0, min(t0 + 4e-4, t_end), on_step=keep, **kw)
+            while (res.status is TerminationReason.REACHED_HORIZON and res.t < t_end
+                   and res.n_steps):  # no step: t_end is within one ulp
+                t1 = min(res.t + 4e-4, t_end)
+                res = dopri_integrate(rhs, res.t, res.y, t1, on_step=keep, **kw)
+            return res
 
         monkeypatch.setattr(pde_mod, "dopri_integrate", capped)
         controls = PdeControls(grid_h=2e-3, rel_tol=1e-10, output_interval=4e-4)
@@ -266,6 +278,65 @@ class TestNonlinearBlowup:
         grid = np.linspace(-1, 1, 200001)
         ref = np.trapezoid(np.abs(data.u0(grid)) ** 3, grid)
         assert forcing_integral(field, minkowski_inputs) == pytest.approx(ref, rel=1e-6)
+
+
+def _blowup_exit(inputs, monkeypatch, nan_level=None):
+    """evolve on the flat blow-up at grid_h 4e-3, with (t, h, max|u| /
+    scale0) of every accepted step and max|u| / scale0 at the end.  With a
+    ``nan_level``, the kernel writes NaN from the first call that sees
+    max|u| above nan_level scale0 on, so every later trial is rejected
+    until the step falls below the stepper's floor."""
+    controls = PdeControls(grid_h=4e-3)
+    field = make_field(inputs, 0.525, controls)
+    scale0 = max(1.0, float(np.max(np.abs(field.u))), float(np.max(np.abs(field.ut))))
+    steps, tripped, kernel = [], [], pde_mod.radial_accel
+
+    def nan_kernel(u, out, *args):
+        kernel(u, out, *args)
+        if tripped or (nan_level is not None and np.max(np.abs(u)) > nan_level * scale0):
+            tripped.append(True)
+            out[...] = np.nan
+
+    def spy(rhs, t0, y0, t_end, *, on_step, **kw):
+        def keep(t, y, h_used):
+            steps.append((t, h_used, float(np.max(np.abs(y[0]))) / scale0))
+            return on_step(t, y, h_used)
+
+        return dopri_integrate(rhs, t0, y0, t_end, on_step=keep, **kw)
+
+    monkeypatch.setattr(pde_mod, "radial_accel", nan_kernel)
+    monkeypatch.setattr(pde_mod, "dopri_integrate", spy)
+    run = evolve(field, inputs, 0.525, controls)
+    return run.rk, steps, float(np.max(np.abs(run.rk.y[0]))) / scale0
+
+
+class TestBlowupExits:
+    """evolve's blow-up rule: max|u| above 1e8 scale0 together with a
+    collapsed step, accepted or pushed below the stepper's floor."""
+
+    def test_accepted_collapsed_step(self, minkowski_inputs, monkeypatch):
+        rk, steps, mag = _blowup_exit(minkowski_inputs, monkeypatch)
+        t_prev = [0.0] + [t for t, _, _ in steps[:-1]]
+        hits = [i for i, ((t, h, m), tp) in enumerate(zip(steps, t_prev))
+                if m > 1e8 and h < 1e-14 * max(1.0, tp)]
+        assert rk.status is TerminationReason.BLOWUP_THRESHOLD
+        assert hits == [len(steps) - 1]  # the first step that meets the rule ends the run
+        assert rk.blowup_time == rk.t == steps[-1][0] and mag > 1e8
+        assert any(m > 1e8 for _, _, m in steps[:-1])  # a large field alone is no blow-up
+
+    @pytest.mark.parametrize("nan_level, status", [
+        (1e9, TerminationReason.BLOWUP_THRESHOLD),
+        (1e7, TerminationReason.STEP_UNDERFLOW),
+    ])
+    def test_step_below_the_floor(self, nan_level, status, minkowski_inputs, monkeypatch):
+        rk, steps, mag = _blowup_exit(minkowski_inputs, monkeypatch, nan_level)
+        assert rk.status is status and rk.n_rejected > 0
+        assert rk.t == steps[-1][0] and rk.last_h < 1e-16 * max(1.0, rk.t)
+        assert min(h for _, h, _ in steps) > 1e-14  # no accepted step collapsed
+        if status is TerminationReason.BLOWUP_THRESHOLD:
+            assert rk.blowup_time == rk.t and mag > 1e8
+        else:
+            assert rk.blowup_time is None and mag < 1e8
 
 
 class TestRealPath:

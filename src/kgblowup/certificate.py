@@ -116,16 +116,17 @@ class TheoremInputs:
     w1: float
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ValueError("N must be nonnegative")
+        # "<key>: <rule>", the scenario key the rule is about; NaN fails every rule
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+            raise ValueError("epsilon: must lie in (0, 1)")
         if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
+            raise ValueError("theta: must lie in (0, 1)")
         if not self.lam > 0.0:
-            raise ValueError("lambda must be positive")
+            raise ValueError("lambda: must be positive")
         if not 1.0 < self.p < math.inf:
-            raise ValueError("p must lie in (1, infinity)")
+            raise ValueError("p: must lie in (1, infinity)")
+        if not self.N >= 0.0:
+            raise ValueError("N: must be nonnegative")
 
     @property
     def params(self) -> CosmologyParams:
@@ -255,13 +256,14 @@ def _golden_minimize(f: Callable[[float], float], lo: float, hi: float) -> Tuple
     return d, fd
 
 
-def _optimize_log(f: Callable, t_end: float, nodes: int) -> Tuple[float, float]:
+def _optimize_log(f: Callable, t_end: float) -> Tuple[float, float]:
     """Minimize a log-objective on (0, t_end); returns (t_min, f_min).
 
     ``f`` takes an array of times, which picks the best grid node, or one
-    time, which gives the value there and the refinement.
+    time, which gives the value there and the refinement.  The grid has
+    ``GRID_NODES`` nodes, read at each call.
     """
-    grid = _time_grid(t_end, nodes)
+    grid = _time_grid(t_end, GRID_NODES)
     values = f(grid)
     if np.isnan(values).all():
         raise DomainError(
@@ -282,7 +284,7 @@ def _optimize_log(f: Callable, t_end: float, nodes: int) -> Tuple[float, float]:
     return best_t, best_v
 
 
-def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
+def compute_A(inputs: TheoremInputs) -> ExtremumResult:
     """A = inf over (0, T0) of e^{cN(1-eps)t} / q~^{n/2}(t)."""
     params = inputs.params
     verdict = classify_q(inputs.geom)
@@ -314,14 +316,14 @@ def compute_A(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
     def f_log(t):
         return growth * t - n_half * log_q_tilde_eval(geom, t, verdict)
 
-    t_min, f_min = _optimize_log(f_log, params.T0, nodes)
+    t_min, f_min = _optimize_log(f_log, params.T0)
     A = math.exp(f_min)
     if A == 0.0:
         return ExtremumResult(0.0, False, t_min, f"A underflows to 0: log A = {f_min}")
     return ExtremumResult(A, True, t_min, "positive infimum")
 
 
-def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
+def compute_B(inputs: TheoremInputs) -> ExtremumResult:
     """B = sup over (0, T0) of q~^{n/2} (N^2 + M^2)^{1/(p-1)} e^{-cNt}."""
     params = inputs.params
     ok, reason = check_N(inputs)
@@ -386,7 +388,7 @@ def compute_B(inputs: TheoremInputs, nodes: int = GRID_NODES) -> ExtremumResult:
             return math.inf  # objective 0 there
         return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * log_mass - decay * t)
 
-    t_max, neg_min = _optimize_log(neg_log, params.T0, nodes)
+    t_max, neg_min = _optimize_log(neg_log, params.T0)
     if math.isinf(neg_min):  # exactly 0 only if M^2 = -N^2 is constant
         constant = behavior.tag in (MassTag.CONSTANT_M2, MassTag.DE_SITTER_CONSTANT)
         if constant and _exact_start_sum(inputs) == 0:
@@ -518,7 +520,6 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
             "r0<=2c/(a0|H|)": r0 <= 2.0 * c / _a0_H(a0, abs(H)),
         }
 
-    clauses["r0>0"] = r0 > 0.0
     if all(clauses.values()):
         return CorollaryCaseResult(case, False, f"case ({case})", clauses)
     failed = ", ".join(k for k, v in clauses.items() if not v)
@@ -531,15 +532,15 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
 # shared extrema
 # ---------------------------------------------------------------------------
 
-# n, c, a0, H, sigma, m^2, r0, N, epsilon (A) or p (B), nodes
-_MEMO_KEY = struct.Struct("<10d")
+# n, c, a0, H, sigma, m^2, r0, N, epsilon (A) or p (B)
+_MEMO_KEY = struct.Struct("<9d")
 
 
 class ExtremaMemo:
     """compute_A and compute_B results kept for later ``certify`` calls.
 
-    compute_A reads only (geom, N, epsilon, nodes) and compute_B only
-    (geom, N, p, nodes), so inputs that differ in w0, w1, theta or lambda
+    compute_A reads only (geom, N, epsilon) and compute_B only
+    (geom, N, p), so inputs that differ in w0, w1, theta or lambda
     share both.  Keys are the binary64 bits of those inputs, which keeps
     -0.0 apart from 0.0, so a hit returns what a fresh call would.  Raised
     errors are not kept.  At most ``MEMO_CAP`` results are held, the oldest
@@ -552,16 +553,16 @@ class ExtremaMemo:
     def __len__(self) -> int:
         return len(self._results)
 
-    def get(self, which: str, inputs: TheoremInputs, nodes: int) -> ExtremumResult:
+    def get(self, which: str, inputs: TheoremInputs) -> ExtremumResult:
         """compute_A (``which == "A"``) or compute_B (``"B"``) of ``inputs``."""
         p = inputs.params
         key = (which, _MEMO_KEY.pack(
             p.n, p.c, p.a0, p.H, p.sigma, p.m_squared, inputs.geom.r0, inputs.N,
-            inputs.epsilon if which == "A" else inputs.p, nodes,
+            inputs.epsilon if which == "A" else inputs.p,
         ))
         result = self._results.get(key)
         if result is None:
-            result = (compute_A if which == "A" else compute_B)(inputs, nodes=nodes)
+            result = (compute_A if which == "A" else compute_B)(inputs)
             if len(self._results) >= MEMO_CAP:
                 del self._results[next(iter(self._results))]
             self._results[key] = result
@@ -573,9 +574,7 @@ class ExtremaMemo:
 # ---------------------------------------------------------------------------
 
 
-def certify(
-    inputs: TheoremInputs, nodes: int = GRID_NODES, memo: Optional[ExtremaMemo] = None
-) -> BlowupCertificate:
+def certify(inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> BlowupCertificate:
     """Run every hypothesis check and assemble the certificate.
 
     With a ``memo``, A and B come from it (computed there on a miss); the
@@ -589,7 +588,7 @@ def certify(
     reasons: List[str] = []
     verdicts: Dict[str, bool] = {name: False for name in VERDICT_NAMES}
 
-    verdicts["support_radius_positive"] = inputs.geom.r0 > 0.0  # ConeGeometry rejects r0 <= 0
+    verdicts["support_radius_positive"] = True  # ConeGeometry rejects r0 <= 0
 
     n_ok, n_reason = check_N(inputs)
     verdicts["admissible_N"] = n_ok
@@ -603,15 +602,13 @@ def certify(
 
     A = B = None
     if monotone:
-        a_res = compute_A(inputs, nodes=nodes) if memo is None else memo.get("A", inputs, nodes)
+        a_res = compute_A(inputs) if memo is None else memo.get("A", inputs)
         A = a_res.value
         verdicts["A_positive"] = a_res.ok
         if not a_res.ok:
             reasons.append(f"A_positive: {a_res.reason}")
         if n_ok:
-            b_res = (
-                compute_B(inputs, nodes=nodes) if memo is None else memo.get("B", inputs, nodes)
-            )
+            b_res = compute_B(inputs) if memo is None else memo.get("B", inputs)
             B = b_res.value
             verdicts["B_finite"] = b_res.ok
             if not b_res.ok:

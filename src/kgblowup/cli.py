@@ -25,13 +25,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import ode as ode_mod
 from . import pde as pde_mod
-from .certificate import BlowupCertificate, ExtremaMemo, TheoremInputs, certify
+from .certificate import BlowupCertificate, ExtremaMemo, certify
 from .cosmology import t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
 from .integrate import RkResult, TerminationReason
@@ -85,12 +85,11 @@ def _out_dir(out: Optional[str]) -> Path:
     return path
 
 
-def _prologue(args) -> Tuple[Scenario, Path, TheoremInputs, BlowupCertificate]:
+def _prologue(args) -> Tuple[Scenario, Path, BlowupCertificate]:
     """Load the scenario, create the output directory, then certify."""
     scenario = load_scenario(args.scenario)
     out = _out_dir(args.out if args.out is not None else scenario.run.out)
-    inputs = scenario.inputs()
-    return scenario, out, inputs, certify(inputs)
+    return scenario, out, certify(scenario.inputs)
 
 
 def _resolve_t_end(scenario: Scenario, cert: BlowupCertificate, cli_t_end) -> float:
@@ -121,7 +120,7 @@ def _counters(rk: RkResult) -> Dict[str, Any]:
 
 
 def cmd_analyze(args) -> int:
-    _, out, _, cert = _prologue(args)
+    _, out, cert = _prologue(args)
     _write_json(out / "certificate.json", cert)
     status = "valid" if cert.valid else ("inconclusive" if cert.inconclusive else "invalid")
     print(f"certificate: {status}")
@@ -133,15 +132,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ode(args) -> int:
-    scenario, out, inputs, cert = _prologue(args)
-    t_end = _resolve_t_end(scenario, cert, args.t_end)
-    run = scenario.run
-    controls = ode_mod.OdeControls(
-        rel_tol=run.rel_tol,
-        mass_sq_const=run.ode_mass_sq_const,
-        forcing_const=run.ode_forcing_const,
-    )
-    traj = ode_mod.integrate(inputs, t_end, controls)
+    scenario, out, cert = _prologue(args)
+    inputs, run = scenario.inputs, scenario.run
+    traj = ode_mod.integrate(inputs, _resolve_t_end(scenario, cert, args.t_end), run)
     benchmark_mode = (
         run.ode_mass_sq_const is not None or run.ode_forcing_const is not None
     )
@@ -175,17 +168,12 @@ def cmd_ode(args) -> int:
 def _pde_run(args, linear: bool) -> Tuple[Path, BlowupCertificate, pde_mod.PdeRun]:
     """The prologue, then the PDE run that ``pde`` and ``cone-check`` share;
     ``linear`` drops the semilinear term."""
-    scenario, out, inputs, cert = _prologue(args)
+    scenario, out, cert = _prologue(args)
     t_end = _resolve_t_end(scenario, cert, args.t_end)
     run = scenario.run
-    controls = pde_mod.PdeControls(
-        grid_h=args.grid_h if args.grid_h is not None else run.grid_h,
-        rel_tol=run.pde_rel_tol,
-        r_max_factor=run.r_max_factor,
-        output_interval=run.output_interval,
-        linear=linear,
-    )
-    return out, cert, pde_mod.run_pde(inputs, t_end, controls)
+    if args.grid_h is not None:
+        run = replace(run, grid_h=args.grid_h)
+    return out, cert, pde_mod.run_pde(scenario.inputs, t_end, run, linear=linear)
 
 
 def cmd_pde(args) -> int:
@@ -242,15 +230,15 @@ def _sweep_point(base, overrides, with_ode, memo: ExtremaMemo) -> Dict[str, Any]
     row: Dict[str, Any] = {path: value for path, value in overrides}
     try:
         scenario = scenario_from_dict(data)
-        inputs = scenario.inputs()
-        cert = certify(inputs, memo=memo)
+        cert = certify(scenario.inputs, memo=memo)
         row["corollary_case"] = cert.corollary_case or "none"
         row["valid"] = cert.valid
         row["T_star"] = cert.T_star
         if with_ode:
             blow = None
             if cert.valid:
-                traj = ode_mod.integrate(inputs, t_cap(1.05 * cert.T_star, cert.T0))
+                t_end = _resolve_t_end(scenario, cert, None)
+                traj = ode_mod.integrate(scenario.inputs, t_end, scenario.run)
                 blow = ode_mod.detect_blowup_time(traj)
             row["blowup_time"] = blow
         row["error_class"] = row["error"] = ""

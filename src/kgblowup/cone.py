@@ -61,7 +61,7 @@ class ConeGeometry:
 
     def __post_init__(self):
         if not self.r0 > 0:
-            raise ValueError("initial support radius r0 must be positive")
+            raise ValueError("r0: support radius must be positive")
 
     @property
     def q0(self) -> float:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -153,14 +153,11 @@ def log_scale_time(params: CosmologyParams, t):
     return t * _log1p_ratio(params.eH, t)
 
 
-def scale_eval(params: CosmologyParams, t) -> Tuple:
-    """Return (a, adot, addot) at time t in [0, T0)."""
+def scale_eval(params: CosmologyParams, t):
+    """a(t) at one time, or at every time of an array, in [0, T0)."""
     _check_time(t, params.T0)
-    H, e = params.H, params.e
     exp = np.exp if isinstance(t, np.ndarray) else math.exp
-    a = params.a0 * exp(H * log_scale_time(params, t))
-    g = 1.0 + params.eH * t
-    return a, H * a / g, H * H * (1.0 - e) * a / (g * g)
+    return params.a0 * exp(params.H * log_scale_time(params, t))
 
 
 def scale_function(params: CosmologyParams) -> Callable[[float], float]:

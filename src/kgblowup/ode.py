@@ -25,9 +25,9 @@ from .cosmology import HORIZON_MARGIN, _check_time, curved_mass_sq, mass_sq_func
 from .cosmology import scale_eval
 from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
+from .scenario import RunSettings
 
 __all__ = [
-    "OdeControls",
     "OdeTrajectory",
     "Lemma21Report",
     "integrate",
@@ -40,14 +40,6 @@ __all__ = [
     "forcing_array",
     "trajectory_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class OdeControls:
-    rel_tol: float = 1e-10
-    # constant-coefficient overrides for benchmark problems
-    mass_sq_const: Optional[float] = None
-    forcing_const: Optional[float] = None
 
 
 @dataclass
@@ -102,12 +94,23 @@ def forcing_array(inputs: TheoremInputs, t: np.ndarray) -> np.ndarray:
     NumPy, from ``scale_eval`` and ``comoving_radius``, within a few ulp."""
     params = inputs.params
     r = comoving_radius(inputs.geom, t)
-    x = cone_ball_factor(params) * (scale_eval(params, t)[0] * r * r / params.a0)
+    x = cone_ball_factor(params) * (scale_eval(params, t) * r * r / params.a0)
     return inputs.lam / np.exp(params.n * (inputs.p - 1.0) / 2.0 * np.log(x))
 
 
+def _times_exp(b: float, x: float) -> float:
+    """b e^x where e^x alone passes the float range: e^(log|b| + x) with
+    the sign of b, b itself at b = 0, and +-inf where b e^x passes it too."""
+    if b == 0.0:
+        return b
+    try:
+        return math.copysign(math.exp(math.log(abs(b)) + x), b)
+    except OverflowError:
+        return math.copysign(math.inf, b)
+
+
 def integrate(
-    inputs: TheoremInputs, t_end: float, controls: OdeControls = OdeControls()
+    inputs: TheoremInputs, t_end: float, run: RunSettings = RunSettings()
 ) -> OdeTrajectory:
     """Integrate the equality dynamics from (w0, w1) up to t_end <= T0.
 
@@ -136,12 +139,12 @@ def integrate(
     if t_end > T0:
         raise DomainError(f"t_end={t_end} exceeds the horizon T0={T0}")
 
-    if controls.mass_sq_const is not None:
-        mass = lambda t: controls.mass_sq_const  # noqa: E731
+    if run.ode_mass_sq_const is not None:
+        mass = lambda t: run.ode_mass_sq_const  # noqa: E731
     else:
         mass = mass_sq_function(params)
-    if controls.forcing_const is not None:
-        forcing = lambda t: controls.forcing_const  # noqa: E731
+    if run.ode_forcing_const is not None:
+        forcing = lambda t: run.ode_forcing_const  # noqa: E731
     else:
         forcing = forcing_coefficient(inputs)
 
@@ -157,35 +160,49 @@ def integrate(
     def rhs(t: float, y: Tuple[float, float]) -> Tuple[float, float]:
         w, v = y  # |w|^p is rpow(abs(w), p) written out, skipped (it may overflow) at b = 0
         b = forcing(t)
-        return v, c2 * (b * (exp(p * log(abs(w))) if w != 0.0 and b != 0.0 else 0.0) - mass(t) * w)
+        try:
+            f = b * (exp(p * log(abs(w))) if w != 0.0 and b != 0.0 else 0.0)
+        except OverflowError:  # |w|^p past the float range, b |w|^p not always
+            f = _times_exp(b, p * log(abs(w)))
+        return v, c2 * (f - mass(t) * w)
 
     def on_step(t: float, y: Tuple[float, float], h: float) -> bool:
         w, v = y
         samples.append((t, w, v))
         a = abs(w)  # w w' > 0 and, checked last, w w'' > 0: w runs away from 0
-        return (armed and 0.0 < w * v and (a > w_hand or a < 1e-6 * k * abs(v) * max(1.0, t))
-                and math.copysign(b := forcing(t), w)
-                * (exp((p - 1.0) * log(a)) if b != 0.0 else 0.0) > mass(t))
+        if not (armed and 0.0 < w * v and (a > w_hand or a < 1e-6 * k * abs(v) * max(1.0, t))):
+            return False
+        b = math.copysign(forcing(t), w)
+        try:
+            f = b * (exp((p - 1.0) * log(a)) if b != 0.0 else 0.0)
+        except OverflowError:  # as in rhs
+            f = _times_exp(b, (p - 1.0) * log(a))
+        return f > mass(t)
 
     legs: List[RkResult] = []  # phase 1, phase 2, phase 1, ...
     armed, t_blow, t_hat = True, None, None
     while True:
         t_s, w_s, v_s = samples[-1]
         legs.append(dopri_integrate(
-            rhs, t_s, (w_s, v_s), t_stop, rel_tol=controls.rel_tol,
+            rhs, t_s, (w_s, v_s), t_stop, rel_tol=run.rel_tol,
             abs_tol=1e-12 * max(1.0, abs(inputs.w0), abs(inputs.w1)), on_step=on_step,
         ))
         if legs[-1].status is not TerminationReason.BLOWUP_THRESHOLD:
             break
         t_s, w_s, v_s = samples[-1]
         l_s, g, sigma = log(abs(w_s)), abs(v_s / w_s), math.copysign(1.0, w_s)
-        ms, bs = c2 / (g * g), sigma * c2 / (g * g) * exp((p - 1.0) * l_s)
+        ms, forcing_s = c2 / (g * g), forcing
+        try:
+            bs = sigma * c2 / (g * g) * exp((p - 1.0) * l_s)
+        except OverflowError:  # |w_s|^(p-1) past the float range: fold it into b
+            bs, x_s = sigma * ms, (p - 1.0) * l_s
+            forcing_s = lambda t: _times_exp(forcing(t), x_s)  # noqa: E731
 
         def rhs_s(s: float, y: Tuple[float, float, float]) -> Tuple[float, float, float]:
             tau, l, r = y  # past t_stop, or d past the float range, only in a dropped step
             t = min(t_s + tau / g, t_stop)
             d = exp(x) if (x := k * (l_s - l)) < 700.0 else math.inf
-            return d, r, bs * forcing(t) - ms * mass(t) * d * d - (k + 1.0) * r * r
+            return d, r, bs * forcing_s(t) - ms * mass(t) * d * d - (k + 1.0) * r * r
 
         def on_step_s(s: float, y: Tuple[float, float, float], h: float) -> bool:
             nonlocal armed, t_blow, t_hat
@@ -209,7 +226,7 @@ def integrate(
 
         legs.append(dopri_integrate(
             rhs_s, 0.0, (0.0, l_s, math.copysign(1.0, v_s / w_s)), math.inf,
-            rel_tol=controls.rel_tol, abs_tol=1e-12, on_step=on_step_s,
+            rel_tol=run.rel_tol, abs_tol=1e-12, on_step=on_step_s,
         ))
         if legs[-1].status is not TerminationReason.BLOWUP_THRESHOLD:
             armed, t_blow, t_hat = False, None, None  # phase 2 stalled: phase 1 ends the run

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -66,9 +66,9 @@ from .cone import comoving_radius
 from .cosmology import curved_mass_sq, mass_sq_function, scale_eval, scale_function, t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
+from .scenario import RunSettings
 
 __all__ = [
-    "PdeControls",
     "PdeField",
     "InitialData",
     "PdeRun",
@@ -84,15 +84,6 @@ __all__ = [
     "field_to_csv",
     "observables_to_csv",
 ]
-
-
-@dataclass(frozen=True)
-class PdeControls:
-    grid_h: float = 1e-2  # radial spacing h
-    rel_tol: float = 1e-8  # Dormand-Prince relative tolerance
-    r_max_factor: float = 1.25  # domain radius over the cone radius at t_end
-    output_interval: Optional[float] = None  # recording step; None: 1/200 of the run
-    linear: bool = False  # drop the semilinear term (propagation tests)
 
 
 @dataclass
@@ -152,8 +143,6 @@ class InitialData:
 
 def make_initial_data(n: int, r0: float, w0: float, w1: float) -> InitialData:
     """Bump pair whose ball integrals equal w0 and w1 exactly."""
-    if not r0 > 0:
-        raise ValueError("r0 must be positive")
     mass = bump_ball_integral(n, r0, 3)
     return InitialData(n=n, r0=r0, s0=w0 / mass, s1=w1 / mass)
 
@@ -202,7 +191,7 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs, weights=None) -> flo
     invariant of the semi-discrete flow in the flat autonomous case (n=1).
     """
     params = inputs.params
-    a, _, _ = scale_eval(params, field.t)
+    a = scale_eval(params, field.t)
     m2 = curved_mass_sq(params, field.t)
     w, face_w = _grid_weights(field) if weights is None else weights
     kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
@@ -236,16 +225,12 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights=None) 
 MAX_GRID_NODES = 1 << 20
 
 
-def make_field(
-    inputs: TheoremInputs,
-    t_end: float,
-    controls: PdeControls = PdeControls(),
-) -> PdeField:
+def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings = RunSettings()) -> PdeField:
     """Grid sized past the forward cone at t_end, filled with bump data."""
     params = inputs.params
-    h = controls.grid_h
+    h = run.grid_h
     r_cone = comoving_radius(inputs.geom, t_cap(t_end, params.T0))
-    r_max = controls.r_max_factor * r_cone
+    r_max = run.r_max_factor * r_cone
     data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
     cells = r_max / h
     if not math.isfinite(cells):
@@ -290,9 +275,12 @@ def evolve(
     field: PdeField,
     inputs: TheoremInputs,
     t_end: float,
-    controls: PdeControls = PdeControls(),
+    run: RunSettings = RunSettings(),
+    *,
+    linear: bool = False,
 ) -> PdeRun:
-    """Advance the real field to t_end (or blow-up), recording observables."""
+    """Advance the real field to t_end (or blow-up), recording observables;
+    ``linear`` drops the semilinear term (propagation tests, cone-check)."""
     if np.iscomplexobj(field.u) or np.iscomplexobj(field.ut):
         raise ValueError("evolve takes a real field; u and ut must be float arrays")
     params = inputs.params
@@ -323,7 +311,7 @@ def evolve(
     c2 = params.c**2
     n = field.n
     p = inputs.p
-    lam = 0.0 if controls.linear else inputs.lam
+    lam = 0.0 if linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
     scale_at = scale_function(params)
     mass_sq = mass_sq_function(params)
@@ -376,7 +364,7 @@ def evolve(
         energies.append(discrete_energy(snap, inputs, weights))
         outsides.append(outside_cone_mass(snap, cone_r, 2.0 * h, weights))
 
-    out_dt = controls.output_interval
+    out_dt = run.output_interval
     if out_dt is None:
         out_dt = t_stop / 200.0 if t_stop > 0 else 1.0
 
@@ -399,7 +387,7 @@ def evolve(
         0.0,
         y0,
         t_stop,
-        rel_tol=controls.rel_tol,
+        rel_tol=run.pde_rel_tol,
         abs_tol=1e-10 * scale0,
         max_steps=5_000_000,
         on_step=on_step,
@@ -429,10 +417,12 @@ def evolve(
 def run_pde(
     inputs: TheoremInputs,
     t_end: float,
-    controls: PdeControls = PdeControls(),
+    run: RunSettings = RunSettings(),
+    *,
+    linear: bool = False,
 ) -> PdeRun:
-    field = make_field(inputs, t_end, controls)
-    return evolve(field, inputs, t_end, controls)
+    field = make_field(inputs, t_end, run)
+    return evolve(field, inputs, t_end, run, linear=linear)
 
 
 # ---------------------------------------------------------------------------

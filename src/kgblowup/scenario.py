@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from .certificate import TheoremInputs
@@ -37,13 +37,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class RunSettings:
-    t_end: Optional[float] = None
-    rel_tol: float = 1e-10
-    pde_rel_tol: float = 1e-8
-    grid_h: float = 1e-2
-    r_max_factor: float = 1.25
-    output_interval: Optional[float] = None
-    out: Optional[str] = None
+    """The run block; ``ode.integrate`` and ``pde.run_pde`` read it as it is."""
+
+    t_end: Optional[float] = None  # None: 1.05 T* when certified, else 1
+    rel_tol: float = 1e-10  # comparison ODE relative tolerance
+    pde_rel_tol: float = 1e-8  # PDE Dormand-Prince relative tolerance
+    grid_h: float = 1e-2  # PDE radial spacing h
+    r_max_factor: float = 1.25  # PDE domain radius over the cone radius at t_end
+    output_interval: Optional[float] = None  # PDE recording step; None: 1/200 of the run
+    out: Optional[str] = None  # output directory when --out is not given
+    # constant M^2 and b in place of the background's, for benchmark ODEs
     ode_mass_sq_const: Optional[float] = None
     ode_forcing_const: Optional[float] = None
 
@@ -53,31 +56,10 @@ _RUN_DEFAULTS: Dict[str, Any] = asdict(RunSettings())
 
 @dataclass(frozen=True)
 class Scenario:
-    params: CosmologyParams
-    r0: float
-    N: float
-    epsilon: float
-    theta: float
-    lam: float
-    p: float
-    w0: float
-    w1: float
-    run: RunSettings = field(default_factory=RunSettings)
+    """A loaded scenario: the tuple the theorem quantifies over, and the run block."""
 
-    def geometry(self) -> ConeGeometry:
-        return ConeGeometry(self.params, self.r0)
-
-    def inputs(self) -> TheoremInputs:
-        return TheoremInputs(
-            geom=self.geometry(),
-            N=self.N,
-            epsilon=self.epsilon,
-            theta=self.theta,
-            lam=self.lam,
-            p=self.p,
-            w0=self.w0,
-            w1=self.w1,
-        )
+    inputs: TheoremInputs
+    run: RunSettings
 
 
 def _require_mapping(obj: Any, where: str) -> Dict[str, Any]:
@@ -156,8 +138,10 @@ def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenari
     cone = _require_mapping(data["cone"], f"{where}.cone")
     _reject_unknown(cone, {"r0"}, f"{where}.cone")
     r0 = _number(cone, "r0", f"{where}.cone")
-    if not r0 > 0:
-        raise ScenarioError(f"{where}.cone.r0: support radius must be positive")
+    try:
+        geom = ConeGeometry(params, r0)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}.cone.{exc}") from exc
 
     thm = _require_mapping(data["theorem"], f"{where}.theorem")
     _reject_unknown(
@@ -172,16 +156,10 @@ def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenari
         "w0": _number(thm, "w0", f"{where}.theorem"),
         "w1": _number(thm, "w1", f"{where}.theorem"),
     }
-    if not 0.0 < pieces["epsilon"] < 1.0:
-        raise ScenarioError(f"{where}.theorem.epsilon: must lie in (0, 1)")
-    if not 0.0 < pieces["theta"] < 1.0:
-        raise ScenarioError(f"{where}.theorem.theta: must lie in (0, 1)")
-    if not pieces["lam"] > 0.0:
-        raise ScenarioError(f"{where}.theorem.lambda: must be positive")
-    if not pieces["p"] > 1.0:
-        raise ScenarioError(f"{where}.theorem.p: must lie in (1, infinity)")
-    if pieces["N"] < 0.0:
-        raise ScenarioError(f"{where}.theorem.N: must be nonnegative")
+    try:
+        inputs = TheoremInputs(geom=geom, **pieces)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}.theorem.{exc}") from exc
 
     run_block = data.get("run", {})
     run_block = _require_mapping(run_block, f"{where}.run")
@@ -202,7 +180,7 @@ def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenari
             raise ScenarioError(f"{where}.run.{key}: must be positive")
     run = RunSettings(**merged)
 
-    return Scenario(params=params, r0=r0, run=run, **pieces)
+    return Scenario(inputs, run)
 
 
 def load_scenario(path) -> Scenario:

@@ -111,9 +111,18 @@ def curved_mass_sq_per_call(params: CosmologyParams, t: float) -> float:
     return params.m_squared + params.sigma * (n * H / (2.0 * c)) ** 2 / (g * g)
 
 
+def scale_derivatives(params: CosmologyParams, t):
+    """(a, adot, addot) at time t in [0, T0): adot = H a/g and addot =
+    H^2 (1 - e) a/g^2 on the closed-form family, g = 1 + e H t."""
+    a = scale_eval(params, t)
+    H = params.H
+    g = 1.0 + params.eH * t
+    return a, H * a / g, H * H * (1.0 - params.e) * a / (g * g)
+
+
 def curved_mass_sq_from_scale(params: CosmologyParams, t: float) -> float:
     """M^2 from the defining combination of scale-factor derivatives."""
-    a, adot, addot = scale_eval(params, t)
+    a, adot, addot = scale_derivatives(params, t)
     n, c = params.n, params.c
     hub = adot / a
     return (
@@ -169,7 +178,7 @@ def energy_series(traj: OdeTrajectory, inputs: TheoremInputs) -> np.ndarray:
 def forcing_integral(field: PdeField, inputs: TheoremInputs) -> float:
     """lambda a^{-n(p-1)/2} * integral of |u|^p, with the solver's volume
     weights."""
-    a, _, _ = scale_eval(inputs.params, field.t)
+    a = scale_eval(inputs.params, field.t)
     coef = inputs.lam * rpow(a, -inputs.params.n * (inputs.p - 1.0) / 2.0)
     return coef * float(np.sum(_volume_weights(field) * np.abs(field.u) ** inputs.p))
 

@@ -30,13 +30,13 @@ from kgblowup import (
     envelope,
     envelope_pole,
     integrate_ode,
-    scale_eval,
 )
-from kgblowup.ode import OdeControls
-from kgblowup.pde import PdeControls, run_pde
+from kgblowup import certificate
+from kgblowup.pde import run_pde
+from kgblowup.scenario import RunSettings
 
 from conftest import CASE_REGIONS, CASE_SEEDS, certified_inputs, make_inputs, region_samples
-from oracles import curved_mass_sq_from_scale, dalembert_oracle, q_eval
+from oracles import curved_mass_sq_from_scale, dalembert_oracle, q_eval, scale_derivatives
 
 
 @contextmanager
@@ -95,7 +95,7 @@ def test_criterion_02_hubble_identity():
             T0 = p.T0
             hi = 10.0 if math.isinf(T0) else 0.99 * T0
             for t in rng.uniform(0.0, hi, 100):
-                a, adot, _ = scale_eval(p, t)
+                a, adot, _ = scale_derivatives(p, t)
                 lhs = adot / a
                 rhs = p.H * (a / p.a0) ** (-p.n * (1.0 + p.sigma) / 2.0)
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
@@ -151,7 +151,7 @@ def test_criterion_03_monotonicity_rows():
 def test_criterion_04_exact_ode_blowup():
     with criterion(4, "exact-ode-blowup", 1.0):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=math.sqrt(2.0), w1=math.sqrt(2.0))
-        traj = integrate_ode(inputs, 1.5, OdeControls(mass_sq_const=0.0, forcing_const=1.0))
+        traj = integrate_ode(inputs, 1.5, RunSettings(ode_mass_sq_const=0.0, ode_forcing_const=1.0))
         assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
         t_blow = detect_blowup_time(traj)
         assert abs(t_blow - 1.0) <= 0.01
@@ -191,10 +191,10 @@ def test_criterion_07_pde_linear_oracle():
         inputs = make_inputs(0.0, 0.0, N=1.0, w0=2.0, w1=0.0)
         errs = []
         for h in (4e-3, 2e-3):
-            controls = PdeControls(grid_h=h, rel_tol=1e-10, linear=True, r_max_factor=1.6)
+            controls = RunSettings(grid_h=h, pde_rel_tol=1e-10, r_max_factor=1.6)
             field = make_field(inputs, 0.5, controls)
             field = replace(field, u=smooth_data.u0(field.r), ut=smooth_data.u1(field.r))
-            run = evolve(field, inputs, 0.5, controls)
+            run = evolve(field, inputs, 0.5, controls, linear=True)
             f = run.field_final
             oracle = dalembert_oracle(smooth_data, inputs, f.t, f.r)
             errs.append(float(np.max(np.abs(f.u.real - oracle))))
@@ -212,14 +212,14 @@ def test_criterion_08_finite_speed():
         ]
         for H, sigma in backgrounds:
             inputs = make_inputs(H, sigma, N=1.0, w0=2.0, w1=1.0)
-            controls = PdeControls(grid_h=2e-3, rel_tol=1e-10, linear=True, r_max_factor=1.6)
-            run = run_pde(inputs, 1.0, controls)
+            controls = RunSettings(grid_h=2e-3, pde_rel_tol=1e-10, r_max_factor=1.6)
+            run = run_pde(inputs, 1.0, controls, linear=True)
             assert float(run.outside_mass.max()) < 1e-8, (H, sigma)
 
 
 def test_criterion_09_pde_blowup_consistency(minkowski_inputs, minkowski_cert):
     with criterion(9, "pde-blowup-consistency", 120.0):
-        controls = PdeControls(grid_h=1e-3, rel_tol=1e-8)
+        controls = RunSettings(grid_h=1e-3, pde_rel_tol=1e-8)
         run = run_pde(minkowski_inputs, 0.525, controls)
         assert run.rk.status is TerminationReason.BLOWUP_THRESHOLD
         assert run.rk.blowup_time <= 1.05 * minkowski_cert.T_star
@@ -228,7 +228,7 @@ def test_criterion_09_pde_blowup_consistency(minkowski_inputs, minkowski_cert):
         assert np.all(run.W >= bound * (1.0 - 5e-3))
 
 
-def test_criterion_10_threshold_sharpness(minkowski_inputs):
+def test_criterion_10_threshold_sharpness(minkowski_inputs, monkeypatch):
     with criterion(10, "threshold-sharpness", 10.0):
         cert = certify(minkowski_inputs)
         thr = cert.w0_threshold
@@ -246,12 +246,12 @@ def test_criterion_10_threshold_sharpness(minkowski_inputs):
         for case in ("i", "ii", "iv", "vii", "viii"):
             seed = CASE_SEEDS[case]
             inputs = make_inputs(seed["H"], seed["sigma"], m2=seed["m2"], N=seed["N"])
-            assert compute_A(inputs).value == pytest.approx(
-                compute_A(inputs, nodes=40960).value, rel=1e-6
-            )
-            assert compute_B(inputs).value == pytest.approx(
-                compute_B(inputs, nodes=40960).value, rel=1e-6
-            )
+            coarse = compute_A(inputs).value, compute_B(inputs).value
+            with monkeypatch.context() as m:
+                m.setattr(certificate, "GRID_NODES", 40960)
+                fine = compute_A(inputs).value, compute_B(inputs).value
+            assert coarse[0] == pytest.approx(fine[0], rel=1e-6)
+            assert coarse[1] == pytest.approx(fine[1], rel=1e-6)
 
 
 def test_criterion_11_excluded_region_gate():
@@ -268,4 +268,4 @@ def test_criterion_11_excluded_region_gate():
             with pytest.raises(ExcludedRegionError):
                 integrate_ode(inputs, 0.1)
             with pytest.raises(ExcludedRegionError):
-                run_pde(inputs, 0.05, PdeControls(grid_h=2e-2, linear=True))
+                run_pde(inputs, 0.05, RunSettings(grid_h=2e-2), linear=True)

@@ -66,7 +66,7 @@ def test_background_matches_mpmath(geom, frac):
     t = frac * min(0.9 * T0, 4095.0)
     times = np.array([t, 0.5 * t, 0.0])
     a_arr, r_arr, logq_arr = (
-        scale_eval(geom.params, times)[0],
+        scale_eval(geom.params, times),
         comoving_radius(geom, times),
         log_q_eval(geom, times),
     )
@@ -78,7 +78,7 @@ def test_background_matches_mpmath(geom, frac):
             assert abs(float(got) - float(logq_ref)) <= logq_tol, (got, logq_ref)
         if not SMALLEST_NORMAL <= a_ref <= mp.mpf(np.finfo(float).max):
             continue
-        for got in (scale_eval(geom.params, ti)[0], a_arr[i]):
+        for got in (scale_eval(geom.params, ti), a_arr[i]):
             assert_close(got, a_ref, 1e-12)
         if r_ref < mp.mpf(np.finfo(float).max):
             for got in (comoving_radius(geom, ti), r_arr[i]):

@@ -5,7 +5,7 @@
 They must give, at every time, the same bits as the composition they
 replaced, which recomputes every constant per call: ``lambda / rpow(Q
 q_eval(geom, t), expo)``, the closed-form M^2 (both kept in ``oracles.py``)
-and ``scale_eval(params, t)[0]``.  Out of range they must raise the same
+and ``scale_eval(params, t)``.  Out of range they must raise the same
 ``DomainError``.
 """
 
@@ -65,7 +65,7 @@ def test_bound_closures_match_the_per_call_forms(inputs, frac):
     for t in times:
         assert _outcome(forcing, t) == _outcome(lambda x: forcing_per_call(inputs, x), t), t
         assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t), t
-        assert _outcome(scale, t) == _outcome(lambda x: scale_eval(params, x)[0], t), t
+        assert _outcome(scale, t) == _outcome(lambda x: scale_eval(params, x), t), t
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -85,7 +85,7 @@ def test_bound_closures_raise_like_the_per_call_forms(inputs):
         assert expected[0] == "DomainError", t
         assert _outcome(forcing, t) == expected
         assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t)
-        assert _outcome(scale, t) == _outcome(lambda x: scale_eval(params, x)[0], t)
+        assert _outcome(scale, t) == _outcome(lambda x: scale_eval(params, x), t)
 
 
 def test_mass_function_takes_arrays():

@@ -15,6 +15,7 @@ from kgblowup import (
     lifespan,
     unit_ball_volume,
 )
+from kgblowup import certificate
 from kgblowup.certificate import rpow
 from kgblowup.errors import PreconditionError
 from kgblowup.scenario import load_scenario
@@ -281,12 +282,14 @@ class TestCorollaryCases:
 
 
 class TestOptimizerConsistency:
-    def test_ten_times_finer_grid_agreement(self):
+    def test_ten_times_finer_grid_agreement(self, monkeypatch):
         for case in ("i", "ii", "iv", "vii", "viii"):
             seed = CASE_SEEDS[case]
             inputs = make_inputs(seed["H"], seed["sigma"], m2=seed["m2"], N=seed["N"])
-            a1, a2 = compute_A(inputs), compute_A(inputs, nodes=40960)
-            b1, b2 = compute_B(inputs), compute_B(inputs, nodes=40960)
+            a1, b1 = compute_A(inputs), compute_B(inputs)
+            with monkeypatch.context() as m:
+                m.setattr(certificate, "GRID_NODES", 40960)
+                a2, b2 = compute_A(inputs), compute_B(inputs)
             assert a1.value == pytest.approx(a2.value, rel=1e-6), case
             assert b1.value == pytest.approx(b2.value, rel=1e-6), case
 
@@ -442,9 +445,34 @@ PINNED = {
 def test_pinned_verdicts_and_reasons(name):
     source, failed, reasons = PINNED[name]
     if isinstance(source, str):
-        inputs = load_scenario(SCENARIOS / f"{source}.json").inputs()
+        inputs = load_scenario(SCENARIOS / f"{source}.json").inputs
     else:
         inputs = make_inputs(**source)
     cert = certify(inputs)
     assert [k for k, ok in cert.verdicts.items() if not ok] == failed
     assert cert.reasons == reasons
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("epsilon", 1.5, "epsilon: must lie in (0, 1)"),
+    ("theta", 0.0, "theta: must lie in (0, 1)"),
+    ("lam", -1.0, "lambda: must be positive"),
+    ("p", 1.0, "p: must lie in (1, infinity)"),
+    ("p", math.inf, "p: must lie in (1, infinity)"),
+    ("N", -1.0, "N: must be nonnegative"),
+    ("N", math.nan, "N: must be nonnegative"),
+])
+def test_theorem_range_rules(key, value, rule):
+    """Each rule, NaN included, is a ValueError named by its scenario key;
+    scenario_from_dict prefixes the block path to this text."""
+    with pytest.raises(ValueError) as exc:
+        replace(make_inputs(0.0, 0.0), **{key: value})
+    assert str(exc.value) == rule
+
+
+@pytest.mark.parametrize("r0", [0.0, -1.0, math.nan])
+def test_cone_range_rule(r0):
+    geom = make_inputs(0.0, 0.0).geom
+    with pytest.raises(ValueError) as exc:
+        replace(geom, r0=r0)
+    assert str(exc.value) == "r0: support radius must be positive"

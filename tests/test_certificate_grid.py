@@ -25,9 +25,9 @@ from kgblowup.errors import DomainError, PreconditionError
 from conftest import make_inputs
 
 
-def loop_optimize_log(f_log, t_end, nodes):
+def loop_optimize_log(f_log, t_end):
     """Minimize f_log by calling it once per grid node, then refine."""
-    grid = _time_grid(t_end, nodes)
+    grid = _time_grid(t_end, certificate.GRID_NODES)
     vals = np.array([f_log(t) for t in grid])
     i = int(np.nanargmin(vals))
     best_t, best_v = float(grid[i]), float(vals[i])
@@ -66,9 +66,10 @@ BACKGROUNDS = {
 def test_array_grid_matches_scalar_loop(name, nodes, monkeypatch):
     H, sigma, kw = BACKGROUNDS[name]
     inputs = make_inputs(H, sigma, **kw)
-    fast = (compute_A(inputs, nodes=nodes), compute_B(inputs, nodes=nodes))
+    monkeypatch.setattr(certificate, "GRID_NODES", nodes)
+    fast = (compute_A(inputs), compute_B(inputs))
     monkeypatch.setattr(certificate, "_optimize_log", loop_optimize_log)
-    slow = (compute_A(inputs, nodes=nodes), compute_B(inputs, nodes=nodes))
+    slow = (compute_A(inputs), compute_B(inputs))
     assert fast == slow
     # every background reaches the optimizer in at least one extremum
     assert any(res.arg_t is not None for res in fast)
@@ -177,10 +178,11 @@ def test_rejected_grids_raise_like_the_scalar_path(geom, beyond, where):
         assert array[1] is DomainError
 
 
-def test_not_monotone_q_raises_precondition():
+def test_not_monotone_q_raises_precondition(monkeypatch):
     # H < 0, sigma above the n = 1 gate 0, r0 below -2c/(a0 H) = 2
     inputs = make_inputs(-1.0, 0.5, n=1, r0=1.0)
     assert classify_q(inputs.geom) is Monotonicity.NOT_MONOTONE
+    monkeypatch.setattr(certificate, "GRID_NODES", 16)
     for extremum in (compute_A, compute_B):
         with pytest.raises(PreconditionError):
-            extremum(inputs, nodes=16)
+            extremum(inputs)

@@ -30,7 +30,7 @@ class TestScenarioLoading:
         sc = load_scenario(write(tmp_path, MINK))
         assert sc.run.grid_h == 1e-2
         assert sc.run.t_end is None
-        assert sc.params.n == 1 and sc.lam == 1.0
+        assert sc.inputs.params.n == 1 and sc.inputs.lam == 1.0
 
     def test_epsilon_constraint_named(self, tmp_path):
         bad = json.loads(json.dumps(MINK))
@@ -413,6 +413,23 @@ class TestSweep:
         assert rows[1][-2:] == ["", ""] and float(rows[1][-3]) > 0.0
         assert rows[2][-2] == "ScenarioError"
         assert rows[2][-1].startswith("ScenarioError: ")
+
+    def test_ode_reads_each_point_run_block(self, tmp_path):
+        """The comparison ODE of each sweep point runs at that point's
+        run.rel_tol: every row holds the blow-up time kgblow ode reports."""
+        axes = [{"path": "run.rel_tol", "values": [1e-10, 1e-6]}]
+        spec = self.spec(tmp_path, axes=axes, with_ode=True)
+        assert main(["sweep", "--scenario", str(spec), "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        reported = []
+        for row in rows:
+            point = dict(MINK, run={"rel_tol": float(row["run.rel_tol"])})
+            out = tmp_path / f"ode_{row['index']}"
+            assert main(["ode", "--scenario", str(write(tmp_path, point)), "--out", str(out)]) == 0
+            reported.append(json.loads((out / "ode_report.json").read_text())["blowup_time_refined"])
+        assert [float(row["blowup_time"]) for row in rows] == reported
+        assert reported[0] != reported[1]
 
     def test_worker_counts_agree_byte_for_byte(self, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w2"

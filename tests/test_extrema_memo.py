@@ -43,7 +43,7 @@ def spec_inputs(path):
         data = json.loads(json.dumps(spec.base))
         for (p, _), value in zip(spec.axes, combo):
             set_by_path(data, p, value)
-        yield scenario_from_dict(data).inputs()
+        yield scenario_from_dict(data).inputs
 
 
 def outcome(inputs, memo=None):
@@ -73,11 +73,11 @@ def counted(monkeypatch):
     def counting(which, third):
         original = getattr(certificate, f"compute_{which}")
 
-        def compute(inputs, nodes=certificate.GRID_NODES):
+        def compute(inputs):
             calls[which].append(key_of(inputs, getattr(inputs, third)))
             if which == "A" and inputs.params.H == RAISING_H:
                 raise DomainError(f"H={RAISING_H} raises by design")
-            return original(inputs, nodes=nodes)
+            return original(inputs)
 
         return compute
 
@@ -170,8 +170,8 @@ def test_memo_stays_within_its_cap(tmp_path, monkeypatch):
     sizes = []
 
     class Watched(ExtremaMemo):
-        def get(self, which, inputs, nodes):
-            result = super().get(which, inputs, nodes)
+        def get(self, which, inputs):
+            result = super().get(which, inputs)
             sizes.append(len(self))
             return result
 

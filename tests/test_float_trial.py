@@ -22,8 +22,7 @@ from kgblowup import ode
 from kgblowup.certificate import certify, rpow
 from kgblowup.cosmology import t_cap
 from kgblowup.integrate import TerminationReason, _array_trial, _float_trial, dopri_integrate
-from kgblowup.ode import OdeControls
-from kgblowup.scenario import load_scenario
+from kgblowup.scenario import RunSettings, load_scenario
 
 from conftest import make_inputs
 from oracles import comprehension_float_trial, curved_mass_sq_per_call, forcing_per_call
@@ -116,23 +115,18 @@ def _p5_point():
     cert = certify(inputs)
     assert cert.valid
     t_end = t_cap(1.05 * cert.T_star, cert.T0)
-    return inputs, OdeControls(), t_end, TerminationReason.BLOWUP_THRESHOLD
+    return inputs, RunSettings(), t_end, TerminationReason.BLOWUP_THRESHOLD
 
 
 def _cubic_benchmark():
     """cubic_ode_benchmark: the forcing and mass overrides replace b and M^2."""
     sc = load_scenario(SCENARIOS / "cubic_ode_benchmark.json")
-    controls = OdeControls(
-        rel_tol=sc.run.rel_tol,
-        mass_sq_const=sc.run.ode_mass_sq_const,
-        forcing_const=sc.run.ode_forcing_const,
-    )
-    return sc.inputs(), controls, sc.run.t_end, TerminationReason.BLOWUP_THRESHOLD
+    return sc.inputs, sc.run, sc.run.t_end, TerminationReason.BLOWUP_THRESHOLD
 
 
 def _de_sitter_blowup():
     inputs = make_inputs(1.0, -1.0, N=1.5, w0=40.0, w1=450.0)
-    return inputs, OdeControls(), 0.5, TerminationReason.BLOWUP_THRESHOLD
+    return inputs, RunSettings(), 0.5, TerminationReason.BLOWUP_THRESHOLD
 
 
 def test_comparison_ode_matches_the_comprehension_trial(monkeypatch):
@@ -147,10 +141,10 @@ def test_comparison_ode_matches_the_comprehension_trial(monkeypatch):
 
         def per_call_rhs(t, y, inputs=inputs, controls=controls, params=params, p=p, c2=c2):
             w, v = y
-            b = controls.forcing_const
+            b = controls.ode_forcing_const
             if b is None:
                 b = forcing_per_call(inputs, t)
-            m2 = controls.mass_sq_const
+            m2 = controls.ode_mass_sq_const
             if m2 is None:
                 m2 = curved_mass_sq_per_call(params, t)
             return v, c2 * (b * rpow(abs(w), p) - m2 * w)

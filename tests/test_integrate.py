@@ -31,9 +31,7 @@ from kgblowup.cosmology import t_cap
 from kgblowup.integrate import (
     RkResult, TerminationReason, _array_trial, _float_trial, _stage_sum, dopri_integrate,
 )
-from kgblowup.ode import OdeControls
-from kgblowup.pde import PdeControls
-from kgblowup.scenario import load_scenario, scenario_from_dict
+from kgblowup.scenario import RunSettings, load_scenario, scenario_from_dict
 
 from conftest import make_inputs
 
@@ -419,8 +417,8 @@ def test_comparison_ode_matches_the_reference(monkeypatch):
     """ode.integrate on the benchmark cubic and a de Sitter background."""
     runs = [
         (make_inputs(0.0, 0.0, N=0.0, w0=2 ** 0.5, w1=2 ** 0.5),
-         OdeControls(mass_sq_const=0.0, forcing_const=1.0), 1.2),
-        (make_inputs(1.0, -1.0, N=1.5, w0=40.0, w1=450.0), OdeControls(), 0.5),
+         RunSettings(ode_mass_sq_const=0.0, ode_forcing_const=1.0), 1.2),
+        (make_inputs(1.0, -1.0, N=1.5, w0=40.0, w1=450.0), RunSettings(), 0.5),
     ]
 
     def via_reference(rhs, t0, y0, t_end, **kw):
@@ -442,16 +440,16 @@ def _pde_case(name):
     """(field, inputs, t_end, controls) of one windowed-PDE case."""
     if name == "cubic_ode_benchmark":  # the window reaches every node
         scenario = load_scenario(SCENARIOS / "cubic_ode_benchmark.json")
-        inputs, run = scenario.inputs(), scenario.run
-        t_end, controls = run.t_end, PdeControls(grid_h=run.grid_h, rel_tol=run.pde_rel_tol)
+        inputs, run = scenario.inputs, scenario.run
+        t_end, controls = run.t_end, RunSettings(grid_h=run.grid_h, pde_rel_tol=run.pde_rel_tol)
     elif name == "curved_n4":  # cm[1] < 0 at n = 4, mass term on
         inputs, t_end = make_inputs(1.0, 1.0, m2=2.0, n=4, w0=1.0, w1=0.5), 0.1
-        controls = PdeControls(grid_h=4e-3)
+        controls = RunSettings(grid_h=4e-3)
     else:
         sign = -1.0 if name == "negative" else 1.0  # negative data: a -0.0 tail
         inputs = make_inputs(0.0, 0.0, N=2.0, w0=16.0 * sign, w1=64.0 * sign)
-        t_end, controls = (0.525, PdeControls(grid_h=4e-3)) if name == "blowup" else (
-            0.2, PdeControls(grid_h=1e-2))
+        t_end, controls = (0.525, RunSettings(grid_h=4e-3)) if name == "blowup" else (
+            0.2, RunSettings(grid_h=1e-2))
     return pde.make_field(inputs, t_end, controls), inputs, t_end, controls
 
 
@@ -606,7 +604,7 @@ def test_predictive_controller_on_the_comparison_ode(p, H):
         "cone": {"r0": 1.0},
         "theorem": {"N": 1.5, "epsilon": 0.5, "theta": 0.5, "lambda": 1.0, "p": p,
                     "w0": 45.5, "w1": 1e6},
-    }).inputs()
+    }).inputs
     cert = certify(inputs)
     traj = ode.integrate(inputs, t_cap(1.05 * cert.T_star, cert.T0))
     assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD

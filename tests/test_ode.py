@@ -19,7 +19,6 @@ from kgblowup import (
     integrate_ode,
 )
 from kgblowup.ode import (
-    OdeControls,
     forcing_array,
     forcing_coefficient,
     growth_bound,
@@ -27,7 +26,7 @@ from kgblowup.ode import (
 )
 from kgblowup.certificate import certify, rpow
 from kgblowup.cosmology import t_cap
-from kgblowup.scenario import load_scenario
+from kgblowup.scenario import RunSettings, load_scenario
 
 from conftest import certified_inputs, make_inputs
 from oracles import energy_series
@@ -41,7 +40,7 @@ def cubic_inputs():
     return make_inputs(0.0, 0.0, N=0.0, w0=SQRT2, w1=SQRT2)
 
 
-CUBIC_CONTROLS = OdeControls(mass_sq_const=0.0, forcing_const=1.0)
+CUBIC_CONTROLS = RunSettings(ode_mass_sq_const=0.0, ode_forcing_const=1.0)
 
 
 class TestIntegrate:
@@ -60,7 +59,7 @@ class TestIntegrate:
     def test_linear_oscillator_closed_form(self):
         k = 3.0
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=0.7, w1=-0.4)
-        controls = OdeControls(mass_sq_const=k * k, forcing_const=0.0)
+        controls = RunSettings(ode_mass_sq_const=k * k, ode_forcing_const=0.0)
         traj = integrate_ode(inputs, 5.0, controls)
         assert traj.rk.status is TerminationReason.REACHED_HORIZON
         assert not traj.blowup_detected
@@ -74,7 +73,7 @@ class TestIntegrate:
         Returns the run and its energy drift over 1/b, the size of the
         energy terms at the turn."""
         inputs = make_inputs(0.0, 0.0, N=0.0, p=3.0, w0=-1.0, w1=w1)
-        traj = integrate_ode(inputs, t_end, OdeControls(mass_sq_const=-1.0, forcing_const=b))
+        traj = integrate_ode(inputs, t_end, RunSettings(ode_mass_sq_const=-1.0, ode_forcing_const=b))
         w, v = traj.w, traj.wdot
         energy = v * v / 2.0 - w * w / 2.0 - b * w * np.abs(w) ** 3 / 4.0
         return traj, np.max(np.abs(energy - energy[0])) * b
@@ -108,7 +107,7 @@ class TestIntegrate:
         away (w w'' < 0): the run ends at t_end, with no blow-up and the
         closed form kept."""
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=1.0, w1=2e9)
-        traj = integrate_ode(inputs, 10.0, OdeControls(mass_sq_const=4.0, forcing_const=0.0))
+        traj = integrate_ode(inputs, 10.0, RunSettings(ode_mass_sq_const=4.0, ode_forcing_const=0.0))
         assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 10.0
         assert detect_blowup_time(traj) is None and np.max(np.abs(traj.w)) > 1e8
         exact = np.cos(2.0 * traj.t) + 1e9 * np.sin(2.0 * traj.t)
@@ -118,10 +117,30 @@ class TestIntegrate:
         """b = 0 and |w|^30 past the float range: w = cos 2t + (w1/2) sin 2t
         to t_end, where |w|^p used to raise OverflowError."""
         inputs = make_inputs(0.0, 0.0, N=0.0, p=30.0, w0=1.0, w1=1e14)
-        traj = integrate_ode(inputs, 10.0, OdeControls(mass_sq_const=4.0, forcing_const=0.0))
+        traj = integrate_ode(inputs, 10.0, RunSettings(ode_mass_sq_const=4.0, ode_forcing_const=0.0))
         assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 10.0
         exact = math.cos(20.0) + 0.5e14 * math.sin(20.0)
         assert abs(traj.w[-1] - exact) < 1e-9 * 0.5e14
+
+    def test_tiny_forcing_with_a_large_power(self):
+        """b = 1e-300 and |w|^30 past the float range, b |w|^30 not: phase 1
+        and the hand-over take the product in log form, where |w|^p used to
+        raise OverflowError.  T^ is the energy integral of
+        w'' = b w^30 - 4 w from w = 1 to infinity (mpmath quad, 40 digits)."""
+        inputs = make_inputs(0.0, 0.0, N=0.0, p=30.0, w0=1.0, w1=1e14)
+        traj = integrate_ode(inputs, 1.0, RunSettings(ode_mass_sq_const=4.0, ode_forcing_const=1e-300))
+        assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
+        assert detect_blowup_time(traj) == pytest.approx(4.365040039464818e-4, rel=1e-9)
+
+    def test_zero_forcing_runaway_with_a_large_power(self):
+        """b = 0 and |w_s|^29 past the float range at the hand-over: the
+        runaway w = 1e12 e^t reaches t_end with no blow-up, where forming
+        the hand-over's b coefficient used to raise OverflowError."""
+        inputs = make_inputs(0.0, 0.0, N=0.0, p=30.0, w0=1e12, w1=1e12)
+        traj = integrate_ode(inputs, 10.0, RunSettings(ode_mass_sq_const=-1.0, ode_forcing_const=0.0))
+        assert traj.rk.status is TerminationReason.REACHED_HORIZON and traj.t[-1] == 10.0
+        assert detect_blowup_time(traj) is None
+        assert traj.w[-1] == pytest.approx(1e12 * math.exp(10.0), rel=1e-5)
 
     def test_zero_data_equilibrium(self):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=0.0, w1=0.0)
@@ -131,7 +150,7 @@ class TestIntegrate:
     def test_time_reversal_recovers_data(self):
         k = 2.0
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=1.1, w1=0.3)
-        controls = OdeControls(mass_sq_const=k * k, forcing_const=0.0)
+        controls = RunSettings(ode_mass_sq_const=k * k, ode_forcing_const=0.0)
         fwd = integrate_ode(inputs, 3.0, controls)
         # constant coefficients: from the end state with the velocity
         # reversed, the same equation runs the trajectory backwards
@@ -158,7 +177,7 @@ class TestIntegrate:
         K = 10.0 ** log_K
         beta = 2.0 / (p - 1.0)
         inputs = make_inputs(0.0, 0.0, N=0.0, p=p, w0=K, w1=beta * K)
-        controls = OdeControls(mass_sq_const=0.0, forcing_const=beta * (beta + 1.0) * K ** (1.0 - p))
+        controls = RunSettings(ode_mass_sq_const=0.0, ode_forcing_const=beta * (beta + 1.0) * K ** (1.0 - p))
         traj = integrate_ode(inputs, 1.5, controls)
         assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
         assert abs(traj.w[-1]) > 1e8 * max(1.0, K)
@@ -176,7 +195,7 @@ class TestIntegrate:
 
     def test_detect_none_without_blowup(self):
         inputs = make_inputs(0.0, 0.0, N=0.0, w0=1.0, w1=0.0)
-        traj = integrate_ode(inputs, 1.0, OdeControls(mass_sq_const=4.0, forcing_const=0.0))
+        traj = integrate_ode(inputs, 1.0, RunSettings(ode_mass_sq_const=4.0, ode_forcing_const=0.0))
         assert detect_blowup_time(traj) is None
 
     def test_horizon_stop_before_finite_T0(self):
@@ -278,7 +297,7 @@ class TestExport:
         """check_lemma21's b column, on the whole trajectory at once, within
         1e-15 of the ODE's per-call b (NumPy's exp and log may differ from
         the C library's in the last bits)."""
-        inputs = load_scenario(f"{SCENARIOS}/{name}.json").inputs()
+        inputs = load_scenario(f"{SCENARIOS}/{name}.json").inputs
         cert = certify(inputs)
         t = integrate_ode(inputs, t_cap(1.05 * cert.T_star, cert.T0)).t
         b = forcing_coefficient(inputs)

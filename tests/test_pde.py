@@ -16,7 +16,6 @@ from kgblowup import (
 )
 from kgblowup.pde import (
     InitialData,
-    PdeControls,
     PdeField,
     bump_ball_integral,
     discrete_energy,
@@ -27,6 +26,7 @@ from kgblowup.pde import (
 )
 import kgblowup.pde as pde_mod
 from kgblowup.integrate import dopri_integrate
+from kgblowup.scenario import RunSettings
 
 from conftest import make_inputs
 from oracles import (
@@ -43,11 +43,11 @@ def flat_inputs(**kw):
     return make_inputs(**base)
 
 
-def run_with_data(inputs, t_end, controls, data):
+def run_with_data(inputs, t_end, controls, data, linear=False):
     """run_pde with the bump data replaced by ``data``'s."""
     field = make_field(inputs, t_end, controls)
     field = replace(field, u=data.u0(field.r), ut=data.u1(field.r))
-    return evolve(field, inputs, t_end, controls)
+    return evolve(field, inputs, t_end, controls, linear=linear)
 
 
 class TestInitialData:
@@ -83,7 +83,7 @@ class TestInitialData:
 class TestObservables:
     def test_w_matches_target_on_fine_grid(self):
         inputs = flat_inputs(w0=2.0)
-        field = make_field(inputs, 0.1, PdeControls(grid_h=1e-4))
+        field = make_field(inputs, 0.1, RunSettings(grid_h=1e-4))
         assert observable_w(field) == pytest.approx(2.0, abs=1e-8)
 
     def test_constant_field_ball_volume(self):
@@ -96,14 +96,14 @@ class TestObservables:
 
     def test_zero_field(self):
         inputs = flat_inputs(w0=0.0, w1=0.0)
-        field = make_field(inputs, 0.1, PdeControls(grid_h=1e-2))
+        field = make_field(inputs, 0.1, RunSettings(grid_h=1e-2))
         assert observable_w(field) == 0.0
         assert support_radius(field) == 0.0
 
     def test_support_radius_of_initial_data(self):
         inputs = flat_inputs()
         h = 1e-3
-        field = make_field(inputs, 0.1, PdeControls(grid_h=h))
+        field = make_field(inputs, 0.1, RunSettings(grid_h=h))
         assert support_radius(field) == pytest.approx(1.0, abs=2 * h)
 
 
@@ -147,8 +147,8 @@ def smooth_data():
 class TestLinearEvolution:
     def errors_at(self, h, data):
         inputs = flat_inputs()
-        controls = PdeControls(grid_h=h, rel_tol=1e-10, linear=True, r_max_factor=1.6)
-        run = run_with_data(inputs, 0.5, controls, data)
+        controls = RunSettings(grid_h=h, pde_rel_tol=1e-10, r_max_factor=1.6)
+        run = run_with_data(inputs, 0.5, controls, data, linear=True)
         f = run.field_final
         oracle = dalembert_oracle(data, inputs, f.t, f.r)
         return float(np.max(np.abs(f.u.real - oracle)))
@@ -161,15 +161,15 @@ class TestLinearEvolution:
 
     def test_energy_conserved_flat_massive(self):
         inputs = flat_inputs(m2=4.0, w0=2.0, w1=1.0)
-        controls = PdeControls(grid_h=2e-3, rel_tol=1e-10, linear=True, r_max_factor=1.6)
-        run = run_pde(inputs, 1.0, controls)
+        controls = RunSettings(grid_h=2e-3, pde_rel_tol=1e-10, r_max_factor=1.6)
+        run = run_pde(inputs, 1.0, controls, linear=True)
         drift = np.abs(run.energy / run.energy[0] - 1.0)
         assert float(drift.max()) < 1e-6
 
     def test_realness_preserved(self):
         # the field stays float64 on a (2, J) state of u and u_t
         inputs = flat_inputs(w0=2.0, w1=1.0)
-        run = run_pde(inputs, 0.5, PdeControls(grid_h=5e-3, linear=True))
+        run = run_pde(inputs, 0.5, RunSettings(grid_h=5e-3), linear=True)
         assert run.field_final.u.dtype == run.field_final.ut.dtype == np.float64
         assert np.any(run.field_final.u) and np.any(run.field_final.ut)
         assert run.rk.y.shape == (2, run.field_final.u.size)
@@ -190,23 +190,23 @@ class TestLinearEvolution:
             inputs = make_inputs(H, sigma, N=1.0, w0=2.0, w1=1.0)
             T0 = inputs.params.T0
             t_end = 1.0 if math.isinf(T0) else 0.5 * T0
-            controls = PdeControls(grid_h=2e-3, rel_tol=1e-10, linear=True, r_max_factor=1.6)
-            run = run_pde(inputs, t_end, controls)
+            controls = RunSettings(grid_h=2e-3, pde_rel_tol=1e-10, r_max_factor=1.6)
+            run = run_pde(inputs, t_end, controls, linear=True)
             assert float(run.outside_mass.max()) < 1e-8, (H, sigma)
             assert run.contained.all(), (H, sigma)
 
     def test_widened_support_flagged_at_t0(self):
         inputs = flat_inputs()
         wide = make_initial_data(1, 1.6, 2.0, 0.0)  # support beyond r0 = 1
-        controls = PdeControls(grid_h=5e-3, linear=True, r_max_factor=2.2)
-        run = run_with_data(inputs, 0.2, controls, wide)
+        controls = RunSettings(grid_h=5e-3, r_max_factor=2.2)
+        run = run_with_data(inputs, 0.2, controls, wide, linear=True)
         assert not run.contained[0]
         assert not run.contained.all()
 
 
 @pytest.fixture(scope="module")
 def blowup_run(minkowski_inputs):
-    controls = PdeControls(grid_h=2e-3, rel_tol=1e-8)
+    controls = RunSettings(grid_h=2e-3, pde_rel_tol=1e-8)
     return run_pde(minkowski_inputs, 0.525, controls)
 
 
@@ -242,7 +242,7 @@ class TestNonlinearBlowup:
             return res
 
         monkeypatch.setattr(pde_mod, "dopri_integrate", capped)
-        controls = PdeControls(grid_h=2e-3, rel_tol=1e-10, output_interval=4e-4)
+        controls = RunSettings(grid_h=2e-3, pde_rel_tol=1e-10, output_interval=4e-4)
         run = run_pde(minkowski_inputs, 0.06, controls)
 
         def forcing_at(x):
@@ -272,7 +272,7 @@ class TestNonlinearBlowup:
         assert bad == 0
 
     def test_forcing_integral_observable(self, minkowski_inputs):
-        field = make_field(minkowski_inputs, 0.1, PdeControls(grid_h=1e-3))
+        field = make_field(minkowski_inputs, 0.1, RunSettings(grid_h=1e-3))
         # at t=0: lambda * integral of |u0|^p with u0 = s0 (1-r^2)^3
         data = make_initial_data(1, 1.0, 16.0, 64.0)
         grid = np.linspace(-1, 1, 200001)
@@ -286,7 +286,7 @@ def _blowup_exit(inputs, monkeypatch, nan_level=None):
     ``nan_level``, the kernel writes NaN from the first call that sees
     max|u| above nan_level scale0 on, so every later trial is rejected
     until the step falls below the stepper's floor."""
-    controls = PdeControls(grid_h=4e-3)
+    controls = RunSettings(grid_h=4e-3)
     field = make_field(inputs, 0.525, controls)
     scale0 = max(1.0, float(np.max(np.abs(field.u))), float(np.max(np.abs(field.ut))))
     steps, tripped, kernel = [], [], pde_mod.radial_accel
@@ -364,7 +364,7 @@ class TestRealPath:
     def test_complex_field_is_a_value_error(self, name, minkowski_inputs):
         """evolve refuses a complex u or ut, even with a zero imaginary
         part, rather than drop the imaginary part."""
-        controls = PdeControls(grid_h=4e-3)
+        controls = RunSettings(grid_h=4e-3)
         field = make_field(minkowski_inputs, 0.1, controls)
         values = getattr(field, name)
         for bad in (values + 1e-300j, values.astype(complex)):
@@ -375,20 +375,20 @@ class TestRealPath:
 class TestGuards:
     def test_domain_too_small(self):
         inputs = flat_inputs()
-        field = make_field(inputs, 0.1, PdeControls(grid_h=5e-3))
+        field = make_field(inputs, 0.1, RunSettings(grid_h=5e-3))
         with pytest.raises(ConfigurationError):
-            evolve(field, inputs, 5.0, PdeControls(grid_h=5e-3))
+            evolve(field, inputs, 5.0, RunSettings(grid_h=5e-3))
 
     def test_excluded_region_rejected(self):
         inputs = make_inputs(1.0, -2.0, N=1.0, w0=1.0, w1=0.0)
         with pytest.raises(ExcludedRegionError):
-            run_pde(inputs, 0.1, PdeControls(grid_h=5e-3, linear=True))
+            run_pde(inputs, 0.1, RunSettings(grid_h=5e-3), linear=True)
 
 
 class TestCsvExport:
     def test_field_and_observables(self, tmp_path):
         inputs = flat_inputs()
-        run = run_pde(inputs, 0.2, PdeControls(grid_h=5e-3, linear=True))
+        run = run_pde(inputs, 0.2, RunSettings(grid_h=5e-3), linear=True)
         fp, op = tmp_path / "field.csv", tmp_path / "obs.csv"
         field_to_csv(fp, run.field_final)
         observables_to_csv(op, run)

@@ -34,7 +34,6 @@ from .ode import check_lemma21, detect_blowup_time, envelope, envelope_pole
 from .ode import integrate as integrate_ode
 from .pde import (
     make_field,
-    make_initial_data,
     observable_w,
     run_pde,
     support_radius,

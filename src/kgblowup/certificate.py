@@ -425,12 +425,11 @@ class LifespanResult:
     D: float
     T_star: float
     C_squared: float
-    alpha: float
     within_horizon: bool
 
 
 def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
-    """D, T*, C^2 and the envelope exponent alpha from certified A."""
+    """D, T* and C^2 from certified A."""
     if not A > 0.0:
         raise PreconditionError("lifespan needs A > 0")
     if not inputs.w0 > 0.0:
@@ -451,8 +450,7 @@ def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
     # inf( b~ e^{cN(1-eps)(p-1)t} ) = lambda Q^{-n(p-1)/2} A^{p-1}, so
     # C^2 = D * w0^{(1-eps)(p-1)}
     C_squared = D * rpow(inputs.w0, (1.0 - eps) * (p - 1.0))
-    alpha = 1.0 + eps * (p - 1.0) / 2.0
-    return LifespanResult(D, T_star, C_squared, alpha, T_star <= inputs.params.T0)
+    return LifespanResult(D, T_star, C_squared, T_star <= inputs.params.T0)
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,9 @@ class RkResult:
     """Where and why the integration stopped, and what it took.
 
     ``n_rhs`` counts the calls of ``rhs``: the start slope, the initial-step
-    probe and six per trial step.  ``min_step`` is the smallest accepted
-    step, None when no step was accepted.
+    probe (none when the start slope's norm overflows) and six per trial
+    step.  ``min_step`` is the smallest accepted step, None when no step
+    was accepted.
     """
 
     status: TerminationReason
@@ -125,10 +126,14 @@ class RkResult:
 
 
 def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
+    """The first step and the number of probe calls of ``rhs`` it made."""
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):
+        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:  # d1 overflowed to inf: no probe, start at the step floor
+        return 1e-16 * max(1.0, abs(t0)), 0
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
     d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -136,7 +141,7 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, t_span)
+    return min(100.0 * h0, h1, t_span), 1
 
 
 def _rms(q: np.ndarray, scale: np.ndarray, index=...) -> float:
@@ -282,7 +287,7 @@ def dopri_integrate(
     if isinstance(y0, tuple):
         y = tuple(float(v) for v in y0)
         k0 = rhs(t, y)
-        h = _initial_step(
+        h, probes = _initial_step(
             lambda s, v: np.array(rhs(s, tuple(v.tolist())), dtype=float),
             t, np.array(y), np.array(k0, dtype=float), rel_tol, abs_tol, t_end - t0,
         )
@@ -292,7 +297,7 @@ def dopri_integrate(
         trial, slopes = _array_trial(rhs, y, rel_tol, abs_tol, active)
         slopes[0][...] = k0 = rhs(t, y, slopes[0])  # the probe below writes slopes[1]
         probe = lambda s, v: rhs(s, v, slopes[1])  # noqa: E731
-        h = _initial_step(probe, t, y, k0, rel_tol, abs_tol, t_end - t0)
+        h, probes = _initial_step(probe, t, y, k0, rel_tol, abs_tol, t_end - t0)
     n_steps = n_rejected = 0
     min_step = math.inf
     t_scale = max(1.0, abs(t))  # the step floor is 1e-16 of it
@@ -343,5 +348,5 @@ def dopri_integrate(
 
     return RkResult(
         status, t, np.asarray(y, dtype=float), blowup_time, n_steps, n_rejected,
-        2 + 6 * (n_steps + n_rejected), None if math.isinf(min_step) else min_step, h,
+        1 + probes + 6 * (n_steps + n_rejected), None if math.isinf(min_step) else min_step, h,
     )

@@ -309,8 +309,7 @@ def check_lemma21(
     m2 = curved_mass_sq(inputs.params, t)
     p, theta, N = inputs.p, inputs.theta, inputs.N
 
-    bound = inputs.w0 * np.exp(cN * t)
-    margin1 = w - bound * (1.0 - tol)
+    margin1 = w - growth_bound(inputs, t) * (1.0 - tol)
 
     lhs2 = (1.0 - theta) * bt * np.abs(w) ** (p - 1.0) - m2
     margin2 = lhs2 - N * N + tol * np.maximum(1.0, np.maximum(np.abs(lhs2), N * N))

@@ -70,13 +70,12 @@ from .scenario import RunSettings
 
 __all__ = [
     "PdeField",
-    "InitialData",
     "PdeRun",
-    "make_initial_data",
     "bump_ball_integral",
     "make_field",
     "evolve",
     "run_pde",
+    "grid_weights",
     "observable_w",
     "support_radius",
     "discrete_energy",
@@ -95,81 +94,39 @@ class PdeField:
     h: float
     n: int
 
-    def copy(self) -> "PdeField":
-        return PdeField(self.r.copy(), self.u.copy(), self.ut.copy(), self.t, self.h, self.n)
 
-
-# ---------------------------------------------------------------------------
-# initial data
-# ---------------------------------------------------------------------------
-
-
-def bump_ball_integral(n: int, r0: float, exponent: int = 3) -> float:
-    """Exact integral of (1 - (r/r0)^2)^k over the ball |x| <= r0 in R^n."""
+def bump_ball_integral(n: int, r0: float) -> float:
+    """Exact integral of the bump (1 - (r/r0)^2)^3 over the ball |x| <= r0 in R^n."""
     omega = unit_ball_volume(n)
     return (
         n
         * omega
         * r0**n
         * math.gamma(n / 2.0)
-        * math.gamma(exponent + 1.0)
-        / (2.0 * math.gamma(n / 2.0 + exponent + 1.0))
+        * math.gamma(4.0)
+        / (2.0 * math.gamma(n / 2.0 + 4.0))
     )
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Scaled compactly supported bump pair: u0 = s0 phi, u1 = s1 phi."""
-
-    n: int
-    r0: float
-    s0: float
-    s1: float
-    exponent: int = 3
-
-    def profile(self, r: np.ndarray) -> np.ndarray:
-        y = np.clip(np.abs(np.asarray(r, dtype=float)) / self.r0, 0.0, None)
-        out = np.zeros_like(y)
-        inside = y < 1.0
-        out[inside] = (1.0 - y[inside] ** 2) ** self.exponent
-        return out
-
-    def u0(self, r: np.ndarray) -> np.ndarray:
-        return self.s0 * self.profile(r)
-
-    def u1(self, r: np.ndarray) -> np.ndarray:
-        return self.s1 * self.profile(r)
-
-
-def make_initial_data(n: int, r0: float, w0: float, w1: float) -> InitialData:
-    """Bump pair whose ball integrals equal w0 and w1 exactly."""
-    mass = bump_ball_integral(n, r0, 3)
-    return InitialData(n=n, r0=r0, s0=w0 / mass, s1=w1 / mass)
-
-
 # ---------------------------------------------------------------------------
-# grid construction and observables
+# observables
 # ---------------------------------------------------------------------------
 
 
-def _volume_weights(field: PdeField) -> np.ndarray:
-    """Trapezoid weights for integration against the volume element."""
+def grid_weights(field: PdeField) -> Tuple[np.ndarray, np.ndarray]:
+    """Trapezoid node weights and cell-face weights against the volume
+    element n omega_n r^(n-1) dr: the observables' ``weights``."""
+    shell = field.n * unit_ball_volume(field.n)
     w = np.full(field.r.size, field.h)
     w[0] = w[-1] = 0.5 * field.h
-    return field.n * unit_ball_volume(field.n) * w * np.abs(field.r) ** (field.n - 1)
-
-
-def _grid_weights(field: PdeField) -> Tuple[np.ndarray, np.ndarray]:
-    """Node and cell-face weights: the observables' ``weights`` (None: these)."""
     r_face = 0.5 * (field.r[:-1] + field.r[1:])
-    face_w = field.n * unit_ball_volume(field.n) * field.h * np.abs(r_face) ** (field.n - 1)
-    return _volume_weights(field), face_w
+    return shell * w * field.r ** (field.n - 1), shell * field.h * r_face ** (field.n - 1)
 
 
-def observable_w(field: PdeField, weights=None) -> float:
-    """W = Re integral of u over space (trapezoid against the volume element)."""
-    w, _ = _grid_weights(field) if weights is None else weights
-    return float(np.sum(w * field.u.real))
+def observable_w(field: PdeField, weights) -> float:
+    """W = integral of u over space (trapezoid against the volume element)."""
+    w, _ = weights
+    return float(np.sum(w * field.u))
 
 
 def support_radius(field: PdeField) -> float:
@@ -184,8 +141,8 @@ def support_radius(field: PdeField) -> float:
     return float(np.max(field.r[hit]))
 
 
-def discrete_energy(field: PdeField, inputs: TheoremInputs, weights=None) -> float:
-    """c^-2 |ut|^2 + a^-2 |u_r|^2 + M^2 |u|^2 integrated on the grid.
+def discrete_energy(field: PdeField, inputs: TheoremInputs, weights) -> float:
+    """c^-2 ut^2 + a^-2 u_r^2 + M^2 u^2 integrated on the grid.
 
     The gradient term lives on cell faces, which makes the value an exact
     invariant of the semi-discrete flow in the flat autonomous case (n=1).
@@ -193,19 +150,20 @@ def discrete_energy(field: PdeField, inputs: TheoremInputs, weights=None) -> flo
     params = inputs.params
     a = scale_eval(params, field.t)
     m2 = curved_mass_sq(params, field.t)
-    w, face_w = _grid_weights(field) if weights is None else weights
-    kin = float(np.sum(w * np.abs(field.ut) ** 2)) / params.c**2
-    pot = m2 * float(np.sum(w * np.abs(field.u) ** 2))
+    w, face_w = weights
+    u, ut = field.u, field.ut
+    kin = float(np.sum(w * (ut * ut))) / params.c**2
+    pot = m2 * float(np.sum(w * (u * u)))
     # times the reciprocal, not / h: the two can round differently, and
     # the energy outputs are pinned to the reciprocal's bits
-    du = np.diff(field.u) * (1.0 / field.h)
-    grad = float(np.sum(face_w * np.abs(du) ** 2)) / a**2
+    du = np.diff(u) * (1.0 / field.h)
+    grad = float(np.sum(face_w * (du * du))) / a**2
     return kin + grad + pot
 
 
-def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights=None) -> float:
+def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights) -> float:
     """Relative L1 mass of |u| strictly beyond cone_r + pad."""
-    w, _ = _grid_weights(field) if weights is None else weights
+    w, _ = weights
     total = float(np.sum(w * np.abs(field.u)))
     if total == 0.0:
         return 0.0
@@ -225,13 +183,16 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights=None) 
 MAX_GRID_NODES = 1 << 20
 
 
-def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings = RunSettings()) -> PdeField:
-    """Grid sized past the forward cone at t_end, filled with bump data."""
+def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings) -> PdeField:
+    """Grid sized past the forward cone at t_end, filled with the bump data
+    u = (w0 / M) phi, ut = (w1 / M) phi: phi = (1 - (r/r0)^2)^3 inside r0
+    and 0 outside, M its ball integral, so u and ut integrate to w0, w1."""
     params = inputs.params
     h = run.grid_h
+    r0 = inputs.geom.r0
     r_cone = comoving_radius(inputs.geom, t_cap(t_end, params.T0))
     r_max = run.r_max_factor * r_cone
-    data = make_initial_data(params.n, inputs.geom.r0, inputs.w0, inputs.w1)
+    mass = bump_ball_integral(params.n, r0)
     cells = r_max / h
     if not math.isfinite(cells):
         raise ConfigurationError(f"grid: r_max / h = {r_max!r} / {h!r} is not finite")
@@ -242,18 +203,25 @@ def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings = RunSettin
             f" more than the {MAX_GRID_NODES} allowed"
         )
     r = np.arange(J, dtype=float) * h
-    return PdeField(r, data.u0(r), data.u1(r), 0.0, h, params.n)
+    y = r / r0
+    phi = np.zeros_like(y)
+    inside = y < 1.0
+    phi[inside] = (1.0 - y[inside] ** 2) ** 3
+    return PdeField(r, inputs.w0 / mass * phi, inputs.w1 / mass * phi, 0.0, h, params.n)
 
 
 @dataclass
 class PdeRun:
+    """One run: the six record arrays are the columns of the records
+    ``(t, W, support radius, cone radius, energy, outside mass)``."""
+
     times: np.ndarray
     W: np.ndarray
     support_radius: np.ndarray
     cone_radius: np.ndarray
     energy: np.ndarray
     outside_mass: np.ndarray
-    field0: PdeField
+    field0: PdeField  # the field evolve was given
     field_final: PdeField
     rk: RkResult  # where and why the integration stopped, and its counters
 
@@ -275,7 +243,7 @@ def evolve(
     field: PdeField,
     inputs: TheoremInputs,
     t_end: float,
-    run: RunSettings = RunSettings(),
+    run: RunSettings,
     *,
     linear: bool = False,
 ) -> PdeRun:
@@ -344,25 +312,21 @@ def evolve(
     scale0 = max(1.0, float(np.max(np.abs(y0))))
     regime_gate, blow_gate = 1e3 * scale0, 1e8 * scale0
 
-    times: List[float] = []
-    Ws: List[float] = []
-    supports: List[float] = []
-    cones: List[float] = []
-    energies: List[float] = []
-    outsides: List[float] = []
-
+    rows: List[Tuple[float, ...]] = []  # one per record, PdeRun's columns
     geom = inputs.geom
-    weights = _grid_weights(field)
+    weights = grid_weights(field)
 
     def record(t: float, y: np.ndarray) -> None:
         snap = PdeField(field.r, y[0], y[1], t, h, n)
         cone_r = comoving_radius(geom, t)
-        times.append(t)
-        Ws.append(observable_w(snap, weights))
-        supports.append(support_radius(snap))
-        cones.append(cone_r)
-        energies.append(discrete_energy(snap, inputs, weights))
-        outsides.append(outside_cone_mass(snap, cone_r, 2.0 * h, weights))
+        rows.append((
+            t,
+            observable_w(snap, weights),
+            support_radius(snap),
+            cone_r,
+            discrete_energy(snap, inputs, weights),
+            outside_cone_mass(snap, cone_r, 2.0 * h, weights),
+        ))
 
     out_dt = run.output_interval
     if out_dt is None:
@@ -395,29 +359,20 @@ def evolve(
     )
     if res.status is TerminationReason.STEP_UNDERFLOW and magnitude(res.y) > blow_gate:
         res = replace(res, status=TerminationReason.BLOWUP_THRESHOLD, blowup_time=res.t)
-    if not times or res.t - times[-1] > 1e-12 * max(1.0, res.t):
+    if res.t - rows[-1][0] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
 
     # + 0.0 makes the -0.0 of negative data that no step has touched
     # (a run stopped before its first step) +0.0, as stepped nodes are
     final = PdeField(field.r, res.y[0] + 0.0, res.y[1] + 0.0, res.t, h, n)
-    return PdeRun(
-        times=np.array(times),
-        W=np.array(Ws),
-        support_radius=np.array(supports),
-        cone_radius=np.array(cones),
-        energy=np.array(energies),
-        outside_mass=np.array(outsides),
-        field0=field.copy(),
-        field_final=final,
-        rk=res,
-    )
+    # y0 is a copy (np.stack), so the caller's field is field0 unchanged
+    return PdeRun(*np.array(rows).T, field0=field, field_final=final, rk=res)
 
 
 def run_pde(
     inputs: TheoremInputs,
     t_end: float,
-    run: RunSettings = RunSettings(),
+    run: RunSettings,
     *,
     linear: bool = False,
 ) -> PdeRun:
@@ -431,22 +386,15 @@ def run_pde(
 
 
 def field_to_csv(path, field: PdeField) -> None:
-    columns = (field.r, field.u.real, field.u.imag, field.ut.real, field.ut.imag)
+    """The snapshot; the field is real, so ``im_u`` and ``im_ut`` are 0.0."""
     with open(path, "w") as fh:
         fh.write("r,re_u,im_u,re_ut,im_ut\n")
-        for row in zip(*(c.tolist() for c in columns)):
-            fh.write(",".join(map(repr, row)) + "\n")
+        for r, u, ut in zip(field.r.tolist(), field.u.tolist(), field.ut.tolist()):
+            fh.write(f"{r!r},{u!r},0.0,{ut!r},0.0\n")
 
 
 def observables_to_csv(path, run: PdeRun) -> None:
     with open(path, "w") as fh:
         fh.write("t,W,support_radius,cone_radius,energy\n")
-        for i in range(run.times.size):
-            row = (
-                run.times[i],
-                run.W[i],
-                run.support_radius[i],
-                run.cone_radius[i],
-                run.energy[i],
-            )
+        for row in zip(run.times, run.W, run.support_radius, run.cone_radius, run.energy):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")

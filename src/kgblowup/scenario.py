@@ -9,7 +9,6 @@ ignoring a typo.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -236,7 +235,7 @@ def load_sweep_spec(path) -> SweepSpec:
     if "base" not in data or "axes" not in data:
         raise ScenarioError(f"{path}: sweep spec needs 'base' and 'axes'")
     base = _require_mapping(data["base"], f"{path}.base")
-    scenario_from_dict(copy.deepcopy(base), where=f"{path}.base")  # validate now
+    scenario_from_dict(base, where=f"{path}.base")  # validate now; it never writes to base
 
     axes_raw = data["axes"]
     if not isinstance(axes_raw, list) or not axes_raw:

@@ -5,6 +5,7 @@ can compare it with the package's closed form or solver.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +18,12 @@ from kgblowup import (
     classify_q,
     scale_eval,
 )
-from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow
+from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow, unit_ball_volume
 from kgblowup.cone import _expm1_ratio, _radius_terms
 from kgblowup.cosmology import _check_time
 from kgblowup.integrate import _A, _C, _ERR, _rms
 from kgblowup.ode import OdeTrajectory
-from kgblowup.pde import InitialData, PdeField, _volume_weights
+from kgblowup.pde import PdeField, grid_weights
 
 
 def q_eval(geom: ConeGeometry, t: float) -> float:
@@ -180,10 +181,60 @@ def forcing_integral(field: PdeField, inputs: TheoremInputs) -> float:
     weights."""
     a = scale_eval(inputs.params, field.t)
     coef = inputs.lam * rpow(a, -inputs.params.n * (inputs.p - 1.0) / 2.0)
-    return coef * float(np.sum(_volume_weights(field) * np.abs(field.u) ** inputs.p))
+    return coef * float(np.sum(grid_weights(field)[0] * np.abs(field.u) ** inputs.p))
 
 
-def profile_antiderivative(data: InitialData, x) -> np.ndarray:
+def ball_integral(n: int, r0: float, exponent: int) -> float:
+    """Exact integral of (1 - (r/r0)^2)^k over the ball |x| <= r0 in R^n."""
+    omega = unit_ball_volume(n)
+    return (
+        n
+        * omega
+        * r0**n
+        * math.gamma(n / 2.0)
+        * math.gamma(exponent + 1.0)
+        / (2.0 * math.gamma(n / 2.0 + exponent + 1.0))
+    )
+
+
+@dataclass(frozen=True)
+class Bump:
+    """Scaled compactly supported bump pair: u0 = s0 phi, u1 = s1 phi, with
+    phi = (1 - (r/r0)^2)^exponent inside r0."""
+
+    r0: float
+    s0: float
+    s1: float
+    exponent: int = 3
+
+    def profile(self, r: np.ndarray) -> np.ndarray:
+        y = np.clip(np.abs(np.asarray(r, dtype=float)) / self.r0, 0.0, None)
+        out = np.zeros_like(y)
+        inside = y < 1.0
+        out[inside] = (1.0 - y[inside] ** 2) ** self.exponent
+        return out
+
+    def u0(self, r: np.ndarray) -> np.ndarray:
+        return self.s0 * self.profile(r)
+
+    def u1(self, r: np.ndarray) -> np.ndarray:
+        return self.s1 * self.profile(r)
+
+
+def bump_data(n: int, r0: float, w0: float, w1: float, exponent: int = 3) -> Bump:
+    """Bump pair whose ball integrals equal w0 and w1; exponent 3 is the
+    data ``pde.make_field`` builds."""
+    mass = ball_integral(n, r0, exponent)
+    return Bump(r0=r0, s0=w0 / mass, s1=w1 / mass, exponent=exponent)
+
+
+def smooth_data() -> Bump:
+    """Exponent-6 data with W = 2 on the line: smooth enough for the
+    centered stencil's second-order convergence to show."""
+    return bump_data(1, 1.0, 2.0, 0.0, exponent=6)
+
+
+def profile_antiderivative(data: Bump, x) -> np.ndarray:
     """Integral of the unit profile from 0 to x (odd in x), clamped at the
     support edge; closed form from the binomial expansion."""
     y = np.clip(np.asarray(x, dtype=float) / data.r0, -1.0, 1.0)
@@ -194,7 +245,7 @@ def profile_antiderivative(data: InitialData, x) -> np.ndarray:
     return data.r0 * acc
 
 
-def dalembert_oracle(data: InitialData, inputs: TheoremInputs, t: float, x) -> np.ndarray:
+def dalembert_oracle(data: Bump, inputs: TheoremInputs, t: float, x) -> np.ndarray:
     """Flat linear reference solution for n=1, H=0, m^2=0.
 
     u(t, x) = (u0(x-ct) + u0(x+ct)) / 2 + (1/2c) * integral of u1 over

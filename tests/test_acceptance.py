@@ -36,7 +36,13 @@ from kgblowup.pde import run_pde
 from kgblowup.scenario import RunSettings
 
 from conftest import CASE_REGIONS, CASE_SEEDS, certified_inputs, make_inputs, region_samples
-from oracles import curved_mass_sq_from_scale, dalembert_oracle, q_eval, scale_derivatives
+from oracles import (
+    curved_mass_sq_from_scale,
+    dalembert_oracle,
+    q_eval,
+    scale_derivatives,
+    smooth_data,
+)
 
 
 @contextmanager
@@ -184,20 +190,19 @@ def test_criterion_06_lifespan_bound(minkowski_inputs, minkowski_cert):
 
 def test_criterion_07_pde_linear_oracle():
     with criterion(7, "pde-linear-oracle", 30.0):
-        from kgblowup.pde import InitialData, bump_ball_integral, evolve, make_field
+        from kgblowup.pde import evolve, make_field
 
-        mass = bump_ball_integral(1, 1.0, 6)
-        smooth_data = InitialData(n=1, r0=1.0, s0=2.0 / mass, s1=0.0, exponent=6)
+        smooth = smooth_data()
         inputs = make_inputs(0.0, 0.0, N=1.0, w0=2.0, w1=0.0)
         errs = []
         for h in (4e-3, 2e-3):
             controls = RunSettings(grid_h=h, pde_rel_tol=1e-10, r_max_factor=1.6)
             field = make_field(inputs, 0.5, controls)
-            field = replace(field, u=smooth_data.u0(field.r), ut=smooth_data.u1(field.r))
+            field = replace(field, u=smooth.u0(field.r), ut=smooth.u1(field.r))
             run = evolve(field, inputs, 0.5, controls, linear=True)
             f = run.field_final
-            oracle = dalembert_oracle(smooth_data, inputs, f.t, f.r)
-            errs.append(float(np.max(np.abs(f.u.real - oracle))))
+            oracle = dalembert_oracle(smooth, inputs, f.t, f.r)
+            errs.append(float(np.max(np.abs(f.u - oracle))))
         order = math.log2(errs[0] / errs[1])
         assert order >= 1.9, errs
 

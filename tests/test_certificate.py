@@ -210,7 +210,7 @@ class TestThresholdsAndLifespan:
         life = lifespan(inputs, A=1.0, Q=4.0)
         assert life.D == pytest.approx(1.0 / 16.0, rel=1e-12)
         assert life.T_star == pytest.approx(0.5, rel=1e-12)
-        assert life.alpha == pytest.approx(1.5)
+        assert certify(inputs).alpha == pytest.approx(1.5)
 
     def test_c_squared_matches_both_printed_forms(self):
         inputs, cert = certified_inputs("ii")

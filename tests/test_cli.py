@@ -7,7 +7,7 @@ import pytest
 from kgblowup import pde as pde_mod
 from kgblowup.cli import main
 from kgblowup.integrate import dopri_integrate
-from kgblowup.scenario import ScenarioError, load_scenario, load_sweep_spec
+from kgblowup.scenario import ScenarioError, load_scenario, load_sweep_spec, scenario_from_dict
 
 MINK = {
     "cosmology": {"n": 1, "c": 1.0, "a0": 1.0, "H": 0.0, "sigma": 0.0, "m_squared": 0.0},
@@ -43,6 +43,16 @@ class TestScenarioLoading:
         bad["theorem"]["tau"] = 1.0
         with pytest.raises(ScenarioError, match="unknown keys"):
             load_scenario(write(tmp_path, bad))
+
+    def test_validation_never_writes_to_its_input(self, tmp_path):
+        """load_sweep_spec validates ``base`` itself, not a copy, and keeps it."""
+        base = json.loads(json.dumps(MINK))
+        base["run"] = {"grid_h": 0.01, "t_end": None, "out": "elsewhere"}
+        before = json.dumps(base)
+        scenario_from_dict(base)
+        assert json.dumps(base) == before
+        spec = {"base": base, "axes": [{"path": "theorem.w0", "values": [1.0, 2.0]}]}
+        assert load_sweep_spec(write(tmp_path, spec)).base == json.loads(before)
 
     def test_parse_error_has_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -251,6 +261,25 @@ def test_float_range_failure_exits_2(tmp_path, capsys, block, key, value, comman
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "OverflowError" in err or "ZeroDivisionError" in err
+
+
+@pytest.mark.parametrize("command", ["ode", "pde"])
+@pytest.mark.parametrize("forcing", [None, 1.0], ids=["forcing", "ode_forcing_const_1"])
+def test_first_slope_past_the_float_range_ends_in_step_underflow(
+    tmp_path, capsys, command, forcing
+):
+    """At p = 30 and w1 = 1e14 the first slope's norm overflows; the run
+    starts at the step floor and ends in StepUnderflow at t = 0, since the
+    blow-up lies below the floor (T* = 1.8e-79)."""
+    sc = json.loads(json.dumps(MINK))
+    sc["theorem"].update(N=0.5, p=30, w0=1e6, w1=1e14)
+    sc["run"] = {"t_end": 1.0, "ode_forcing_const": forcing}
+    code = main([command, "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"{command}: StepUnderflow at t=0.0\n")
+    report = json.loads((tmp_path / f"{command}_report.json").read_text())
+    assert report["termination"] == "StepUnderflow" and report["T_star"] < 1e-78
+    assert report["n_steps"] == 0 and report["n_rhs"] == 1 + 6 * report["n_rejected"]
 
 
 @pytest.mark.parametrize("command", ["pde", "cone-check"])

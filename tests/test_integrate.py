@@ -395,6 +395,25 @@ def test_nan_step_ends_in_step_underflow(name):
     assert proc.stdout.split() == ["StepUnderflow", "0", "nan"]
 
 
+@pytest.mark.parametrize("state", ["tuple", "ndarray"])
+def test_start_slope_whose_norm_overflows(state):
+    """A first slope of 1e200 squares past the float range in the
+    initial-step norm, which used to give a zero first step and divide by
+    it.  The run starts at the step floor instead, with no probe and no
+    warning, and each accepted step is 5 times the last."""
+    if state == "tuple":
+        rhs, y0 = (lambda t, y: (1e200, -1e200)), (1.0, 0.0)
+    else:
+        rhs, y0 = (lambda t, y, out: np.copyto(out, [1e200, -1e200]) or out), np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = dopri_integrate(rhs, 0.0, y0, 1.0)
+    assert res.status is TerminationReason.REACHED_HORIZON and res.t == 1.0
+    assert res.min_step == 1e-16 and res.n_rejected == 0
+    assert res.n_rhs == 1 + 6 * res.n_steps
+    assert res.y == pytest.approx([1e200, -1e200], rel=1e-12)
+
+
 def test_identity_rhs_returning_its_argument():
     """An rhs that returns the stage state itself is not corrupted by reuse."""
     ref = _fingerprint(reference_dopri, lambda t, y, out: y, np.array([1.0, -2.0]), 1.0)
@@ -486,7 +505,7 @@ def test_windowed_pde_matches_the_reference(name, monkeypatch):
     runs = []
     for stepper in (dopri_integrate, reference_dopri):
         monkeypatch.setattr(pde, "dopri_integrate", checked(stepper))
-        runs.append(pde.evolve(field.copy(), inputs, t_end, controls))
+        runs.append(pde.evolve(field, inputs, t_end, controls))
     new, old = runs
     for key in ("times", "W", "support_radius", "cone_radius", "energy", "outside_mass"):
         assert getattr(new, key).tobytes() == getattr(old, key).tobytes(), key

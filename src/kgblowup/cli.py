@@ -191,10 +191,11 @@ def cmd_pde(args) -> int:
             **_counters(result.rk),
             "cone_contained": bool(result.contained.all()),
             "final_W": float(result.W[-1]),
+            "blowup_evidence": result.blowup_evidence,
         },
     )
     print(f"pde: {result.rk.status.value} at t={float(result.times[-1])!r}")
-    return 0
+    return 2 if result.rk.status is TerminationReason.UNRESOLVED else 0
 
 
 def cmd_cone_check(args) -> int:

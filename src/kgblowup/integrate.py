@@ -102,6 +102,7 @@ class TerminationReason(enum.Enum):
     BLOWUP_THRESHOLD = "BlowupThreshold"
     STEP_UNDERFLOW = "StepUnderflow"
     MAX_STEPS = "MaxSteps"
+    UNRESOLVED = "Unresolved"  # set by pde.evolve: a peak the grid does not resolve
 
 
 @dataclass
@@ -239,16 +240,19 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_who
     def trial(t: float, h: float, y: np.ndarray, k0: np.ndarray):
         ix = active(y)
         y_ix = y[ix]
-        for i in range(1, 7):
-            new = stage if i < 6 else np.zeros_like(y)
-            np.add(y_ix, contract(rows[i - 1], ix, h), out=new[ix])
-            k = rhs(t + _C[i] * h, new, slopes[i])
-            if k is not slopes[i]:
-                slopes[i][ix] = k[ix]
-        contract(rows[6], ix, h)  # the error terms, in acc
-        s = np.fmax(np.abs(y_ix, out=scale[ix]), np.abs(new[ix], out=stage[ix]), out=scale[ix])
-        np.multiply(rel_tol, s, out=s)
-        np.add(abs_tol, s, out=s)
+        # a trial that leaves the float range has a non-finite norm, which
+        # is a rejection: its overflow is no news
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 7):
+                new = stage if i < 6 else np.zeros_like(y)
+                np.add(y_ix, contract(rows[i - 1], ix, h), out=new[ix])
+                k = rhs(t + _C[i] * h, new, slopes[i])
+                if k is not slopes[i]:
+                    slopes[i][ix] = k[ix]
+            contract(rows[6], ix, h)  # the error terms, in acc
+            s = np.fmax(np.abs(y_ix, out=scale[ix]), np.abs(new[ix], out=stage[ix]), out=scale[ix])
+            np.multiply(rel_tol, s, out=s)
+            np.add(abs_tol, s, out=s)
         err = _rms(acc, s, ix)
         if err <= 1.0:  # dopri_integrate accepts the step: first-same-as-last
             slopes[0][ix] = slopes[6][ix]

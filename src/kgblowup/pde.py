@@ -44,19 +44,40 @@ both rows, and the blow-up test reads columns ``[:w]`` of row 0 (see
 The observables (W, support radius, energy, outside mass) still run over
 all J nodes once per record, with weights built once per run.
 
-Blow-up.  ``evolve`` owns the PDE's stop rule.  With scale0 = max(1,
-max|u0|, max|ut0|), the run ends in BlowupThreshold at ``t`` when max|u| >
-1e8 scale0 after an accepted step shorter than 1e-14 max(1, t'), t' the
-time before the step; or when the stepper stops in StepUnderflow (a step
-below 1e-16 max(1, t)) with max|u| above that level.  A large field whose
-step has not collapsed is stiffness, not a singularity.
+Blow-up.  ``evolve`` owns the PDE's stop rule.  It reads max|u| over the
+window and the node i where it sits, against scale0 = max(1, max|u0|,
+max|ut0|), with k = (p-1)/2.
+
+* Settled T^.  Past the regime gate, max|u| > 1e3 scale0, each accepted
+  step estimates the blow-up time as T^ = t + u_i / (k u_t,i): the time at
+  which u_i, growing like (T - t)^(-1/k), would be infinite (``ode.py``
+  ends its runs on the same estimate).  The run ends in BlowupThreshold at
+  the first step whose T^ is within SETTLE_REL |T^| of the previous one,
+  and ``blowup_time`` is that T^, which lies ahead of the last step.  The
+  ODE waits for two equal floats; on the PDE at grid_h 5e-4 that takes 373
+  accepted steps where 1e-12 relative takes 293, for a T^ that moves by
+  5e-13, far inside the grid's error.
+* Resolved peak.  A peak one node wide is a grid-scale instability, not a
+  singularity (a loose ``pde_rel_tol`` grows one at the bump's edge, and
+  its T^ settles too).  When max|u| first passes the resolution gate, the
+  larger of |u_(i-1)| and |u_(i+1)| must reach RESOLVED_RATIO |u_i|, or the
+  run ends there in Unresolved.  Near a blow-up u ~ C (T(r) - t)^(-1/k):
+  each factor G of growth leaves G^-k of the time, and the peak narrows
+  with it.  So the resolution gate is the gain 1e3^min(1, 1/k) over
+  scale0, the regime gate for p <= 3, which gives every p > 3 the time
+  left that p = 3 has at the regime gate; at the regime gate itself an
+  accurate p = 9 run's peak is far narrower than a node.
+* Fallback.  A run whose T^ never settles ends in BlowupThreshold, at
+  ``t``, only when the stepper stops in StepUnderflow (a step below 1e-16
+  max(1, t)) with max|u| > 1e8 scale0.  A large field whose T^ has not
+  settled is no blow-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -182,6 +203,26 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights) -> fl
 # (tracemalloc: 293), some 0.31 GB at this size.
 MAX_GRID_NODES = 1 << 20
 
+# The blow-up rule's bounds (module docstring): two successive T^ agree
+# to SETTLE_REL |T^|, and a peak is resolved when a neighbour holds at
+# least RESOLVED_RATIO of it.
+SETTLE_REL = 1e-12
+RESOLVED_RATIO = 0.5
+
+
+def _peak(u: np.ndarray) -> Tuple[int, float]:
+    """The node of max|u| and that maximum."""
+    i = int(np.argmax(np.abs(u)))
+    return i, abs(float(u[i]))
+
+
+def _neighbour_ratio(u: np.ndarray, i: int, mag: float) -> float:
+    """max(|u[i-1]|, |u[i+1]|) / mag over the neighbours the grid has; on
+    the axis, u[1] stands for its mirror image too."""
+    left = abs(float(u[i - 1])) if i > 0 else 0.0
+    right = abs(float(u[i + 1])) if i + 1 < u.size else 0.0
+    return max(left, right) / mag
+
 
 def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings) -> PdeField:
     """Grid sized past the forward cone at t_end, filled with the bump data
@@ -224,6 +265,9 @@ class PdeRun:
     field0: PdeField  # the field evolve was given
     field_final: PdeField
     rk: RkResult  # where and why the integration stopped, and its counters
+    # what the blow-up verdict rests on (see evolve), None if max|u| never
+    # passed the resolution gate
+    blowup_evidence: Optional[dict]
 
     @property
     def contained(self) -> np.ndarray:
@@ -248,7 +292,14 @@ def evolve(
     linear: bool = False,
 ) -> PdeRun:
     """Advance the real field to t_end (or blow-up), recording observables;
-    ``linear`` drops the semilinear term (propagation tests, cone-check)."""
+    ``linear`` drops the semilinear term (propagation tests, cone-check).
+
+    The run stops early in BlowupThreshold, with ``blowup_time`` the
+    settled T^, or in Unresolved when the peak is one node wide (the
+    module docstring has the rule).  ``blowup_evidence`` holds the last
+    three T^, max|u| / scale0 and the peak's node and r at the stop, and
+    the neighbour ratio at the resolution gate.
+    """
     if np.iscomplexobj(field.u) or np.iscomplexobj(field.ut):
         raise ValueError("evolve takes a real field; u and ut must be float arrays")
     params = inputs.params
@@ -290,7 +341,8 @@ def evolve(
     # the light-cone window: columns [:w] can be nonzero (module docstring)
     nonzero = np.flatnonzero(y0.any(axis=0))
     last = int(nonzero[-1]) if nonzero.size else -1
-    state = {"next_out": 0.0, "w": min(J, last + 9), "t": 0.0}  # t: the last accepted time
+    # ratio: the neighbour ratio at the resolution gate, once max|u| passed it
+    state = {"next_out": 0.0, "w": min(J, last + 9), "ratio": None}
 
     def grow(y: np.ndarray) -> None:
         w = state["w"]
@@ -309,8 +361,12 @@ def evolve(
         radial_accel(y[0, :w], out[1, :w], tmp[:w], cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n)
         return out
 
+    # the blow-up rule's levels of max|u| (module docstring)
     scale0 = max(1.0, float(np.max(np.abs(y0))))
+    k = (p - 1.0) / 2.0
     regime_gate, blow_gate = 1e3 * scale0, 1e8 * scale0
+    resolve_gate = scale0 * 1e3 ** min(1.0, 1.0 / k)
+    t_hats: List[float] = []  # T^ at each accepted step past the regime gate
 
     rows: List[Tuple[float, ...]] = []  # one per record, PdeRun's columns
     geom = inputs.geom
@@ -334,15 +390,22 @@ def evolve(
 
     def on_step(t: float, y: np.ndarray, h_used: float) -> bool:
         grow(y)
-        mag = magnitude(y)
+        u = y[0, : state["w"]]
+        i, mag = _peak(u)
         # switch to per-step (geometric near a pole) output in the blow-up regime
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
             state["next_out"] = t + out_dt
-        t_prev, state["t"] = state["t"], t
-        return mag > blow_gate and h_used < 1e-14 * max(1.0, t_prev)  # the step collapsed
+        if state["ratio"] is None and mag > resolve_gate:
+            state["ratio"] = _neighbour_ratio(u, i, mag)
+            if state["ratio"] < RESOLVED_RATIO:  # evolve makes this stop Unresolved
+                return True
+        if not mag > regime_gate:
+            return False
+        rate = k * float(y[1, i])
+        t_hats.append(t + float(u[i]) / rate if rate != 0.0 else math.inf)
+        return len(t_hats) > 1 and abs(t_hats[-1] - t_hats[-2]) <= SETTLE_REL * abs(t_hats[-1])
 
-    magnitude = lambda y: float(np.max(np.abs(y[0, : state["w"]])))  # noqa: E731
     record(0.0, y0)
     state["next_out"] = out_dt
 
@@ -357,16 +420,31 @@ def evolve(
         on_step=on_step,
         active=lambda y: (slice(None), slice(0, state["w"])),
     )
-    if res.status is TerminationReason.STEP_UNDERFLOW and magnitude(res.y) > blow_gate:
+    ratio = state["ratio"]
+    i, mag = _peak(res.y[0])
+    if res.status is TerminationReason.BLOWUP_THRESHOLD:
+        if ratio < RESOLVED_RATIO:
+            res = replace(res, status=TerminationReason.UNRESOLVED, blowup_time=None)
+        else:  # T^ settled
+            res = replace(res, blowup_time=t_hats[-1])
+    elif res.status is TerminationReason.STEP_UNDERFLOW and mag > blow_gate:
         res = replace(res, status=TerminationReason.BLOWUP_THRESHOLD, blowup_time=res.t)
     if res.t - rows[-1][0] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
+    evidence = None if ratio is None else {
+        "T_hat": t_hats[-3:],
+        "max_u_over_scale0": mag / scale0,
+        "peak_node": i,
+        "peak_r": float(field.r[i]),
+        "neighbour_ratio_at_gate": ratio,
+    }
 
     # + 0.0 makes the -0.0 of negative data that no step has touched
     # (a run stopped before its first step) +0.0, as stepped nodes are
     final = PdeField(field.r, res.y[0] + 0.0, res.y[1] + 0.0, res.t, h, n)
     # y0 is a copy (np.stack), so the caller's field is field0 unchanged
-    return PdeRun(*np.array(rows).T, field0=field, field_final=final, rk=res)
+    return PdeRun(*np.array(rows).T, field0=field, field_final=final, rk=res,
+                  blowup_evidence=evidence)
 
 
 def run_pde(

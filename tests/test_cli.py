@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -367,10 +368,13 @@ class TestPdeCommands:
             "pde", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path),
             "--t-end", "0.2",
         ])
-        assert code == 0
+        # at grid_h 0.01 the peak's neighbour holds 0.43 of it at the gate:
+        # Unresolved, exit 2, with every output written
+        assert code == 2
         for name in ("observables.csv", "field_initial.csv", "field_final.csv", "pde_report.json"):
             assert (tmp_path / name).exists()
         report = json.loads((tmp_path / "pde_report.json").read_text())
+        assert report["termination"] == "Unresolved" and report["blowup_time"] is None
         assert report["certificate_valid"] is True
         assert report["n_rhs"] == len(calls) > 0
         assert 0.0 < report["min_step"] <= 0.2
@@ -619,7 +623,7 @@ class TestShippedScenarios:
             ]),
             "pde": ("pde_report.json", [
                 "certificate_valid", "T_star", "termination", "blowup_time", *counters,
-                "cone_contained", "final_W",
+                "cone_contained", "final_W", "blowup_evidence",
             ]),
             "cone-check": ("cone_report.json", [
                 "all_contained", "times", "support_radius", "cone_radius", "contained",
@@ -630,6 +634,35 @@ class TestShippedScenarios:
             out = tmp_path / command
             assert main([command, "--scenario", scenario, "--out", str(out)]) == 0
             assert list(json.loads((out / name).read_text())) == keys, command
+
+    @pytest.mark.parametrize("grid_h, node", [(None, 499), ("5e-4", 1999)])
+    def test_loose_tolerance_peak_is_unresolved(self, grid_h, node, tmp_path):
+        """pde_rel_tol 0.1 grows a one-node peak at the bump's edge r0 = 1,
+        whose T^ would settle near t = 0.05 (true blow-up 0.0956): the
+        neighbour ratio at the gate rules it out, with exit 2."""
+        sc = json.loads(Path(f"{self.SCEN}/minkowski_blowup.json").read_text())
+        sc["run"]["pde_rel_tol"] = 0.1
+        flags = [] if grid_h is None else ["--grid-h", grid_h]
+        h = sc["run"]["grid_h"] if grid_h is None else float(grid_h)
+        out = tmp_path / "out"
+        assert main(["pde", "--scenario", str(write(tmp_path, sc)), "--out", str(out), *flags]) == 2
+        report = json.loads((out / "pde_report.json").read_text())
+        evidence = report["blowup_evidence"]
+        assert report["termination"] == "Unresolved" and report["blowup_time"] is None
+        assert evidence["neighbour_ratio_at_gate"] < 0.5
+        assert evidence["peak_node"] == node and evidence["T_hat"] == []
+        assert evidence["peak_r"] == node * h and 1.0 - 2.0 * h < node * h < 1.0
+
+    def test_fine_grid_blowup_time_is_within_1e9_of_t_ref(self, tmp_path):
+        """The fine-grid run of the benchmark, against the committed
+        Richardson reference."""
+        t_ref = json.loads(Path("kgbench/t_ref.json").read_text())["t_ref"]
+        scenario = f"{self.SCEN}/minkowski_blowup.json"
+        assert main(["pde", "--scenario", scenario, "--grid-h", "5e-4", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "pde_report.json").read_text())
+        assert report["termination"] == "BlowupThreshold" and report["cone_contained"] is True
+        assert abs(report["blowup_time"] - t_ref) <= 1e-9
+        assert report["blowup_time"] < report["T_star"] and report["n_steps"] <= 300
 
     def test_sweep_spec_loads(self):
         spec = load_sweep_spec(f"{self.SCEN}/sweep_w0.json")

@@ -308,13 +308,15 @@ class TestNonlinearBlowup:
 
 def _blowup_exit(inputs, monkeypatch, nan_level=None):
     """evolve on the flat blow-up at grid_h 4e-3, with (t, h, max|u| /
-    scale0) of every accepted step and max|u| / scale0 at the end.  With a
+    scale0, T^) of every accepted step and max|u| / scale0 at the end; T^
+    = t + u_i / (k u_t,i) at the node i of max|u|, k = (p - 1) / 2.  With a
     ``nan_level``, the kernel writes NaN from the first call that sees
     max|u| above nan_level scale0 on, so every later trial is rejected
     until the step falls below the stepper's floor."""
     controls = RunSettings(grid_h=4e-3)
     field = make_field(inputs, 0.525, controls)
     scale0 = max(1.0, float(np.max(np.abs(field.u))), float(np.max(np.abs(field.ut))))
+    k = (inputs.p - 1.0) / 2.0
     steps, tripped, kernel = [], [], pde_mod.radial_accel
 
     def nan_kernel(u, out, *args):
@@ -325,7 +327,9 @@ def _blowup_exit(inputs, monkeypatch, nan_level=None):
 
     def spy(rhs, t0, y0, t_end, *, on_step, **kw):
         def keep(t, y, h_used):
-            steps.append((t, h_used, float(np.max(np.abs(y[0]))) / scale0))
+            i = int(np.argmax(np.abs(y[0])))
+            t_hat = t + float(y[0, i]) / (k * float(y[1, i]))
+            steps.append((t, h_used, abs(float(y[0, i])) / scale0, t_hat))
             return on_step(t, y, h_used)
 
         return dopri_integrate(rhs, t0, y0, t_end, on_step=keep, **kw)
@@ -333,36 +337,67 @@ def _blowup_exit(inputs, monkeypatch, nan_level=None):
     monkeypatch.setattr(pde_mod, "radial_accel", nan_kernel)
     monkeypatch.setattr(pde_mod, "dopri_integrate", spy)
     run = evolve(field, inputs, 0.525, controls)
-    return run.rk, steps, float(np.max(np.abs(run.rk.y[0]))) / scale0
+    return run, steps, float(np.max(np.abs(run.rk.y[0]))) / scale0
+
+
+def _settled(steps):
+    """Indices of the steps past the regime gate whose T^ is within 1e-12
+    relative of the T^ of the gated step before."""
+    gated = [(j, step[3]) for j, step in enumerate(steps) if step[2] > 1e3]
+    return [j for (_, a), (j, b) in zip(gated, gated[1:]) if abs(b - a) <= 1e-12 * abs(b)]
 
 
 class TestBlowupExits:
-    """evolve's blow-up rule: max|u| above 1e8 scale0 together with a
-    collapsed step, accepted or pushed below the stepper's floor."""
+    """evolve's blow-up rule: past the regime gate, max|u| above 1e3
+    scale0, the first step whose T^ settles ends the run; a StepUnderflow
+    with max|u| above 1e8 scale0 is the fallback for a T^ that never
+    settles."""
 
-    def test_accepted_collapsed_step(self, minkowski_inputs, monkeypatch):
-        rk, steps, mag = _blowup_exit(minkowski_inputs, monkeypatch)
-        t_prev = [0.0] + [t for t, _, _ in steps[:-1]]
-        hits = [i for i, ((t, h, m), tp) in enumerate(zip(steps, t_prev))
-                if m > 1e8 and h < 1e-14 * max(1.0, tp)]
+    def test_first_settled_t_hat_ends_the_run(self, minkowski_inputs, monkeypatch):
+        run, steps, mag = _blowup_exit(minkowski_inputs, monkeypatch)
+        rk = run.rk
         assert rk.status is TerminationReason.BLOWUP_THRESHOLD
-        assert hits == [len(steps) - 1]  # the first step that meets the rule ends the run
-        assert rk.blowup_time == rk.t == steps[-1][0] and mag > 1e8
-        assert any(m > 1e8 for _, _, m in steps[:-1])  # a large field alone is no blow-up
+        assert _settled(steps) == [len(steps) - 1]  # the first settled T^ ends the run
+        assert rk.blowup_time == steps[-1][3] > rk.t == steps[-1][0]
+        assert run.blowup_evidence["T_hat"] == [step[3] for step in steps[-3:]]
+        assert run.blowup_evidence["max_u_over_scale0"] == mag
+        assert 1e3 < mag < 1e8
+        # a large field whose T^ does not settle is no blow-up
+        assert sum(m > 1e3 for _, _, m, _ in steps[:-1]) >= 2
 
     @pytest.mark.parametrize("nan_level, status", [
         (1e9, TerminationReason.BLOWUP_THRESHOLD),
         (1e7, TerminationReason.STEP_UNDERFLOW),
     ])
     def test_step_below_the_floor(self, nan_level, status, minkowski_inputs, monkeypatch):
-        rk, steps, mag = _blowup_exit(minkowski_inputs, monkeypatch, nan_level)
+        monkeypatch.setattr(pde_mod, "SETTLE_REL", -1.0)  # no T^ settles
+        run, steps, mag = _blowup_exit(minkowski_inputs, monkeypatch, nan_level)
+        rk = run.rk
         assert rk.status is status and rk.n_rejected > 0
         assert rk.t == steps[-1][0] and rk.last_h < 1e-16 * max(1.0, rk.t)
-        assert min(h for _, h, _ in steps) > 1e-14  # no accepted step collapsed
+        assert min(h for _, h, _, _ in steps) > 1e-14  # no accepted step collapsed
         if status is TerminationReason.BLOWUP_THRESHOLD:
             assert rk.blowup_time == rk.t and mag > 1e8
         else:
             assert rk.blowup_time is None and mag < 1e8
+
+    @pytest.mark.parametrize("p, w0, w1, t_end", [
+        (2.0, 16.0, 64.0, 2.0),
+        (3.0, 16.0, 64.0, 0.525),
+        (5.0, 2.0, 2.0, 2.0),
+        (9.0, 2.0, 2.0, 2.0),
+    ])
+    def test_every_exponent_ends_in_a_settled_t_hat(self, p, w0, w1, t_end, minkowski_inputs):
+        """At p = 5 and 9 the step reaches its floor with max|u| still under
+        1e8 scale0, so only the settled T^ catches these blow-ups."""
+        inputs = replace(minkowski_inputs, p=p, w0=w0, w1=w1)
+        run = run_pde(inputs, t_end, RunSettings(grid_h=4e-3))
+        evidence = run.blowup_evidence
+        last, before = evidence["T_hat"][-1], evidence["T_hat"][-2]
+        assert run.rk.status is TerminationReason.BLOWUP_THRESHOLD
+        assert run.rk.blowup_time == last > run.rk.t
+        assert abs(last - before) <= 1e-12 * last
+        assert evidence["neighbour_ratio_at_gate"] >= 0.5 and evidence["peak_node"] == 0
 
 
 class TestRealPath:

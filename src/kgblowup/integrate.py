@@ -63,9 +63,10 @@ computation's stage states, new solution and error terms are all +0.0
 (``-0.0 + h (+0.0)`` is +0.0 too).  The buffers and the stack start at
 +0.0 and are written only at the index, so they hold those same +0.0
 there, and ``rhs`` sees the states it would see on the full computation.
-The norm still takes ``np.mean`` over the whole buffer, whose tail is +0.0
-where ``0 / abs_tol`` was: the same terms in the same pairwise order, so
-the same bits.  The default index, ``(...,)``, is the whole state.
+The norm still sums the whole buffer, whose tail is +0.0 where ``0 /
+abs_tol`` was: the same terms in the same pairwise order, so the same
+bits.  It is ``np.mean``'s arithmetic, a sum and then one true division,
+without its call overhead.  The default index, ``(...,)``, is the whole state.
 """
 
 from __future__ import annotations
@@ -145,13 +146,11 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
     return min(100.0 * h0, h1, t_span), 1
 
 
-def _rms(q: np.ndarray, scale: np.ndarray, index=...) -> float:
-    """sqrt(mean((q / scale)^2)), overwriting ``q[index]``; ``scale`` has
-    the shape of ``q[index]``, and the mean runs over all of ``q``."""
+def _rms(q: np.ndarray, scale: np.ndarray) -> float:
+    """sqrt(mean((q / scale)^2)), overwriting ``q``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = q[index]
-        np.divide(v, scale, out=v)
-        np.multiply(v, v, out=v)
+        np.divide(q, scale, out=q)
+        np.multiply(q, q, out=q)
         return math.sqrt(float(np.mean(q)))
 
 
@@ -226,36 +225,48 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_who
 
     The trial reads ``k0`` from row 0, not from its argument.  One buffer
     serves stages 1-5; stage 6, the new solution, is a fresh array because
-    it becomes ``y`` and is handed to ``on_step``.
+    it becomes ``y`` and is handed to ``on_step``.  The views of the stack
+    and the buffers at the window are kept until ``active(y)`` changes.
     """
     stack = np.zeros((7,) + y.shape)
     slopes = list(stack)  # views made once, so ``k is slopes[i]`` can be tested
     acc, stage, scale = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
     rows = [np.array(row) for row in _A[1:] + (_ERR,)]
-
-    def contract(row, ix, h):  # h (row . stack[:len(row)]) into acc[ix]
-        out = _stage_sum(row, stack[(slice(0, row.size),) + ix], acc[ix])
-        return np.multiply(h, out, out=out)
+    views = None  # (index, stack prefix per row, acc, stage, scale, k0, k6) at the index
 
     def trial(t: float, h: float, y: np.ndarray, k0: np.ndarray):
+        nonlocal views
         ix = active(y)
+        if views is None or views[0] != ix:
+            views = (ix, [stack[(slice(0, row.size),) + ix] for row in rows],
+                     acc[ix], stage[ix], scale[ix], slopes[0][ix], slopes[6][ix])
+        _, prefix, acc_ix, stage_ix, scale_ix, k0_ix, k6_ix = views
         y_ix = y[ix]
         # a trial that leaves the float range has a non-finite norm, which
-        # is a rejection: its overflow is no news
-        with np.errstate(over="ignore", invalid="ignore"):
+        # is a rejection: its overflow, 0/0 and x/0 are no news
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            new, new_ix = stage, stage_ix
             for i in range(1, 7):
-                new = stage if i < 6 else np.zeros_like(y)
-                np.add(y_ix, contract(rows[i - 1], ix, h), out=new[ix])
+                if i == 6:
+                    new = np.zeros_like(y)
+                    new_ix = new[ix]
+                d = _stage_sum(rows[i - 1], prefix[i - 1], acc_ix)
+                np.multiply(h, d, out=d)
+                np.add(y_ix, d, out=new_ix)
                 k = rhs(t + _C[i] * h, new, slopes[i])
                 if k is not slopes[i]:
                     slopes[i][ix] = k[ix]
-            contract(rows[6], ix, h)  # the error terms, in acc
-            s = np.fmax(np.abs(y_ix, out=scale[ix]), np.abs(new[ix], out=stage[ix]), out=scale[ix])
+            q = _stage_sum(rows[6], prefix[6], acc_ix)  # the error terms
+            np.multiply(h, q, out=q)
+            s = np.fmax(np.abs(y_ix, out=scale_ix), np.abs(new_ix, out=stage_ix), out=scale_ix)
             np.multiply(rel_tol, s, out=s)
             np.add(abs_tol, s, out=s)
-        err = _rms(acc, s, ix)
+            np.divide(q, s, out=q)
+            np.multiply(q, q, out=q)
+            # np.mean's bits: the sum over the whole buffer, then a true division
+            err = math.sqrt(float(np.add.reduce(acc, axis=None)) / acc.size)
         if err <= 1.0:  # dopri_integrate accepts the step: first-same-as-last
-            slopes[0][ix] = slopes[6][ix]
+            k0_ix[...] = k6_ix
         return new, slopes[6], err
 
     return trial, slopes

@@ -46,27 +46,30 @@ all J nodes once per record, with weights built once per run.
 
 Blow-up.  ``evolve`` owns the PDE's stop rule.  It reads max|u| over the
 window and the node i where it sits, against scale0 = max(1, max|u0|,
-max|ut0|), with k = (p-1)/2.
+max|ut0|), with k = (p-1)/2.  The regime gate is max|u| > 1e3^min(1, 1/k)
+scale0: 1e3 scale0 up to p = 3, lower for larger p.  Near a blow-up
+u ~ C (T(r) - t)^(-1/k), so a growth by a factor G leaves G^-k of the
+time, and the peak narrows with it; the gate leaves every p the 1e-3 of
+its time that p = 3 has at 1e3.  A gate fixed at 1e3 asks a large p for
+a time left below float resolution: at p = 30, on the bump data with
+w0 = w1 = 2 at grid_h 4e-3, the step reached its floor at max|u| = 4.6
+scale0 and the blow-up went unreported.
 
-* Settled T^.  Past the regime gate, max|u| > 1e3 scale0, each accepted
-  step estimates the blow-up time as T^ = t + u_i / (k u_t,i): the time at
-  which u_i, growing like (T - t)^(-1/k), would be infinite (``ode.py``
-  ends its runs on the same estimate).  The run ends in BlowupThreshold at
-  the first step whose T^ is within SETTLE_REL |T^| of the previous one,
-  and ``blowup_time`` is that T^, which lies ahead of the last step.  The
-  ODE waits for two equal floats; on the PDE at grid_h 5e-4 that takes 373
-  accepted steps where 1e-12 relative takes 293, for a T^ that moves by
-  5e-13, far inside the grid's error.
+* Settled T^.  Past the regime gate, each accepted step estimates the
+  blow-up time as T^ = t + u_i / (k u_t,i): the time at which u_i,
+  growing like (T - t)^(-1/k), would be infinite (``ode.py`` ends its
+  runs on the same estimate).  The run ends in BlowupThreshold at the
+  first step whose T^ is within SETTLE_REL |T^| of the previous one, and
+  ``blowup_time`` is that T^, which lies ahead of the last step.  The
+  ODE waits for two equal floats; on the PDE at grid_h 5e-4 that takes
+  373 accepted steps where 1e-12 relative takes 293, for a T^ that moves
+  by 5e-13, far inside the grid's error.
 * Resolved peak.  A peak one node wide is a grid-scale instability, not a
   singularity (a loose ``pde_rel_tol`` grows one at the bump's edge, and
-  its T^ settles too).  When max|u| first passes the resolution gate, the
-  larger of |u_(i-1)| and |u_(i+1)| must reach RESOLVED_RATIO |u_i|, or the
-  run ends there in Unresolved.  Near a blow-up u ~ C (T(r) - t)^(-1/k):
-  each factor G of growth leaves G^-k of the time, and the peak narrows
-  with it.  So the resolution gate is the gain 1e3^min(1, 1/k) over
-  scale0, the regime gate for p <= 3, which gives every p > 3 the time
-  left that p = 3 has at the regime gate; at the regime gate itself an
-  accurate p = 9 run's peak is far narrower than a node.
+  its T^ settles too).  When max|u| first passes the regime gate, the
+  larger of |u_(i-1)| and |u_(i+1)| must reach RESOLVED_RATIO |u_i|, or
+  the run ends there in Unresolved.  At 1e3 scale0 an accurate p = 9
+  run's peak is already far narrower than a node.
 * Fallback.  A run whose T^ never settles ends in BlowupThreshold, at
   ``t``, only when the stepper stops in StepUnderflow (a step below 1e-16
   max(1, t)) with max|u| > 1e8 scale0.  A large field whose T^ has not
@@ -266,7 +269,7 @@ class PdeRun:
     field_final: PdeField
     rk: RkResult  # where and why the integration stopped, and its counters
     # what the blow-up verdict rests on (see evolve), None if max|u| never
-    # passed the resolution gate
+    # passed the regime gate
     blowup_evidence: Optional[dict]
 
     @property
@@ -298,7 +301,7 @@ def evolve(
     settled T^, or in Unresolved when the peak is one node wide (the
     module docstring has the rule).  ``blowup_evidence`` holds the last
     three T^, max|u| / scale0 and the peak's node and r at the stop, and
-    the neighbour ratio at the resolution gate.
+    the neighbour ratio at the regime gate.
     """
     if np.iscomplexobj(field.u) or np.iscomplexobj(field.ut):
         raise ValueError("evolve takes a real field; u and ut must be float arrays")
@@ -341,7 +344,7 @@ def evolve(
     # the light-cone window: columns [:w] can be nonzero (module docstring)
     nonzero = np.flatnonzero(y0.any(axis=0))
     last = int(nonzero[-1]) if nonzero.size else -1
-    # ratio: the neighbour ratio at the resolution gate, once max|u| passed it
+    # ratio: the neighbour ratio at the regime gate, once max|u| passed it
     state = {"next_out": 0.0, "w": min(J, last + 9), "ratio": None}
 
     def grow(y: np.ndarray) -> None:
@@ -364,8 +367,7 @@ def evolve(
     # the blow-up rule's levels of max|u| (module docstring)
     scale0 = max(1.0, float(np.max(np.abs(y0))))
     k = (p - 1.0) / 2.0
-    regime_gate, blow_gate = 1e3 * scale0, 1e8 * scale0
-    resolve_gate = scale0 * 1e3 ** min(1.0, 1.0 / k)
+    regime_gate, blow_gate = scale0 * 1e3 ** min(1.0, 1.0 / k), 1e8 * scale0
     t_hats: List[float] = []  # T^ at each accepted step past the regime gate
 
     rows: List[Tuple[float, ...]] = []  # one per record, PdeRun's columns
@@ -396,7 +398,7 @@ def evolve(
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
             state["next_out"] = t + out_dt
-        if state["ratio"] is None and mag > resolve_gate:
+        if state["ratio"] is None and mag > regime_gate:
             state["ratio"] = _neighbour_ratio(u, i, mag)
             if state["ratio"] < RESOLVED_RATIO:  # evolve makes this stop Unresolved
                 return True

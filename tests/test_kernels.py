@@ -1,4 +1,5 @@
-"""The stencil kernel against a plain per-node loop of the same formula."""
+"""The stencil kernel against a plain per-node loop of the same formula,
+and its semilinear term against the plain array formula."""
 
 import numpy as np
 import pytest
@@ -25,55 +26,104 @@ def call(u, n, a_nl=0.7, a_mass=A_MASS, p=P):
     return acc
 
 
-def loop_accel(u_re, u_im, n, a_nl, a_mass=A_MASS, p=P):
+def loop_accel(u, n, a_nl, a_mass=A_MASS, p=P):
     """One node at a time: stencil and mass inside, the axis at node 0, a
-    Dirichlet node at the end, on both parts of u = u_re + i u_im, and
-    a_nl |u|^p added to the real part.  |u|^p is one array power, as in
-    the kernel: NumPy's pow and the libm pow of Python floats may differ
-    by an ulp."""
-    J = u_re.size
+    Dirichlet node at the end, and a_nl |u|^p added.  |u|^p is one array
+    power, as in the kernel: NumPy's pow and the libm pow of Python floats
+    may differ by an ulp."""
+    J = u.size
     cp, cm = weights(J, n)
-    mag_p = np.hypot(u_re, u_im) ** p
-    out = []
-    for u in (u_re, u_im):
-        acc = [0.0] * J
-        for j in range(1, J - 1):
-            acc[j] = A_LAP * (cp[j] * u[j + 1] - 2.0 * u[j] + cm[j] * u[j - 1]) - a_mass * u[j]
-        acc[0] = A_LAP * 2.0 * n * (u[1] - u[0]) - a_mass * u[0]
-        out.append(acc)
+    mag_p = np.abs(u) ** p
+    acc = [0.0] * J
+    for j in range(1, J - 1):
+        acc[j] = A_LAP * (cp[j] * u[j + 1] - 2.0 * u[j] + cm[j] * u[j - 1]) - a_mass * u[j]
+    acc[0] = A_LAP * 2.0 * n * (u[1] - u[0]) - a_mass * u[0]
     if a_nl != 0.0:
         for j in range(J - 1):
-            out[0][j] += a_nl * mag_p[j]
-    return np.array(out[0]), np.array(out[1])
+            acc[j] += a_nl * mag_p[j]
+    return np.array(acc)
 
 
 @pytest.mark.parametrize("a_nl", [0.0, 0.7])
 @pytest.mark.parametrize("n", [1, 3])
 def test_matches_per_node_loop(n, a_nl):
     u = np.random.default_rng(42).standard_normal(257)
-    ref, _ = loop_accel(u, np.zeros(u.size), n, a_nl)
     # the terms add in the same order: equal bits
-    assert call(u, n, a_nl).tobytes() == ref.tobytes()
+    assert call(u, n, a_nl).tobytes() == loop_accel(u, n, a_nl).tobytes()
 
 
 @pytest.mark.parametrize("a_nl", [0.0, 0.7])
 @pytest.mark.parametrize("a_mass", [A_MASS, -A_MASS])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_real_flag_matches_full_path_on_zero_imaginary_part(n, a_mass, a_nl):
-    """The real kernel gives the bits of the complex field's acceleration
-    on u_im = +0.0, signed zeros included, and that acceleration's
-    imaginary part is all +0.0: cm[1] < 0 at n >= 4 and a negative a_mass
-    each make a -0.0 term, which the +0.0 sums absorb, and hypot(x, +0.0)
-    is |x|.  So a real field loses nothing to the complex one.  (Named for
-    the flag that once chose between a real and a complex kernel path.)"""
+    """Signed zeros: the kernel gives the per-node loop's bits on a field
+    with +0.0 and -0.0 nodes, and the acceleration of the all +0.0 field
+    is +0.0 at every node.  cm[1] < 0 at n >= 4 and a negative a_mass
+    each make a -0.0 term, which the +0.0 sums absorb.  (Named for the
+    flag that once chose between a real and a complex kernel path; the
+    zero field stands for the complex field's imaginary part.)"""
     J = 257
     rng = np.random.default_rng(11)
     u = rng.standard_normal(J)
     u[rng.random(J) < 0.2] = 0.0
     u[rng.random(J) < 0.2] = -0.0
-    full_re, full_im = loop_accel(u, np.zeros(J), n, a_nl, a_mass)
-    assert call(u, n, a_nl, a_mass).tobytes() == full_re.tobytes()
-    assert not full_im.view(np.uint64).any()
+    assert call(u, n, a_nl, a_mass).tobytes() == loop_accel(u, n, a_nl, a_mass).tobytes()
+    assert not loop_accel(np.zeros(J), n, 0.0, a_mass).view(np.uint64).any()
+
+
+# exponents from just above 1, where 2^(-1080/p) is 0.0 and pow sees every
+# node, to 1000, where pow sees only |u| above 0.47
+EXPONENTS = [1 + 1e-6, 1.5, 2.0, 2.6, 3.0, 5.0, 9.0, 15.0, 30.0, 100.0, 1000.0]
+
+
+def wide_field(p, size=600, seed=0):
+    """|u| log-uniform over 1e-320 .. 1e3 with both signs, subnormals, the
+    floats on both sides of the cutoff 2^(-1080/p), |u| whose p-th power
+    is near the smallest subnormal, signed zeros, inf and NaN, shuffled."""
+    rng = np.random.default_rng(seed)
+    mag = 10.0 ** rng.uniform(-320.0, 3.0, size)
+    cut = 2.0 ** (-1080.0 / p)
+    near = [cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 0.5 * cut, 2.0 * cut]
+    near += [2.0 ** (e / p) for e in (-1076.0, -1075.0, -1074.0, -1072.0, -1060.0)]
+    special = [0.0, 5e-324, 1e-310, 2.2e-308, np.inf, np.nan] + near
+    u = np.concatenate([mag, special * 3]) * rng.choice([-1.0, 1.0], size + 3 * len(special))
+    u[rng.random(u.size) < 0.05] = -0.0
+    return rng.permutation(u)
+
+
+@pytest.mark.parametrize("a_nl", [0.7, -0.7])
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_semilinear_term_is_the_plain_formula(p, a_nl):
+    """The kernel's a_nl |u|^p, which sends no |u| below 2^(-1080/p)
+    through pow, gives the bits of the plain a_nl * np.abs(u) ** p, over
+    |u| from 1e-320 to 1e3, signed zeros, inf and NaN.  With a_lap =
+    a_mass = 0 the linear part is a signed zero (NaN next to inf or NaN),
+    so no bit of the semilinear term is absorbed by it."""
+    u = wide_field(p)
+    J = u.size
+    cp, cm = weights(J, 3)
+    got, linear, tmp = np.empty(J), np.empty(J), np.empty(J)
+    with np.errstate(all="ignore"):
+        radial_accel(u, got, tmp, cp, cm, 0.0, 0.0, a_nl, p, 3)
+        radial_accel(u, linear, tmp, cp, cm, 0.0, 0.0, 0.0, p, 3)
+        linear[:-1] = linear[:-1] + a_nl * np.abs(u[:-1]) ** p
+    assert got.tobytes() == linear.tobytes()
+    mag = np.abs(got)
+    assert np.count_nonzero((mag > 0.0) & (mag < np.finfo(float).tiny)) >= 6  # subnormal terms
+
+
+@pytest.mark.parametrize("p", [q for q in EXPONENTS if 2.0 ** (-1080.0 / q) > 0.0])
+def test_pow_below_the_cutoff_is_plus_zero(p):
+    """What makes the skip exact: pow returns +0.0 for every input below
+    2^(-1080/p), from the float just below it down to a thousandth of it.
+    (At p = 1 + 1e-6 the cutoff is 0.0 and pow sees every node.)"""
+    cut = 2.0 ** (-1080.0 / p)
+    below = [np.nextafter(cut, 0.0)]
+    for _ in range(8):
+        below.append(np.nextafter(below[-1], 0.0))
+    x = np.concatenate([below, cut * np.random.default_rng(1).uniform(1e-3, 1.0, 200)])
+    assert (x < cut).all()
+    assert not np.power(x, p).view(np.uint64).any()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -386,10 +386,14 @@ class TestBlowupExits:
         (3.0, 16.0, 64.0, 0.525),
         (5.0, 2.0, 2.0, 2.0),
         (9.0, 2.0, 2.0, 2.0),
+        (15.0, 2.0, 2.0, 2.0),
+        (30.0, 2.0, 2.0, 2.0),
     ])
     def test_every_exponent_ends_in_a_settled_t_hat(self, p, w0, w1, t_end, minkowski_inputs):
         """At p = 5 and 9 the step reaches its floor with max|u| still under
-        1e8 scale0, so only the settled T^ catches these blow-ups."""
+        1e8 scale0, so only the settled T^ catches these blow-ups.  At p =
+        15 and 30 it reaches its floor below 1e3 scale0 (at 57.8 and 4.6
+        scale0), so only a regime gate that falls with p catches them."""
         inputs = replace(minkowski_inputs, p=p, w0=w0, w1=w1)
         run = run_pde(inputs, t_end, RunSettings(grid_h=4e-3))
         evidence = run.blowup_evidence

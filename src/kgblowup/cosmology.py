@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ExcludedRegionError
 
 __all__ = [
     "CosmologyParams",
@@ -44,16 +44,21 @@ __all__ = [
     "MassBehavior",
     "log_scale_time",
     "scale_eval",
-    "scale_function",
     "mass_sq_function",
     "curved_mass_sq",
     "classify_mass_behavior",
 ]
 
-# Relative margin kept away from a finite horizon (Big-Rip / Big-Crunch).
+# Two margins, because they guard different things.  HORIZON_MARGIN bounds
+# the closed forms' domain: an evaluator raises DomainError at a time
+# within it of a finite horizon (Big-Rip / Big-Crunch).  HORIZON_SHAVE is
+# where runs stop: stop_time returns t_cap(t_end, T0), at most
+# T0 (1 - HORIZON_SHAVE); a solver evaluates its background only up to
+# that time (the first-step probe included; the last step's t + h may
+# round one ulp past it), and the certificate's time grid ends at the same
+# shave.  The shave is 1000 times the margin, so every time a run or the
+# grid reaches lies inside the closed forms' domain.
 HORIZON_MARGIN = 1e-12
-# Relative shave that keeps integrations and the certificate's time grid
-# clear of HORIZON_MARGIN.
 HORIZON_SHAVE = 1e-9
 
 
@@ -108,6 +113,16 @@ def t_cap(t_end: float, T0: float) -> float:
     return t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - HORIZON_SHAVE))
 
 
+def stop_time(params: CosmologyParams, t_end: float) -> float:
+    """Where a solver run to t_end stops, t_cap(t_end, T0), on a background
+    it may run on: the excluded region and a t_end past T0 raise."""
+    if params.excluded_region:
+        raise ExcludedRegionError("background has (1+sigma)H<0 with sigma<0; not integrated")
+    if t_end > params.T0:
+        raise DomainError(f"t_end={t_end} exceeds the horizon T0={params.T0}")
+    return t_cap(t_end, params.T0)
+
+
 def _check_time(t, end: float) -> None:
     """t (or every time in an array t) lies in [0, end) short of the margin."""
     if isinstance(t, np.ndarray):
@@ -158,27 +173,6 @@ def scale_eval(params: CosmologyParams, t):
     _check_time(t, params.T0)
     exp = np.exp if isinstance(t, np.ndarray) else math.exp
     return params.a0 * exp(params.H * log_scale_time(params, t))
-
-
-def scale_function(params: CosmologyParams) -> Callable[[float], float]:
-    """a(t) at one time, its constants bound once.
-
-    The s and a of log_scale_time and scale_eval written out on floats: the
-    same operations in the same order, so the same bits.  A time in range
-    costs one compare; any other goes through _check_time, which raises.
-    """
-    eH, H, a0, end = params.eH, params.H, params.a0, params.T0
-    hi = end * (1.0 - HORIZON_MARGIN)
-    log1p, exp = math.log1p, math.exp
-
-    def a(t: float) -> float:
-        if not 0.0 <= t < hi:
-            _check_time(t, end)
-        x = eH * t
-        s = t * (log1p(x) / x) if x != 0.0 else t
-        return a0 * exp(H * s)
-
-    return a
 
 
 def mass_sq_function(params: CosmologyParams) -> Callable:

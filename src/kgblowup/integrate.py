@@ -111,9 +111,9 @@ class RkResult:
     """Where and why the integration stopped, and what it took.
 
     ``n_rhs`` counts the calls of ``rhs``: the start slope, the initial-step
-    probe (none when the start slope's norm overflows) and six per trial
-    step.  ``min_step`` is the smallest accepted step, None when no step
-    was accepted.
+    probe (none when the start slope's norm overflows or the span is 0)
+    and six per trial step.  ``min_step`` is the smallest accepted step,
+    None when no step was accepted.
     """
 
     status: TerminationReason
@@ -133,8 +133,9 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     with np.errstate(over="ignore"):
         d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    if h0 == 0.0:  # d1 overflowed to inf: no probe, start at the step floor
+    # the probe stays within the span, where rhs is defined
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_span)
+    if h0 == 0.0:  # d1 overflowed to inf, or no span: no probe, start at the step floor
         return 1e-16 * max(1.0, abs(t0)), 0
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)

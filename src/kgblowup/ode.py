@@ -20,10 +20,8 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
-from .cone import comoving_radius
-from .cosmology import HORIZON_MARGIN, _check_time, curved_mass_sq, mass_sq_function, t_cap
-from .cosmology import scale_eval
-from .errors import DomainError, ExcludedRegionError, PoleError, PreconditionError
+from .cosmology import HORIZON_MARGIN, _check_time, curved_mass_sq, mass_sq_function, stop_time
+from .errors import PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 from .scenario import RunSettings
 
@@ -37,7 +35,6 @@ __all__ = [
     "envelope_pole",
     "growth_bound",
     "forcing_coefficient",
-    "forcing_array",
     "trajectory_to_csv",
 ]
 
@@ -89,15 +86,6 @@ def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
     return b
 
 
-def forcing_array(inputs: TheoremInputs, t: np.ndarray) -> np.ndarray:
-    """b at every time of an array: ``forcing_coefficient``'s operations on
-    NumPy, from ``scale_eval`` and ``comoving_radius``, within a few ulp."""
-    params = inputs.params
-    r = comoving_radius(inputs.geom, t)
-    x = cone_ball_factor(params) * (scale_eval(params, t) * r * r / params.a0)
-    return inputs.lam / np.exp(params.n * (inputs.p - 1.0) / 2.0 * np.log(x))
-
-
 def _times_exp(b: float, x: float) -> float:
     """b e^x where e^x alone passes the float range: e^(log|b| + x) with
     the sign of b, b itself at b = 0, and +-inf where b e^x passes it too."""
@@ -131,14 +119,7 @@ def integrate(
     ends the run alone when t would pass t_end or a phase 2 leg stalls.
     """
     params = inputs.params
-    if params.excluded_region:
-        raise ExcludedRegionError(
-            "background has (1+sigma)H<0 with sigma<0; not integrated"
-        )
-    T0 = params.T0
-    if t_end > T0:
-        raise DomainError(f"t_end={t_end} exceeds the horizon T0={T0}")
-
+    t_stop = stop_time(params, t_end)
     if run.ode_mass_sq_const is not None:
         mass = lambda t: run.ode_mass_sq_const  # noqa: E731
     else:
@@ -152,7 +133,6 @@ def integrate(
     p = inputs.p
     k = (p - 1.0) / 2.0
     exp, log = math.exp, math.log
-    t_stop = t_cap(t_end, T0)
     big = max(1.0, abs(inputs.w0))
     w_hand, l_blow = 100.0 * big, log(1e8 * big)
     samples: List[Tuple[float, float, float]] = [(0.0, inputs.w0, inputs.w1)]  # (t, w, w')
@@ -172,12 +152,7 @@ def integrate(
         a = abs(w)  # w w' > 0 and, checked last, w w'' > 0: w runs away from 0
         if not (armed and 0.0 < w * v and (a > w_hand or a < 1e-6 * k * abs(v) * max(1.0, t))):
             return False
-        b = math.copysign(forcing(t), w)
-        try:
-            f = b * (exp((p - 1.0) * log(a)) if b != 0.0 else 0.0)
-        except OverflowError:  # as in rhs
-            f = _times_exp(b, (p - 1.0) * log(a))
-        return f > mass(t)
+        return w * rhs(t, y)[1] > 0.0
 
     legs: List[RkResult] = []  # phase 1, phase 2, phase 1, ...
     armed, t_blow, t_hat = True, None, None
@@ -305,7 +280,8 @@ def check_lemma21(
         )
 
     t, w, v = traj.t, traj.w, traj.wdot
-    bt = forcing_array(inputs, t)
+    b = forcing_coefficient(inputs)
+    bt = np.array([b(x) for x in t.tolist()])
     m2 = curved_mass_sq(inputs.params, t)
     p, theta, N = inputs.p, inputs.theta, inputs.N
 

@@ -1,11 +1,10 @@
 """The comparison ODE's bound background closures against the per-call forms.
 
-``ode.forcing_coefficient``, ``cosmology.mass_sq_function`` and
-``cosmology.scale_function`` bind their constants once per integration.
-They must give, at every time, the same bits as the composition they
-replaced, which recomputes every constant per call: ``lambda / rpow(Q
-q_eval(geom, t), expo)``, the closed-form M^2 (both kept in ``oracles.py``)
-and ``scale_eval(params, t)``.  Out of range they must raise the same
+``ode.forcing_coefficient`` and ``cosmology.mass_sq_function`` bind their
+constants once per integration.  They must give, at every time, the same
+bits as the composition they replaced, which recomputes every constant per
+call: ``lambda / rpow(Q q_eval(geom, t), expo)`` and the closed-form M^2
+(both kept in ``oracles.py``).  Out of range they must raise the same
 ``DomainError``.
 """
 
@@ -17,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgblowup import DomainError
-from kgblowup.cosmology import HORIZON_MARGIN, mass_sq_function, scale_eval, scale_function
+from kgblowup.cosmology import HORIZON_MARGIN, mass_sq_function
 from kgblowup.ode import forcing_coefficient
 
 from conftest import make_inputs
@@ -61,11 +60,9 @@ def test_bound_closures_match_the_per_call_forms(inputs, frac):
     times = [0.0, -0.0] + [f / 0.9 * span for f in frac]
     forcing = forcing_coefficient(inputs)
     mass = mass_sq_function(params)
-    scale = scale_function(params)
     for t in times:
         assert _outcome(forcing, t) == _outcome(lambda x: forcing_per_call(inputs, x), t), t
         assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t), t
-        assert _outcome(scale, t) == _outcome(lambda x: scale_eval(params, x), t), t
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -79,13 +76,11 @@ def test_bound_closures_raise_like_the_per_call_forms(inputs):
         times += [edge, math.nextafter(edge, math.inf), T0, 2.0 * T0, math.inf]
     forcing = forcing_coefficient(inputs)
     mass = mass_sq_function(params)
-    scale = scale_function(params)
     for t in times:
         expected = _outcome(lambda x: forcing_per_call(inputs, x), t)
         assert expected[0] == "DomainError", t
         assert _outcome(forcing, t) == expected
         assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t)
-        assert _outcome(scale, t) == _outcome(lambda x: scale_eval(params, x), t)
 
 
 def test_mass_function_takes_arrays():

@@ -349,6 +349,20 @@ class TestOdeCommand:
         code = main(["ode", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
         assert code == 2
 
+    def test_short_horizon_reaches_it(self, tmp_path):
+        """T0 = 0.002 on a contracting background, w1 = 0: the first-step
+        estimate 0.01 d0/d1 lies far past T0, and its probe used to evaluate
+        the background there (exit 2, "at or beyond the horizon").  The
+        probe is capped at the span, so the run reaches the horizon."""
+        sc = json.loads(json.dumps(MINK))
+        sc["cosmology"]["H"] = -1000.0
+        sc["theorem"].update({"lambda": 1e-9, "w1": 0.0})
+        code = main(["ode", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "ode_report.json").read_text())
+        assert report["termination"] == "ReachedHorizon" and report["blowup_time"] is None
+        assert report["n_steps"] == 15 and report["n_rejected"] == 11
+
 
 class TestPdeCommands:
     def test_pde_outputs(self, tmp_path, monkeypatch):

@@ -759,3 +759,30 @@ def test_tuple_and_array_states_agree(m, y0, rel_tol, abs_tol, t_end, bad_call, 
         tup = _fingerprint(dopri_integrate, make_rhs(), tuple(y0), t_end, **kw)
     assert arr == ref
     assert tup == arr
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    m=st.floats(-100.0, 100.0),
+    y0=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e6, 1e6)),
+    t0=st.floats(0.0, 10.0),
+    span=st.floats(1e-12, 1.0),
+    state=st.sampled_from(["tuple", "ndarray"]),
+)
+def test_no_rhs_call_past_t_end(m, y0, t0, span, state):
+    """Every rhs call, the first-step probe included, is at a time in [t0,
+    t_end]: past t_end the rhs may be undefined (a horizon).  The one
+    exception is rounding: the last step's h = t_end - t puts its final
+    stages at t + h, which can round to the float after t_end."""
+    t_end = t0 + span
+    times = []
+
+    def f(t, y):
+        times.append(t)
+        return (y[1], -m * y[0])
+
+    if state == "tuple":
+        dopri_integrate(f, t0, y0, t_end, max_steps=400)
+    else:
+        dopri_integrate(_as_array_rhs(f), t0, np.array(y0), t_end, max_steps=400)
+    assert t0 <= min(times) and max(times) <= math.nextafter(t_end, math.inf)

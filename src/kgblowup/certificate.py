@@ -18,13 +18,20 @@ from ``cone.q_order`` and the limit of N^2 + M^2 from
 divergent objective.  The optimizer works on log-objectives over a
 compactified grid plus golden-section refinement.
 
-Each objective takes one time or an array of times.  The grid is evaluated
-as one array and only ranks the nodes; the value at the best node and the
-golden-section refinement around it are evaluated on floats.
+The grid is evaluated as arrays and only ranks the nodes; the value at the
+best node and the golden-section refinement around it are evaluated on
+floats.  Everything an extremum reads of the background alone (params and
+r0) is a ``Background``: the monotonicity verdict, q_order, the mass
+classification, the grid with log q~ and M^2 on it, and log q~ and M^2
+bound for float times.  Each part is built at its first use and kept only
+if it was built without raising.
 
 A and B read neither the data (w0, w1) nor theta and lambda, so a caller
-that certifies many related inputs (a sweep) passes one ``ExtremaMemo`` to
-``certify`` and each distinct extremum is computed once.
+that certifies many related inputs (a sweep) passes an ``ExtremaMemo`` to
+``certify``: each distinct extremum is computed once, and every
+certificate on the memo's background reads one ``Background``.  A sweep
+gives each (background, N) group its own memo over its background's one
+``Background``, so each extremum is computed once at any axis order.
 """
 
 from __future__ import annotations
@@ -33,14 +40,25 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .cone import ConeGeometry, Monotonicity, _a0_H, classify_q, log_q_tilde_eval, q_order
+from .cone import (
+    ConeGeometry,
+    Monotonicity,
+    QOrder,
+    _a0_H,
+    classify_q,
+    log_q_tilde_eval,
+    log_q_tilde_function,
+    q_order,
+)
 from .cosmology import (
     HORIZON_SHAVE,
     CosmologyParams,
+    MassBehavior,
     MassTag,
     classify_mass_behavior,
     mass_sq_function,
@@ -62,6 +80,7 @@ __all__ = [
     "lifespan",
     "corollary_case_check",
     "certify",
+    "Background",
     "ExtremaMemo",
     "MEMO_CAP",
     "VERDICT_NAMES",
@@ -205,10 +224,12 @@ def _start_sum_nonnegative(total: float, inputs: TheoremInputs) -> bool:
     return _exact_start_sum(inputs) >= 0
 
 
-def check_N(inputs: TheoremInputs) -> Tuple[bool, str]:
+def check_N(inputs: TheoremInputs, behavior: Optional[MassBehavior] = None) -> Tuple[bool, str]:
     """N >= 0 and N^2 + inf M^2 >= 0, with the infimum taken from the
-    exact classification bounds."""
-    behavior = classify_mass_behavior(inputs.params)
+    exact classification bounds (``behavior``, classified here if not
+    given)."""
+    if behavior is None:
+        behavior = classify_mass_behavior(inputs.params)
     if behavior.tag is MassTag.DIVERGES_MINUS:
         return False, "excluded region: curved mass unbounded below"
     total = inputs.N**2 + behavior.inf_m2
@@ -256,15 +277,58 @@ def _golden_minimize(f: Callable[[float], float], lo: float, hi: float) -> Tuple
     return d, fd
 
 
-def _optimize_log(f: Callable, t_end: float) -> Tuple[float, float]:
-    """Minimize a log-objective on (0, t_end); returns (t_min, f_min).
+class Background:
+    """What every extremum on one background (params and r0) reads.
 
-    ``f`` takes an array of times, which picks the best grid node, or one
-    time, which gives the value there and the refinement.  The grid has
-    ``GRID_NODES`` nodes, read at each call.
+    Each part is computed at its first use and kept for later ones; a part
+    whose computation raises is not kept, so every use raises afresh, as a
+    fresh computation would.  The grid has ``GRID_NODES`` nodes, read when
+    it is built.
     """
-    grid = _time_grid(t_end, GRID_NODES)
-    values = f(grid)
+
+    def __init__(self, geom: ConeGeometry) -> None:
+        self.geom = geom
+
+    @cached_property
+    def behavior(self) -> MassBehavior:
+        return classify_mass_behavior(self.geom.params)
+
+    @cached_property
+    def verdict(self) -> Monotonicity:
+        return classify_q(self.geom)
+
+    @cached_property
+    def order(self) -> QOrder:
+        return q_order(self.geom, self.verdict)
+
+    @cached_property
+    def log_q(self) -> Callable[[float], float]:
+        return log_q_tilde_function(self.geom, self.verdict)
+
+    @cached_property
+    def mass_sq(self) -> Callable:
+        return mass_sq_function(self.geom.params)
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return _time_grid(self.geom.params.T0, GRID_NODES)
+
+    @cached_property
+    def grid_log_q(self) -> np.ndarray:
+        return log_q_tilde_eval(self.geom, self.grid, self.verdict)
+
+    @cached_property
+    def grid_mass_sq(self) -> np.ndarray:
+        return self.mass_sq(self.grid)
+
+
+def _optimize_log(f: Callable[[float], float], grid: np.ndarray,
+                  values: np.ndarray) -> Tuple[float, float]:
+    """Minimize a log-objective over the span of ``grid``; returns (t_min, f_min).
+
+    ``values`` is the objective on ``grid``, which picks the best node;
+    ``f`` takes one time and gives the value there and the refinement.
+    """
     if np.isnan(values).all():
         raise DomainError(
             "the objective is NaN at every grid node: the closed forms overflow "
@@ -284,17 +348,18 @@ def _optimize_log(f: Callable, t_end: float) -> Tuple[float, float]:
     return best_t, best_v
 
 
-def compute_A(inputs: TheoremInputs) -> ExtremumResult:
-    """A = inf over (0, T0) of e^{cN(1-eps)t} / q~^{n/2}(t)."""
+def compute_A(inputs: TheoremInputs, background: Optional[Background] = None) -> ExtremumResult:
+    """A = inf over (0, T0) of e^{cN(1-eps)t} / q~^{n/2}(t); ``background``
+    is the ``Background`` of inputs.geom, built here if not given."""
     params = inputs.params
-    verdict = classify_q(inputs.geom)
-    if verdict is Monotonicity.NOT_MONOTONE:
+    bg = Background(inputs.geom) if background is None else background
+    if bg.verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone; A is undefined")
 
     # log of the objective: growth t - n/2 (rho s + 2 [log_s] log s) + O(1)
     growth = params.c * inputs.N * (1.0 - inputs.epsilon)
     n_half = params.n / 2.0
-    order = q_order(inputs.geom, verdict)
+    order = bg.order
     if order.clock == 0:  # t = s
         rate = growth - n_half * order.rho
         if rate < 0.0:
@@ -311,29 +376,31 @@ def compute_A(inputs: TheoremInputs) -> ExtremumResult:
             0.0, False, None, "q~ diverges with no exponential compensation"
         )
 
-    geom = inputs.geom
+    log_q = bg.log_q
 
     def f_log(t):
-        return growth * t - n_half * log_q_tilde_eval(geom, t, verdict)
+        return growth * t - n_half * log_q(t)
 
-    t_min, f_min = _optimize_log(f_log, params.T0)
+    t_min, f_min = _optimize_log(f_log, bg.grid, growth * bg.grid - n_half * bg.grid_log_q)
     A = math.exp(f_min)
     if A == 0.0:
         return ExtremumResult(0.0, False, t_min, f"A underflows to 0: log A = {f_min}")
     return ExtremumResult(A, True, t_min, "positive infimum")
 
 
-def compute_B(inputs: TheoremInputs) -> ExtremumResult:
-    """B = sup over (0, T0) of q~^{n/2} (N^2 + M^2)^{1/(p-1)} e^{-cNt}."""
-    params = inputs.params
-    ok, reason = check_N(inputs)
+def compute_B(inputs: TheoremInputs, background: Optional[Background] = None) -> ExtremumResult:
+    """B = sup over (0, T0) of q~^{n/2} (N^2 + M^2)^{1/(p-1)} e^{-cNt};
+    ``background`` is the ``Background`` of inputs.geom, built here if not
+    given."""
+    bg = Background(inputs.geom) if background is None else background
+    ok, reason = check_N(inputs, bg.behavior)
     if not ok:
         raise PreconditionError(f"B needs admissible N: {reason}")
-    verdict = classify_q(inputs.geom)
-    if verdict is Monotonicity.NOT_MONOTONE:
+    if bg.verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone; B is undefined")
 
-    behavior = classify_mass_behavior(params)
+    params = inputs.params
+    behavior = bg.behavior
     if behavior.tag is MassTag.DIVERGES_PLUS:
         return ExtremumResult(
             math.inf,
@@ -346,7 +413,7 @@ def compute_B(inputs: TheoremInputs) -> ExtremumResult:
     # - decay t + O(1)
     decay = params.c * inputs.N
     n_half = params.n / 2.0
-    order = q_order(inputs.geom, verdict)
+    order = bg.order
     if order.clock == 0:  # t = s
         rate = n_half * order.rho - decay
         if rate > 0.0:
@@ -372,23 +439,23 @@ def compute_B(inputs: TheoremInputs) -> ExtremumResult:
                 math.inf, False, None, "polynomial degree comparison diverges"
             )
 
-    geom = inputs.geom
     inv_pm1 = 1.0 / (inputs.p - 1.0)
     n2 = inputs.N**2
-    mass_sq = mass_sq_function(params)
+    mass_sq, log_q = bg.mass_sq, bg.log_q
 
     def neg_log(t):
         mass = n2 + mass_sq(t)
-        if isinstance(t, np.ndarray):
-            # the objective is 0, so -log is inf, wherever N^2 + M^2 <= 0
-            log_mass = np.log(mass, out=np.full(t.shape, -math.inf), where=mass > 0.0)
-        elif mass > 0.0:
-            log_mass = math.log(mass)
-        else:
+        if not mass > 0.0:
             return math.inf  # objective 0 there
-        return -(n_half * log_q_tilde_eval(geom, t, verdict) + inv_pm1 * log_mass - decay * t)
+        log_mass = math.log(mass)
+        return -(n_half * log_q(t) + inv_pm1 * log_mass - decay * t)
 
-    t_max, neg_min = _optimize_log(neg_log, params.T0)
+    grid = bg.grid
+    mass = n2 + bg.grid_mass_sq
+    # the objective is 0, so -log is inf, wherever N^2 + M^2 <= 0
+    log_mass = np.log(mass, out=np.full(grid.shape, -math.inf), where=mass > 0.0)
+    values = -(n_half * bg.grid_log_q + inv_pm1 * log_mass - decay * grid)
+    t_max, neg_min = _optimize_log(neg_log, grid, values)
     if math.isinf(neg_min):  # exactly 0 only if M^2 = -N^2 is constant
         constant = behavior.tag in (MassTag.CONSTANT_M2, MassTag.DE_SITTER_CONSTANT)
         if constant and _exact_start_sum(inputs) == 0:
@@ -543,13 +610,23 @@ class ExtremaMemo:
     -0.0 apart from 0.0, so a hit returns what a fresh call would.  Raised
     errors are not kept.  At most ``MEMO_CAP`` results are held, the oldest
     dropped first, so memory stays bounded however many keys a caller has.
+
+    The memo also holds one ``Background``, ``background``: certificates
+    whose geom is that object read it, and any other geom replaces it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, background: Optional[Background] = None) -> None:
         self._results: Dict[Tuple[str, bytes], ExtremumResult] = {}
+        self.background = background
 
     def __len__(self) -> int:
         return len(self._results)
+
+    def background_of(self, geom: ConeGeometry) -> Background:
+        """The held ``Background`` if it is that of ``geom``, else a new one."""
+        if self.background is None or self.background.geom is not geom:
+            self.background = Background(geom)
+        return self.background
 
     def get(self, which: str, inputs: TheoremInputs) -> ExtremumResult:
         """compute_A (``which == "A"``) or compute_B (``"B"``) of ``inputs``."""
@@ -560,7 +637,8 @@ class ExtremaMemo:
         ))
         result = self._results.get(key)
         if result is None:
-            result = (compute_A if which == "A" else compute_B)(inputs)
+            compute = compute_A if which == "A" else compute_B
+            result = compute(inputs, self.background_of(inputs.geom))
             if len(self._results) >= MEMO_CAP:
                 del self._results[next(iter(self._results))]
             self._results[key] = result
@@ -575,12 +653,14 @@ class ExtremaMemo:
 def certify(inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> BlowupCertificate:
     """Run every hypothesis check and assemble the certificate.
 
-    With a ``memo``, A and B come from it (computed there on a miss); the
-    certificate is the same either way.
+    With a ``memo``, A and B come from it (computed there on a miss) and
+    the background's parts from its ``Background``; the certificate is the
+    same either way.
     """
     params = inputs.params
     omega_n = unit_ball_volume(params.n)
     Q = cone_ball_factor(params)
+    bg = Background(inputs.geom) if memo is None else memo.background_of(inputs.geom)
     T0 = params.T0
     alpha = 1.0 + inputs.epsilon * (inputs.p - 1.0) / 2.0
     reasons: List[str] = []
@@ -588,25 +668,25 @@ def certify(inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> Blowup
 
     verdicts["support_radius_positive"] = True  # ConeGeometry rejects r0 <= 0
 
-    n_ok, n_reason = check_N(inputs)
+    n_ok, n_reason = check_N(inputs, bg.behavior)
     verdicts["admissible_N"] = n_ok
     if not n_ok:
         reasons.append(f"admissible_N: {n_reason}")
 
-    monotone = classify_q(inputs.geom) is not Monotonicity.NOT_MONOTONE
+    monotone = bg.verdict is not Monotonicity.NOT_MONOTONE
     verdicts["q_monotone"] = monotone
     if not monotone:
         reasons.append("q_monotone: parameters fall outside the monotonicity rows")
 
     A = B = None
     if monotone:
-        a_res = compute_A(inputs) if memo is None else memo.get("A", inputs)
+        a_res = compute_A(inputs, bg) if memo is None else memo.get("A", inputs)
         A = a_res.value
         verdicts["A_positive"] = a_res.ok
         if not a_res.ok:
             reasons.append(f"A_positive: {a_res.reason}")
         if n_ok:
-            b_res = compute_B(inputs) if memo is None else memo.get("B", inputs)
+            b_res = compute_B(inputs, bg) if memo is None else memo.get("B", inputs)
             B = b_res.value
             verdicts["B_finite"] = b_res.ok
             if not b_res.ok:

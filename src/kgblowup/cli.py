@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, is_dataclass, replace
@@ -31,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import ode as ode_mod
 from . import pde as pde_mod
-from .certificate import BlowupCertificate, ExtremaMemo, certify
+from .certificate import Background, BlowupCertificate, ExtremaMemo, certify
 from .cosmology import t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
 from .integrate import RkResult, TerminationReason
@@ -40,6 +41,7 @@ from .scenario import (
     ScenarioError,
     SweepSpec,
     _finite,
+    geometry_from_dict,
     load_scenario,
     load_sweep_spec,
     scenario_from_dict,
@@ -48,7 +50,7 @@ from .scenario import (
 
 __all__ = ["main"]
 
-POOL_CHUNK = 8  # consecutive sweep points per pool task, each task with its own memo
+POOL_CHUNK = 8  # background groups per message to a pool worker; each group is one task
 
 
 def _jsonify(obj: Any) -> Any:
@@ -222,43 +224,75 @@ def cmd_cone_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_point(base, overrides, with_ode, memo: ExtremaMemo) -> Dict[str, Any]:
+_BACKGROUND = ("cosmology.", "cone.")
+_BITS = struct.Struct("<d")
+
+
+def _groups(axes, combos) -> List[List[List[int]]]:
+    """The numbers of the points, grouped by background (the cosmology.*
+    and cone.* values, keyed by their bits) and within it by N, each group
+    where its first point comes in axis order."""
+    bits = [[_BITS.pack(v) for v in values] for _, values in axes]
+    background = [i for i, (path, _) in enumerate(axes) if path.startswith(_BACKGROUND)]
+    shift = [i for i, (path, _) in enumerate(axes) if path == "theorem.N"]
+    groups: Dict[bytes, Dict[bytes, List[int]]] = {}
+    for k, combo in enumerate(combos):
+        key = b"".join([bits[i][combo[i]] for i in background])
+        n_key = b"".join([bits[i][combo[i]] for i in shift])
+        groups.setdefault(key, {}).setdefault(n_key, []).append(k)
+    return [list(by_n.values()) for by_n in groups.values()]
+
+
+def _point_data(base, paths, values) -> Dict[str, Any]:
+    """The scenario of one point: base with the point's axis values set."""
     # base holds only blocks of scalars (load_sweep_spec validated it), so
     # copying each block is a full copy
     data = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
-    for path, value in overrides:
+    for path, value in zip(paths, values):
         set_by_path(data, path, value)
-    row: Dict[str, Any] = {path: value for path, value in overrides}
+    return data
+
+
+def _sweep_point(data, with_ode, memo: ExtremaMemo, geom) -> List[str]:
+    """The result cells of one point: corollary_case, valid, T_star,
+    blowup_time with the ODE, error_class and error."""
+    cells: List[str] = []
     try:
-        scenario = scenario_from_dict(data)
+        scenario = scenario_from_dict(data, geom=geom)
         cert = certify(scenario.inputs, memo=memo)
-        row["corollary_case"] = cert.corollary_case or "none"
-        row["valid"] = cert.valid
-        row["T_star"] = cert.T_star
+        cells += [cert.corollary_case or "none", _format_cell(cert.valid),
+                  _format_cell(cert.T_star)]
         if with_ode:
             blow = None
             if cert.valid:
                 t_end = _resolve_t_end(scenario, cert, None)
                 traj = ode_mod.integrate(scenario.inputs, t_end, scenario.run)
                 blow = ode_mod.detect_blowup_time(traj)
-            row["blowup_time"] = blow
-        row["error_class"] = row["error"] = ""
+            cells.append(_format_cell(blow))
+        cells += ["", ""]
     except Exception as exc:  # recorded per-row, never aborts the sweep
-        row.setdefault("corollary_case", "")
-        row.setdefault("valid", "")
-        row.setdefault("T_star", "")
-        if with_ode:
-            row.setdefault("blowup_time", "")
-        row["error_class"] = type(exc).__name__
-        row["error"] = f"{type(exc).__name__}: {exc}"
-    return row
+        cells += [""] * (3 + with_ode - len(cells))
+        cells += [type(exc).__name__, f"{type(exc).__name__}: {exc}"]
+    return cells
 
 
-def _sweep_chunk(job) -> List[Dict[str, Any]]:
-    """Rows of consecutive sweep points; they share one ExtremaMemo."""
-    base, points, with_ode = job
-    memo = ExtremaMemo()
-    return [_sweep_point(base, overrides, with_ode, memo) for overrides in points]
+def _sweep_task(job) -> List[List[str]]:
+    """The result cells of the points of background groups, in the order
+    given.  A group's points share one Background, and the points of each
+    (background, N) group one ExtremaMemo; both go when the group ends."""
+    base, paths, with_ode, groups = job
+    rows = []
+    for by_n in groups:
+        try:
+            geom = geometry_from_dict(_point_data(base, paths, by_n[0][0]))
+        except Exception:  # never shared: each point raises it in scenario_from_dict
+            geom = None
+        background = None if geom is None else Background(geom)
+        for points in by_n:
+            memo = ExtremaMemo(background)
+            rows += [_sweep_point(_point_data(base, paths, values), with_ode, memo, geom)
+                     for values in points]
+    return rows
 
 
 def _format_cell(value: Any) -> str:
@@ -278,36 +312,43 @@ def cmd_sweep(args) -> int:
     # the pool forks every worker at its first map: never more than the CPUs
     workers = min(workers, os.cpu_count() or 1)
 
-    paths = [p for p, _ in spec.axes]
-    combos = list(itertools.product(*(vals for _, vals in spec.axes)))
-    points = [list(zip(paths, combo)) for combo in combos]
+    axes = spec.axes
+    paths = [p for p, _ in axes]
+    combos = list(itertools.product(*(range(len(values)) for _, values in axes)))
+    points = list(itertools.product(*(values for _, values in axes)))
+    numbers = _groups(axes, combos)
+    groups = [[[points[k] for k in ks] for ks in by_n] for by_n in numbers]
     if workers == 1:
-        rows = _sweep_chunk((spec.base, points, spec.with_ode))
+        cells = _sweep_task((spec.base, paths, spec.with_ode, groups))
     else:
-        chunks = [
-            (spec.base, points[i : i + POOL_CHUNK], spec.with_ode)
-            for i in range(0, len(points), POOL_CHUNK)
-        ]
+        jobs = [(spec.base, paths, spec.with_ode, [group]) for group in groups]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for chunk in pool.map(_sweep_chunk, chunks) for row in chunk]
+            chunks = pool.map(_sweep_task, jobs, chunksize=POOL_CHUNK)
+            cells = [row for chunk in chunks for row in chunk]
+    rows: List[List[str]] = [[]] * len(combos)
+    visited = (k for by_n in numbers for ks in by_n for k in ks)
+    for k, row in zip(visited, cells):
+        rows[k] = row
 
     columns = ["index"] + paths + ["corollary_case", "valid", "T_star"]
     if spec.with_ode:
         columns.append("blowup_time")
     columns += ["error_class", "error"]
+    text = [[_format_cell(v) for v in values] for _, values in axes]  # each value once
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for i, row in enumerate(rows):
-            writer.writerow([_format_cell(i)] + [_format_cell(row.get(c)) for c in columns[1:]])
+        writer.writerows(
+            [str(i), *[t[j] for t, j in zip(text, combo)], *row]
+            for i, (combo, row) in enumerate(zip(combos, rows))
+        )
 
     cases: Dict[str, int] = {}
     n_valid = 0
     for row in rows:
-        tag = row.get("corollary_case") or "none"
+        tag = row[0] or "none"
         cases[tag] = cases.get(tag, 0) + 1
-        if row.get("valid") is True:
-            n_valid += 1
+        n_valid += row[1] == "true"
     _write_json(
         out / "sweep_summary.json",
         {"points": len(rows), "valid": n_valid, "cases": dict(sorted(cases.items()))},

@@ -20,10 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .cosmology import (
+    HORIZON_MARGIN,
     CosmologyParams,
     _check_time,
     _array_ratio,
@@ -40,6 +42,7 @@ __all__ = [
     "log_q_eval",
     "classify_q",
     "log_q_tilde_eval",
+    "log_q_tilde_function",
     "q_order",
 ]
 
@@ -84,14 +87,9 @@ def _radius_terms(params: CosmologyParams, t):
     return s, params.c * s / params.a0, params.radius_rate
 
 
-def _log_radius(r0: float, s, w, k):
-    """log r from the _radius_terms; past k s = _EXP_SAFE in log space, so
-    e^(k s) never overflows."""
-    if not isinstance(s, np.ndarray):
-        z = k * s
-        if z <= _EXP_SAFE:
-            return math.log(r0 + w * _expm1_ratio(k, s))
-        return math.log(w / z) + z + math.log1p(r0 * z / w * math.exp(-z))
+def _log_radius(r0: float, s: np.ndarray, w: np.ndarray, k: float) -> np.ndarray:
+    """log r at every time of an array, from the _radius_terms; past k s =
+    _EXP_SAFE in log space, so e^(k s) never overflows."""
     if not (k > 0.0 and k * float(s.max()) > _EXP_SAFE):
         return np.log(r0 + w * _expm1_ratio(k, s))
     z = k * s
@@ -112,6 +110,8 @@ def comoving_radius(geom: ConeGeometry, t):
 
 def log_q_eval(geom: ConeGeometry, t):
     """log q(t) = log(a/a0) + 2 log r, valid far beyond exp overflow."""
+    if not isinstance(t, np.ndarray):
+        return log_q_tilde_function(geom, Monotonicity.NON_DECREASING)(t)
     _check_time(t, geom.params.T0)
     s, w, k = _radius_terms(geom.params, t)
     return geom.params.H * s + 2.0 * _log_radius(geom.r0, s, w, k)
@@ -140,13 +140,59 @@ def classify_q(geom: ConeGeometry) -> Monotonicity:
     return Monotonicity.NOT_MONOTONE
 
 
+def log_q_tilde_function(geom: ConeGeometry, verdict: Monotonicity) -> Callable:
+    """log q~ as a function of one time, its constants bound once;
+    ``verdict`` is q's certified monotonicity.
+
+    q~ = r0^2 when q is non-increasing, else q~ = q and log q = H s + 2 log r
+    with the _radius_terms and _log_radius written out on floats: the same
+    operations in the same order.  As in cosmology.mass_sq_function, a
+    float time costs one range compare; any other time, or a float out of
+    range, goes through _check_time, which raises for the latter.
+    """
+    params = geom.params
+    end = params.T0
+    hi = end * (1.0 - HORIZON_MARGIN)
+    if verdict is Monotonicity.NON_INCREASING:
+        log_q0 = 2.0 * math.log(geom.r0)
+
+        def log_q_tilde(t):
+            if not (isinstance(t, float) and 0.0 <= t < hi):
+                _check_time(t, end)
+            return log_q0
+
+        return log_q_tilde
+
+    H, c, a0, r0, rate, k = params.H, params.c, params.a0, geom.r0, params.eH, params.radius_rate
+    log, log1p, expm1, exp = math.log, math.log1p, math.expm1, math.exp
+
+    def log_q_tilde(t):
+        if not (isinstance(t, float) and 0.0 <= t < hi):
+            _check_time(t, end)
+        if rate == 0.0:  # s = t L(e H t)
+            s = t * 1.0
+        else:
+            x = rate * t
+            s = t * (log1p(x) / x if x != 0.0 else 1.0)
+        w = c * s / a0
+        z = k * s
+        if z <= _EXP_SAFE:  # r = r0 + w E(k s)
+            log_r = log(r0 + w * (expm1(z) / z if k != 0.0 and z != 0.0 else 1.0))
+        else:
+            log_r = log(w / z) + z + log1p(r0 * z / w * exp(-z))
+        return H * s + 2.0 * log_r
+
+    return log_q_tilde
+
+
 def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Monotonicity):
     """log q~ at a time or at every time of an array; ``verdict`` is q's
     certified monotonicity."""
+    if not isinstance(t, np.ndarray):
+        return log_q_tilde_function(geom, verdict)(t)
     if verdict is Monotonicity.NON_INCREASING:
         _check_time(t, geom.params.T0)
-        log_q0 = 2.0 * math.log(geom.r0)
-        return np.full(t.shape, log_q0) if isinstance(t, np.ndarray) else log_q0
+        return np.full(t.shape, 2.0 * math.log(geom.r0))
     return log_q_eval(geom, t)
 
 

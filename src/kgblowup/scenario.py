@@ -24,6 +24,7 @@ __all__ = [
     "Scenario",
     "SweepSpec",
     "scenario_from_dict",
+    "geometry_from_dict",
     "load_scenario",
     "load_sweep_spec",
     "set_by_path",
@@ -106,41 +107,19 @@ def _positive_int(block: Dict[str, Any], key: str, where: str, default: int) -> 
     return int(val)
 
 
-def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenario:
+def scenario_from_dict(
+    data: Dict[str, Any], where: str = "scenario", geom: Optional[ConeGeometry] = None
+) -> Scenario:
+    """The scenario of ``data``, each block checked in turn; ``geom``, when
+    given, is what its cosmology and cone blocks give, and they are not
+    read again."""
     data = _require_mapping(data, where)
     _reject_unknown(data, {"cosmology", "cone", "theorem", "run"}, where)
     for block in ("cosmology", "cone", "theorem"):
         if block not in data:
             raise ScenarioError(f"{where}.{block}: missing required block")
-
-    cosmo = _require_mapping(data["cosmology"], f"{where}.cosmology")
-    _reject_unknown(
-        cosmo, {"n", "c", "a0", "H", "sigma", "m_squared"}, f"{where}.cosmology"
-    )
-    n = _number(cosmo, "n", f"{where}.cosmology")
-    if n != int(n) or n < 1:
-        raise ScenarioError(
-            f"{where}.cosmology.n: spatial dimension must be a positive integer"
-        )
-    try:
-        params = CosmologyParams(
-            n=int(n),
-            c=_number(cosmo, "c", f"{where}.cosmology"),
-            a0=_number(cosmo, "a0", f"{where}.cosmology"),
-            H=_number(cosmo, "H", f"{where}.cosmology"),
-            sigma=_number(cosmo, "sigma", f"{where}.cosmology"),
-            m_squared=_number(cosmo, "m_squared", f"{where}.cosmology"),
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.cosmology: {exc}") from exc
-
-    cone = _require_mapping(data["cone"], f"{where}.cone")
-    _reject_unknown(cone, {"r0"}, f"{where}.cone")
-    r0 = _number(cone, "r0", f"{where}.cone")
-    try:
-        geom = ConeGeometry(params, r0)
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.cone.{exc}") from exc
+    if geom is None:
+        geom = geometry_from_dict(data, where)
 
     thm = _require_mapping(data["theorem"], f"{where}.theorem")
     _reject_unknown(
@@ -180,6 +159,40 @@ def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenari
     run = RunSettings(**merged)
 
     return Scenario(inputs, run)
+
+
+def geometry_from_dict(data: Dict[str, Any], where: str = "scenario") -> ConeGeometry:
+    """The cone geometry of a scenario's cosmology and cone blocks, checked
+    as ``scenario_from_dict`` checks them."""
+    cosmo = _require_mapping(data["cosmology"], f"{where}.cosmology")
+    _reject_unknown(
+        cosmo, {"n", "c", "a0", "H", "sigma", "m_squared"}, f"{where}.cosmology"
+    )
+    n = _number(cosmo, "n", f"{where}.cosmology")
+    if n != int(n) or n < 1:
+        raise ScenarioError(
+            f"{where}.cosmology.n: spatial dimension must be a positive integer"
+        )
+    try:
+        params = CosmologyParams(
+            n=int(n),
+            c=_number(cosmo, "c", f"{where}.cosmology"),
+            a0=_number(cosmo, "a0", f"{where}.cosmology"),
+            H=_number(cosmo, "H", f"{where}.cosmology"),
+            sigma=_number(cosmo, "sigma", f"{where}.cosmology"),
+            m_squared=_number(cosmo, "m_squared", f"{where}.cosmology"),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"{where}.cosmology: {exc}") from exc
+
+    cone = _require_mapping(data["cone"], f"{where}.cone")
+    _reject_unknown(cone, {"r0"}, f"{where}.cone")
+    r0 = _number(cone, "r0", f"{where}.cone")
+    try:
+        geom = ConeGeometry(params, r0)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}.cone.{exc}") from exc
+    return geom
 
 
 def load_scenario(path) -> Scenario:

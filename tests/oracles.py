@@ -19,7 +19,7 @@ from kgblowup import (
     scale_eval,
 )
 from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow, unit_ball_volume
-from kgblowup.cone import _expm1_ratio, _radius_terms
+from kgblowup.cone import _EXP_SAFE, _expm1_ratio, _radius_terms
 from kgblowup.cosmology import _check_time
 from kgblowup.integrate import _A, _C, _ERR, _rms
 from kgblowup.ode import OdeTrajectory
@@ -101,6 +101,22 @@ def forcing_per_call(inputs: TheoremInputs, t: float) -> float:
     Q = cone_ball_factor(inputs.params)
     expo = inputs.params.n * (inputs.p - 1.0) / 2.0
     return inputs.lam / rpow(Q * q_eval(inputs.geom, t), expo)
+
+
+def log_q_tilde_per_call(geom: ConeGeometry, t: float, verdict: Monotonicity) -> float:
+    """log q~ at one time from the generic evaluators, every constant
+    recomputed per call: r0^2 when ``verdict`` is non-increasing, else
+    log q = H s + 2 log r, with log r in log space past k s = _EXP_SAFE."""
+    _check_time(t, geom.params.T0)
+    if verdict is Monotonicity.NON_INCREASING:
+        return 2.0 * math.log(geom.r0)
+    s, w, k = _radius_terms(geom.params, t)
+    z = k * s
+    if z <= _EXP_SAFE:
+        log_r = math.log(geom.r0 + w * _expm1_ratio(k, s))
+    else:
+        log_r = math.log(w / z) + z + math.log1p(geom.r0 * z / w * math.exp(-z))
+    return geom.params.H * s + 2.0 * log_r
 
 
 def curved_mass_sq_per_call(params: CosmologyParams, t: float) -> float:

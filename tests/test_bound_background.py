@@ -1,11 +1,12 @@
-"""The comparison ODE's bound background closures against the per-call forms.
+"""The bound background closures against the per-call forms.
 
 ``ode.forcing_coefficient`` and ``cosmology.mass_sq_function`` bind their
-constants once per integration.  They must give, at every time, the same
-bits as the composition they replaced, which recomputes every constant per
-call: ``lambda / rpow(Q q_eval(geom, t), expo)`` and the closed-form M^2
-(both kept in ``oracles.py``).  Out of range they must raise the same
-``DomainError``.
+constants once per integration, and ``cone.log_q_tilde_function`` once per
+certificate background.  They must give, at every time, the same bits as
+the composition they replaced, which recomputes every constant per call:
+``lambda / rpow(Q q_eval(geom, t), expo)``, the closed-form M^2 and log q~
+from ``cone._radius_terms`` (all kept in ``oracles.py``).  Out of range
+they must raise the same ``DomainError``.
 """
 
 import math
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgblowup import DomainError
+from kgblowup.cone import _EXP_SAFE, Monotonicity, _radius_terms, classify_q, log_q_tilde_function
 from kgblowup.cosmology import HORIZON_MARGIN, mass_sq_function
 from kgblowup.ode import forcing_coefficient
 
 from conftest import make_inputs
-from oracles import curved_mass_sq_per_call, forcing_per_call
+from oracles import curved_mass_sq_per_call, forcing_per_call, log_q_tilde_per_call
 
 
 def _outcome(f, t):
@@ -91,3 +93,76 @@ def test_mass_function_takes_arrays():
     assert mass_sq_function(params)(times).tobytes() == np.array(expected).tobytes()
     with pytest.raises(DomainError, match="at or beyond the horizon"):
         mass_sq_function(params)(np.array([0.0, params.T0]))
+
+
+def _log_q_times(geom):
+    """Times on both sides of the k s = _EXP_SAFE switch where the run
+    reaches it, zeros of both signs, and the horizon's edge."""
+    params = geom.params
+    T0 = params.T0
+    times = [0.0, -0.0, 1e-12, 0.5, 1.0]
+    if math.isfinite(T0):
+        times += [0.5 * T0, T0 * (1.0 - 1e-9), T0 * (1.0 - HORIZON_MARGIN), T0]
+    else:
+        times += [1e3, 1e6, 1e30, 1e300, math.inf]
+    if params.radius_rate > 0.0 and params.eH == 0.0:  # s = t: the switch at t = _EXP_SAFE / k
+        switch = _EXP_SAFE / params.radius_rate
+        times += [math.nextafter(switch, 0.0), switch, math.nextafter(switch, math.inf)]
+    return times + [-1e-300, -1.0, math.nan]
+
+
+def _check_log_q(geom, verdict):
+    bound = log_q_tilde_function(geom, verdict)
+    branches = set()
+    for t in _log_q_times(geom):
+        expected = _outcome(lambda x: log_q_tilde_per_call(geom, x, verdict), t)
+        assert _outcome(bound, t) == expected, t
+        if not isinstance(expected, tuple) and verdict is not Monotonicity.NON_INCREASING:
+            s, _, k = _radius_terms(geom.params, t)
+            branches.add(k * s <= _EXP_SAFE)
+    return branches
+
+
+# (H, sigma, n, r0): k = 0 (e = 1), e = 1/2, signed zeros of H, finite and
+# infinite T0, log space past k s = _EXP_SAFE, and a non-increasing q
+# (whose T0 is always finite: H < 0 and e >= 1/2)
+LOG_Q_BACKGROUNDS = {
+    "flat": (0.0, 0.0, 1, 1.0),
+    "flat_negative_zero": (-0.0, 0.0, 1, 1.0),
+    "flat_negative_zero_sigma_below": (-0.0, -2.0, 3, 1.0),
+    "coasting_e1": (0.5, -1.0 + 2.0 / 3, 3, 1.0),
+    "coasting_e1_contracting": (-0.5, 0.0, 2, 0.1),
+    "de_sitter_contracting_log_space": (-0.45, -1.0, 1, 1.0),
+    "power_law_contracting_log_space": (-1.0, -2.0, 1, 0.5),
+    "de_sitter_expanding": (1.0, -1.0, 2, 1.0),
+    "big_crunch": (-1.0, 1.0, 1, 0.5),
+    "e_half_contracting": (-0.45, 0.0, 1, 1.0),
+    "non_increasing": (-1.0, 0.0, 1, 3.0),
+    "non_increasing_n3": (-1.0, 1.0, 3, 2.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOG_Q_BACKGROUNDS))
+def test_bound_log_q_tilde_matches_the_per_call_form(name):
+    H, sigma, n, r0 = LOG_Q_BACKGROUNDS[name]
+    geom = make_inputs(H, sigma, n=n, r0=r0).geom
+    verdict = classify_q(geom)
+    branches = _check_log_q(geom, verdict)
+    for other in Monotonicity:
+        _check_log_q(geom, other)
+    if name.endswith("log_space"):
+        assert branches == {True, False}
+    assert (verdict is Monotonicity.NON_INCREASING) == name.startswith("non_increasing")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=theorem_inputs(), frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_bound_log_q_tilde_matches_on_sampled_backgrounds(inputs, frac):
+    geom = inputs.geom
+    T0 = geom.params.T0
+    span = T0 if math.isfinite(T0) else 1e4
+    bound = {v: log_q_tilde_function(geom, v) for v in Monotonicity}
+    for t in [0.0, -0.0] + [f * span for f in frac]:
+        for verdict, f in bound.items():
+            expected = _outcome(lambda x: log_q_tilde_per_call(geom, x, verdict), t)
+            assert _outcome(f, t) == expected, (t, verdict)

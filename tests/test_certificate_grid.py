@@ -25,9 +25,9 @@ from kgblowup.errors import DomainError, PreconditionError
 from conftest import make_inputs
 
 
-def loop_optimize_log(f_log, t_end):
-    """Minimize f_log by calling it once per grid node, then refine."""
-    grid = _time_grid(t_end, certificate.GRID_NODES)
+def loop_optimize_log(f_log, grid, values):
+    """Minimize f_log by calling it once per grid node, then refine; the
+    array ``values`` are not read."""
     vals = np.array([f_log(t) for t in grid])
     i = int(np.nanargmin(vals))
     best_t, best_v = float(grid[i]), float(vals[i])

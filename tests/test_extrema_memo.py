@@ -1,22 +1,33 @@
-"""Sweep points share A and B through an ExtremaMemo.
+"""Sweep points share A and B through an ExtremaMemo, and their background
+through a Background.
 
 A memo hit must return exactly what a fresh ``compute_A``/``compute_B``
-would, each distinct key must be computed once per command, no result may
-outlive the ``kgblow sweep`` command that computed it, and the memo must
-stay within ``MEMO_CAP`` entries.
+would, and a certificate that reads a shared Background what a fresh one
+would.  A sweep visits its points by background and then by N, so each
+distinct key must be computed once per command at any axis order, every
+point must get the same row at any axis order, and an error must be that
+of the point alone.  No result may outlive the ``kgblow sweep`` command
+that computed it, and the memo must stay within ``MEMO_CAP`` entries.
 """
 
+import csv
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgblowup import certificate, cli
-from kgblowup.certificate import MEMO_CAP, ExtremaMemo, certify
+from kgblowup.certificate import MEMO_CAP, Background, BlowupCertificate, ExtremaMemo, certify
+from kgblowup.cone import Monotonicity, classify_q
 from kgblowup.cli import main
 from kgblowup.errors import DomainError
 from kgblowup.scenario import load_sweep_spec, scenario_from_dict, set_by_path
+
+from conftest import make_inputs
 
 BASE = {
     "cosmology": {"n": 1, "c": 1.0, "a0": 1.0, "H": 0.0, "sigma": 0.0, "m_squared": 0.0},
@@ -73,11 +84,11 @@ def counted(monkeypatch):
     def counting(which, third):
         original = getattr(certificate, f"compute_{which}")
 
-        def compute(inputs):
+        def compute(inputs, background=None):
             calls[which].append(key_of(inputs, getattr(inputs, third)))
             if which == "A" and inputs.params.H == RAISING_H:
                 raise DomainError(f"H={RAISING_H} raises by design")
-            return original(inputs)
+            return original(inputs, background)
 
         return compute
 
@@ -108,6 +119,82 @@ def test_memoised_certificates_equal_fresh_ones(tmp_path):
     assert n_points == 4 * 3 * 2 * 3 * 2 * 2 * 16
     # at most one A per (background, N, epsilon) and one B per (background, N, p)
     assert 0 < len(memo) <= 2 * (4 * 3 * 2 * 3 * 2)
+
+
+@st.composite
+def one_background(draw):
+    """Inputs on one geom object that differ in N, epsilon, p and the data."""
+    n = draw(st.integers(1, 4))
+    gate = -1.0 + 1.0 / n
+    kind = draw(st.sampled_from(["free", "special", "non_increasing"]))
+    if kind == "non_increasing":  # H < 0, sigma >= -1 + 1/n, r0 >= -2c/(a0 H)
+        H = -draw(st.floats(0.1, 2.0))
+        sigma = draw(st.one_of(st.just(gate), st.floats(gate, 3.0)))
+        r0 = -2.0 / H * draw(st.floats(1.0, 3.0))
+    else:
+        H = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)))
+        special = st.sampled_from([-1.0, -1.0 + 2.0 / n, gate])
+        sigma = draw(special if kind == "special" else st.floats(-3.0, 3.0))
+        r0 = draw(st.floats(0.05, 5.0))
+    m2 = draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+    geom = make_inputs(H, sigma, m2=m2, n=n, r0=r0).geom
+    points = draw(st.lists(st.tuples(
+        st.sampled_from([0.0, 0.1, 0.5, 2.0]), st.sampled_from([0.25, 0.5, 0.9]),
+        st.sampled_from([1.5, 3.0, 7.0]), st.sampled_from([1.0, 16.0, 1e3]),
+    ), min_size=1, max_size=6))
+    return [replace(make_inputs(H, sigma, m2=m2, n=n, r0=r0, N=N, epsilon=eps, p=p, w0=w0,
+                                w1=10.0 * w0), geom=geom)
+            for N, eps, p, w0 in points]
+
+
+def fields_of(inputs, memo=None):
+    """repr of every certificate field (so -0.0 and nan compare), or the error."""
+    try:
+        cert = certify(inputs, memo=memo)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return {f: repr(getattr(cert, f)) for f in BlowupCertificate.__dataclass_fields__}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(points=one_background())
+def test_shared_background_certifies_like_a_fresh_one(points):
+    """Certificates that read one Background, through one memo per N,
+    equal fresh ones field by field."""
+    background = Background(points[0].geom)
+    memos = {}
+    for inputs in points:
+        memo = memos.setdefault(inputs.N, ExtremaMemo(background))
+        assert fields_of(inputs, memo) == fields_of(inputs)
+        assert memo.background is background
+
+
+def test_shared_background_sample_reaches_every_verdict():
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(points=one_background())
+    def collect(points):
+        try:
+            seen.add(classify_q(points[0].geom))
+        except DomainError:
+            pass
+
+    collect()
+    assert seen == set(Monotonicity)
+
+
+def test_a_shared_part_that_raised_raises_again():
+    """a0 H rounds to 0, so classify_q raises: every certificate on the
+    shared Background raises it afresh, and nothing of it is kept."""
+    inputs = make_inputs(1e-320, -1.0, a0=1e-5)
+    background = Background(inputs.geom)
+    memo = ExtremaMemo(background)
+    fresh = fields_of(inputs)
+    assert fresh.startswith("DomainError: H=1e-320 is too small")
+    for N in (0.5, 0.5, 2.0):
+        assert fields_of(replace(inputs, N=N), memo) == fresh
+    assert "verdict" not in vars(background)
 
 
 def test_signed_zeros_are_distinct_keys(tmp_path):
@@ -165,24 +252,37 @@ def test_no_state_survives_a_command(tmp_path, counted):
     assert len(alone[1]["A"]) == 2
 
 
-def test_memo_stays_within_its_cap(tmp_path, monkeypatch):
-    """More distinct keys than the cap, cycled so evicted keys come back."""
+def test_memo_stays_within_its_cap(counted):
+    """One memo fed more distinct keys than the cap holds the newest
+    ``MEMO_CAP`` of them, so an evicted key is computed again."""
+    base = scenario_from_dict(BASE).inputs
+    memo = ExtremaMemo()
+    n_keys = MEMO_CAP + 8
+    keys = [replace(base, N=0.5 + i / 256.0) for i in range(n_keys)]
     sizes = []
+    for inputs in keys:
+        memo.get("A", inputs)
+        sizes.append(len(memo))
+    assert sizes == [min(i + 1, MEMO_CAP) for i in range(n_keys)]
+    assert len(counted["A"]) == n_keys
+    memo.get("A", keys[-1])  # among the newest: kept
+    assert len(counted["A"]) == n_keys
+    memo.get("A", keys[0])  # the oldest: dropped, so computed again
+    assert len(counted["A"]) == n_keys + 1
+    assert len(memo) == MEMO_CAP
 
-    class Watched(ExtremaMemo):
-        def get(self, which, inputs):
-            result = super().get(which, inputs)
-            sizes.append(len(self))
-            return result
 
-    monkeypatch.setattr(cli, "ExtremaMemo", Watched)
-    n_values = MEMO_CAP // 2 + 8  # each N gives one A key and one B key
+def test_extrema_computed_once_when_w0_comes_before_a_long_N_axis(tmp_path, counted):
+    """Points are visited by (background, N), so a w0 axis before an N axis
+    of more than MEMO_CAP / 2 values computes each extremum once."""
+    n_values = 520
+    assert 2 * n_values > MEMO_CAP
     N = [0.5 + i / 256.0 for i in range(n_values)]
     path = write_spec(tmp_path, [("theorem.w0", [8.0, 16.0]), ("theorem.N", N)])
     assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path), "--workers", "1"]) == 0
-    assert len(sizes) == 2 * 2 * n_values
-    assert max(sizes) == MEMO_CAP
-    assert sizes == sorted(sizes)  # one memo for the whole serial sweep
+    for which in ("A", "B"):
+        assert len(counted[which]) == n_values
+        assert len(set(counted[which])) == n_values
 
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
     for row, inputs in zip(rows, spec_inputs(path)):
@@ -192,9 +292,78 @@ def test_memo_stays_within_its_cap(tmp_path, monkeypatch):
                                        "true" if cert.valid else "false", t_star]
 
 
+def sweep_rows(tmp_path, axes, name):
+    """sweep.csv of a serial sweep, as {point's axis values: result cells}."""
+    path = write_spec(tmp_path, axes, f"{name}.json")
+    out = tmp_path / name
+    assert main(["sweep", "--scenario", str(path), "--out", str(out), "--workers", "1"]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    paths = [p for p, _ in axes]
+    return {tuple(row[p] for p in paths): [v for k, v in row.items() if k not in paths
+                                           and k != "index"] for row in rows}
+
+
+def test_permuted_axes_give_every_point_the_same_row(tmp_path):
+    axes = [
+        ("cosmology.n", [1.0, 3.0]),
+        ("cosmology.H", [-0.45, 0.0, -0.0, 0.45]),
+        ("cosmology.sigma", [-1.0, -0.3333333333333333, 0.0, 1.0, -2.0]),
+        ("cone.r0", [1.0, 3.0]),
+        ("theorem.N", [0.0, 0.1, 2.0]),
+        ("theorem.p", [3.0, 2.5]),
+        ("theorem.w0", [2.0, 40.0]),
+    ]
+    reference = sweep_rows(tmp_path, axes, "axis_order")
+    assert len(reference) == 2 * 4 * 5 * 2 * 3 * 2 * 2
+    for k, order in enumerate([axes[::-1], axes[3:] + axes[:3], [axes[4], axes[6], axes[0],
+                                                                 axes[5], axes[2], axes[1], axes[3]]]):
+        rows = sweep_rows(tmp_path, order, f"permuted{k}")
+        paths = [p for p, _ in order]
+        position = [paths.index(p) for p, _ in axes]
+        assert {tuple(key[i] for i in position): cells for key, cells in rows.items()} == reference
+
+
+def test_errors_are_never_shared(tmp_path):
+    """Each row of an invalid background carries the error that a fresh
+    scenario_from_dict raises for its point; a point that breaks both a
+    cosmology rule and a theorem rule reports the cosmology one."""
+    axes = [
+        ("cosmology.c", [1.0, -1.0, 0.0]),
+        ("cone.r0", [1.0, 0.0, -2.0]),
+        ("theorem.epsilon", [0.5, 1.5]),
+        ("cosmology.H", [0.0, 1e200]),
+        ("theorem.w0", [2.0, 16.0]),
+    ]
+    rows = sweep_rows(tmp_path, axes, "invalid")
+    spec = load_sweep_spec(write_spec(tmp_path, axes, "invalid.json"))
+    kinds = Counter()
+    for key, cells in rows.items():
+        data = json.loads(json.dumps(spec.base))
+        for (p, _), value in zip(axes, key):
+            set_by_path(data, p, float(value))
+        try:
+            scenario_from_dict(data)
+            expected = ""
+        except Exception as exc:
+            expected = f"{type(exc).__name__}: {exc}"
+        assert cells[-1] == expected, key
+        kinds[expected.partition(" must")[0].partition(" support")[0]] += 1
+        if key[0] != "1.0" and key[2] == "1.5":  # both a cosmology and a theorem rule
+            assert "scenario.cosmology: speed of light" in cells[-1]
+    # c <= 0 first, then H = 1e200 overflows (nH/2c)^2, then r0 <= 0, then epsilon
+    assert kinds == {
+        "ScenarioError: scenario.cosmology: speed of light c": 2 * 3 * 2 * 2 * 2,
+        "OverflowError: (34, 'Numerical result out of range')": 3 * 2 * 2,
+        "ScenarioError: scenario.cone.r0:": 2 * 2 * 2,
+        "ScenarioError: scenario.theorem.epsilon:": 2,
+        "": 2,
+    }
+
+
 def test_pool_chunks_match_the_serial_sweep(tmp_path):
-    """Chunks of POOL_CHUNK points with a memo each give the serial bytes;
-    the point count is not a multiple of the chunk."""
+    """Background groups sent to the pool POOL_CHUNK to a message give the
+    serial bytes; the point count is not a multiple of the chunk."""
     path = write_spec(tmp_path, [
         ("cosmology.H", [0.0, 0.45, -0.45]),
         ("theorem.N", [0.3, 2.0]),

@@ -44,8 +44,8 @@ from .scenario import (
     geometry_from_dict,
     load_scenario,
     load_sweep_spec,
-    scenario_from_dict,
-    set_by_path,
+    point_builder,
+    point_data,
 )
 
 __all__ = ["main"]
@@ -228,37 +228,38 @@ _BACKGROUND = ("cosmology.", "cone.")
 _BITS = struct.Struct("<d")
 
 
-def _groups(axes, combos) -> List[List[List[int]]]:
+def _ids(values) -> List[int]:
+    """An id per value, shared by values with equal bits (so -0.0 and 0.0
+    differ), numbered in order of first appearance."""
+    ids: Dict[bytes, int] = {}
+    return [ids.setdefault(_BITS.pack(v), len(ids)) for v in values]
+
+
+def _groups(axes) -> List[List[List[int]]]:
     """The numbers of the points, grouped by background (the cosmology.*
-    and cone.* values, keyed by their bits) and within it by N, each group
-    where its first point comes in axis order."""
-    bits = [[_BITS.pack(v) for v in values] for _, values in axes]
-    background = [i for i, (path, _) in enumerate(axes) if path.startswith(_BACKGROUND)]
-    shift = [i for i, (path, _) in enumerate(axes) if path == "theorem.N"]
-    groups: Dict[bytes, Dict[bytes, List[int]]] = {}
-    for k, combo in enumerate(combos):
-        key = b"".join([bits[i][combo[i]] for i in background])
-        n_key = b"".join([bits[i][combo[i]] for i in shift])
+    and cone.* values) and within it by N, each group where its first
+    point comes in axis order."""
+
+    def keys(keep):  # per point, the ids of the kept axes' values and 0 elsewhere
+        return itertools.product(
+            *(_ids(values) if keep(path) else [0] * len(values) for path, values in axes)
+        )
+
+    groups: Dict[tuple, Dict[tuple, List[int]]] = {}
+    points = zip(keys(lambda path: path.startswith(_BACKGROUND)),
+                 keys(lambda path: path == "theorem.N"))
+    for k, (key, n_key) in enumerate(points):
         groups.setdefault(key, {}).setdefault(n_key, []).append(k)
     return [list(by_n.values()) for by_n in groups.values()]
 
 
-def _point_data(base, paths, values) -> Dict[str, Any]:
-    """The scenario of one point: base with the point's axis values set."""
-    # base holds only blocks of scalars (load_sweep_spec validated it), so
-    # copying each block is a full copy
-    data = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
-    for path, value in zip(paths, values):
-        set_by_path(data, path, value)
-    return data
-
-
-def _sweep_point(data, with_ode, memo: ExtremaMemo, geom) -> List[str]:
-    """The result cells of one point: corollary_case, valid, T_star,
-    blowup_time with the ODE, error_class and error."""
+def _sweep_point(build, values, geom, with_ode, memo: ExtremaMemo) -> List[str]:
+    """The result cells of one point, its scenario ``build(values, geom)``:
+    corollary_case, valid, T_star, blowup_time with the ODE, error_class
+    and error."""
     cells: List[str] = []
     try:
-        scenario = scenario_from_dict(data, geom=geom)
+        scenario = build(values, geom)
         cert = certify(scenario.inputs, memo=memo)
         cells += [cert.corollary_case or "none", _format_cell(cert.valid),
                   _format_cell(cert.T_star)]
@@ -281,17 +282,17 @@ def _sweep_task(job) -> List[List[str]]:
     given.  A group's points share one Background, and the points of each
     (background, N) group one ExtremaMemo; both go when the group ends."""
     base, paths, with_ode, groups = job
+    build = point_builder(base, paths)
     rows = []
     for by_n in groups:
         try:
-            geom = geometry_from_dict(_point_data(base, paths, by_n[0][0]))
+            geom = geometry_from_dict(point_data(base, paths, by_n[0][0]))
         except Exception:  # never shared: each point raises it in scenario_from_dict
             geom = None
         background = None if geom is None else Background(geom)
         for points in by_n:
             memo = ExtremaMemo(background)
-            rows += [_sweep_point(_point_data(base, paths, values), with_ode, memo, geom)
-                     for values in points]
+            rows += [_sweep_point(build, values, geom, with_ode, memo) for values in points]
     return rows
 
 
@@ -314,9 +315,8 @@ def cmd_sweep(args) -> int:
 
     axes = spec.axes
     paths = [p for p, _ in axes]
-    combos = list(itertools.product(*(range(len(values)) for _, values in axes)))
     points = list(itertools.product(*(values for _, values in axes)))
-    numbers = _groups(axes, combos)
+    numbers = _groups(axes)
     groups = [[[points[k] for k in ks] for ks in by_n] for by_n in numbers]
     if workers == 1:
         cells = _sweep_task((spec.base, paths, spec.with_ode, groups))
@@ -325,7 +325,7 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(_sweep_task, jobs, chunksize=POOL_CHUNK)
             cells = [row for chunk in chunks for row in chunk]
-    rows: List[List[str]] = [[]] * len(combos)
+    rows: List[List[str]] = [[]] * len(points)
     visited = (k for by_n in numbers for ks in by_n for k in ks)
     for k, row in zip(visited, cells):
         rows[k] = row
@@ -339,8 +339,8 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(
-            [str(i), *[t[j] for t, j in zip(text, combo)], *row]
-            for i, (combo, row) in enumerate(zip(combos, rows))
+            [str(i), *point, *row]
+            for i, (point, row) in enumerate(zip(itertools.product(*text), rows))
         )
 
     cases: Dict[str, int] = {}

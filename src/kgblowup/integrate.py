@@ -147,6 +147,20 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
     return min(100.0 * h0, h1, t_span), 1
 
 
+def _last_step(t: float, t_end: float) -> float:
+    """The step from ``t`` that ends at ``t_end``: the float nearest
+    ``t_end - t`` for which ``t + h`` rounds to ``t_end``, or, where none
+    does, the largest for which it rounds below.  ``t_end - t`` itself can
+    put ``t + h``, the time of the last stages and of the accepted step,
+    one float past ``t_end``, where ``rhs`` may be undefined."""
+    h = t_end - t
+    while t + h > t_end:
+        h = math.nextafter(h, 0.0)
+    while t + h < t_end and t + math.nextafter(h, math.inf) <= t_end:
+        h = math.nextafter(h, math.inf)
+    return h
+
+
 def _rms(q: np.ndarray, scale: np.ndarray) -> float:
     """sqrt(mean((q / scale)^2)), overwriting ``q``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -291,8 +305,9 @@ def dopri_integrate(
     or an array (``rhs(t, y, out)`` then fills ``out``), with at least one
     component.  ``on_step(t, y, h)`` is invoked after every accepted step; a
     true return ends the run in BlowupThreshold at ``t``.  A step below
-    ``1e-16 * max(1, t)`` ends the run in StepUnderflow.  ``RkResult.y`` is
-    an array either way.
+    ``1e-16 * max(1, t)`` ends the run in StepUnderflow.  A run that
+    reaches ``t_end`` ends exactly there, and ``rhs`` is never called past
+    it.  ``RkResult.y`` is an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
@@ -305,7 +320,7 @@ def dopri_integrate(
         k0 = rhs(t, y)
         h, probes = _initial_step(
             lambda s, v: np.array(rhs(s, tuple(v.tolist())), dtype=float),
-            t, np.array(y), np.array(k0, dtype=float), rel_tol, abs_tol, t_end - t0,
+            t, np.array(y), np.array(k0, dtype=float), rel_tol, abs_tol, _last_step(t, t_end),
         )
         trial = _float_trial(len(y))(rhs, rel_tol, abs_tol)
     else:
@@ -313,7 +328,7 @@ def dopri_integrate(
         trial, slopes = _array_trial(rhs, y, rel_tol, abs_tol, active)
         slopes[0][...] = k0 = rhs(t, y, slopes[0])  # the probe below writes slopes[1]
         probe = lambda s, v: rhs(s, v, slopes[1])  # noqa: E731
-        h, probes = _initial_step(probe, t, y, k0, rel_tol, abs_tol, t_end - t0)
+        h, probes = _initial_step(probe, t, y, k0, rel_tol, abs_tol, _last_step(t, t_end))
     n_steps = n_rejected = 0
     min_step = math.inf
     t_scale = max(1.0, abs(t))  # the step floor is 1e-16 of it
@@ -326,8 +341,8 @@ def dopri_integrate(
         if n_steps >= max_steps:
             status = TerminationReason.MAX_STEPS
             break
-        if h > t_end - t:
-            h = t_end - t
+        if h >= t_end - t:
+            h = _last_step(t, t_end)
         if t + h == t:  # t_end within one ulp of t
             break
         if not h >= 1e-16 * t_scale:  # "not >=" so that a NaN step ends here too

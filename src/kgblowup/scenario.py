@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .certificate import TheoremInputs
 from .cone import ConeGeometry
@@ -28,6 +28,8 @@ __all__ = [
     "load_scenario",
     "load_sweep_spec",
     "set_by_path",
+    "point_data",
+    "point_builder",
 ]
 
 
@@ -110,9 +112,9 @@ def _positive_int(block: Dict[str, Any], key: str, where: str, default: int) -> 
 def scenario_from_dict(
     data: Dict[str, Any], where: str = "scenario", geom: Optional[ConeGeometry] = None
 ) -> Scenario:
-    """The scenario of ``data``, each block checked in turn; ``geom``, when
-    given, is what its cosmology and cone blocks give, and they are not
-    read again."""
+    """The scenario of ``data``, its blocks read in turn: cosmology and
+    cone, theorem, run.  ``geom``, when given, is what its cosmology and
+    cone blocks give, and they are not read again."""
     data = _require_mapping(data, where)
     _reject_unknown(data, {"cosmology", "cone", "theorem", "run"}, where)
     for block in ("cosmology", "cone", "theorem"):
@@ -120,28 +122,38 @@ def scenario_from_dict(
             raise ScenarioError(f"{where}.{block}: missing required block")
     if geom is None:
         geom = geometry_from_dict(data, where)
+    inputs = _theorem_inputs(geom, _theorem_pieces(data, where), where)
+    return Scenario(inputs, _run_from_dict(data, where))
 
+
+# the theorem block's keys and the TheoremInputs fields they fill
+_THEOREM_KEYS = {
+    "N": "N", "epsilon": "epsilon", "theta": "theta", "lambda": "lam", "p": "p",
+    "w0": "w0", "w1": "w1",
+}
+
+
+def _theorem_pieces(data: Dict[str, Any], where: str = "scenario") -> Dict[str, float]:
+    """The numbers of a scenario's theorem block, keyed by TheoremInputs field."""
     thm = _require_mapping(data["theorem"], f"{where}.theorem")
-    _reject_unknown(
-        thm, {"N", "epsilon", "theta", "lambda", "p", "w0", "w1"}, f"{where}.theorem"
-    )
-    pieces = {
-        "N": _number(thm, "N", f"{where}.theorem"),
-        "epsilon": _number(thm, "epsilon", f"{where}.theorem"),
-        "theta": _number(thm, "theta", f"{where}.theorem"),
-        "lam": _number(thm, "lambda", f"{where}.theorem"),
-        "p": _number(thm, "p", f"{where}.theorem"),
-        "w0": _number(thm, "w0", f"{where}.theorem"),
-        "w1": _number(thm, "w1", f"{where}.theorem"),
-    }
+    _reject_unknown(thm, _THEOREM_KEYS, f"{where}.theorem")
+    return {field: _number(thm, key, f"{where}.theorem") for key, field in _THEOREM_KEYS.items()}
+
+
+def _theorem_inputs(
+    geom: ConeGeometry, pieces: Dict[str, float], where: str = "scenario"
+) -> TheoremInputs:
+    """``TheoremInputs(geom, **pieces)``, a broken rule a ScenarioError."""
     try:
-        inputs = TheoremInputs(geom=geom, **pieces)
+        return TheoremInputs(geom=geom, **pieces)
     except ValueError as exc:
         raise ScenarioError(f"{where}.theorem.{exc}") from exc
 
-    run_block = data.get("run", {})
-    run_block = _require_mapping(run_block, f"{where}.run")
-    _reject_unknown(run_block, set(_RUN_DEFAULTS), f"{where}.run")
+
+def _run_from_dict(data: Dict[str, Any], where: str = "scenario") -> RunSettings:
+    """The run settings of a scenario's optional run block."""
+    run_block = _require_mapping(data.get("run", {}), f"{where}.run")
+    _reject_unknown(run_block, _RUN_DEFAULTS, f"{where}.run")
     merged = dict(_RUN_DEFAULTS)
     for key in run_block:
         if key == "out":
@@ -156,9 +168,7 @@ def scenario_from_dict(
     for key in ("t_end", "output_interval"):
         if merged[key] is not None and not merged[key] > 0:
             raise ScenarioError(f"{where}.run.{key}: must be positive")
-    run = RunSettings(**merged)
-
-    return Scenario(inputs, run)
+    return RunSettings(**merged)
 
 
 def geometry_from_dict(data: Dict[str, Any], where: str = "scenario") -> ConeGeometry:
@@ -233,6 +243,61 @@ def set_by_path(data: Dict[str, Any], path: str, value: Any) -> None:
     if not key or "." in key:
         raise ScenarioError(f"axis path '{path}' must be '<block>.<key>'")
     data.setdefault(block, {})[key] = value
+
+
+def point_data(base: Dict[str, Any], paths: List[str], values) -> Dict[str, Any]:
+    """The scenario data of one sweep point: ``base`` with its axis values set."""
+    # base holds only blocks of scalars (load_sweep_spec validated it), so
+    # copying each block is a full copy
+    data = {k: dict(v) if isinstance(v, dict) else v for k, v in base.items()}
+    for path, value in zip(paths, values):
+        set_by_path(data, path, value)
+    return data
+
+
+def point_builder(
+    base: Dict[str, Any], paths: List[str]
+) -> Callable[[Tuple[float, ...], Optional[ConeGeometry]], Scenario]:
+    """``build(values, geom)``: the scenario of the sweep point with axis
+    values ``values``, as ``scenario_from_dict(point_data(base, paths,
+    values), geom=geom)`` gives it or raises; ``geom`` is what the point's
+    cosmology and cone blocks give, None when they break a rule.
+
+    ``base`` is a sweep's checked base, so its theorem numbers and run
+    settings are read once, here.  A point sets its theorem.* values into
+    those numbers through the theorem rule check and, only when a run.*
+    axis exists, reads its own run block: scenario_from_dict's readers in
+    its order.  With ``geom`` None, or axes that name a theorem or run key
+    no scenario takes, a point is read whole.  A malformed path raises here.
+    """
+    theorem, run, whole = [], [], False
+    for i, path in enumerate(paths):
+        set_by_path({}, path, None)  # raises on a malformed path
+        block, _, key = path.partition(".")
+        if block == "theorem" and key in _THEOREM_KEYS:
+            theorem.append((i, _THEOREM_KEYS[key]))
+        elif block == "run" and key in _RUN_DEFAULTS:
+            run.append((i, key))
+        elif block in ("theorem", "run"):
+            whole = True
+    pieces = _theorem_pieces(base)
+    settings = _run_from_dict(base)
+
+    def build(values, geom):
+        if geom is None or whole:
+            return scenario_from_dict(point_data(base, paths, values), geom=geom)
+        point = dict(pieces)
+        for i, field in theorem:
+            point[field] = values[i]
+        inputs = _theorem_inputs(geom, point)
+        if run:
+            block = dict(base.get("run", {}))
+            for i, key in run:
+                block[key] = values[i]
+            return Scenario(inputs, _run_from_dict({"run": block}))
+        return Scenario(inputs, settings)
+
+    return build
 
 
 def load_sweep_spec(path) -> SweepSpec:

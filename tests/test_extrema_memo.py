@@ -13,14 +13,16 @@ that computed it, and the memo must stay within ``MEMO_CAP`` entries.
 import csv
 import itertools
 import json
+import tempfile
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgblowup import certificate, cli
+from kgblowup import certificate, cli, ode
 from kgblowup.certificate import MEMO_CAP, Background, BlowupCertificate, ExtremaMemo, certify
 from kgblowup.cone import Monotonicity, classify_q
 from kgblowup.cli import main
@@ -377,3 +379,83 @@ def test_pool_chunks_match_the_serial_sweep(tmp_path):
                      "--workers", workers]) == 0
         outs.append([(out / n).read_bytes() for n in ("sweep.csv", "sweep_summary.json")])
     assert outs[0] == outs[1]
+
+
+# values each axis may take: the special points, and values that break a rule
+AXIS_VALUES = {
+    "cosmology.n": [1.0, 2.0, 2.5],
+    "cosmology.H": [0.0, -0.0, 0.45, -0.45, 1e200],
+    "cone.r0": [1.0, 0.0, 3.0],
+    "theorem.N": [0.0, 2.0, -1.0],
+    "theorem.p": [3.0, 2.5, 1.0],
+    "theorem.epsilon": [0.5, 0.25, 1.5],
+    "theorem.w0": [16.0, 2.0, -0.0],
+    "run.rel_tol": [1e-10, 1e-8, 0.0],
+    "run.t_end": [0.05, 0.5, -1.0],
+    "theorem.q": [1.0],
+    "run.foo": [1.0],
+}
+
+
+@st.composite
+def point_axes(draw):
+    """Up to four axes of AXIS_VALUES, each with one to three of its values."""
+    paths = draw(st.lists(st.sampled_from(sorted(AXIS_VALUES)), min_size=1, max_size=4,
+                          unique=True))
+    return [(p, draw(st.lists(st.sampled_from(AXIS_VALUES[p]), min_size=1, max_size=3)))
+            for p in paths]
+
+
+def lone_row(data, with_ode):
+    """The result cells of one point: a fresh scenario_from_dict, certify
+    with no memo, and the comparison ODE when asked."""
+    try:
+        scenario = scenario_from_dict(data)
+        cert = certify(scenario.inputs)
+        cells = [cert.corollary_case or "none", cli._format_cell(cert.valid),
+                 cli._format_cell(cert.T_star)]
+        if with_ode:
+            blow = None
+            if cert.valid:
+                t_end = cli._resolve_t_end(scenario, cert, None)
+                blow = ode.detect_blowup_time(ode.integrate(scenario.inputs, t_end, scenario.run))
+            cells.append(cli._format_cell(blow))
+        return cells + ["", ""]
+    except Exception as exc:
+        return [""] * (3 + with_ode) + [type(exc).__name__, f"{type(exc).__name__}: {exc}"]
+
+
+@pytest.mark.parametrize("with_ode", [False, True])
+def test_every_row_equals_the_lone_point(with_ode):
+    """Each sweep row equals the row of its point built and certified alone,
+    whatever its axes share and whichever rule it breaks."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(axes=point_axes(), base_run=st.sampled_from([None, {"rel_tol": 1e-9}]))
+    # a run rule broken on a valid theorem, a theorem rule before a run rule,
+    # an unknown key beside valid values
+    @example(axes=[("run.rel_tol", [1e-10, 0.0]), ("run.t_end", [0.5, -1.0])], base_run=None)
+    @example(axes=[("theorem.p", [1.0, 3.0]), ("run.rel_tol", [0.0, 1e-8])],
+             base_run={"rel_tol": 1e-9})
+    @example(axes=[("theorem.N", [2.0]), ("theorem.q", [1.0])], base_run=None)
+    @example(axes=[("cosmology.H", [0.45]), ("run.foo", [1.0])], base_run={"rel_tol": 1e-9})
+    def check(axes, base_run):
+        base = json.loads(json.dumps(BASE))
+        if base_run is not None:
+            base["run"] = base_run
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = Path(tmp) / "spec.json"
+            spec.write_text(json.dumps({"base": base, "with_ode": with_ode, "axes": [
+                {"path": p, "values": v} for p, v in axes]}))
+            assert main(["sweep", "--scenario", str(spec), "--out", tmp, "--workers", "1"]) == 0
+            with open(Path(tmp) / "sweep.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+        points = list(itertools.product(*(values for _, values in axes)))
+        assert len(rows) == len(points)
+        for row, values in zip(rows, points):
+            data = json.loads(json.dumps(base))
+            for (path, _), value in zip(axes, values):
+                set_by_path(data, path, value)
+            assert row[1 + len(axes):] == lone_row(data, with_ode), values
+
+    check()

@@ -103,7 +103,6 @@ class TerminationReason(enum.Enum):
     BLOWUP_THRESHOLD = "BlowupThreshold"
     STEP_UNDERFLOW = "StepUnderflow"
     MAX_STEPS = "MaxSteps"
-    UNRESOLVED = "Unresolved"  # set by pde.evolve: a peak the grid does not resolve
 
 
 @dataclass

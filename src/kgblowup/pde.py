@@ -64,13 +64,9 @@ scale0 and the blow-up went unreported.
   ODE waits for two equal floats; on the PDE at grid_h 5e-4 that takes
   373 accepted steps where 1e-12 relative takes 293, for a T^ that moves
   by 5e-13, far inside the grid's error.  A run whose T^ never settles
-  is no blow-up, however large max|u| grows: the stepper ends it.
-* Resolved peak.  A peak one node wide is a grid-scale instability, not a
-  singularity (a loose ``pde_rel_tol`` grows one at the bump's edge, and
-  its T^ settles too).  When max|u| first passes the regime gate, the
-  larger of |u_(i-1)| and |u_(i+1)| must reach RESOLVED_RATIO |u_i|, or
-  the run ends there in Unresolved.  At 1e3 scale0 an accurate p = 9
-  run's peak is already far narrower than a node.
+  is no blow-up, however large max|u| grows: the stepper ends it.  A
+  one-node spike that a loose ``pde_rel_tol`` grows settles too, so the
+  schema bounds it (``scenario.PDE_REL_TOL_MAX``).
 """
 
 from __future__ import annotations
@@ -203,25 +199,15 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights) -> fl
 # (tracemalloc: 293), some 0.31 GB at this size.
 MAX_GRID_NODES = 1 << 20
 
-# The blow-up rule's bounds (module docstring): two successive T^ agree
-# to SETTLE_REL |T^|, and a peak is resolved when a neighbour holds at
-# least RESOLVED_RATIO of it.
+# The blow-up rule's bound (module docstring): two successive T^ agree
+# to SETTLE_REL |T^|.
 SETTLE_REL = 1e-12
-RESOLVED_RATIO = 0.5
 
 
 def _peak(u: np.ndarray) -> Tuple[int, float]:
     """The node of max|u| and that maximum."""
     i = int(np.argmax(np.abs(u)))
     return i, abs(float(u[i]))
-
-
-def _neighbour_ratio(u: np.ndarray, i: int, mag: float) -> float:
-    """max(|u[i-1]|, |u[i+1]|) / mag over the neighbours the grid has; on
-    the axis, u[1] stands for its mirror image too."""
-    left = abs(float(u[i - 1])) if i > 0 else 0.0
-    right = abs(float(u[i + 1])) if i + 1 < u.size else 0.0
-    return max(left, right) / mag
 
 
 def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings) -> PdeField:
@@ -295,10 +281,9 @@ def evolve(
     ``linear`` drops the semilinear term (propagation tests, cone-check).
 
     The run stops early in BlowupThreshold, with ``blowup_time`` the
-    settled T^, or in Unresolved when the peak is one node wide (the
-    module docstring has the rule).  ``blowup_evidence`` holds the last
-    three T^, max|u| / scale0 and the peak's node and r at the stop, and
-    the neighbour ratio at the regime gate.
+    settled T^ (the module docstring has the rule).  ``blowup_evidence``
+    holds the last three T^, max|u| / scale0 and the peak's node and r at
+    the stop.
     """
     if np.iscomplexobj(field.u) or np.iscomplexobj(field.ut):
         raise ValueError("evolve takes a real field; u and ut must be float arrays")
@@ -333,8 +318,7 @@ def evolve(
     # the light-cone window: columns [:w] can be nonzero (module docstring)
     nonzero = np.flatnonzero(y0.any(axis=0))
     last = int(nonzero[-1]) if nonzero.size else -1
-    # ratio: the neighbour ratio at the regime gate, once max|u| passed it
-    state = {"next_out": 0.0, "w": min(J, last + 9), "ratio": None}
+    state = {"next_out": 0.0, "w": min(J, last + 9)}
 
     def grow(y: np.ndarray) -> None:
         w = state["w"]
@@ -387,10 +371,6 @@ def evolve(
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
             state["next_out"] = t + out_dt
-        if state["ratio"] is None and mag > regime_gate:
-            state["ratio"] = _neighbour_ratio(u, i, mag)
-            if state["ratio"] < RESOLVED_RATIO:  # evolve makes this stop Unresolved
-                return True
         if not mag > regime_gate:
             return False
         rate = k * float(y[1, i])
@@ -411,21 +391,16 @@ def evolve(
         on_step=on_step,
         active=lambda y: (slice(None), slice(0, state["w"])),
     )
-    ratio = state["ratio"]
     i, mag = _peak(res.y[0])
-    if res.status is TerminationReason.BLOWUP_THRESHOLD:
-        if ratio < RESOLVED_RATIO:
-            res = replace(res, status=TerminationReason.UNRESOLVED, blowup_time=None)
-        else:  # T^ settled
-            res = replace(res, blowup_time=t_hats[-1])
+    if res.status is TerminationReason.BLOWUP_THRESHOLD:  # T^ settled
+        res = replace(res, blowup_time=t_hats[-1])
     if res.t - rows[-1][0] > 1e-12 * max(1.0, res.t):
         record(res.t, res.y)
-    evidence = None if ratio is None else {
+    evidence = None if not t_hats else {
         "T_hat": t_hats[-3:],
         "max_u_over_scale0": mag / scale0,
         "peak_node": i,
         "peak_r": float(field.r[i]),
-        "neighbour_ratio_at_gate": ratio,
     }
 
     # + 0.0 makes the -0.0 of negative data that no step has touched

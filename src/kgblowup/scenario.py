@@ -55,6 +55,11 @@ class RunSettings:
 
 _RUN_DEFAULTS: Dict[str, Any] = asdict(RunSettings())
 
+# The loosest run.pde_rel_tol: the PDE's RMS error norm dilutes one node's
+# error by about sqrt(2J), and a looser tolerance grows a one-node spike
+# into a false blow-up (README, Scenario schema, has the scan behind it).
+PDE_REL_TOL_MAX = 1e-5
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -168,6 +173,8 @@ def _run_from_dict(data: Dict[str, Any], where: str = "scenario") -> RunSettings
     for key in ("t_end", "output_interval"):
         if merged[key] is not None and not merged[key] > 0:
             raise ScenarioError(f"{where}.run.{key}: must be positive")
+    if merged["pde_rel_tol"] > PDE_REL_TOL_MAX:
+        raise ScenarioError(f"{where}.run.pde_rel_tol: must be at most {PDE_REL_TOL_MAX!r}")
     return RunSettings(**merged)
 
 
@@ -268,11 +275,10 @@ def point_builder(
     those numbers through the theorem rule check and, only when a run.*
     axis exists, reads its own run block: scenario_from_dict's readers in
     its order.  With ``geom`` None, or axes that name a theorem or run key
-    no scenario takes, a point is read whole.  A malformed path raises here.
+    no scenario takes, a point is read whole.
     """
     theorem, run, whole = [], [], False
     for i, path in enumerate(paths):
-        set_by_path({}, path, None)  # raises on a malformed path
         block, _, key = path.partition(".")
         if block == "theorem" and key in _THEOREM_KEYS:
             theorem.append((i, _THEOREM_KEYS[key]))
@@ -328,6 +334,7 @@ def load_sweep_spec(path) -> SweepSpec:
             raise ScenarioError(
                 f"{path}.axes[{i}].path: must start with one of {_AXIS_PREFIXES}"
             )
+        set_by_path({}, p, None)  # raises on a malformed path
         if p in first:
             # the later axis would overwrite the earlier one at every point
             raise ScenarioError(

@@ -26,12 +26,14 @@ classification, the grid with log q~ and M^2 on it, and log q~ and M^2
 bound for float times.  Each part is built at its first use and kept only
 if it was built without raising.
 
-A and B read neither the data (w0, w1) nor theta and lambda, so a caller
-that certifies many related inputs (a sweep) passes an ``ExtremaMemo`` to
-``certify``: each distinct extremum is computed once, and every
-certificate on the memo's background reads one ``Background``.  A sweep
-gives each (background, N) group its own memo over its background's one
-``Background``, so each extremum is computed once at any axis order.
+A and B read neither the data (w0, w1) nor theta and lambda, and of the
+rest only the w1 threshold, T*, C^2 and the verdicts on w0, w1 and T* read
+the data, so a caller that certifies many related inputs (a sweep) passes
+an ``ExtremaMemo`` to ``certify``: each distinct extremum and each ``Stem``
+(what the data do not change) is computed once, and every certificate on
+the memo's background reads one ``Background``.  A sweep gives each
+(background, N) group its own memo over its background's one
+``Background``, so each is computed once at any axis order.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ __all__ = [
 
 GRID_NODES = 4096
 NEAR_ZERO_TIME = 1e-12
-MEMO_CAP = 1024  # results an ExtremaMemo holds; about 0.4 MB when full
+MEMO_CAP = 1024  # results and stems an ExtremaMemo holds, each; about 1.6 MB when full
 
 VERDICT_NAMES = (
     "support_radius_positive",
@@ -328,13 +330,18 @@ def _optimize_log(f: Callable[[float], float], grid: np.ndarray,
 
     ``values`` is the objective on ``grid``, which picks the best node;
     ``f`` takes one time and gives the value there and the refinement.
+    The node is ``np.nanargmin``'s: argmin stops at the first NaN, so only
+    values that hold one are scanned for NaN, which then ranks as +inf.
     """
-    if np.isnan(values).all():
-        raise DomainError(
-            "the objective is NaN at every grid node: the closed forms overflow "
-            "at these parameters"
-        )
-    i = int(np.nanargmin(values))
+    i = int(values.argmin())
+    if math.isnan(values[i]):
+        nan = np.isnan(values)
+        if nan.all():
+            raise DomainError(
+                "the objective is NaN at every grid node: the closed forms overflow "
+                "at these parameters"
+            )
+        i = int(np.where(nan, math.inf, values).argmin())
     best_t = float(grid[i])
     best_v = f(best_t)
     if not math.isfinite(best_v):
@@ -469,13 +476,14 @@ def compute_B(inputs: TheoremInputs, background: Optional[Background] = None) ->
 # ---------------------------------------------------------------------------
 
 
-def data_thresholds(inputs: TheoremInputs, A: float, B: float, Q: float) -> Tuple[float, float]:
-    """(w0 threshold, w1 threshold) from the certified constants."""
+def _w0_threshold(inputs: TheoremInputs, B: float, Q: float) -> float:
+    p, theta, lam, n = inputs.p, inputs.theta, inputs.lam, inputs.params.n
+    return rpow(Q, n / 2.0) * B / rpow((1.0 - theta) * lam, 1.0 / (p - 1.0))
+
+
+def _w1_threshold(inputs: TheoremInputs, Q: float) -> float:
     p, theta, lam, c = inputs.p, inputs.theta, inputs.lam, inputs.params.c
-    n = inputs.params.n
-    w0_thr = rpow(Q, n / 2.0) * B / rpow((1.0 - theta) * lam, 1.0 / (p - 1.0))
-    r0 = inputs.geom.r0
-    w0 = inputs.w0
+    n, r0, w0 = inputs.params.n, inputs.geom.r0, inputs.w0
     second = 0.0
     if w0 > 0.0:
         second = (
@@ -483,8 +491,13 @@ def data_thresholds(inputs: TheoremInputs, A: float, B: float, Q: float) -> Tupl
             * rpow(w0, (p + 1.0) / 2.0)
             / rpow(r0 * r0 * Q, n * (p - 1.0) / 4.0)
         )
-    w1_thr = max(c * inputs.N * w0, second)
-    return w0_thr, w1_thr
+    return max(c * inputs.N * w0, second)
+
+
+def data_thresholds(inputs: TheoremInputs, A: float, B: float, Q: float) -> Tuple[float, float]:
+    """(w0 threshold, w1 threshold) from the certified constants; the first
+    reads neither w0 nor w1."""
+    return _w0_threshold(inputs, B, Q), _w1_threshold(inputs, Q)
 
 
 @dataclass(frozen=True)
@@ -495,28 +508,29 @@ class LifespanResult:
     within_horizon: bool
 
 
+def _lifespan_D(inputs: TheoremInputs, A: float, Q: float) -> float:
+    p, c, n = inputs.p, inputs.params.c, inputs.params.n
+    return (2.0 * c * c * inputs.theta * inputs.lam * rpow(A, p - 1.0)
+            / ((p + 1.0) * rpow(Q, n * (p - 1.0) / 2.0)))
+
+
+def _lifespan_of(inputs: TheoremInputs, D: float) -> Tuple[float, float]:
+    """(T*, C^2) from D, for w0 > 0."""
+    p, eps, w0 = inputs.p, inputs.epsilon, inputs.w0
+    T_star = 2.0 / (eps * (p - 1.0) * math.sqrt(D) * rpow(w0, (p - 1.0) / 2.0))
+    # inf( b~ e^{cN(1-eps)(p-1)t} ) = lambda Q^{-n(p-1)/2} A^{p-1}, so
+    # C^2 = D * w0^{(1-eps)(p-1)}
+    return T_star, D * rpow(w0, (1.0 - eps) * (p - 1.0))
+
+
 def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
-    """D, T* and C^2 from certified A."""
+    """D, T* and C^2 from certified A; D reads neither w0 nor w1."""
     if not A > 0.0:
         raise PreconditionError("lifespan needs A > 0")
     if not inputs.w0 > 0.0:
         raise PreconditionError("lifespan needs w0 > 0")
-    p, theta, lam, eps = inputs.p, inputs.theta, inputs.lam, inputs.epsilon
-    c = inputs.params.c
-    n = inputs.params.n
-    D = (
-        2.0
-        * c
-        * c
-        * theta
-        * lam
-        * rpow(A, p - 1.0)
-        / ((p + 1.0) * rpow(Q, n * (p - 1.0) / 2.0))
-    )
-    T_star = 2.0 / (eps * (p - 1.0) * math.sqrt(D) * rpow(inputs.w0, (p - 1.0) / 2.0))
-    # inf( b~ e^{cN(1-eps)(p-1)t} ) = lambda Q^{-n(p-1)/2} A^{p-1}, so
-    # C^2 = D * w0^{(1-eps)(p-1)}
-    C_squared = D * rpow(inputs.w0, (1.0 - eps) * (p - 1.0))
+    D = _lifespan_D(inputs, A, Q)
+    T_star, C_squared = _lifespan_of(inputs, D)
     return LifespanResult(D, T_star, C_squared, T_star <= inputs.params.T0)
 
 
@@ -594,22 +608,37 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
 
 
 # ---------------------------------------------------------------------------
-# shared extrema
+# shared extrema and stems
 # ---------------------------------------------------------------------------
 
 # n, c, a0, H, sigma, m^2, r0, N, epsilon (A) or p (B)
 _MEMO_KEY = struct.Struct("<9d")
+# n, c, a0, H, sigma, m^2, r0, N, epsilon, p, theta, lambda
+_STEM_KEY = struct.Struct("<12d")
+
+
+def _kept(store: dict, key, make: Callable):
+    """store[key], made by ``make()`` and kept on a miss, the oldest of
+    ``MEMO_CAP`` entries dropped first; nothing is kept if ``make`` raises."""
+    value = store.get(key)
+    if value is None:
+        value = make()
+        if len(store) >= MEMO_CAP:
+            del store[next(iter(store))]
+        store[key] = value
+    return value
 
 
 class ExtremaMemo:
-    """compute_A and compute_B results kept for later ``certify`` calls.
+    """compute_A and compute_B results and ``Stem``s kept for ``certify``.
 
-    compute_A reads only (geom, N, epsilon) and compute_B only
-    (geom, N, p), so inputs that differ in w0, w1, theta or lambda
-    share both.  Keys are the binary64 bits of those inputs, which keeps
-    -0.0 apart from 0.0, so a hit returns what a fresh call would.  Raised
-    errors are not kept.  At most ``MEMO_CAP`` results are held, the oldest
-    dropped first, so memory stays bounded however many keys a caller has.
+    compute_A reads only (geom, N, epsilon), compute_B only (geom, N, p)
+    and a ``Stem`` only (geom, N, epsilon, p, theta, lambda), so inputs
+    that differ in w0 and w1 share all three.  Keys are the binary64 bits
+    of those inputs, which keeps -0.0 apart from 0.0, so a hit returns
+    what a fresh call would.  Raised errors are not kept.  At most
+    ``MEMO_CAP`` results (``len`` counts them) and ``MEMO_CAP`` stems are
+    held, the oldest dropped first, so memory stays bounded.
 
     The memo also holds one ``Background``, ``background``: certificates
     whose geom is that object read it, and any other geom replaces it.
@@ -617,6 +646,7 @@ class ExtremaMemo:
 
     def __init__(self, background: Optional[Background] = None) -> None:
         self._results: Dict[Tuple[str, bytes], ExtremumResult] = {}
+        self._stems: Dict[bytes, Stem] = {}
         self.background = background
 
     def __len__(self) -> int:
@@ -635,14 +665,15 @@ class ExtremaMemo:
             p.n, p.c, p.a0, p.H, p.sigma, p.m_squared, inputs.geom.r0, inputs.N,
             inputs.epsilon if which == "A" else inputs.p,
         ))
-        result = self._results.get(key)
-        if result is None:
-            compute = compute_A if which == "A" else compute_B
-            result = compute(inputs, self.background_of(inputs.geom))
-            if len(self._results) >= MEMO_CAP:
-                del self._results[next(iter(self._results))]
-            self._results[key] = result
-        return result
+        compute = compute_A if which == "A" else compute_B
+        return _kept(self._results, key, lambda: compute(inputs, self.background_of(inputs.geom)))
+
+    def stem(self, inputs: TheoremInputs) -> Stem:
+        """The ``Stem`` of ``inputs``."""
+        p = inputs.params
+        key = _STEM_KEY.pack(p.n, p.c, p.a0, p.H, p.sigma, p.m_squared, inputs.geom.r0,
+                             inputs.N, inputs.epsilon, inputs.p, inputs.theta, inputs.lam)
+        return _kept(self._stems, key, lambda: Stem(inputs, self))
 
 
 # ---------------------------------------------------------------------------
@@ -650,103 +681,111 @@ class ExtremaMemo:
 # ---------------------------------------------------------------------------
 
 
+class Stem:
+    """The part of a certificate w0 and w1 do not change, in ``certify``'s
+    order: omega_n, Q, alpha, the verdicts to B_finite and their reasons, A,
+    B, the w0 threshold.  D and the corollary case are made at their first
+    read and kept only if they did not raise, so each raises where a fresh
+    certificate would.  With a ``memo``, A, B and the background come from it.
+    """
+
+    def __init__(self, inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> None:
+        params = inputs.params
+        self.inputs = inputs
+        self.omega_n = unit_ball_volume(params.n)
+        self.Q = cone_ball_factor(params)
+        bg = Background(inputs.geom) if memo is None else memo.background_of(inputs.geom)
+        self.alpha = 1.0 + inputs.epsilon * (inputs.p - 1.0) / 2.0
+        self.reasons = reasons = []
+        self.verdicts = verdicts = {name: False for name in VERDICT_NAMES}
+
+        verdicts["support_radius_positive"] = True  # ConeGeometry rejects r0 <= 0
+
+        n_ok, n_reason = check_N(inputs, bg.behavior)
+        verdicts["admissible_N"] = n_ok
+        if not n_ok:
+            reasons.append(f"admissible_N: {n_reason}")
+
+        monotone = bg.verdict is not Monotonicity.NOT_MONOTONE
+        verdicts["q_monotone"] = monotone
+        if not monotone:
+            reasons.append("q_monotone: parameters fall outside the monotonicity rows")
+
+        A = B = None
+        if monotone:
+            a_res = compute_A(inputs, bg) if memo is None else memo.get("A", inputs)
+            A = a_res.value
+            verdicts["A_positive"] = a_res.ok
+            if not a_res.ok:
+                reasons.append(f"A_positive: {a_res.reason}")
+            if n_ok:
+                b_res = compute_B(inputs, bg) if memo is None else memo.get("B", inputs)
+                B = b_res.value
+                verdicts["B_finite"] = b_res.ok
+                if not b_res.ok:
+                    reasons.append(f"B_finite: {b_res.reason}")
+            else:
+                reasons.append("B_finite: not computed, N is not admissible")
+        else:
+            reasons.append("A_positive: not computed, q is not certified monotone")
+            reasons.append("B_finite: not computed, q is not certified monotone")
+        self.A, self.B, self.w0_threshold = A, B, None
+
+        if B is not None and math.isfinite(B):
+            self.w0_threshold = _w0_threshold(inputs, B, self.Q)
+        else:
+            reasons.append("w0_above_threshold: no threshold without a finite B")
+            reasons.append("w1_above_threshold: no threshold without a finite B")
+
+    @cached_property
+    def D(self) -> float:
+        return _lifespan_D(self.inputs, self.A, self.Q)
+
+    @cached_property
+    def corollary(self) -> CorollaryCaseResult:
+        return corollary_case_check(self.inputs)
+
+
 def certify(inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> BlowupCertificate:
     """Run every hypothesis check and assemble the certificate.
 
-    With a ``memo``, A and B come from it (computed there on a miss) and
-    the background's parts from its ``Background``; the certificate is the
-    same either way.
+    The ``Stem`` of ``inputs``, the ``memo``'s when one is given, holds all
+    that w0 and w1 do not change; the rest is computed here, on copies of
+    its verdicts and reasons.  The certificate is the same either way.
     """
-    params = inputs.params
-    omega_n = unit_ball_volume(params.n)
-    Q = cone_ball_factor(params)
-    bg = Background(inputs.geom) if memo is None else memo.background_of(inputs.geom)
-    T0 = params.T0
-    alpha = 1.0 + inputs.epsilon * (inputs.p - 1.0) / 2.0
-    reasons: List[str] = []
-    verdicts: Dict[str, bool] = {name: False for name in VERDICT_NAMES}
+    stem = Stem(inputs) if memo is None else memo.stem(inputs)
+    verdicts, reasons = dict(stem.verdicts), list(stem.reasons)
+    T0 = inputs.params.T0
 
-    verdicts["support_radius_positive"] = True  # ConeGeometry rejects r0 <= 0
-
-    n_ok, n_reason = check_N(inputs, bg.behavior)
-    verdicts["admissible_N"] = n_ok
-    if not n_ok:
-        reasons.append(f"admissible_N: {n_reason}")
-
-    monotone = bg.verdict is not Monotonicity.NOT_MONOTONE
-    verdicts["q_monotone"] = monotone
-    if not monotone:
-        reasons.append("q_monotone: parameters fall outside the monotonicity rows")
-
-    A = B = None
-    if monotone:
-        a_res = compute_A(inputs, bg) if memo is None else memo.get("A", inputs)
-        A = a_res.value
-        verdicts["A_positive"] = a_res.ok
-        if not a_res.ok:
-            reasons.append(f"A_positive: {a_res.reason}")
-        if n_ok:
-            b_res = compute_B(inputs, bg) if memo is None else memo.get("B", inputs)
-            B = b_res.value
-            verdicts["B_finite"] = b_res.ok
-            if not b_res.ok:
-                reasons.append(f"B_finite: {b_res.reason}")
-        else:
-            reasons.append("B_finite: not computed, N is not admissible")
-    else:
-        reasons.append("A_positive: not computed, q is not certified monotone")
-        reasons.append("B_finite: not computed, q is not certified monotone")
-
-    w0_thr = w1_thr = None
-    if B is not None and math.isfinite(B):
-        w0_thr, w1_thr = data_thresholds(inputs, A, B, Q)
+    w0_thr, w1_thr = stem.w0_threshold, None
+    if w0_thr is not None:
+        w1_thr = _w1_threshold(inputs, stem.Q)
         verdicts["w0_above_threshold"] = inputs.w0 > w0_thr
         if not verdicts["w0_above_threshold"]:
-            reasons.append(
-                f"w0_above_threshold: w0={inputs.w0} <= threshold {w0_thr}"
-            )
+            reasons.append(f"w0_above_threshold: w0={inputs.w0} <= threshold {w0_thr}")
         verdicts["w1_above_threshold"] = inputs.w1 >= w1_thr
         if not verdicts["w1_above_threshold"]:
-            reasons.append(
-                f"w1_above_threshold: w1={inputs.w1} < threshold {w1_thr}"
-            )
-    else:
-        reasons.append("w0_above_threshold: no threshold without a finite B")
-        reasons.append("w1_above_threshold: no threshold without a finite B")
+            reasons.append(f"w1_above_threshold: w1={inputs.w1} < threshold {w1_thr}")
 
     D = C_squared = T_star = None
-    if A is not None and A > 0.0 and inputs.w0 > 0.0:
-        life = lifespan(inputs, A, Q)
-        D, T_star, C_squared = life.D, life.T_star, life.C_squared
-        verdicts["lifespan_within_horizon"] = life.within_horizon
-        if not life.within_horizon:
+    if stem.A is not None and stem.A > 0.0 and inputs.w0 > 0.0:
+        D = stem.D
+        T_star, C_squared = _lifespan_of(inputs, D)
+        verdicts["lifespan_within_horizon"] = T_star <= T0
+        if not verdicts["lifespan_within_horizon"]:
             reasons.append(
                 f"lifespan_within_horizon: T*={T_star} exceeds T0={T0} (inconclusive)"
             )
     else:
         reasons.append("lifespan_within_horizon: not computed, it needs A > 0 and w0 > 0")
 
-    corollary = corollary_case_check(inputs)
-    others = [v for k, v in verdicts.items() if k != "lifespan_within_horizon"]
     valid = all(verdicts.values())
-    inconclusive = all(others) and not verdicts["lifespan_within_horizon"]
+    inconclusive = not verdicts["lifespan_within_horizon"] and all(
+        v for k, v in verdicts.items() if k != "lifespan_within_horizon")
 
     return BlowupCertificate(
-        A=A,
-        B=B,
-        Q=Q,
-        omega_n=omega_n,
-        D=D,
-        C_squared=C_squared,
-        alpha=alpha,
-        w0_threshold=w0_thr,
-        w1_threshold=w1_thr,
-        T_star=T_star,
-        T0=T0,
-        verdicts=verdicts,
-        reasons=reasons,
-        corollary_case=corollary.case,
-        excluded_region=params.excluded_region,
-        valid=valid,
-        inconclusive=inconclusive,
+        A=stem.A, B=stem.B, Q=stem.Q, omega_n=stem.omega_n, D=D, C_squared=C_squared,
+        alpha=stem.alpha, w0_threshold=w0_thr, w1_threshold=w1_thr, T_star=T_star, T0=T0,
+        verdicts=verdicts, reasons=reasons, corollary_case=stem.corollary.case,
+        excluded_region=inputs.params.excluded_region, valid=valid, inconclusive=inconclusive,
     )

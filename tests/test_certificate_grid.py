@@ -186,3 +186,55 @@ def test_not_monotone_q_raises_precondition(monkeypatch):
     for extremum in (compute_A, compute_B):
         with pytest.raises(PreconditionError):
             extremum(inputs)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0, 1.0],
+    [NAN, 2.0, 1.0, 3.0],
+    [2.0, 1.0, NAN, 1.0, 4.0],
+    [INF, -INF, NAN, -INF, INF],
+    [NAN, NAN, 5.0, NAN],
+], ids=["no_nan", "leading_nan", "nan_between_equal_minima", "infinities", "one_finite"])
+def test_optimize_log_picks_the_nanargmin_node(values):
+    """The node _optimize_log refines is np.nanargmin's; an objective that
+    is not finite there returns that node unrefined."""
+    values = np.array(values)
+    grid = np.linspace(1.0, 2.0, values.size)
+    t, v = certificate._optimize_log(lambda t: INF, grid, values)
+    assert (t, v) == (grid[np.nanargmin(values)], INF)
+
+
+@st.composite
+def objectives(draw):
+    """Grid values of any length up to GRID_NODES, with NaN and +-inf at
+    drawn nodes and not NaN everywhere."""
+    size = draw(st.sampled_from([1, 2, 7, 64, 257, certificate.GRID_NODES]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).choice([0.0, 1.0, -1.0, 0.5], size=size)
+    for node, value in draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                               st.sampled_from([NAN, INF, -INF])), max_size=8)):
+        values[node] = value
+    if np.isnan(values).all():
+        values[draw(st.integers(0, size - 1))] = 2.0
+    return values
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=objectives())
+def test_optimize_log_node_is_nanargmin_at_any_length(values):
+    grid = np.linspace(1.0, 2.0, values.size)
+    t, _ = certificate._optimize_log(lambda t: INF, grid, values)
+    assert t == grid[np.nanargmin(values)]
+
+
+def test_optimize_log_rejects_an_all_nan_objective():
+    message = ("the objective is NaN at every grid node: the closed forms overflow "
+               "at these parameters")
+    for size in (1, certificate.GRID_NODES):
+        with pytest.raises(DomainError) as err:
+            certificate._optimize_log(lambda t: 0.0, np.linspace(1.0, 2.0, size),
+                                      np.full(size, NAN))
+        assert str(err.value) == message

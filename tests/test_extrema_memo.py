@@ -1,13 +1,14 @@
-"""Sweep points share A and B through an ExtremaMemo, and their background
-through a Background.
+"""Sweep points share A, B and the rest of what w0 and w1 do not change
+through an ExtremaMemo, and their background through a Background.
 
 A memo hit must return exactly what a fresh ``compute_A``/``compute_B``
-would, and a certificate that reads a shared Background what a fresh one
-would.  A sweep visits its points by background and then by N, so each
-distinct key must be computed once per command at any axis order, every
-point must get the same row at any axis order, and an error must be that
-of the point alone.  No result may outlive the ``kgblow sweep`` command
-that computed it, and the memo must stay within ``MEMO_CAP`` entries.
+or ``Stem`` would, and a certificate that reads a shared Background or
+Stem what a fresh one would.  A sweep visits its points by background and
+then by N, so each distinct key must be computed once per command at any
+axis order, every point must get the same row at any axis order, and an
+error must be that of the point alone.  No result may outlive the
+``kgblow sweep`` command that computed it, and the memo must stay within
+``MEMO_CAP`` entries of each kind.
 """
 
 import csv
@@ -125,7 +126,8 @@ def test_memoised_certificates_equal_fresh_ones(tmp_path):
 
 @st.composite
 def one_background(draw):
-    """Inputs on one geom object that differ in N, epsilon, p and the data."""
+    """Inputs on one geom object that differ in N, epsilon, p, theta,
+    lambda and the data, each drawn on its own."""
     n = draw(st.integers(1, 4))
     gate = -1.0 + 1.0 / n
     kind = draw(st.sampled_from(["free", "special", "non_increasing"]))
@@ -142,11 +144,13 @@ def one_background(draw):
     geom = make_inputs(H, sigma, m2=m2, n=n, r0=r0).geom
     points = draw(st.lists(st.tuples(
         st.sampled_from([0.0, 0.1, 0.5, 2.0]), st.sampled_from([0.25, 0.5, 0.9]),
-        st.sampled_from([1.5, 3.0, 7.0]), st.sampled_from([1.0, 16.0, 1e3]),
+        st.sampled_from([1.5, 3.0, 7.0]), st.sampled_from([0.25, 0.5, 0.75]),
+        st.sampled_from([0.5, 1.0, 4.0]), st.sampled_from([0.0, 1.0, 16.0, 1e3]),
+        st.sampled_from([0.0, 1.0, 160.0, 1e4]),
     ), min_size=1, max_size=6))
-    return [replace(make_inputs(H, sigma, m2=m2, n=n, r0=r0, N=N, epsilon=eps, p=p, w0=w0,
-                                w1=10.0 * w0), geom=geom)
-            for N, eps, p, w0 in points]
+    return [replace(make_inputs(H, sigma, m2=m2, n=n, r0=r0, N=N, epsilon=eps, p=p,
+                                theta=theta, lam=lam, w0=w0, w1=w1), geom=geom)
+            for N, eps, p, theta, lam, w0, w1 in points]
 
 
 def fields_of(inputs, memo=None):
@@ -256,7 +260,8 @@ def test_no_state_survives_a_command(tmp_path, counted):
 
 def test_memo_stays_within_its_cap(counted):
     """One memo fed more distinct keys than the cap holds the newest
-    ``MEMO_CAP`` of them, so an evicted key is computed again."""
+    ``MEMO_CAP`` of them, extrema and stems alike, so an evicted key is
+    computed again."""
     base = scenario_from_dict(BASE).inputs
     memo = ExtremaMemo()
     n_keys = MEMO_CAP + 8
@@ -272,6 +277,49 @@ def test_memo_stays_within_its_cap(counted):
     memo.get("A", keys[0])  # the oldest: dropped, so computed again
     assert len(counted["A"]) == n_keys + 1
     assert len(memo) == MEMO_CAP
+
+    # stems that differ only in theta share one A and one B
+    memo = ExtremaMemo()
+    keys = [replace(base, theta=0.25 + i / 4096.0) for i in range(n_keys)]
+    stems, sizes = [], []
+    for inputs in keys:
+        stems.append(memo.stem(inputs))
+        sizes.append(len(memo._stems))
+    assert sizes == [min(i + 1, MEMO_CAP) for i in range(n_keys)]
+    assert len(memo) == 2 and len(counted["A"]) == n_keys + 2
+    assert memo.stem(keys[-1]) is stems[-1]  # among the newest: kept
+    assert memo.stem(keys[0]) is not stems[0]  # the oldest: dropped, so made again
+    assert len(memo._stems) == MEMO_CAP
+
+
+def test_returned_certificates_share_no_mutable_state():
+    """Changing one certificate's reasons and verdicts changes no later
+    certificate from the same memo."""
+    inputs = scenario_from_dict(BASE).inputs
+    memo = ExtremaMemo()
+    fresh = fields_of(inputs)
+    first = certify(inputs, memo=memo)
+    first.reasons.append("appended by the caller")
+    first.verdicts["A_positive"] = not first.verdicts["A_positive"]
+    for w0 in (16.0, 2.0, 16.0):
+        point = replace(inputs, w0=w0)
+        assert fields_of(point, memo) == fields_of(point)
+    assert fields_of(inputs, memo) == fresh
+
+
+def test_stem_parts_that_raise_are_made_where_certify_reads_them():
+    """At a0 = 1e-8, n = 7 and p = 101, D divides by zero: a point with
+    w0 > 0 raises, as a fresh certificate does, and a point with w0 <= 0,
+    which never reads D, gets its certificate from the same Stem."""
+    inputs = make_inputs(0.45, -0.5, m2=-0.7775, N=0.1, n=7, c=0.5, a0=1e-8, r0=1e5,
+                         epsilon=0.25, theta=0.75, lam=2.0, p=101.0, w0=0.0, w1=-5.0)
+    memo = ExtremaMemo()
+    for w0 in (0.0, 16.0, -3.0, 16.0, 0.0):
+        point = replace(inputs, w0=w0)
+        assert fields_of(point, memo) == fields_of(point)
+    assert fields_of(replace(inputs, w0=16.0)) == "ZeroDivisionError: float division by zero"
+    assert isinstance(fields_of(inputs), dict)
+    assert len(memo._stems) == 1 and "D" not in vars(memo.stem(inputs))
 
 
 def test_extrema_computed_once_when_w0_comes_before_a_long_N_axis(tmp_path, counted):
@@ -390,6 +438,9 @@ AXIS_VALUES = {
     "theorem.p": [3.0, 2.5, 1.0],
     "theorem.epsilon": [0.5, 0.25, 1.5],
     "theorem.w0": [16.0, 2.0, -0.0],
+    "theorem.theta": [0.5, 0.75, 1.0],
+    "theorem.lambda": [1.0, 2.0, 0.0],
+    "theorem.w1": [1000.0, 1.0, -5.0],  # the base's w1 threshold is about 64
     "run.rel_tol": [1e-10, 1e-8, 0.0],
     "run.t_end": [0.05, 0.5, -1.0],
     "theorem.q": [1.0],

@@ -33,7 +33,8 @@ an ``ExtremaMemo`` to ``certify``: each distinct extremum and each ``Stem``
 (what the data do not change) is computed once, and every certificate on
 the memo's background reads one ``Background``.  A sweep gives each
 (background, N) group its own memo over its background's one
-``Background``, so each is computed once at any axis order.
+``Background``, so each is computed once at any axis order; a background
+is its ``background_key``, which leaves sigma out where H = 0.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ __all__ = [
     "certify",
     "Background",
     "ExtremaMemo",
+    "background_key",
     "MEMO_CAP",
     "VERDICT_NAMES",
 ]
@@ -196,6 +198,14 @@ class BlowupCertificate:
     valid: bool
     inconclusive: bool
 
+    @classmethod
+    def _assemble(cls, **fields) -> "BlowupCertificate":
+        """The certificate of ``fields``, all given, in one ``__dict__``
+        update instead of one ``object.__setattr__`` per field."""
+        cert = object.__new__(cls)
+        cert.__dict__.update(fields)
+        return cert
+
 
 # ---------------------------------------------------------------------------
 # hypothesis (Cond-NM): admissibility of N
@@ -285,11 +295,14 @@ class Background:
     Each part is computed at its first use and kept for later ones; a part
     whose computation raises is not kept, so every use raises afresh, as a
     fresh computation would.  The grid has ``GRID_NODES`` nodes, read when
-    it is built.
+    it is built, and depends on T0 alone: it comes read-only from
+    ``grids``, a store by T0 that backgrounds may share, made there on a
+    miss.
     """
 
-    def __init__(self, geom: ConeGeometry) -> None:
+    def __init__(self, geom: ConeGeometry, grids: Optional[dict] = None) -> None:
         self.geom = geom
+        self.grids = {} if grids is None else grids
 
     @cached_property
     def behavior(self) -> MassBehavior:
@@ -313,7 +326,11 @@ class Background:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        return _time_grid(self.geom.params.T0, GRID_NODES)
+        T0 = self.geom.params.T0
+        if T0 not in self.grids:
+            self.grids[T0] = _time_grid(T0, GRID_NODES)
+            self.grids[T0].flags.writeable = False
+        return self.grids[T0]
 
     @cached_property
     def grid_log_q(self) -> np.ndarray:
@@ -611,10 +628,21 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
 # shared extrema and stems
 # ---------------------------------------------------------------------------
 
-# n, c, a0, H, sigma, m^2, r0, N, epsilon (A) or p (B)
-_MEMO_KEY = struct.Struct("<9d")
-# n, c, a0, H, sigma, m^2, r0, N, epsilon, p, theta, lambda
-_STEM_KEY = struct.Struct("<12d")
+# the background_key's n, c, a0, H, m^2, r0, sigma; after it, N and epsilon (A)
+# or p (B) for an extremum, and N, epsilon, p, theta, lambda for a Stem
+_BACKGROUND_KEY, _MEMO_KEY, _STEM_KEY = (struct.Struct(f"<{k}d") for k in (7, 2, 5))
+
+
+def background_key(geom: ConeGeometry) -> bytes:
+    """The binary64 bits of n, c, a0, H, m^2, r0 and sigma, sigma as 0.0
+    where H = +-0.0 and e = n(1+sigma)/2 is finite.  There sigma enters only
+    eH, radius_rate and mass_shift, each +-0.0, which every branch treats
+    alike, and classify_q, classify_mass_behavior, q_order and the
+    corollary case decide on H = 0 first: certificate and comparison ODE
+    are the same at every sigma.  +0.0 and -0.0 stay two H."""
+    p = geom.params
+    sigma = 0.0 if p.H == 0.0 and math.isfinite(p.e) else p.sigma
+    return _BACKGROUND_KEY.pack(p.n, p.c, p.a0, p.H, p.m_squared, geom.r0, sigma)
 
 
 def _kept(store: dict, key, make: Callable):
@@ -635,13 +663,14 @@ class ExtremaMemo:
     compute_A reads only (geom, N, epsilon), compute_B only (geom, N, p)
     and a ``Stem`` only (geom, N, epsilon, p, theta, lambda), so inputs
     that differ in w0 and w1 share all three.  Keys are the binary64 bits
-    of those inputs, which keeps -0.0 apart from 0.0, so a hit returns
+    of those inputs, the geom as its ``background_key``: one key for every
+    sigma of a flat background, and -0.0 apart from 0.0, so a hit returns
     what a fresh call would.  Raised errors are not kept.  At most
     ``MEMO_CAP`` results (``len`` counts them) and ``MEMO_CAP`` stems are
     held, the oldest dropped first, so memory stays bounded.
 
     The memo also holds one ``Background``, ``background``: certificates
-    whose geom is that object read it, and any other geom replaces it.
+    whose geom has its key read it, and any other geom replaces it.
     """
 
     def __init__(self, background: Optional[Background] = None) -> None:
@@ -653,26 +682,24 @@ class ExtremaMemo:
         return len(self._results)
 
     def background_of(self, geom: ConeGeometry) -> Background:
-        """The held ``Background`` if it is that of ``geom``, else a new one."""
-        if self.background is None or self.background.geom is not geom:
-            self.background = Background(geom)
-        return self.background
+        """The held ``Background`` if it has the key of ``geom``, else a new
+        one on the held one's grids."""
+        bg = self.background
+        if bg is None or (bg.geom is not geom and background_key(bg.geom) != background_key(geom)):
+            self.background = bg = Background(geom, None if bg is None else bg.grids)
+        return bg
 
     def get(self, which: str, inputs: TheoremInputs) -> ExtremumResult:
         """compute_A (``which == "A"``) or compute_B (``"B"``) of ``inputs``."""
-        p = inputs.params
-        key = (which, _MEMO_KEY.pack(
-            p.n, p.c, p.a0, p.H, p.sigma, p.m_squared, inputs.geom.r0, inputs.N,
-            inputs.epsilon if which == "A" else inputs.p,
-        ))
+        key = (which, background_key(inputs.geom) + _MEMO_KEY.pack(
+            inputs.N, inputs.epsilon if which == "A" else inputs.p))
         compute = compute_A if which == "A" else compute_B
         return _kept(self._results, key, lambda: compute(inputs, self.background_of(inputs.geom)))
 
     def stem(self, inputs: TheoremInputs) -> Stem:
         """The ``Stem`` of ``inputs``."""
-        p = inputs.params
-        key = _STEM_KEY.pack(p.n, p.c, p.a0, p.H, p.sigma, p.m_squared, inputs.geom.r0,
-                             inputs.N, inputs.epsilon, inputs.p, inputs.theta, inputs.lam)
+        key = background_key(inputs.geom) + _STEM_KEY.pack(
+            inputs.N, inputs.epsilon, inputs.p, inputs.theta, inputs.lam)
         return _kept(self._stems, key, lambda: Stem(inputs, self))
 
 
@@ -783,7 +810,7 @@ def certify(inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> Blowup
     inconclusive = not verdicts["lifespan_within_horizon"] and all(
         v for k, v in verdicts.items() if k != "lifespan_within_horizon")
 
-    return BlowupCertificate(
+    return BlowupCertificate._assemble(
         A=stem.A, B=stem.B, Q=stem.Q, omega_n=stem.omega_n, D=D, C_squared=C_squared,
         alpha=stem.alpha, w0_threshold=w0_thr, w1_threshold=w1_thr, T_star=T_star, T0=T0,
         verdicts=verdicts, reasons=reasons, corollary_case=stem.corollary.case,

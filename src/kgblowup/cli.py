@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import ode as ode_mod
 from . import pde as pde_mod
-from .certificate import Background, BlowupCertificate, ExtremaMemo, certify
+from .certificate import Background, BlowupCertificate, ExtremaMemo, background_key, certify
 from .cosmology import t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
 from .integrate import RkResult, TerminationReason
@@ -237,22 +237,35 @@ def _ids(values) -> List[int]:
     return [ids.setdefault(_BITS.pack(v), len(ids)) for v in values]
 
 
-def _groups(axes) -> List[List[List[int]]]:
-    """The numbers of the points, grouped by background (the cosmology.*
-    and cone.* values) and within it by N, each group where its first
-    point comes in axis order."""
+def _groups(base, axes) -> List[tuple]:
+    """The numbers of the points, grouped by background and within it by N,
+    each group where its first point comes in axis order, with the geometry
+    of that point.  A background is the ``background_key`` of its geometry,
+    so a flat background's points form one group whatever their sigma;
+    where the cosmology.* and cone.* values break a rule, it is their bits
+    and the geometry None."""
 
     def keys(keep):  # per point, the ids of the kept axes' values and 0 elsewhere
         return itertools.product(
             *(_ids(values) if keep(path) else [0] * len(values) for path, values in axes)
         )
 
-    groups: Dict[tuple, Dict[tuple, List[int]]] = {}
+    paths = [path for path, _ in axes]
+    geoms: Dict[tuple, tuple] = {}  # the key and geometry of each background's values
+    groups: Dict[Any, tuple] = {}  # the geometry and the points by N of each key
     points = zip(keys(lambda path: path.startswith(_BACKGROUND)),
-                 keys(lambda path: path == "theorem.N"))
-    for k, (key, n_key) in enumerate(points):
-        groups.setdefault(key, {}).setdefault(n_key, []).append(k)
-    return [list(by_n.values()) for by_n in groups.values()]
+                 keys(lambda path: path == "theorem.N"),
+                 itertools.product(*(values for _, values in axes)))
+    for k, (ids, n_key, values) in enumerate(points):
+        if ids not in geoms:
+            try:
+                geom = geometry_from_dict(point_data(base, paths, values))
+                geoms[ids] = background_key(geom), geom
+            except Exception:  # never shared: each point raises it in scenario_from_dict
+                geoms[ids] = ids, None
+        key, geom = geoms[ids]
+        groups.setdefault(key, (geom, {}))[1].setdefault(n_key, []).append(k)
+    return [(geom, list(by_n.values())) for geom, by_n in groups.values()]
 
 
 def _sweep_point(build, values, geom, with_ode, memo: ExtremaMemo) -> List[str]:
@@ -281,17 +294,15 @@ def _sweep_point(build, values, geom, with_ode, memo: ExtremaMemo) -> List[str]:
 
 def _sweep_task(job) -> List[List[str]]:
     """The result cells of the points of background groups, in the order
-    given.  A group's points share one Background, and the points of each
-    (background, N) group one ExtremaMemo; both go when the group ends."""
+    given.  A group's points are built on its geometry and share one
+    Background, the points of each (background, N) group one ExtremaMemo,
+    and the task's backgrounds one time grid per T0; all go when it ends."""
     base, paths, with_ode, groups = job
     build = point_builder(base, paths)
+    grids: Dict[float, Any] = {}
     rows = []
-    for by_n in groups:
-        try:
-            geom = geometry_from_dict(point_data(base, paths, by_n[0][0]))
-        except Exception:  # never shared: each point raises it in scenario_from_dict
-            geom = None
-        background = None if geom is None else Background(geom)
+    for geom, by_n in groups:
+        background = None if geom is None else Background(geom, grids)
         for points in by_n:
             memo = ExtremaMemo(background)
             rows += [_sweep_point(build, values, geom, with_ode, memo) for values in points]
@@ -318,8 +329,8 @@ def cmd_sweep(args) -> int:
     axes = spec.axes
     paths = [p for p, _ in axes]
     points = list(itertools.product(*(values for _, values in axes)))
-    numbers = _groups(axes)
-    groups = [[[points[k] for k in ks] for ks in by_n] for by_n in numbers]
+    numbers = _groups(spec.base, axes)
+    groups = [(geom, [[points[k] for k in ks] for ks in by_n]) for geom, by_n in numbers]
     if workers == 1:
         cells = _sweep_task((spec.base, paths, spec.with_ode, groups))
     else:
@@ -328,7 +339,7 @@ def cmd_sweep(args) -> int:
             chunks = pool.map(_sweep_task, jobs, chunksize=POOL_CHUNK)
             cells = [row for chunk in chunks for row in chunk]
     rows: List[List[str]] = [[]] * len(points)
-    visited = (k for by_n in numbers for ks in by_n for k in ks)
+    visited = (k for _, by_n in numbers for ks in by_n for k in ks)
     for k, row in zip(visited, cells):
         rows[k] = row
 

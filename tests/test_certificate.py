@@ -1,5 +1,6 @@
+import dataclasses
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -476,3 +477,23 @@ def test_cone_range_rule(r0):
     with pytest.raises(ValueError) as exc:
         replace(geom, r0=r0)
     assert str(exc.value) == "r0: support radius must be positive"
+
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_assembled_certificate_is_an_ordinary_frozen_dataclass(memo):
+    """certify's certificate holds every field, in field order, and equals,
+    converts, replaces and refuses assignment as one made by __init__."""
+    inputs, _ = certified_inputs("i")
+    cert = certify(inputs, memo=certificate.ExtremaMemo() if memo else None)
+    names = [f.name for f in fields(certificate.BlowupCertificate)]
+    assert list(vars(cert)) == names
+    made = certificate.BlowupCertificate(**{name: getattr(cert, name) for name in names})
+    assert cert == made and repr(cert) == repr(made)
+    assert asdict(cert) == asdict(made) and cert.valid
+    changed = replace(cert, valid=False)
+    assert changed != cert and changed.valid is False and cert.valid
+    assert replace(cert) == cert
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.valid = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del cert.A

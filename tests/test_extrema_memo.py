@@ -24,7 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgblowup import certificate, cli, ode
-from kgblowup.certificate import MEMO_CAP, Background, BlowupCertificate, ExtremaMemo, certify
+from kgblowup.certificate import (
+    MEMO_CAP, Background, BlowupCertificate, ExtremaMemo, background_key, certify,
+)
 from kgblowup.cone import Monotonicity, classify_q
 from kgblowup.cli import main
 from kgblowup.errors import DomainError
@@ -203,6 +205,35 @@ def test_a_shared_part_that_raised_raises_again():
     assert "verdict" not in vars(background)
 
 
+def test_backgrounds_share_one_read_only_grid_per_T0():
+    grids = {}
+    flat, expanding = make_inputs(0.0, 0.0).geom, make_inputs(0.45, 1.0).geom
+    contracting = make_inputs(-0.45, 1.0).geom
+    first, second = Background(flat, grids), Background(expanding, grids)
+    assert second.grid is first.grid  # both have T0 = inf
+    assert Background(contracting, grids).grid is not first.grid
+    assert len(grids) == 2 and not first.grid.flags.writeable
+    assert Background(flat).grid is not first.grid  # no store given: its own
+    with pytest.raises(ValueError):
+        first.grid[0] = 1.0
+
+
+def test_a_sweep_builds_each_time_grid_once(tmp_path, monkeypatch):
+    built = []
+    original = certificate._time_grid
+    monkeypatch.setattr(certificate, "_time_grid",
+                        lambda t_end, nodes: built.append(t_end) or original(t_end, nodes))
+    path = write_spec(tmp_path, [
+        ("cosmology.H", [0.45, -0.45, 0.0]),
+        ("cosmology.sigma", [1.0, 0.5]),
+        ("cone.r0", [5.0, 6.0]),  # q non-increasing at H < 0, so A reads the grid
+        ("theorem.N", [0.1, 2.0]),
+    ])
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path), "--workers", "1"]) == 0
+    # T0 = inf at H > 0 and H = 0, and one finite T0 per sigma at H < 0
+    assert sorted(Counter(built).values()) == [1, 1, 1]
+
+
 def test_signed_zeros_are_distinct_keys(tmp_path):
     path = write_spec(tmp_path, [("cosmology.H", [0.0, -0.0, 0.0, -0.0])])
     memo = ExtremaMemo()
@@ -238,6 +269,97 @@ def test_each_distinct_extremum_is_computed_once(tmp_path, counted):
     assert len(set(kept)) == 3 * 2  # H = 0.45, -0.0, 0.0; two N
     rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
     assert sum("DomainError" in r for r in rows) == 12
+
+
+# sigma at the special points, below -1 and at +-0.0, and at -1 + 2/n for n 1-4
+FLAT_SIGMAS = [-1.0, 1.0, 0.0, -0.3333333333333333, -0.5, -2.5, -0.0, -1.0 - 1e-12]
+
+
+def blowup_of(inputs, cert):
+    """Where the comparison ODE of a certified point stops and why."""
+    traj = ode.integrate(inputs, 1.05 * cert.T_star)
+    return repr((traj.rk.status, traj.rk.blowup_time, ode.detect_blowup_time(traj),
+                 traj.rk.n_steps, traj.rk.n_rejected))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), H=st.sampled_from([0.0, -0.0]),
+       m2=st.one_of(st.floats(-0.5, 2.0), st.sampled_from([0.0, -0.0])),
+       N=st.one_of(st.floats(0.05, 3.0), st.sampled_from([0.0, -0.0])),
+       below=st.floats(-5.0, -1.0, exclude_max=True),
+       data=st.tuples(st.sampled_from([0.25, 0.5, 0.9]), st.sampled_from([1.5, 3.0, 7.0]),
+                      st.sampled_from([0.25, 0.5]), st.sampled_from([0.5, 1.0, 4.0]),
+                      st.sampled_from([1e3, 1e5, 16.0, 0.0]), st.sampled_from([1e9, 1e4, 0.0])))
+@example(n=1, H=-0.0, m2=-0.0, N=0.0, below=-2.0, data=(0.5, 3.0, 0.5, 1.0, 16.0, 1e4))
+@example(n=1, H=0.0, m2=-0.0, N=2.0, below=-2.0, data=(0.5, 3.0, 0.5, 1.0, 16.0, 1e4))
+def test_a_flat_point_is_the_same_at_every_sigma(n, H, m2, N, below, data):
+    """Every certificate field, and the comparison ODE of a certified point,
+    to the bit: alone, and through one memo whose Background and Stem
+    were made at another sigma."""
+    eps, p, theta, lam, w0, w1 = data
+    points = [make_inputs(H, sigma, m2=m2, N=N, n=n, epsilon=eps, p=p, theta=theta, lam=lam,
+                          w0=w0, w1=w1) for sigma in FLAT_SIGMAS + [-1.0 + 2.0 / n, below]]
+    assert len({background_key(inputs.geom) for inputs in points}) == 1
+    reference = fields_of(points[0])
+    memo = ExtremaMemo()
+    for inputs in points:
+        assert fields_of(inputs) == reference, inputs.params.sigma
+        assert fields_of(inputs, memo) == reference, inputs.params.sigma
+    if isinstance(reference, dict) and reference["valid"] == "True":
+        ends = {blowup_of(inputs, certify(inputs)) for inputs in points}
+        assert len(ends) == 1, ends
+
+
+def test_a_flat_sigma_that_overflows_e_keeps_its_key():
+    """At n = 2 and |sigma| near the float range e = n(1+sigma)/2 overflows
+    and eH is NaN, so H = 0 does not make the background flat."""
+    flat = make_inputs(0.0, 0.0, n=2, N=2.0, w0=16.0, w1=1000.0)
+    assert certify(flat).valid
+    for sigma in (1.7e308, -1.7e308):
+        point = make_inputs(0.0, sigma, n=2, N=2.0, w0=16.0, w1=1000.0)
+        assert background_key(point.geom) != background_key(flat.geom)
+        assert fields_of(point).startswith("DomainError: the objective is NaN")
+        assert fields_of(point, ExtremaMemo(Background(flat.geom))) == fields_of(point)
+    assert background_key(make_inputs(-0.0, 0.0).geom) != background_key(make_inputs(0.0, 0.0).geom)
+
+
+def test_flat_backgrounds_compute_once_for_every_sigma(tmp_path, counted, monkeypatch):
+    """Across 7 sigma, H = +-0.0 makes each A, B and Stem once per (H bits,
+    N); H = 0.45 once per (sigma, N), as far as a fresh certificate makes it."""
+    stems = []
+
+    class Counting(certificate.Stem):
+        def __init__(self, inputs, memo=None):
+            stems.append(key_of(inputs, inputs.p))
+            super().__init__(inputs, memo)
+
+    sigmas = [-1.0, 0.0, -2.5, 1.0, -0.3333333333333333, -0.0, -0.5]
+    path = write_spec(tmp_path, [
+        ("cosmology.sigma", sigmas),
+        ("cosmology.H", [0.0, -0.0, 0.45]),
+        ("theorem.N", [0.1, 2.0]),
+        ("theorem.w0", [16.0, 2.0]),
+    ])
+    for inputs in spec_inputs(path):
+        outcome(inputs)
+    fresh = {k: set(v) for k, v in counted.items()}
+    for v in counted.values():
+        v.clear()
+    monkeypatch.setattr(certificate, "Stem", Counting)
+    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"),
+                 "--workers", "1"]) == 0
+
+    flat = Counter({(h.hex(), n.hex()): 1 for h in (0.0, -0.0) for n in (0.1, 2.0)})
+    for made in (counted["A"], counted["B"], stems):
+        # (H, N) of what was made at H = 0.0 or -0.0, whatever its sigma
+        assert Counter((k[3], k[7]) for k in made if float.fromhex(k[3]) == 0.0) == flat
+        sloped = [k for k in made if k[3] == (0.45).hex()]
+        assert len(sloped) == len(set(sloped))
+    for which in ("A", "B"):
+        assert {k for k in counted[which] if k[3] == (0.45).hex()} == {
+            k for k in fresh[which] if k[3] == (0.45).hex()}
+    assert len({k for k in counted["A"] if k[3] == (0.45).hex()}) == 2 * len(sigmas)
+    assert len({k for k in stems if k[3] == (0.45).hex()}) == 2 * len(sigmas)
 
 
 def test_no_state_survives_a_command(tmp_path, counted):
@@ -433,6 +555,8 @@ def test_pool_chunks_match_the_serial_sweep(tmp_path):
 AXIS_VALUES = {
     "cosmology.n": [1.0, 2.0, 2.5],
     "cosmology.H": [0.0, -0.0, 0.45, -0.45, 1e200],
+    "cosmology.sigma": [-1.0, 0.0, -0.0, 1.0, -2.5, -0.3333333333333333, 1.7e308],
+    "cosmology.m_squared": [0.0, -0.0, 1.0, -1.0],
     "cone.r0": [1.0, 0.0, 3.0],
     "theorem.N": [0.0, 2.0, -1.0],
     "theorem.p": [3.0, 2.5, 1.0],
@@ -490,6 +614,15 @@ def test_every_row_equals_the_lone_point(with_ode):
              base_run={"rel_tol": 1e-9})
     @example(axes=[("theorem.N", [2.0]), ("theorem.q", [1.0])], base_run=None)
     @example(axes=[("cosmology.H", [0.45]), ("run.foo", [1.0])], base_run={"rel_tol": 1e-9})
+    # sloped backgrounds at three sigma, and flat ones at three with m^2 +-0.0
+    @example(axes=[("cosmology.sigma", [1.0, -0.3333333333333333, -1.0]),
+                   ("cosmology.H", [0.45, -0.45])], base_run=None)
+    @example(axes=[("cosmology.sigma", [-2.5, 0.0, -0.0]), ("cosmology.H", [0.0, -0.0]),
+                   ("cosmology.m_squared", [-0.0, 0.0]), ("cosmology.n", [2.0])],
+             base_run={"rel_tol": 1e-9})
+    # at n = 2 a sigma near the float range overflows e, so it keeps its own background
+    @example(axes=[("cosmology.sigma", [0.0, 1.7e308]), ("cosmology.n", [2.0]),
+                   ("cosmology.H", [0.0])], base_run=None)
     def check(axes, base_run):
         base = json.loads(json.dumps(BASE))
         if base_run is not None:

@@ -28,13 +28,11 @@ if it was built without raising.
 
 A and B read neither the data (w0, w1) nor theta and lambda, and of the
 rest only the w1 threshold, T*, C^2 and the verdicts on w0, w1 and T* read
-the data, so a caller that certifies many related inputs (a sweep) passes
-an ``ExtremaMemo`` to ``certify``: each distinct extremum and each ``Stem``
-(what the data do not change) is computed once, and every certificate on
-the memo's background reads one ``Background``.  A sweep gives each
-(background, N) group its own memo over its background's one
-``Background``, so each is computed once at any axis order; a background
-is its ``background_key``, which leaves sigma out where H = 0.
+the data, so the ``Background`` also keeps each distinct A, B and ``Stem``
+(what the data do not change) of the certificates made on it.  A caller
+that certifies many related inputs (a sweep) passes one ``Background`` per
+background to ``certify``, so each is computed once at any axis order; a
+background is its ``background_key``, which leaves sigma out where H = 0.
 """
 
 from __future__ import annotations
@@ -84,15 +82,12 @@ __all__ = [
     "corollary_case_check",
     "certify",
     "Background",
-    "ExtremaMemo",
     "background_key",
-    "MEMO_CAP",
     "VERDICT_NAMES",
 ]
 
 GRID_NODES = 4096
 NEAR_ZERO_TIME = 1e-12
-MEMO_CAP = 1024  # results and stems an ExtremaMemo holds, each; about 1.6 MB when full
 
 VERDICT_NAMES = (
     "support_radius_positive",
@@ -289,8 +284,25 @@ def _golden_minimize(f: Callable[[float], float], lo: float, hi: float) -> Tuple
     return d, fd
 
 
+# the background_key's n, c, a0, H, m^2, r0, sigma; the N and epsilon (A) or
+# p (B) of an extremum; the N, epsilon, p, theta, lambda of a Stem
+_BACKGROUND_KEY, _EXTREMUM_BITS, _STEM_BITS = (struct.Struct(f"<{k}d") for k in (7, 2, 5))
+
+
+def background_key(geom: ConeGeometry) -> bytes:
+    """The binary64 bits of n, c, a0, H, m^2, r0 and sigma, sigma as 0.0
+    where H = +-0.0.  There sigma enters only eH, radius_rate and
+    mass_shift, each +-0.0, which every branch treats alike, and
+    classify_q, classify_mass_behavior, q_order and the corollary case
+    decide on H = 0 first: certificate and comparison ODE are the same at
+    every sigma.  +0.0 and -0.0 stay two H."""
+    p = geom.params
+    sigma = 0.0 if p.H == 0.0 else p.sigma
+    return _BACKGROUND_KEY.pack(p.n, p.c, p.a0, p.H, p.m_squared, geom.r0, sigma)
+
+
 class Background:
-    """What every extremum on one background (params and r0) reads.
+    """What every certificate on one background (params and r0) shares.
 
     Each part is computed at its first use and kept for later ones; a part
     whose computation raises is not kept, so every use raises afresh, as a
@@ -298,11 +310,19 @@ class Background:
     it is built, and depends on T0 alone: it comes read-only from
     ``grids``, a store by T0 that backgrounds may share, made there on a
     miss.
+
+    It keeps, the same way, each compute_A result by (N, epsilon), compute_B
+    result by (N, p) and ``Stem`` by (N, epsilon, p, theta, lambda), keyed
+    by the binary64 bits of those inputs (-0.0 is not 0.0); none is
+    evicted.
     """
 
     def __init__(self, geom: ConeGeometry, grids: Optional[dict] = None) -> None:
         self.geom = geom
         self.grids = {} if grids is None else grids
+        self.a_results: Dict[bytes, ExtremumResult] = {}
+        self.b_results: Dict[bytes, ExtremumResult] = {}
+        self.stems: Dict[bytes, Stem] = {}
 
     @cached_property
     def behavior(self) -> MassBehavior:
@@ -339,6 +359,27 @@ class Background:
     @cached_property
     def grid_mass_sq(self) -> np.ndarray:
         return self.mass_sq(self.grid)
+
+    def A(self, inputs: TheoremInputs) -> ExtremumResult:
+        """compute_A of ``inputs``, computed once per (N, epsilon)."""
+        key = _EXTREMUM_BITS.pack(inputs.N, inputs.epsilon)
+        if key not in self.a_results:
+            self.a_results[key] = compute_A(inputs, self)
+        return self.a_results[key]
+
+    def B(self, inputs: TheoremInputs) -> ExtremumResult:
+        """compute_B of ``inputs``, computed once per (N, p)."""
+        key = _EXTREMUM_BITS.pack(inputs.N, inputs.p)
+        if key not in self.b_results:
+            self.b_results[key] = compute_B(inputs, self)
+        return self.b_results[key]
+
+    def stem(self, inputs: TheoremInputs) -> Stem:
+        """The ``Stem`` of ``inputs``, made once per (N, epsilon, p, theta, lambda)."""
+        key = _STEM_BITS.pack(inputs.N, inputs.epsilon, inputs.p, inputs.theta, inputs.lam)
+        if key not in self.stems:
+            self.stems[key] = Stem(inputs, self)
+        return self.stems[key]
 
 
 def _optimize_log(f: Callable[[float], float], grid: np.ndarray,
@@ -625,85 +666,6 @@ def corollary_case_check(inputs: TheoremInputs) -> CorollaryCaseResult:
 
 
 # ---------------------------------------------------------------------------
-# shared extrema and stems
-# ---------------------------------------------------------------------------
-
-# the background_key's n, c, a0, H, m^2, r0, sigma; after it, N and epsilon (A)
-# or p (B) for an extremum, and N, epsilon, p, theta, lambda for a Stem
-_BACKGROUND_KEY, _MEMO_KEY, _STEM_KEY = (struct.Struct(f"<{k}d") for k in (7, 2, 5))
-
-
-def background_key(geom: ConeGeometry) -> bytes:
-    """The binary64 bits of n, c, a0, H, m^2, r0 and sigma, sigma as 0.0
-    where H = +-0.0 and e = n(1+sigma)/2 is finite.  There sigma enters only
-    eH, radius_rate and mass_shift, each +-0.0, which every branch treats
-    alike, and classify_q, classify_mass_behavior, q_order and the
-    corollary case decide on H = 0 first: certificate and comparison ODE
-    are the same at every sigma.  +0.0 and -0.0 stay two H."""
-    p = geom.params
-    sigma = 0.0 if p.H == 0.0 and math.isfinite(p.e) else p.sigma
-    return _BACKGROUND_KEY.pack(p.n, p.c, p.a0, p.H, p.m_squared, geom.r0, sigma)
-
-
-def _kept(store: dict, key, make: Callable):
-    """store[key], made by ``make()`` and kept on a miss, the oldest of
-    ``MEMO_CAP`` entries dropped first; nothing is kept if ``make`` raises."""
-    value = store.get(key)
-    if value is None:
-        value = make()
-        if len(store) >= MEMO_CAP:
-            del store[next(iter(store))]
-        store[key] = value
-    return value
-
-
-class ExtremaMemo:
-    """compute_A and compute_B results and ``Stem``s kept for ``certify``.
-
-    compute_A reads only (geom, N, epsilon), compute_B only (geom, N, p)
-    and a ``Stem`` only (geom, N, epsilon, p, theta, lambda), so inputs
-    that differ in w0 and w1 share all three.  Keys are the binary64 bits
-    of those inputs, the geom as its ``background_key``: one key for every
-    sigma of a flat background, and -0.0 apart from 0.0, so a hit returns
-    what a fresh call would.  Raised errors are not kept.  At most
-    ``MEMO_CAP`` results (``len`` counts them) and ``MEMO_CAP`` stems are
-    held, the oldest dropped first, so memory stays bounded.
-
-    The memo also holds one ``Background``, ``background``: certificates
-    whose geom has its key read it, and any other geom replaces it.
-    """
-
-    def __init__(self, background: Optional[Background] = None) -> None:
-        self._results: Dict[Tuple[str, bytes], ExtremumResult] = {}
-        self._stems: Dict[bytes, Stem] = {}
-        self.background = background
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def background_of(self, geom: ConeGeometry) -> Background:
-        """The held ``Background`` if it has the key of ``geom``, else a new
-        one on the held one's grids."""
-        bg = self.background
-        if bg is None or (bg.geom is not geom and background_key(bg.geom) != background_key(geom)):
-            self.background = bg = Background(geom, None if bg is None else bg.grids)
-        return bg
-
-    def get(self, which: str, inputs: TheoremInputs) -> ExtremumResult:
-        """compute_A (``which == "A"``) or compute_B (``"B"``) of ``inputs``."""
-        key = (which, background_key(inputs.geom) + _MEMO_KEY.pack(
-            inputs.N, inputs.epsilon if which == "A" else inputs.p))
-        compute = compute_A if which == "A" else compute_B
-        return _kept(self._results, key, lambda: compute(inputs, self.background_of(inputs.geom)))
-
-    def stem(self, inputs: TheoremInputs) -> Stem:
-        """The ``Stem`` of ``inputs``."""
-        key = background_key(inputs.geom) + _STEM_KEY.pack(
-            inputs.N, inputs.epsilon, inputs.p, inputs.theta, inputs.lam)
-        return _kept(self._stems, key, lambda: Stem(inputs, self))
-
-
-# ---------------------------------------------------------------------------
 # full certificate
 # ---------------------------------------------------------------------------
 
@@ -713,15 +675,15 @@ class Stem:
     order: omega_n, Q, alpha, the verdicts to B_finite and their reasons, A,
     B, the w0 threshold.  D and the corollary case are made at their first
     read and kept only if they did not raise, so each raises where a fresh
-    certificate would.  With a ``memo``, A, B and the background come from it.
+    certificate would.  A, B and the rest of the background come from
+    ``bg``, the ``Background`` of inputs.geom.
     """
 
-    def __init__(self, inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> None:
+    def __init__(self, inputs: TheoremInputs, bg: Background) -> None:
         params = inputs.params
         self.inputs = inputs
         self.omega_n = unit_ball_volume(params.n)
         self.Q = cone_ball_factor(params)
-        bg = Background(inputs.geom) if memo is None else memo.background_of(inputs.geom)
         self.alpha = 1.0 + inputs.epsilon * (inputs.p - 1.0) / 2.0
         self.reasons = reasons = []
         self.verdicts = verdicts = {name: False for name in VERDICT_NAMES}
@@ -740,13 +702,13 @@ class Stem:
 
         A = B = None
         if monotone:
-            a_res = compute_A(inputs, bg) if memo is None else memo.get("A", inputs)
+            a_res = bg.A(inputs)
             A = a_res.value
             verdicts["A_positive"] = a_res.ok
             if not a_res.ok:
                 reasons.append(f"A_positive: {a_res.reason}")
             if n_ok:
-                b_res = compute_B(inputs, bg) if memo is None else memo.get("B", inputs)
+                b_res = bg.B(inputs)
                 B = b_res.value
                 verdicts["B_finite"] = b_res.ok
                 if not b_res.ok:
@@ -773,14 +735,21 @@ class Stem:
         return corollary_case_check(self.inputs)
 
 
-def certify(inputs: TheoremInputs, memo: Optional[ExtremaMemo] = None) -> BlowupCertificate:
+def certify(inputs: TheoremInputs, background: Optional[Background] = None) -> BlowupCertificate:
     """Run every hypothesis check and assemble the certificate.
 
-    The ``Stem`` of ``inputs``, the ``memo``'s when one is given, holds all
-    that w0 and w1 do not change; the rest is computed here, on copies of
-    its verdicts and reasons.  The certificate is the same either way.
+    ``background`` must have the key of inputs.geom (a ValueError if not),
+    and is a new ``Background`` if not given.  Its ``Stem`` of ``inputs``
+    holds all that w0 and w1 do not change; the rest is computed here, on
+    copies of its verdicts and reasons.  The certificate is the same on
+    every such background.
     """
-    stem = Stem(inputs) if memo is None else memo.stem(inputs)
+    if background is None:
+        background = Background(inputs.geom)
+    elif (background.geom is not inputs.geom
+          and background_key(background.geom) != background_key(inputs.geom)):
+        raise ValueError("background: its key differs from that of inputs.geom")
+    stem = background.stem(inputs)
     verdicts, reasons = dict(stem.verdicts), list(stem.reasons)
     T0 = inputs.params.T0
 

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from . import ode as ode_mod
 from . import pde as pde_mod
-from .certificate import Background, BlowupCertificate, ExtremaMemo, background_key, certify
+from .certificate import Background, BlowupCertificate, background_key, certify
 from .cosmology import t_cap
 from .errors import ConfigurationError, DomainError, ExcludedRegionError, PreconditionError
 from .integrate import RkResult, TerminationReason
@@ -230,52 +230,39 @@ _BACKGROUND = ("cosmology.", "cone.")
 _BITS = struct.Struct("<d")
 
 
-def _ids(values) -> List[int]:
-    """An id per value, shared by values with equal bits (so -0.0 and 0.0
-    differ), numbered in order of first appearance."""
-    ids: Dict[bytes, int] = {}
-    return [ids.setdefault(_BITS.pack(v), len(ids)) for v in values]
-
-
 def _groups(base, axes) -> List[tuple]:
-    """The numbers of the points, grouped by background and within it by N,
-    each group where its first point comes in axis order, with the geometry
-    of that point.  A background is the ``background_key`` of its geometry,
-    so a flat background's points form one group whatever their sigma;
-    where the cosmology.* and cone.* values break a rule, it is their bits
-    and the geometry None."""
-
-    def keys(keep):  # per point, the ids of the kept axes' values and 0 elsewhere
-        return itertools.product(
-            *(_ids(values) if keep(path) else [0] * len(values) for path, values in axes)
-        )
-
+    """The numbers of the points, grouped by background, each group where
+    its first point comes in axis order, with the geometry of that point.
+    A background is the ``background_key`` of its geometry, so a flat
+    background's points form one group whatever their sigma; where the
+    cosmology.* and cone.* values break a rule, it is their bits (so -0.0
+    and 0.0 differ) and the geometry None."""
     paths = [path for path, _ in axes]
+    # per point, the bits of its cosmology.* and cone.* values and b"" elsewhere
+    bits_of = itertools.product(*([_BITS.pack(v) for v in values] if path.startswith(_BACKGROUND)
+                                  else [b""] * len(values) for path, values in axes))
     geoms: Dict[tuple, tuple] = {}  # the key and geometry of each background's values
-    groups: Dict[Any, tuple] = {}  # the geometry and the points by N of each key
-    points = zip(keys(lambda path: path.startswith(_BACKGROUND)),
-                 keys(lambda path: path == "theorem.N"),
-                 itertools.product(*(values for _, values in axes)))
-    for k, (ids, n_key, values) in enumerate(points):
-        if ids not in geoms:
+    groups: Dict[Any, tuple] = {}  # the geometry and the points of each key
+    for k, (bits, values) in enumerate(zip(bits_of, itertools.product(*(v for _, v in axes)))):
+        if bits not in geoms:
             try:
                 geom = geometry_from_dict(point_data(base, paths, values))
-                geoms[ids] = background_key(geom), geom
+                geoms[bits] = background_key(geom), geom
             except Exception:  # never shared: each point raises it in scenario_from_dict
-                geoms[ids] = ids, None
-        key, geom = geoms[ids]
-        groups.setdefault(key, (geom, {}))[1].setdefault(n_key, []).append(k)
-    return [(geom, list(by_n.values())) for geom, by_n in groups.values()]
+                geoms[bits] = bits, None
+        key, geom = geoms[bits]
+        groups.setdefault(key, (geom, []))[1].append(k)
+    return list(groups.values())
 
 
-def _sweep_point(build, values, geom, with_ode, memo: ExtremaMemo) -> List[str]:
-    """The result cells of one point, its scenario ``build(values, geom)``:
-    corollary_case, valid, T_star, blowup_time with the ODE, error_class
-    and error."""
+def _sweep_point(build, values, geom, with_ode, background) -> List[str]:
+    """The result cells of one point, its scenario ``build(values, geom)``
+    certified on ``background``: corollary_case, valid, T_star,
+    blowup_time with the ODE, error_class and error."""
     cells: List[str] = []
     try:
         scenario = build(values, geom)
-        cert = certify(scenario.inputs, memo=memo)
+        cert = certify(scenario.inputs, background)
         cells += [cert.corollary_case or "none", _format_cell(cert.valid),
                   _format_cell(cert.T_star)]
         if with_ode:
@@ -294,18 +281,16 @@ def _sweep_point(build, values, geom, with_ode, memo: ExtremaMemo) -> List[str]:
 
 def _sweep_task(job) -> List[List[str]]:
     """The result cells of the points of background groups, in the order
-    given.  A group's points are built on its geometry and share one
-    Background, the points of each (background, N) group one ExtremaMemo,
-    and the task's backgrounds one time grid per T0; all go when it ends."""
+    given.  A group's points are built on its geometry and certified on one
+    Background, which keeps each A, B and Stem they share until the next
+    group; the task's backgrounds share one time grid per T0, kept to its end."""
     base, paths, with_ode, groups = job
     build = point_builder(base, paths)
     grids: Dict[float, Any] = {}
     rows = []
-    for geom, by_n in groups:
+    for geom, points in groups:
         background = None if geom is None else Background(geom, grids)
-        for points in by_n:
-            memo = ExtremaMemo(background)
-            rows += [_sweep_point(build, values, geom, with_ode, memo) for values in points]
+        rows += [_sweep_point(build, values, geom, with_ode, background) for values in points]
     return rows
 
 
@@ -330,7 +315,7 @@ def cmd_sweep(args) -> int:
     paths = [p for p, _ in axes]
     points = list(itertools.product(*(values for _, values in axes)))
     numbers = _groups(spec.base, axes)
-    groups = [(geom, [[points[k] for k in ks] for ks in by_n]) for geom, by_n in numbers]
+    groups = [(geom, [points[k] for k in ks]) for geom, ks in numbers]
     if workers == 1:
         cells = _sweep_task((spec.base, paths, spec.with_ode, groups))
     else:
@@ -339,7 +324,7 @@ def cmd_sweep(args) -> int:
             chunks = pool.map(_sweep_task, jobs, chunksize=POOL_CHUNK)
             cells = [row for chunk in chunks for row in chunk]
     rows: List[List[str]] = [[]] * len(points)
-    visited = (k for _, by_n in numbers for ks in by_n for k in ks)
+    visited = (k for _, ks in numbers for k in ks)
     for k, row in zip(visited, cells):
         rows[k] = row
 

@@ -93,11 +93,13 @@ class CosmologyParams:
             raise ValueError("initial scale factor a0 must be positive")
         e = self.n * (1.0 + self.sigma) / 2.0
         # T0 from the rounded e H the closed forms use: 1 + e H t stays
-        # positive at every time the horizon check admits
-        rate = e * self.H
+        # positive at every time the horizon check admits.  At H = +-0.0, e
+        # held in [-1, 2] keeps the signs of e and e - 1 but cannot overflow
+        finite_e = e if self.H != 0.0 else min(max(e, -1.0), 2.0)
+        rate = finite_e * self.H
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "eH", rate)
-        object.__setattr__(self, "radius_rate", (e - 1.0) * self.H)
+        object.__setattr__(self, "radius_rate", (finite_e - 1.0) * self.H)
         object.__setattr__(self, "T0", -1.0 / rate if rate < 0.0 else math.inf)
         shift = self.sigma * (self.n * self.H / (2.0 * self.c)) ** 2
         object.__setattr__(self, "mass_shift", shift)

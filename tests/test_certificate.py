@@ -479,12 +479,12 @@ def test_cone_range_rule(r0):
     assert str(exc.value) == "r0: support radius must be positive"
 
 
-@pytest.mark.parametrize("memo", [False, True])
-def test_assembled_certificate_is_an_ordinary_frozen_dataclass(memo):
+@pytest.mark.parametrize("shared", [False, True])
+def test_assembled_certificate_is_an_ordinary_frozen_dataclass(shared):
     """certify's certificate holds every field, in field order, and equals,
     converts, replaces and refuses assignment as one made by __init__."""
     inputs, _ = certified_inputs("i")
-    cert = certify(inputs, memo=certificate.ExtremaMemo() if memo else None)
+    cert = certify(inputs, certificate.Background(inputs.geom) if shared else None)
     names = [f.name for f in fields(certificate.BlowupCertificate)]
     assert list(vars(cert)) == names
     made = certificate.BlowupCertificate(**{name: getattr(cert, name) for name in names})

@@ -47,6 +47,19 @@ class TestHorizon:
     def test_big_rip(self):
         assert params(n=1, H=1.0, sigma=-2.0).T0 == pytest.approx(2.0)
 
+    def test_flat_rates_are_the_signed_zeros_of_a_finite_e(self):
+        # e < 0, e = 0, 0 < e < 1, e = 1 (n = 2), e > 1, then e overflowing at n >= 2
+        for n in (1, 2, 3):
+            for H in (0.0, -0.0):
+                for sigma in (-1e300, -2.5, -1.0, -0.5, -0.0, 0.0, 1.0, 1e300):
+                    p = params(n=n, H=H, sigma=sigma)
+                    assert repr((p.eH, p.radius_rate)) == repr((p.e * H, (p.e - 1.0) * H))
+                for sigma in (1.7e308, -1.7e308):
+                    p = params(n=n, H=H, sigma=sigma)
+                    finite = params(n=n, H=H, sigma=math.copysign(1e300, sigma))
+                    assert repr((p.eH, p.radius_rate, p.T0)) == repr(
+                        (finite.eH, finite.radius_rate, math.inf))
+
 
 class TestScaleEval:
     def test_constant_scale(self):

@@ -10,8 +10,6 @@ from .certificate import (
     compute_B,
     cone_ball_factor,
     corollary_case_check,
-    data_thresholds,
-    lifespan,
     unit_ball_volume,
 )
 from .cone import ConeGeometry, Monotonicity, classify_q, comoving_radius

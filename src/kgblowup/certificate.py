@@ -77,8 +77,6 @@ __all__ = [
     "check_N",
     "compute_A",
     "compute_B",
-    "data_thresholds",
-    "lifespan",
     "corollary_case_check",
     "certify",
     "Background",
@@ -382,6 +380,17 @@ class Background:
         return self.stems[key]
 
 
+def _background_of(inputs: TheoremInputs, background: Optional[Background]) -> Background:
+    """``background``, checked to have the key of inputs.geom (a ValueError
+    if not), or a new ``Background`` of inputs.geom if None."""
+    if background is None:
+        return Background(inputs.geom)
+    if (background.geom is not inputs.geom
+            and background_key(background.geom) != background_key(inputs.geom)):
+        raise ValueError("background: its key differs from that of inputs.geom")
+    return background
+
+
 def _optimize_log(f: Callable[[float], float], grid: np.ndarray,
                   values: np.ndarray) -> Tuple[float, float]:
     """Minimize a log-objective over the span of ``grid``; returns (t_min, f_min).
@@ -415,9 +424,10 @@ def _optimize_log(f: Callable[[float], float], grid: np.ndarray,
 
 def compute_A(inputs: TheoremInputs, background: Optional[Background] = None) -> ExtremumResult:
     """A = inf over (0, T0) of e^{cN(1-eps)t} / q~^{n/2}(t); ``background``
-    is the ``Background`` of inputs.geom, built here if not given."""
+    is the ``Background`` of inputs.geom (a ValueError if its key is not),
+    built here if not given."""
     params = inputs.params
-    bg = Background(inputs.geom) if background is None else background
+    bg = _background_of(inputs, background)
     if bg.verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone; A is undefined")
 
@@ -455,9 +465,9 @@ def compute_A(inputs: TheoremInputs, background: Optional[Background] = None) ->
 
 def compute_B(inputs: TheoremInputs, background: Optional[Background] = None) -> ExtremumResult:
     """B = sup over (0, T0) of q~^{n/2} (N^2 + M^2)^{1/(p-1)} e^{-cNt};
-    ``background`` is the ``Background`` of inputs.geom, built here if not
-    given."""
-    bg = Background(inputs.geom) if background is None else background
+    ``background`` is the ``Background`` of inputs.geom (a ValueError if its
+    key is not), built here if not given."""
+    bg = _background_of(inputs, background)
     ok, reason = check_N(inputs, bg.behavior)
     if not ok:
         raise PreconditionError(f"B needs admissible N: {reason}")
@@ -552,20 +562,6 @@ def _w1_threshold(inputs: TheoremInputs, Q: float) -> float:
     return max(c * inputs.N * w0, second)
 
 
-def data_thresholds(inputs: TheoremInputs, A: float, B: float, Q: float) -> Tuple[float, float]:
-    """(w0 threshold, w1 threshold) from the certified constants; the first
-    reads neither w0 nor w1."""
-    return _w0_threshold(inputs, B, Q), _w1_threshold(inputs, Q)
-
-
-@dataclass(frozen=True)
-class LifespanResult:
-    D: float
-    T_star: float
-    C_squared: float
-    within_horizon: bool
-
-
 def _lifespan_D(inputs: TheoremInputs, A: float, Q: float) -> float:
     p, c, n = inputs.p, inputs.params.c, inputs.params.n
     return (2.0 * c * c * inputs.theta * inputs.lam * rpow(A, p - 1.0)
@@ -579,17 +575,6 @@ def _lifespan_of(inputs: TheoremInputs, D: float) -> Tuple[float, float]:
     # inf( b~ e^{cN(1-eps)(p-1)t} ) = lambda Q^{-n(p-1)/2} A^{p-1}, so
     # C^2 = D * w0^{(1-eps)(p-1)}
     return T_star, D * rpow(w0, (1.0 - eps) * (p - 1.0))
-
-
-def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
-    """D, T* and C^2 from certified A; D reads neither w0 nor w1."""
-    if not A > 0.0:
-        raise PreconditionError("lifespan needs A > 0")
-    if not inputs.w0 > 0.0:
-        raise PreconditionError("lifespan needs w0 > 0")
-    D = _lifespan_D(inputs, A, Q)
-    T_star, C_squared = _lifespan_of(inputs, D)
-    return LifespanResult(D, T_star, C_squared, T_star <= inputs.params.T0)
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +729,7 @@ def certify(inputs: TheoremInputs, background: Optional[Background] = None) -> B
     copies of its verdicts and reasons.  The certificate is the same on
     every such background.
     """
-    if background is None:
-        background = Background(inputs.geom)
-    elif (background.geom is not inputs.geom
-          and background_key(background.geom) != background_key(inputs.geom)):
-        raise ValueError("background: its key differs from that of inputs.geom")
-    stem = background.stem(inputs)
+    stem = _background_of(inputs, background).stem(inputs)
     verdicts, reasons = dict(stem.verdicts), list(stem.reasons)
     T0 = inputs.params.T0
 

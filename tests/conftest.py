@@ -13,8 +13,8 @@ from kgblowup import (
     compute_A,
     compute_B,
     cone_ball_factor,
-    data_thresholds,
 )
+from oracles import data_thresholds
 
 # one representative (H, sigma, m^2, N) per corollary case at n=1, c=a0=1.
 # case (v) is omitted: its curved mass diverges at the finite horizon and

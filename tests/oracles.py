@@ -18,12 +18,47 @@ from kgblowup import (
     classify_q,
     scale_eval,
 )
-from kgblowup.certificate import TheoremInputs, cone_ball_factor, rpow, unit_ball_volume
+from kgblowup.certificate import (
+    TheoremInputs,
+    _lifespan_D,
+    _lifespan_of,
+    _w0_threshold,
+    _w1_threshold,
+    cone_ball_factor,
+    rpow,
+    unit_ball_volume,
+)
 from kgblowup.cone import _EXP_SAFE, _expm1_ratio, _radius_terms
 from kgblowup.cosmology import _check_time
 from kgblowup.integrate import _A, _C, _ERR, _rms
 from kgblowup.ode import OdeTrajectory
 from kgblowup.pde import PdeField, grid_weights
+
+
+def data_thresholds(inputs: TheoremInputs, A: float, B: float, Q: float):
+    """(w0 threshold, w1 threshold) from the certified constants, as
+    ``certify`` forms them; the first reads neither w0 nor w1."""
+    return _w0_threshold(inputs, B, Q), _w1_threshold(inputs, Q)
+
+
+@dataclass(frozen=True)
+class LifespanResult:
+    D: float
+    T_star: float
+    C_squared: float
+    within_horizon: bool
+
+
+def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
+    """D, T* and C^2 from certified A, as ``certify`` forms them; D reads
+    neither w0 nor w1."""
+    if not A > 0.0:
+        raise PreconditionError("lifespan needs A > 0")
+    if not inputs.w0 > 0.0:
+        raise PreconditionError("lifespan needs w0 > 0")
+    D = _lifespan_D(inputs, A, Q)
+    T_star, C_squared = _lifespan_of(inputs, D)
+    return LifespanResult(D, T_star, C_squared, T_star <= inputs.params.T0)
 
 
 def q_eval(geom: ConeGeometry, t: float) -> float:

@@ -12,8 +12,6 @@ from kgblowup import (
     compute_B,
     cone_ball_factor,
     corollary_case_check,
-    data_thresholds,
-    lifespan,
     unit_ball_volume,
 )
 from kgblowup import certificate
@@ -22,6 +20,7 @@ from kgblowup.errors import PreconditionError
 from kgblowup.scenario import load_scenario
 
 from conftest import CASE_SEEDS, certified_inputs, make_inputs
+from oracles import data_thresholds, lifespan
 
 
 class TestGeometryFactors:

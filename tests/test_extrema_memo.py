@@ -24,7 +24,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgblowup import certificate, cli, ode
-from kgblowup.certificate import Background, BlowupCertificate, background_key, certify
+from kgblowup.certificate import (
+    Background,
+    BlowupCertificate,
+    background_key,
+    certify,
+    compute_A,
+    compute_B,
+)
 from kgblowup.cone import Monotonicity, classify_q
 from kgblowup.cli import main
 from kgblowup.errors import DomainError
@@ -346,6 +353,24 @@ def test_a_background_of_another_key_raises():
     at_another_sigma = make_inputs(0.0, -2.5, N=2.0, w0=16.0, w1=1000.0)
     assert fields_of(at_another_sigma, background) == fields_of(at_another_sigma)
     assert len(background.stems) == 1
+
+
+def test_compute_A_and_B_refuse_a_background_of_another_key():
+    """compute_A and compute_B make certify's check: on a flat Background
+    a sloped point would get the flat extremum (A 0.9999999999999999 for
+    0.9815893542455312, B 1.9999999999980003 for 2.012616456256303).  A
+    flat geometry at another sigma has the key, and gets its own extremum."""
+    sloped = make_inputs(0.45, 1.0, N=2.0)
+    flat = make_inputs(0.0, 0.0, N=2.0)
+    background = Background(flat.geom)
+    for compute in (compute_A, compute_B):
+        with pytest.raises(ValueError, match="its key differs from that of inputs.geom"):
+            compute(sloped, background)
+    assert compute_A(sloped).value == 0.9815893542455312
+    assert compute_B(sloped).value == 2.012616456256303
+    at_another_sigma = make_inputs(0.0, -2.5, N=2.0)
+    for compute in (compute_A, compute_B):
+        assert compute(at_another_sigma, background) == compute(at_another_sigma)
 
 
 def test_flat_backgrounds_compute_once_for_every_sigma(tmp_path, counted, monkeypatch):

@@ -18,15 +18,15 @@ def weights(J, n):
     return 1.0 + (n - 1) / (2.0 * idx), 1.0 - (n - 1) / (2.0 * idx)
 
 
-def call(u, n, a_nl=0.7, a_mass=A_MASS, p=P):
+def call(u, n, a_nl=0.7, a_mass=A_MASS, p=P, a_lap=A_LAP):
     J = u.size
     acc, tmp = np.empty(J), np.empty(J)
     cp, cm = weights(J, n)
-    radial_accel(u, acc, tmp, cp, cm, A_LAP, a_mass, a_nl, p, n)
+    radial_accel(u, acc, tmp, cp, cm, a_lap, a_mass, a_nl, p, n)
     return acc
 
 
-def loop_accel(u, n, a_nl, a_mass=A_MASS, p=P):
+def loop_accel(u, n, a_nl, a_mass=A_MASS, p=P, a_lap=A_LAP):
     """One node at a time: stencil and mass inside, the axis at node 0, a
     Dirichlet node at the end, and a_nl |u|^p added.  |u|^p is one array
     power, as in the kernel: NumPy's pow and the libm pow of Python floats
@@ -36,8 +36,8 @@ def loop_accel(u, n, a_nl, a_mass=A_MASS, p=P):
     mag_p = np.abs(u) ** p
     acc = [0.0] * J
     for j in range(1, J - 1):
-        acc[j] = A_LAP * (cp[j] * u[j + 1] - 2.0 * u[j] + cm[j] * u[j - 1]) - a_mass * u[j]
-    acc[0] = A_LAP * 2.0 * n * (u[1] - u[0]) - a_mass * u[0]
+        acc[j] = a_lap * (cp[j] * u[j + 1] - 2.0 * u[j] + cm[j] * u[j - 1]) - a_mass * u[j]
+    acc[0] = a_lap * 2.0 * n * (u[1] - u[0]) - a_mass * u[0]
     if a_nl != 0.0:
         for j in range(J - 1):
             acc[j] += a_nl * mag_p[j]
@@ -59,9 +59,8 @@ def test_real_flag_matches_full_path_on_zero_imaginary_part(n, a_mass, a_nl):
     """Signed zeros: the kernel gives the per-node loop's bits on a field
     with +0.0 and -0.0 nodes, and the acceleration of the all +0.0 field
     is +0.0 at every node.  cm[1] < 0 at n >= 4 and a negative a_mass
-    each make a -0.0 term, which the +0.0 sums absorb.  (Named for the
-    flag that once chose between a real and a complex kernel path; the
-    zero field stands for the complex field's imaginary part.)"""
+    each make a -0.0 term, which the +0.0 sums absorb.  (The name is that
+    of a flag the kernel no longer has; the test is kept under it.)"""
     J = 257
     rng = np.random.default_rng(11)
     u = rng.standard_normal(J)
@@ -69,6 +68,55 @@ def test_real_flag_matches_full_path_on_zero_imaginary_part(n, a_mass, a_nl):
     u[rng.random(J) < 0.2] = -0.0
     assert call(u, n, a_nl, a_mass).tobytes() == loop_accel(u, n, a_nl, a_mass).tobytes()
     assert not loop_accel(np.zeros(J), n, 0.0, a_mass).view(np.uint64).any()
+
+
+def signed_tiny_field(J=401, seed=7):
+    """Standard normal nodes, then a run of signed zeros and subnormals of
+    1-3 ulps of both signs, where the stencil sums are subnormal or zero."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(J)
+    u[rng.random(J) < 0.15] = 0.0
+    u[rng.random(J) < 0.15] = -0.0
+    tail = u[J // 3:]
+    tail[:] = rng.integers(-3, 4, tail.size) * 5e-324
+    tail[rng.random(tail.size) < 0.3] = -0.0
+    return u
+
+
+@pytest.mark.parametrize("a_lap", [A_LAP, 1.0, 0.3])
+@pytest.mark.parametrize("a_nl", [0.0, 1.0, 0.7, -0.7])
+@pytest.mark.parametrize("a_mass", [0.0, -0.0, A_MASS, -A_MASS])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_skipped_products_keep_the_per_node_bits(n, a_mass, a_nl, a_lap):
+    """Each product the kernel skips (the unit weights at n = 1, a +0.0
+    mass with a_lap >= 1, a unit a_nl) gives the per-node loop's bits on a
+    field of signed zeros and subnormals.  At a_lap 0.3 a sum of -1 ulp
+    rounds to -0.0 at nodes with u <= -0.0, where -(+0.0 * u) turns it to
+    +0.0: the field holds such nodes, so the mass pass must stay there."""
+    u = signed_tiny_field()
+    got = call(u, n, a_nl, a_mass, a_lap=a_lap)
+    assert got.tobytes() == loop_accel(u, n, a_nl, a_mass, a_lap=a_lap).tobytes()
+    if a_lap < 1.0 and n == 1:
+        linear = a_lap * ((u[2:] - 2.0 * u[1:-1]) + u[:-2])
+        assert ((linear == 0.0) & np.signbit(linear) & np.signbit(u[1:-1])).any()
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 30.0])
+@pytest.mark.parametrize("n", [1, 3])
+def test_skipped_mass_differs_only_by_nan_against_inf(n, p):
+    """On a field with inf and NaN, a +0.0 a_mass skips +0.0 * inf: the
+    kernel differs from the plain formula only where u is not finite, and
+    there only by inf where the formula has NaN.  At -0.0 the pass stays
+    and every bit is the formula's."""
+    u = wide_field(p)
+    with np.errstate(all="ignore"):
+        got = call(u, n, 1.0, 0.0, p)
+        plain = loop_accel(u, n, 1.0, 0.0, p)
+        assert call(u, n, 1.0, -0.0, p).tobytes() == loop_accel(u, n, 1.0, -0.0, p).tobytes()
+    differ = got.view(np.uint64) != plain.view(np.uint64)
+    assert differ.any()
+    assert not np.isfinite(u[differ]).any()
+    assert np.isinf(got[differ]).all() and np.isnan(plain[differ]).all()
 
 
 # exponents from just above 1, where 2^(-1080/p) is 0.0 and pow sees every

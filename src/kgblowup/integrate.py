@@ -9,14 +9,16 @@ PDE system: step-size control, the termination rules, the counters,
 step falls below its floor, in StepUnderflow.
 
 A trial step (six stage states, the 5th-order solution, the error vector
-and its RMS norm) has two arithmetics, picked by the type of ``y0``:
+and its RMS norm) and the first-step probe (Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.4) have two arithmetics, picked by the type of ``y0``:
 
 * a tuple runs on Python floats, and ``rhs`` gets and returns tuples.  A
   2-element state costs more in NumPy call overhead than in arithmetic,
   and a loop or comprehension per stage costs more than its sums.  So the
   trial is straight-line code generated from ``_A``, ``_C`` and ``_ERR``
   for the state's size, one name per stage and component and the
-  coefficients as literals, compiled once per size and cached.
+  coefficients as literals, compiled once per size and cached.  The
+  probe, ``_float_initial_step``, is a loop over the components.
 * an ndarray runs on NumPy, and ``rhs(t, y, out)`` writes the slope into
   ``out`` and returns it.  The seven slopes live in one ``(7, *y.shape)``
   stack: stage ``i`` hands ``rhs`` row ``i`` as ``out`` (a returned array
@@ -126,24 +128,51 @@ class RkResult:
     last_h: float
 
 
-def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
-    """The first step and the number of probe calls of ``rhs`` it made."""
-    scale = abs_tol + rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    with np.errstate(over="ignore"):
-        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+def _first_step(d0, d1, probe, t0, t_span):
+    """The first step from the norms ``d0`` of y0, ``d1`` of f0 and ``probe(h0)``
+    of (f(t0 + h0, y0 + h0 f0) - f0) / h0, and the number of probes made."""
     # the probe stays within the span, where rhs is defined
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_span)
     if h0 == 0.0:  # d1 overflowed to inf, or no span: no probe, start at the step floor
         return 1e-16 * max(1.0, abs(t0)), 0
-    y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = probe(h0)
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100.0 * h0, h1, t_span), 1
+
+
+def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
+    """The first step of an ndarray state and the probe calls it made."""
+    scale = abs_tol + rel_tol * np.abs(y0)
+    rms = lambda q: math.sqrt(float(np.mean((q / scale) ** 2)))  # noqa: E731
+    d0 = rms(y0)
+    with np.errstate(over="ignore"):
+        d1 = rms(f0)
+    return _first_step(d0, d1, lambda h0: rms(rhs(t0 + h0, y0 + h0 * f0) - f0) / h0, t0, t_span)
+
+
+def _float_initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
+    """``_initial_step`` on floats: each mean a sum in index order from 0.0
+    and one division, as NumPy sums fewer than 8 terms.  8 or more terms, or
+    a zero scale (NumPy's x / 0 is inf or NaN, Python's raises), go there."""
+    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    if len(scale) >= 8 or 0.0 in scale:
+        return _initial_step(lambda s, v: np.array(rhs(s, tuple(v.tolist())), dtype=float),
+                             t0, np.array(y0), np.array(f0, dtype=float), rel_tol, abs_tol, t_span)
+
+    def rms(q):
+        sq = 0.0
+        for v, s in zip(q, scale):
+            sq += (v / s) * (v / s)
+        return math.sqrt(sq / len(scale))
+
+    def probe(h0):
+        f1 = rhs(t0 + h0, tuple([v + h0 * f for v, f in zip(y0, f0)]))
+        return rms([a - b for a, b in zip(f1, f0)]) / h0
+
+    return _first_step(rms(y0), rms(f0), probe, t0, t_span)
 
 
 def _last_step(t: float, t_end: float) -> float:
@@ -200,9 +229,10 @@ def _trial_source(size: int) -> str:
         ]
     body.append(f"{row(f'n_{j}' for j in comps)} = state")
     body += [f"e_{j} = h * {weighted(_ERR, j)}" for j in comps]
-    # max(a, b) drops a NaN b, as the array trial's np.fmax does; a NaN a
-    # (in y) makes b (in y_new) NaN too, and both then keep it
-    body += [f"s_{j} = abs_tol + rel_tol * max(abs(y_{j}), abs(n_{j}))" for j in comps]
+    # max(a, b) written out: it drops a NaN b, as the array trial's np.fmax
+    # does; a NaN a (in y) makes b (in y_new) NaN too, and both keep it
+    body += [f"s_{j} = abs_tol + rel_tol * (b if (b := abs(n_{j})) > (a := abs(y_{j})) else a)"
+             for j in comps]
     body += ["try:", "    sq = 0.0"]
     for j in comps:
         body += [f"    q = e_{j} / s_{j}", "    sq += q * q"]
@@ -317,10 +347,7 @@ def dopri_integrate(
     if isinstance(y0, tuple):
         y = tuple(float(v) for v in y0)
         k0 = rhs(t, y)
-        h, probes = _initial_step(
-            lambda s, v: np.array(rhs(s, tuple(v.tolist())), dtype=float),
-            t, np.array(y), np.array(k0, dtype=float), rel_tol, abs_tol, _last_step(t, t_end),
-        )
+        h, probes = _float_initial_step(rhs, t, y, k0, rel_tol, abs_tol, _last_step(t, t_end))
         trial = _float_trial(len(y))(rhs, rel_tol, abs_tol)
     else:
         y = np.array(y0, dtype=float, copy=True)

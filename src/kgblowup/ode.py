@@ -120,10 +120,10 @@ def integrate(
     """
     params = inputs.params
     t_stop = stop_time(params, t_end)
-    if run.ode_mass_sq_const is not None:
-        mass = lambda t: run.ode_mass_sq_const  # noqa: E731
-    else:
-        mass = mass_sq_function(params)
+    mass = None if run.ode_mass_sq_const is not None else mass_sq_function(params)
+    m2 = run.ode_mass_sq_const if mass is None else mass(0.0)
+    if params.eH == 0.0:  # 1 + eH t is exactly 1.0 at every finite t: M^2 is m2 throughout
+        mass = None
     if run.ode_forcing_const is not None:
         forcing = lambda t: run.ode_forcing_const  # noqa: E731
     else:
@@ -144,7 +144,7 @@ def integrate(
             f = b * (exp(p * log(abs(w))) if w != 0.0 and b != 0.0 else 0.0)
         except OverflowError:  # |w|^p past the float range, b |w|^p not always
             f = _times_exp(b, p * log(abs(w)))
-        return v, c2 * (f - mass(t) * w)
+        return v, c2 * (f - (m2 if mass is None else mass(t)) * w)
 
     def on_step(t: float, y: Tuple[float, float], h: float) -> bool:
         w, v = y
@@ -166,7 +166,8 @@ def integrate(
             break
         t_s, w_s, v_s = samples[-1]
         l_s, g, sigma = log(abs(w_s)), abs(v_s / w_s), math.copysign(1.0, w_s)
-        ms, forcing_s = c2 / (g * g), forcing
+        ms, forcing_s, k1 = c2 / (g * g), forcing, k + 1.0
+        ms_m2 = ms * m2
         try:
             bs = sigma * c2 / (g * g) * exp((p - 1.0) * l_s)
         except OverflowError:  # |w_s|^(p-1) past the float range: fold it into b
@@ -175,9 +176,10 @@ def integrate(
 
         def rhs_s(s: float, y: Tuple[float, float, float]) -> Tuple[float, float, float]:
             tau, l, r = y  # past t_stop, or d past the float range, only in a dropped step
-            t = min(t_s + tau / g, t_stop)
+            t = t_stop if (t := t_s + tau / g) > t_stop else t  # min(t, t_stop)
             d = exp(x) if (x := k * (l_s - l)) < 700.0 else math.inf
-            return d, r, bs * forcing_s(t) - ms * mass(t) * d * d - (k + 1.0) * r * r
+            return d, r, (bs * forcing_s(t) - (ms_m2 if mass is None else ms * mass(t)) * d * d
+                          - k1 * r * r)
 
         def on_step_s(s: float, y: Tuple[float, float, float], h: float) -> bool:
             nonlocal armed, t_blow, t_hat

@@ -737,10 +737,11 @@ _entry = st.floats(-4.0, 4.0, allow_nan=False)
 _start = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, -0.0]))
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=160, deadline=None, derandomize=True)
 @given(
-    m=st.tuples(_entry, _entry, _entry, _entry),
-    y0=st.tuples(_start, _start),
+    size=st.sampled_from([2, 3]),  # phase 1 and phase 2 of the comparison ODE
+    m=st.tuples(*[_entry] * 9),
+    y0=st.tuples(_start, _start, _start),
     rel_tol=st.floats(1e-10, 1e-3),
     abs_tol=st.one_of(st.floats(1e-12, 1e-3), st.just(0.0)),
     t_end=st.floats(0.05, 2.0),
@@ -749,20 +750,27 @@ _start = st.one_of(st.floats(-2.0, 2.0, allow_nan=False), st.sampled_from([0.0, 
     bad_call=st.one_of(st.just(0), st.integers(2, 40)),
     bad_value=st.sampled_from([math.inf, -math.inf, math.nan]),
 )
-def test_tuple_and_array_states_agree(m, y0, rel_tol, abs_tol, t_end, bad_call, bad_value):
-    """y' = M y, where call number ``bad_call`` (0: none) returns inf or NaN."""
+def test_tuple_and_array_states_agree(size, m, y0, rel_tol, abs_tol, t_end, bad_call, bad_value):
+    """y' = M y on ``size`` components, where call number ``bad_call`` (0:
+    none) returns inf or NaN in its first component."""
+    y0 = y0[:size]
     assume(abs_tol > 0.0 or min(abs(v) for v in y0) > 1e-3)
-    m00, m01, m10, m11 = m
+    rows = [m[3 * i:3 * i + size] for i in range(size)]
 
     def make_rhs():
         count = [0]
 
         def rhs(t, y):
             count[0] += 1
-            first = m00 * y[0] + m01 * y[1]
+            k = []
+            for row in rows:
+                acc = row[0] * y[0]
+                for a, v in zip(row[1:], y[1:]):
+                    acc += a * v
+                k.append(acc)
             if count[0] == bad_call:
-                first = bad_value
-            return (first, m10 * y[0] + m11 * y[1])
+                k[0] = bad_value
+            return tuple(k)
 
         return rhs
 
@@ -773,6 +781,59 @@ def test_tuple_and_array_states_agree(m, y0, rel_tol, abs_tol, t_end, bad_call, 
         tup = _fingerprint(dopri_integrate, make_rhs(), tuple(y0), t_end, **kw)
     assert arr == ref
     assert tup == arr
+
+
+_probe_value = st.one_of(
+    st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    # (y0, f0, f1) per component: the start, its slope and the probe's slope;
+    # 8 or more components take the array probe on both sides
+    comps=st.lists(st.tuples(_probe_value, _probe_value, _probe_value), min_size=1, max_size=9),
+    t0=st.sampled_from([0.0, -0.0, 0.5, 1e6]),
+    rel_tol=st.sampled_from([1e-10, 1e-3, 0.0]),
+    abs_tol=st.sampled_from([1e-12, 1.0, 0.0]),
+    t_span=st.one_of(st.just(0.0), st.floats(1e-12, 2.0)),
+)
+@example(comps=[(0.0, 1.0, 2.0), (-0.0, -0.0, 0.0)], t0=0.0, rel_tol=1e-10, abs_tol=1e-12,
+         t_span=1.0)
+@example(comps=[(1.0, math.inf, 0.0), (2.0, 1.0, 1.0)], t0=0.0, rel_tol=1e-10, abs_tol=1e-12,
+         t_span=1.0)
+@example(comps=[(1.0, math.nan, 0.0), (2.0, 1.0, 1.0), (-0.0, 3.0, -1.0)], t0=0.0,
+         rel_tol=1e-10, abs_tol=1e-12, t_span=1.0)
+@example(comps=[(1.0, 1.0, 0.0), (2.0, 1.0, 1.0)], t0=0.0, rel_tol=1e-10, abs_tol=1e-12,
+         t_span=0.0)
+# 8 components, where NumPy's pairwise sum of the start slope's squares
+# differs from the sum in index order by the last bit of the step
+@example(comps=list(zip(
+    (56.142857142857146, 43.714285714285715, 3.2857142857142856, 52.857142857142854,
+     60.714285714285715, 24.285714285714285, 137.0, 21.428571428571427),
+    (271000.0, 67000.0, 340000.0, 309000.0, 838000.0, 618000.0, 601000.0, 4000.0),
+    [0.0] * 8)), t0=0.0, rel_tol=1e-3, abs_tol=1e-12, t_span=1.0)
+def test_float_probe_matches_the_array_probe(comps, t0, rel_tol, abs_tol, t_span):
+    """The tuple state's first step: the bits of ``_initial_step`` on
+    arrays, the same probe count, and a probe call with the same bits."""
+    y0, f0, f1 = (tuple(c[i] for c in comps) for i in range(3))
+    calls = {"tuple": [], "array": []}
+
+    def rhs_tuple(t, y):
+        calls["tuple"].append(_bytes([t, *y]))
+        return f1
+
+    def rhs_array(t, y):
+        calls["array"].append(_bytes([t, *y.tolist()]))
+        return np.array(f1)
+
+    with np.errstate(all="ignore"):
+        tup = integrate._float_initial_step(rhs_tuple, t0, y0, f0, rel_tol, abs_tol, t_span)
+        arr = integrate._initial_step(rhs_array, t0, np.array(y0), np.array(f0), rel_tol, abs_tol,
+                                      t_span)
+    assert (_bytes(tup[0]), tup[1]) == (_bytes(arr[0]), arr[1])
+    assert calls["tuple"] == calls["array"] and len(calls["tuple"]) == arr[1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -4,9 +4,10 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kgblowup import ode
 from kgblowup import (
     ExcludedRegionError,
     PoleError,
@@ -24,6 +25,7 @@ from kgblowup.ode import (
     trajectory_to_csv,
 )
 from kgblowup.certificate import rpow
+from kgblowup.cosmology import mass_sq_function
 from kgblowup.scenario import RunSettings
 
 from conftest import certified_inputs, make_inputs
@@ -313,3 +315,46 @@ class TestExport:
         # b = lambda / (Q q)^{n(p-1)/2} = 1 / (4 (1+t)^2)
         for t in (0.0, 0.5, 2.0):
             assert b(t) == pytest.approx(1.0 / (4.0 * (1.0 + t) ** 2), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    H=st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-320, 0.7, -0.3]),
+    sigma=st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 1.0]), st.floats(-3.0, 3.0)),
+    m2=st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+    t=st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, 5e-324, 1.0])),
+)
+def test_mass_sq_is_one_float_where_eH_is_zero(n, H, sigma, m2, t):
+    """Where e H is +-0.0, on flat and de Sitter backgrounds and where e H
+    underflows, 1 + e H t is exactly 1.0, so M^2 at every finite time has the
+    bits of M^2(0), the float ode.integrate binds once."""
+    params = make_inputs(H, sigma, m2=m2, n=n).params
+    assume(params.eH == 0.0 and not params.excluded_region)
+    mass = mass_sq_function(params)
+    assert np.float64(mass(t)).tobytes() == np.float64(mass(0.0)).tobytes()
+
+
+@pytest.mark.parametrize("H, sigma, calls", [(0.0, 0.0, 1), (0.5, -1.0, 1), (5e-324, -0.5, 1),
+                                             (0.5, 1.0, None)])
+def test_integrate_calls_the_mass_closure_once_where_eH_is_zero(monkeypatch, H, sigma, calls):
+    """The comparison ODE reads M^2 from a bound float where e H = +-0.0, and
+    from the closure at every RHS call elsewhere (``calls`` None)."""
+    count = [0]
+
+    def counting(params):
+        mass = mass_sq_function(params)
+
+        def counted(t):
+            count[0] += 1
+            return mass(t)
+
+        return counted
+
+    monkeypatch.setattr(ode, "mass_sq_function", counting)
+    traj = integrate_ode(make_inputs(H, sigma, N=2.0, w0=16.0, w1=64.0), 1.0)
+    assert traj.blowup_detected
+    if calls is None:
+        assert count[0] >= traj.rk.n_rhs
+    else:
+        assert count[0] == calls

@@ -16,11 +16,15 @@ worktrees are removed at the end.
 From each run's ``REPORT`` line and result line it records the end-to-end
 metrics (reference seconds), the raw median command time, the median
 per-command calibration scale, the setup scale and raw setup time, and
-whether the outputs checked.  Per workload and seed it summarises both
-sides: medians and quartiles of ``cmd_s_p50`` and of the raw median, the
-ratio change/parent of each, the pairs the change won, and whether the
-median gap exceeds the parent's interquartile range.  With ``--trace`` the
-runs use ``--trace 1`` and the per-layer metrics are recorded instead.
+whether the outputs checked.  Around each run it also reads
+``getrusage(RUSAGE_CHILDREN)``: the run's CPU seconds (user plus system),
+also per command (setup and calibration probes included), and its minor
+page faults, where a calibration kernel that faults on one side only
+shows.  Per workload and seed it summarises both sides: medians and
+quartiles of ``cmd_s_p50`` and of the raw median, the ratio change/parent
+of each, the pairs the change won, and whether the median gap exceeds
+the parent's interquartile range.  With ``--trace`` the runs use
+``--trace 1`` and the per-layer metrics are recorded instead.
 
 The result is written to ``BENCH_<label>.json`` in the repository root;
 an existing file of the same parent is extended, entry by entry.
@@ -29,6 +33,7 @@ an existing file of the same parent is extended, entry by entry.
 import argparse
 import json
 import platform
+import resource
 import shutil
 import statistics
 import subprocess
@@ -50,13 +55,16 @@ def run_once(tree, workload, seed, seconds, trace):
     """One kgbench run in ``tree``: its REPORT and result lines, digested."""
     cmd = [sys.executable, "kgbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
     report = next((json.loads(ln[7:]) for ln in lines if ln.startswith("REPORT ")), None)
     if proc.returncode != 0 or report is None:
         raise RuntimeError(f"{' '.join(cmd)} in {tree}: exit {proc.returncode}\n{proc.stderr}")
     result = json.loads(lines[-1])
     untraced, setup = report["untraced"], report["setup"]
+    cpu_s = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
     run = {
         "correct": result["correct"],
         "commands": untraced["commands"],
@@ -64,6 +72,9 @@ def run_once(tree, workload, seed, seconds, trace):
         "scale_p50": statistics.median(untraced["scale"]),
         "setup_raw_s": setup["raw_s"],
         "setup_scale": setup["scale"],
+        "cpu_s": cpu_s,
+        "cpu_s_per_command": cpu_s / untraced["commands"],
+        "minflt": after.ru_minflt - before.ru_minflt,
         "digests": report["digests"],
     }
     run.update({k: v["value"] for k, v in result["metrics"].items()})
@@ -78,7 +89,8 @@ def summarise(runs, trace):
     """Both sides' medians, the change/parent ratios and the pairs won."""
     by_side = {s: sorted((r for r in runs if r["side"] == s), key=lambda r: r["pair"])
                for s in SIDES}
-    keys = ["raw_cmd_s_p50", "scale_p50", "setup_raw_s", "setup_scale"]
+    keys = ["raw_cmd_s_p50", "scale_p50", "setup_raw_s", "setup_scale",
+            "cpu_s", "cpu_s_per_command", "minflt"]
     keys += [k for k in runs[0] if k.startswith(("kernels.", "integrate.", "pde."))] if trace \
         else list(END_TO_END)
     summary = {"correct": all(r["correct"] for r in runs),
@@ -145,7 +157,8 @@ def main(argv=None) -> int:
                         runs.append({"side": side, "pair": pair + 1, **run})
                         print(f"{workload} seed {seed} pair {pair + 1} {side}: cmd_s_p50 "
                               f"{run.get('cmd_s_p50', float('nan')):.4f} raw "
-                              f"{run['raw_cmd_s_p50']:.4f} scale {run['scale_p50']:.3f}",
+                              f"{run['raw_cmd_s_p50']:.4f} scale {run['scale_p50']:.3f} "
+                              f"minflt {run['minflt']}",
                               file=sys.stderr)
                 name = f"{workload}_seed{seed}" + ("_trace" if args.trace else "")
                 entries[name] = {

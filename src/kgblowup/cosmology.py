@@ -107,7 +107,13 @@ class CosmologyParams:
     @property
     def excluded_region(self) -> bool:
         """(1+sigma)H < 0 with sigma < 0: curved mass unbounded below."""
-        return (1.0 + self.sigma) * self.H < 0.0 and self.sigma < 0.0
+        return self.sigma < 0.0 and _sign_of_e_H(self.sigma, self.H) < 0
+
+
+def _sign_of_e_H(sigma: float, H: float) -> int:
+    """The sign of (1+sigma)H, read from sigma against -1 and from H: the
+    product underflows to zero at a subnormal H."""
+    return ((sigma > -1.0) - (sigma < -1.0)) * ((H > 0.0) - (H < 0.0))
 
 
 def t_cap(t_end: float, T0: float) -> float:
@@ -238,7 +244,7 @@ def classify_mass_behavior(params: CosmologyParams) -> MassBehavior:
     if H > 0.0 and sigma > 0.0:
         # decreasing from shift toward m^2
         return MassBehavior(MassTag.DECREASING_BOUNDED, m2, shift, m2)
-    if (1.0 + sigma) * H > 0.0 and sigma < 0.0:
+    if sigma < 0.0 and _sign_of_e_H(sigma, H) > 0:
         # increasing from shift toward m^2
         return MassBehavior(MassTag.INCREASING_BOUNDED, shift, m2, m2)
     if H < 0.0 and sigma > 0.0:

@@ -53,12 +53,12 @@ An ndarray state may come with a window: ``active(y)`` returns a basic
 index into the state, a tuple of slices, and the trial computes its stage
 sums, new solution and error terms on ``buf[index]`` alone, contracts the
 stack's rows at that index alone, and copies returned slopes there alone.
-The contract:
+The contract, besides the ``abs_tol > 0`` that ``dopri_integrate`` asks
+of every state:
 
 * outside the index, ``y`` and every slope the full computation of the
   trial would make are zeros of either sign;
-* the index never shrinks from one trial to the next;
-* ``abs_tol > 0``.
+* the index never shrinks from one trial to the next.
 
 Each stage sum starts from +0.0, so outside the index the full
 computation's stage states, new solution and error terms are all +0.0
@@ -155,12 +155,9 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
 
 def _float_initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
     """``_initial_step`` on floats: each mean a sum in index order from 0.0
-    and one division, as NumPy sums fewer than 8 terms.  8 or more terms, or
-    a zero scale (NumPy's x / 0 is inf or NaN, Python's raises), go there."""
+    and one division, as NumPy sums fewer than 8 terms (and as the tuple
+    trial sums its norm at every size)."""
     scale = [abs_tol + rel_tol * abs(v) for v in y0]
-    if len(scale) >= 8 or 0.0 in scale:
-        return _initial_step(lambda s, v: np.array(rhs(s, tuple(v.tolist())), dtype=float),
-                             t0, np.array(y0), np.array(f0, dtype=float), rel_tol, abs_tol, t_span)
 
     def rms(q):
         sq = 0.0
@@ -187,14 +184,6 @@ def _last_step(t: float, t_end: float) -> float:
     while t + h < t_end and t + math.nextafter(h, math.inf) <= t_end:
         h = math.nextafter(h, math.inf)
     return h
-
-
-def _rms(q: np.ndarray, scale: np.ndarray) -> float:
-    """sqrt(mean((q / scale)^2)), overwriting ``q``."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(q, scale, out=q)
-        np.multiply(q, q, out=q)
-        return math.sqrt(float(np.mean(q)))
 
 
 def _whole(y: np.ndarray):
@@ -233,16 +222,10 @@ def _trial_source(size: int) -> str:
     # does; a NaN a (in y) makes b (in y_new) NaN too, and both keep it
     body += [f"s_{j} = abs_tol + rel_tol * (b if (b := abs(n_{j})) > (a := abs(y_{j})) else a)"
              for j in comps]
-    body += ["try:", "    sq = 0.0"]
+    body.append("sq = 0.0")
     for j in comps:
-        body += [f"    q = e_{j} / s_{j}", "    sq += q * q"]
-    body += [
-        f"    err = sqrt(sq / {size})",
-        "except ZeroDivisionError:  # IEEE inf/NaN, as NumPy gives",
-        f"    err = _rms(np.array({row(f'e_{j}' for j in comps)}), "
-        f"np.array({row(f's_{j}' for j in comps)}))",
-        "return state, k, err",
-    ]
+        body += [f"q = e_{j} / s_{j}", "sq += q * q"]
+    body += [f"err = sqrt(sq / {size})", "return state, k, err"]
     head = ["def factory(rhs, rel_tol, abs_tol):", "    def trial(t, h, y, k0):"]
     return "\n".join(head + ["        " + line for line in body] + ["    return trial\n"])
 
@@ -251,7 +234,7 @@ def _trial_source(size: int) -> str:
 def _float_trial(size: int):
     """The trial factory for tuple states of ``size`` components, compiled
     once per size; ``_float_trial(size)(rhs, rel_tol, abs_tol)`` is a trial."""
-    namespace = {"np": np, "sqrt": math.sqrt, "_rms": _rms}
+    namespace = {"sqrt": math.sqrt}
     exec(compile(_trial_source(size), f"<dopri trial, {size} components>", "exec"), namespace)
     return namespace["factory"]
 
@@ -332,8 +315,10 @@ def dopri_integrate(
 
     ``y0`` is a tuple of floats (``rhs`` and ``on_step`` then see tuples)
     or an array (``rhs(t, y, out)`` then fills ``out``), with at least one
-    component.  ``on_step(t, y, h)`` is invoked after every accepted step; a
-    true return ends the run in BlowupThreshold at ``t``.  A step below
+    component.  ``rel_tol >= 0`` and ``abs_tol > 0`` (a ValueError
+    otherwise), so that no error scale is zero.  ``on_step(t, y, h)`` is
+    invoked after every accepted step; a true return ends the run in
+    BlowupThreshold at ``t``.  A step below
     ``1e-16 * max(1, t)`` ends the run in StepUnderflow.  A run that
     reaches ``t_end`` ends exactly there, and ``rhs`` is never called past
     it.  ``RkResult.y`` is an array either way.
@@ -343,6 +328,9 @@ def dopri_integrate(
     """
     if np.size(y0) == 0:
         raise ValueError("dopri_integrate needs a state with at least one component")
+    if not (rel_tol >= 0.0 and abs_tol > 0.0):
+        raise ValueError(f"dopri_integrate needs rel_tol >= 0 and abs_tol > 0, "
+                         f"not {rel_tol!r} and {abs_tol!r}")
     t = float(t0)
     if isinstance(y0, tuple):
         y = tuple(float(v) for v in y0)

@@ -30,7 +30,7 @@ from kgblowup.certificate import (
 )
 from kgblowup.cone import _EXP_SAFE, _expm1_ratio, _radius_terms
 from kgblowup.cosmology import _check_time
-from kgblowup.integrate import _A, _C, _ERR, _rms
+from kgblowup.integrate import _A, _C, _ERR
 from kgblowup.ode import OdeTrajectory
 from kgblowup.pde import PdeField, grid_weights
 
@@ -118,15 +118,11 @@ def comprehension_float_trial(rhs, rel_tol: float, abs_tol: float):
         # max() drops a NaN that np.maximum keeps, but a NaN in y_new comes
         # with a NaN or inf error term, so err is inf either way
         scales = [abs_tol + rel_tol * max(abs(yc), abs(nc)) for yc, nc in zip(y, y_new)]
-        try:
-            sq = 0.0
-            for e, sc in zip(errs, scales):
-                q = e / sc
-                sq += q * q
-            err = math.sqrt(sq / len(errs))
-        except ZeroDivisionError:  # IEEE inf/NaN, as NumPy gives
-            err = _rms(np.array(errs), np.array(scales))
-        return y_new, k6, err
+        sq = 0.0
+        for e, sc in zip(errs, scales):
+            q = e / sc
+            sq += q * q
+        return y_new, k6, math.sqrt(sq / len(errs))
 
     return trial
 

@@ -109,7 +109,8 @@ class TestAnalyze:
         assert cert["valid"] is True
         assert 0.0 < cert["T_star"] < math.inf
 
-    @pytest.mark.parametrize("H, sigma", [(5e-324, 1.5), (2.2e-311, -1.0)])
+    # at sigma = -0.5, (1 + sigma) H underflows to +0.0
+    @pytest.mark.parametrize("H, sigma", [(5e-324, 1.5), (2.2e-311, -1.0), (5e-324, -0.5)])
     def test_subnormal_H_certifies_as_H_zero(self, tmp_path, capsys, H, sigma):
         """A subnormal H is within rounding of the flat background."""
         certs, codes = [], []
@@ -359,6 +360,14 @@ class TestOdeCommand:
         sc = json.loads(json.dumps(MINK))
         sc["cosmology"]["H"] = -1.0
         sc["cosmology"]["sigma"] = -0.5
+        code = main(["ode", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
+        assert code == 2
+
+    def test_subnormal_contracting_background_is_the_excluded_region(self, tmp_path):
+        """At H = -5e-324, (1 + sigma) H underflows to -0.0: the sign of H
+        still makes the background the excluded region."""
+        sc = json.loads(json.dumps(MINK))
+        sc["cosmology"].update(H=-5e-324, sigma=-0.5)
         code = main(["ode", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
         assert code == 2
 
@@ -651,6 +660,17 @@ class TestShippedScenarios:
             "--out", str(tmp_path),
         ])
         assert code == 2
+
+    def test_exact_p9_solution_blows_up_at_one(self, tmp_path):
+        """w'' = (5/16) w^9 from w = 1, w' = 1/4: the exact solution
+        (1 - t)^(-1/4) blows up at t = 1."""
+        code = main([
+            "ode", "--scenario", f"{self.SCEN}/ode_exact_p9.json", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        report = json.loads((tmp_path / "ode_report.json").read_text())
+        assert report["termination"] == "BlowupThreshold"
+        assert abs(report["blowup_time_refined"] - 1.0) <= 1e-9
 
     def test_report_keys_in_order(self, tmp_path):
         scenario = f"{self.SCEN}/minkowski_blowup.json"

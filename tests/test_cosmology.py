@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgblowup import (
     CosmologyParams,
@@ -218,3 +220,26 @@ class TestClassification:
                 assert np.all(vals >= b.inf_m2 - slack)
             if math.isfinite(b.sup_m2):
                 assert np.all(vals <= b.sup_m2 + slack)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    H=st.one_of(st.floats(-1e100, 1e100), st.sampled_from([5e-324, -5e-324, 1e-308])).filter(
+        lambda h: h != 0.0
+    ),
+    sigma=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-1.0, -0.5, -0.0, math.nextafter(-1.0, 0.0), math.nextafter(-1.0, -2.0)]),
+    ),
+)
+# (1 + sigma) H underflows to -0.0 and to +0.0
+@example(n=1, H=-5e-324, sigma=-0.5)
+@example(n=1, H=5e-324, sigma=-0.5)
+@example(n=1, H=1e-308, sigma=math.nextafter(-1.0, 0.0))
+def test_mass_tag_and_excluded_region_follow_the_sign_of_H(n, H, sigma):
+    """Both read only the signs of H, sigma and sigma + 1, so a subnormal H,
+    where (1 + sigma) H underflows to zero, sorts as H = +-1 does."""
+    tiny, unit = params(n=n, H=H, sigma=sigma), params(n=n, H=math.copysign(1.0, H), sigma=sigma)
+    assert tiny.excluded_region == unit.excluded_region
+    assert classify_mass_behavior(tiny).tag is classify_mass_behavior(unit).tag

@@ -57,7 +57,6 @@ from .cone import (
     q_order,
 )
 from .cosmology import (
-    HORIZON_SHAVE,
     CosmologyParams,
     MassBehavior,
     MassTag,
@@ -250,12 +249,12 @@ def check_N(inputs: TheoremInputs, behavior: Optional[MassBehavior] = None) -> T
 # ---------------------------------------------------------------------------
 
 
-def _time_grid(t_end: float, nodes: int) -> np.ndarray:
-    if math.isinf(t_end):
+def _time_grid(t_last: float, nodes: int) -> np.ndarray:
+    if math.isinf(t_last):
         s = np.linspace(0.0, 1.0, nodes, endpoint=False)
         t = s / (1.0 - s)
     else:
-        t = np.linspace(0.0, t_end * (1.0 - HORIZON_SHAVE), nodes)
+        t = np.linspace(0.0, t_last, nodes)
     t[0] = NEAR_ZERO_TIME
     return t
 
@@ -305,9 +304,9 @@ class Background:
     Each part is computed at its first use and kept for later ones; a part
     whose computation raises is not kept, so every use raises afresh, as a
     fresh computation would.  The grid has ``GRID_NODES`` nodes, read when
-    it is built, and depends on T0 alone: it comes read-only from
-    ``grids``, a store by T0 that backgrounds may share, made there on a
-    miss.
+    it is built, and depends on the last admissible time ``t_last`` alone:
+    it comes read-only from ``grids``, a store by ``t_last`` that
+    backgrounds may share, made there on a miss.
 
     It keeps, the same way, each compute_A result by (N, epsilon), compute_B
     result by (N, p) and ``Stem`` by (N, epsilon, p, theta, lambda), keyed
@@ -344,11 +343,11 @@ class Background:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        T0 = self.geom.params.T0
-        if T0 not in self.grids:
-            self.grids[T0] = _time_grid(T0, GRID_NODES)
-            self.grids[T0].flags.writeable = False
-        return self.grids[T0]
+        t_last = self.geom.params.t_last
+        if t_last not in self.grids:
+            self.grids[t_last] = _time_grid(t_last, GRID_NODES)
+            self.grids[t_last].flags.writeable = False
+        return self.grids[t_last]
 
     @cached_property
     def grid_log_q(self) -> np.ndarray:

@@ -105,7 +105,7 @@ def _resolve_t_end(scenario: Scenario, cert: BlowupCertificate, cli_t_end) -> fl
         t = 1.05 * cert.T_star
     else:
         t = 1.0
-    return t_cap(t, cert.T0)
+    return t_cap(t, scenario.inputs.params)
 
 
 def _counters(rk: RkResult) -> Dict[str, Any]:
@@ -283,7 +283,7 @@ def _sweep_task(job) -> List[List[str]]:
     """The result cells of the points of background groups, in the order
     given.  A group's points are built on its geometry and certified on one
     Background, which keeps each A, B and Stem they share until the next
-    group; the task's backgrounds share one time grid per T0, kept to its end."""
+    group; the task's backgrounds share one time grid per t_last, kept to its end."""
     base, paths, with_ode, groups = job
     build = point_builder(base, paths)
     grids: Dict[float, Any] = {}

@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .cosmology import (
-    HORIZON_MARGIN,
     CosmologyParams,
     _check_time,
     _array_ratio,
@@ -103,7 +102,7 @@ def _log_radius(r0: float, s: np.ndarray, w: np.ndarray, k: float) -> np.ndarray
 
 def comoving_radius(geom: ConeGeometry, t):
     """r(t) = r0 + integral of c/a = r0 + (c s/a0) E((e-1) H s), s = t L(e H t)."""
-    _check_time(t, geom.params.T0)
+    _check_time(t, geom.params.t_last)
     s, w, k = _radius_terms(geom.params, t)
     return geom.r0 + w * _expm1_ratio(k, s)
 
@@ -112,7 +111,7 @@ def log_q_eval(geom: ConeGeometry, t):
     """log q(t) = log(a/a0) + 2 log r, valid far beyond exp overflow."""
     if not isinstance(t, np.ndarray):
         return log_q_tilde_function(geom, Monotonicity.NON_DECREASING)(t)
-    _check_time(t, geom.params.T0)
+    _check_time(t, geom.params.t_last)
     s, w, k = _radius_terms(geom.params, t)
     return geom.params.H * s + 2.0 * _log_radius(geom.r0, s, w, k)
 
@@ -151,13 +150,12 @@ def log_q_tilde_function(geom: ConeGeometry, verdict: Monotonicity) -> Callable:
     range, goes through _check_time, which raises for the latter.
     """
     params = geom.params
-    end = params.T0
-    hi = end * (1.0 - HORIZON_MARGIN)
+    end = params.t_last
     if verdict is Monotonicity.NON_INCREASING:
         log_q0 = 2.0 * math.log(geom.r0)
 
         def log_q_tilde(t):
-            if not (isinstance(t, float) and 0.0 <= t < hi):
+            if not (isinstance(t, float) and 0.0 <= t <= end):
                 _check_time(t, end)
             return log_q0
 
@@ -167,7 +165,7 @@ def log_q_tilde_function(geom: ConeGeometry, verdict: Monotonicity) -> Callable:
     log, log1p, expm1, exp = math.log, math.log1p, math.expm1, math.exp
 
     def log_q_tilde(t):
-        if not (isinstance(t, float) and 0.0 <= t < hi):
+        if not (isinstance(t, float) and 0.0 <= t <= end):
             _check_time(t, end)
         if rate == 0.0:  # s = t L(e H t)
             s = t * 1.0
@@ -191,7 +189,7 @@ def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Monotonicity):
     if not isinstance(t, np.ndarray):
         return log_q_tilde_function(geom, verdict)(t)
     if verdict is Monotonicity.NON_INCREASING:
-        _check_time(t, geom.params.T0)
+        _check_time(t, geom.params.t_last)
         return np.full(t.shape, 2.0 * math.log(geom.r0))
     return log_q_eval(geom, t)
 

@@ -49,16 +49,8 @@ __all__ = [
     "classify_mass_behavior",
 ]
 
-# Two margins, because they guard different things.  HORIZON_MARGIN bounds
-# the closed forms' domain: an evaluator raises DomainError at a time
-# within it of a finite horizon (Big-Rip / Big-Crunch).  HORIZON_SHAVE is
-# where runs stop: stop_time returns t_cap(t_end, T0), at most
-# T0 (1 - HORIZON_SHAVE); a solver evaluates its background only up to
-# that time (the first-step probe included; the last step's t + h may
-# round one ulp past it), and the certificate's time grid ends at the same
-# shave.  The shave is 1000 times the margin, so every time a run or the
-# grid reaches lies inside the closed forms' domain.
-HORIZON_MARGIN = 1e-12
+# The one horizon margin: on a finite horizon T0, every closed form's domain,
+# every run and the certificate's time grid end at t_last = T0 (1 - HORIZON_SHAVE).
 HORIZON_SHAVE = 1e-9
 
 
@@ -68,8 +60,9 @@ class CosmologyParams:
 
     ``m_squared`` may be any real; negative values encode m in i*R.  Derived
     once: the exponent ``e`` = n(1+sigma)/2, the rates ``eH`` = e H and
-    ``radius_rate`` = (e - 1) H, the horizon ``T0`` and the coefficient
-    ``mass_shift`` = sigma (nH/2c)^2 of M^2.
+    ``radius_rate`` = (e - 1) H, the horizon ``T0``, the last admissible
+    time ``t_last`` (inf where T0 is) and the coefficient ``mass_shift`` =
+    sigma (nH/2c)^2 of M^2.
     """
 
     n: int
@@ -82,6 +75,7 @@ class CosmologyParams:
     eH: float = field(init=False, compare=False, repr=False)
     radius_rate: float = field(init=False, compare=False, repr=False)
     T0: float = field(init=False, compare=False, repr=False)
+    t_last: float = field(init=False, compare=False, repr=False)
     mass_shift: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -100,7 +94,9 @@ class CosmologyParams:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "eH", rate)
         object.__setattr__(self, "radius_rate", (finite_e - 1.0) * self.H)
-        object.__setattr__(self, "T0", -1.0 / rate if rate < 0.0 else math.inf)
+        T0 = -1.0 / rate if rate < 0.0 else math.inf
+        object.__setattr__(self, "T0", T0)
+        object.__setattr__(self, "t_last", T0 * (1.0 - HORIZON_SHAVE))
         shift = self.sigma * (self.n * self.H / (2.0 * self.c)) ** 2
         object.__setattr__(self, "mass_shift", shift)
 
@@ -116,31 +112,31 @@ def _sign_of_e_H(sigma: float, H: float) -> int:
     return ((sigma > -1.0) - (sigma < -1.0)) * ((H > 0.0) - (H < 0.0))
 
 
-def t_cap(t_end: float, T0: float) -> float:
-    """t_end, held HORIZON_SHAVE short of a finite horizon T0."""
-    return t_end if math.isinf(T0) else min(t_end, T0 * (1.0 - HORIZON_SHAVE))
+def t_cap(t_end: float, params: CosmologyParams) -> float:
+    """t_end, held to the background's last admissible time t_last."""
+    return min(t_end, params.t_last)
 
 
 def stop_time(params: CosmologyParams, t_end: float) -> float:
-    """Where a solver run to t_end stops, t_cap(t_end, T0), on a background
-    it may run on: the excluded region and a t_end past T0 raise."""
+    """Where a solver run to t_end stops, t_cap(t_end, params), on a
+    background it may run on: the excluded region and a t_end past T0 raise."""
     if params.excluded_region:
         raise ExcludedRegionError("background has (1+sigma)H<0 with sigma<0; not integrated")
     if t_end > params.T0:
         raise DomainError(f"t_end={t_end} exceeds the horizon T0={params.T0}")
-    return t_cap(t_end, params.T0)
+    return t_cap(t_end, params)
 
 
-def _check_time(t, end: float) -> None:
-    """t (or every time in an array t) lies in [0, end) short of the margin."""
+def _check_time(t, t_last: float) -> None:
+    """t (or every time in an array t) lies in [0, t_last]."""
     if isinstance(t, np.ndarray):
         lo, hi = float(t.min()), float(t.max())
     else:
         lo = hi = t
     if lo < 0:
         raise DomainError(f"t={lo} is negative")
-    if hi >= end * (1.0 - HORIZON_MARGIN) and math.isfinite(end):
-        raise DomainError(f"t={hi} is at or beyond the horizon T0={end}")
+    if hi > t_last:
+        raise DomainError(f"t={hi} lies past t_last={t_last}, the last time short of the horizon")
 
 
 def _array_ratio(x: np.ndarray, f) -> np.ndarray:
@@ -177,8 +173,8 @@ def log_scale_time(params: CosmologyParams, t):
 
 
 def scale_eval(params: CosmologyParams, t):
-    """a(t) at one time, or at every time of an array, in [0, T0)."""
-    _check_time(t, params.T0)
+    """a(t) at one time, or at every time of an array, in [0, t_last]."""
+    _check_time(t, params.t_last)
     exp = np.exp if isinstance(t, np.ndarray) else math.exp
     return params.a0 * exp(params.H * log_scale_time(params, t))
 
@@ -190,11 +186,10 @@ def mass_sq_function(params: CosmologyParams) -> Callable:
     A float time costs one range compare; any other time, or a float out
     of range, goes through _check_time, which raises for the latter.
     """
-    m2, shift, rate, end = params.m_squared, params.mass_shift, params.eH, params.T0
-    hi = end * (1.0 - HORIZON_MARGIN)
+    m2, shift, rate, end = params.m_squared, params.mass_shift, params.eH, params.t_last
 
     def mass_sq(t):
-        if not (isinstance(t, float) and 0.0 <= t < hi):
+        if not (isinstance(t, float) and 0.0 <= t <= end):
             _check_time(t, end)
         g = 1.0 + rate * t
         return m2 + shift / (g * g)

@@ -6,7 +6,11 @@ PDE system: step-size control, the termination rules, the counters,
 ``dopri_integrate``.  A run ends in blow-up by one rule: the caller's
 ``on_step`` returns true.  The caller owns its blow-up test (see
 ``ode.integrate`` and ``pde.evolve``); the stepper only ends a run whose
-step falls below its floor, in StepUnderflow.
+step falls below its floor, ``1e-16 max(1, t)``, in StepUnderflow.  The
+landing step, clipped by ``_last_step`` so that ``t + h`` is ``t_end``, is
+exempt: below ``t = 0.5`` one ulp of ``t`` is smaller than the floor, and a
+run that reaches ``t_end`` ends exactly there (Hairer, Norsett and Wanner,
+*Solving ODEs I*, II.4).
 
 A trial step (six stage states, the 5th-order solution, the error vector
 and its RMS norm) and the first-step probe (Hairer, Norsett and Wanner,
@@ -319,9 +323,10 @@ def dopri_integrate(
     otherwise), so that no error scale is zero.  ``on_step(t, y, h)`` is
     invoked after every accepted step; a true return ends the run in
     BlowupThreshold at ``t``.  A step below
-    ``1e-16 * max(1, t)`` ends the run in StepUnderflow.  A run that
-    reaches ``t_end`` ends exactly there, and ``rhs`` is never called past
-    it.  ``RkResult.y`` is an array either way.
+    ``1e-16 * max(1, t)`` ends the run in StepUnderflow, unless it is the
+    landing step, which ends at ``t_end``.  A run that reaches ``t_end``
+    ends exactly there, and ``rhs`` is never called past it.
+    ``RkResult.y`` is an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
@@ -359,7 +364,8 @@ def dopri_integrate(
             h = _last_step(t, t_end)
         if t + h == t:  # t_end within one ulp of t
             break
-        if not h >= 1e-16 * t_scale:  # "not >=" so that a NaN step ends here too
+        # the landing step is exempt; "not" so that a NaN step ends here too
+        if not (h >= 1e-16 * t_scale or t + h == t_end):
             status = TerminationReason.STEP_UNDERFLOW
             break
 

@@ -20,7 +20,7 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
-from .cosmology import HORIZON_MARGIN, _check_time, curved_mass_sq, mass_sq_function, stop_time
+from .cosmology import _check_time, curved_mass_sq, mass_sq_function, stop_time
 from .errors import PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 from .scenario import RunSettings
@@ -64,12 +64,12 @@ def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
     Q = cone_ball_factor(params)
     expo = params.n * (inputs.p - 1.0) / 2.0
     lam, r0, q0 = inputs.lam, inputs.geom.r0, inputs.geom.q0
-    eH, k, c, a0, H, end = params.eH, params.radius_rate, params.c, params.a0, params.H, params.T0
-    hi = end * (1.0 - HORIZON_MARGIN)
+    eH, k, c, a0, H = params.eH, params.radius_rate, params.c, params.a0, params.H
+    end = params.t_last
     log1p, expm1, exp, log = math.log1p, math.expm1, math.exp, math.log
 
     def b(t: float) -> float:
-        if not 0.0 <= t < hi:
+        if not 0.0 <= t <= end:
             _check_time(t, end)
         if t == 0.0:
             q = q0

@@ -217,7 +217,7 @@ def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings) -> PdeFiel
     params = inputs.params
     h = run.grid_h
     r0 = inputs.geom.r0
-    r_cone = comoving_radius(inputs.geom, t_cap(t_end, params.T0))
+    r_cone = comoving_radius(inputs.geom, t_cap(t_end, params))
     r_max = run.r_max_factor * r_cone
     mass = bump_ball_integral(params.n, r0)
     cells = r_max / h

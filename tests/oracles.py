@@ -64,7 +64,7 @@ def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
 def q_eval(geom: ConeGeometry, t: float) -> float:
     """q(t) = a(t) r(t)^2 / a0 at one time from the generic evaluators,
     every constant recomputed per call; q(0) = r0^2 exactly."""
-    _check_time(t, geom.params.T0)
+    _check_time(t, geom.params.t_last)
     if t == 0.0:
         return geom.q0
     params = geom.params
@@ -138,7 +138,7 @@ def log_q_tilde_per_call(geom: ConeGeometry, t: float, verdict: Monotonicity) ->
     """log q~ at one time from the generic evaluators, every constant
     recomputed per call: r0^2 when ``verdict`` is non-increasing, else
     log q = H s + 2 log r, with log r in log space past k s = _EXP_SAFE."""
-    _check_time(t, geom.params.T0)
+    _check_time(t, geom.params.t_last)
     if verdict is Monotonicity.NON_INCREASING:
         return 2.0 * math.log(geom.r0)
     s, w, k = _radius_terms(geom.params, t)
@@ -153,7 +153,7 @@ def log_q_tilde_per_call(geom: ConeGeometry, t: float, verdict: Monotonicity) ->
 def curved_mass_sq_per_call(params: CosmologyParams, t: float) -> float:
     """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^-2 with every constant
     recomputed per call."""
-    _check_time(t, params.T0)
+    _check_time(t, params.t_last)
     n, c, H = params.n, params.c, params.H
     g = 1.0 + params.e * H * t
     return params.m_squared + params.sigma * (n * H / (2.0 * c)) ** 2 / (g * g)

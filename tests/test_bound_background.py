@@ -6,20 +6,28 @@ certificate background.  They must give, at every time, the same bits as
 the composition they replaced, which recomputes every constant per call:
 ``lambda / rpow(Q q_eval(geom, t), expo)``, the closed-form M^2 and log q~
 from ``cone._radius_terms`` (all kept in ``oracles.py``).  Out of range
-they must raise the same ``DomainError``.
+they must raise the same ``DomainError``.  Every form's domain ends at the
+background's ``t_last``, where runs end too.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgblowup import DomainError
-from kgblowup.cone import _EXP_SAFE, Monotonicity, _radius_terms, classify_q, log_q_tilde_function
-from kgblowup.cosmology import HORIZON_MARGIN, mass_sq_function
+from kgblowup import DomainError, ode, pde
+from kgblowup.cone import (
+    _EXP_SAFE, Monotonicity, _radius_terms, classify_q, comoving_radius, log_q_eval,
+    log_q_tilde_eval, log_q_tilde_function,
+)
+from kgblowup.cosmology import curved_mass_sq, mass_sq_function, scale_eval
+from kgblowup.integrate import TerminationReason
 from kgblowup.ode import forcing_coefficient
+from kgblowup.scenario import load_scenario
 
 from conftest import make_inputs
 from oracles import curved_mass_sq_per_call, forcing_per_call, log_q_tilde_per_call
@@ -74,8 +82,7 @@ def test_bound_closures_raise_like_the_per_call_forms(inputs):
     T0 = params.T0
     times = [-1e-300, -1.0, -math.inf]
     if math.isfinite(T0):
-        edge = T0 * (1.0 - HORIZON_MARGIN)
-        times += [edge, math.nextafter(edge, math.inf), T0, 2.0 * T0, math.inf]
+        times += [math.nextafter(params.t_last, math.inf), T0, 2.0 * T0, math.inf]
     forcing = forcing_coefficient(inputs)
     mass = mass_sq_function(params)
     for t in times:
@@ -91,8 +98,57 @@ def test_mass_function_takes_arrays():
     times = np.linspace(0.0, 0.9 * params.T0, 7)
     expected = [curved_mass_sq_per_call(params, t) for t in times]
     assert mass_sq_function(params)(times).tobytes() == np.array(expected).tobytes()
-    with pytest.raises(DomainError, match="at or beyond the horizon"):
+    with pytest.raises(DomainError, match="the last time short of the horizon"):
         mass_sq_function(params)(np.array([0.0, params.T0]))
+
+
+def _refuses(f, t):
+    """Whether f(t) raises DomainError; any other outcome is acceptance."""
+    try:
+        f(t)
+    except DomainError:
+        return True
+    except ArithmeticError:
+        pass
+    return False
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(inputs=theorem_inputs())
+def test_every_form_accepts_t_last_and_refuses_the_next_float(inputs):
+    """The closed forms' domain is [0, t_last], for one time and for an
+    array, bound or per call: what runs and the certificate grid reach."""
+    params, geom = inputs.params, inputs.geom
+    last = params.t_last
+    if math.isinf(last):
+        return
+    verdicts = (Monotonicity.NON_DECREASING, Monotonicity.NON_INCREASING)
+    one_time = [forcing_coefficient(inputs), lambda t: forcing_per_call(inputs, t)]
+    one_time += [log_q_tilde_function(geom, v) for v in verdicts]
+    one_time += [lambda t, v=v: log_q_tilde_per_call(geom, t, v) for v in verdicts]
+    either = [mass_sq_function(params), lambda t: curved_mass_sq(params, t),
+              lambda t: curved_mass_sq_per_call(params, t), lambda t: scale_eval(params, t),
+              lambda t: comoving_radius(geom, t), lambda t: log_q_eval(geom, t)]
+    either += [lambda t, v=v: log_q_tilde_eval(geom, t, v) for v in verdicts]
+    after = math.nextafter(last, math.inf)
+    with np.errstate(all="ignore"):
+        for f in one_time + either:
+            assert not _refuses(f, last) and _refuses(f, after)
+        for f in either:
+            assert not _refuses(f, np.array([0.0, last]))
+            assert _refuses(f, np.array([0.0, after]))
+
+
+def test_runs_to_the_horizon_end_at_t_last():
+    """short_horizon (T0 = 0.002) run to T0 ends in ReachedHorizon at t_last,
+    by the comparison ODE and by the PDE (on a grid of 27 nodes)."""
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "scenarios" / "regress"
+                       / "short_horizon.json")
+    params = sc.inputs.params
+    runs = [ode.integrate(sc.inputs, params.T0, sc.run).rk,
+            pde.run_pde(sc.inputs, params.T0, replace(sc.run, grid_h=1e5)).rk]
+    for rk in runs:
+        assert rk.status is TerminationReason.REACHED_HORIZON and rk.t == params.t_last
 
 
 def _log_q_times(geom):
@@ -102,7 +158,7 @@ def _log_q_times(geom):
     T0 = params.T0
     times = [0.0, -0.0, 1e-12, 0.5, 1.0]
     if math.isfinite(T0):
-        times += [0.5 * T0, T0 * (1.0 - 1e-9), T0 * (1.0 - HORIZON_MARGIN), T0]
+        times += [0.5 * T0, params.t_last, math.nextafter(params.t_last, math.inf), T0]
     else:
         times += [1e3, 1e6, 1e30, 1e300, math.inf]
     if params.radius_rate > 0.0 and params.eH == 0.0:  # s = t: the switch at t = _EXP_SAFE / k

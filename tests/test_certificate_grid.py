@@ -139,7 +139,7 @@ NODES = st.sampled_from([2, 5, 64, 257, certificate.GRID_NODES])
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(geom=backgrounds(), nodes=NODES)
 def test_log_q_tilde_array_matches_scalar(geom, nodes):
-    grid = _time_grid(geom.params.T0, nodes)
+    grid = _time_grid(geom.params.t_last, nodes)
     verdict = classify_q(geom)
     _assert_same(
         _scalar(lambda t: log_q_tilde_eval(geom, t, verdict), grid),
@@ -150,7 +150,7 @@ def test_log_q_tilde_array_matches_scalar(geom, nodes):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(geom=backgrounds(), nodes=NODES)
 def test_curved_mass_sq_array_matches_scalar(geom, nodes):
-    grid = _time_grid(geom.params.T0, nodes)
+    grid = _time_grid(geom.params.t_last, nodes)
     _assert_same(
         _scalar(lambda t: curved_mass_sq(geom.params, t), grid),
         _array(lambda t: curved_mass_sq(geom.params, t), grid),
@@ -162,7 +162,7 @@ def test_curved_mass_sq_array_matches_scalar(geom, nodes):
 def test_rejected_grids_raise_like_the_scalar_path(geom, beyond, where):
     """A node past the horizon or before t = 0 raises, never becomes NaN."""
     end = geom.params.T0
-    grid = _time_grid(end, 9)
+    grid = _time_grid(geom.params.t_last, 9)
     if math.isfinite(end):
         bad = end * beyond
     else:

@@ -430,14 +430,12 @@ class TestPdeCommands:
 
     def test_run_stopped_before_its_first_step_writes_no_negative_zero(self, tmp_path):
         """Negated bump data has a -0.0 tail, which the first step makes
-        +0.0; a run too short for any step writes +0.0 there too."""
+        +0.0; a run stopped before any step, here by a first slope past the
+        float range, writes +0.0 there too."""
         sc = json.loads(json.dumps(MINK))
-        sc["theorem"].update(w0=-16.0, w1=-64.0)
-        sc["run"] = {"grid_h": 0.01}
-        code = main([
-            "pde", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path),
-            "--t-end", "1e-300",
-        ])
+        sc["theorem"].update(N=0.5, p=30, w0=-1e6, w1=-1e14)
+        sc["run"] = {"grid_h": 0.01, "t_end": 1.0}
+        code = main(["pde", "--scenario", str(write(tmp_path, sc)), "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "pde_report.json").read_text())
         assert report["n_steps"] == 0

@@ -114,7 +114,7 @@ def _p5_point():
     inputs = make_inputs(0.5, -1.0, N=1.5, p=5.0, w0=60.0, w1=1e6)
     cert = certify(inputs)
     assert cert.valid
-    t_end = t_cap(1.05 * cert.T_star, cert.T0)
+    t_end = t_cap(1.05 * cert.T_star, inputs.params)
     return inputs, RunSettings(), t_end, TerminationReason.BLOWUP_THRESHOLD
 
 

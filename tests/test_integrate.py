@@ -129,7 +129,7 @@ def reference_dopri(
         if t + h == t:
             return R(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
         step_floor = 1e-16 * max(1.0, abs(t))
-        if h < step_floor:
+        if h < step_floor and t + h != t_end:  # the landing step is exempt
             return R(TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h)
 
         for i in range(1, 7):
@@ -621,7 +621,7 @@ def test_predictive_controller_on_the_comparison_ode(p, H):
                     "w0": 45.5, "w1": 1e6},
     }).inputs
     cert = certify(inputs)
-    traj = ode.integrate(inputs, t_cap(1.05 * cert.T_star, cert.T0))
+    traj = ode.integrate(inputs, t_cap(1.05 * cert.T_star, inputs.params))
     assert traj.rk.status is TerminationReason.BLOWUP_THRESHOLD
     assert traj.rk.n_steps <= _ODE_POINTS[p]
     assert traj.rk.blowup_time <= ode.detect_blowup_time(traj) <= cert.T_star
@@ -841,3 +841,27 @@ def test_no_rhs_call_past_t_end(m, y0, t0, span, state):
     assert t0 <= min(times) and max(times) <= t_end
     if res.status is TerminationReason.REACHED_HORIZON:
         assert res.t == t_end
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    m=st.floats(0.0, 100.0),
+    y0=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    t_end=st.floats(1e-3, 0.5, exclude_max=True),
+    state=st.sampled_from(["tuple", "ndarray"]),
+)
+# its second step stops two ulps short of t_end, below the step floor 1e-16
+@example(m=3.4525830151341586, y0=(-5.145200529138647, 5.948084951086056),
+         t_end=0.01312867980587413, state="tuple")
+@example(m=3.4525830151341586, y0=(-5.145200529138647, 5.948084951086056),
+         t_end=0.01312867980587413, state="ndarray")
+def test_a_smooth_run_lands_on_t_end(m, y0, t_end, state):
+    """y'' = -m y from t = 0 ends in ReachedHorizon at t_end exactly: below
+    t = 0.5 one ulp of t is under the step floor, and the landing step is
+    exempt from it."""
+    f = lambda t, y: (y[1], -m * y[0])  # noqa: E731
+    if state == "tuple":
+        res = dopri_integrate(f, 0.0, y0, t_end)
+    else:
+        res = dopri_integrate(_as_array_rhs(f), 0.0, np.array(y0), t_end)
+    assert res.status is TerminationReason.REACHED_HORIZON and res.t == t_end

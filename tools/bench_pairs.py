@@ -6,12 +6,15 @@ Run from anywhere inside the repository:
     python3 tools/bench_pairs.py BASE [CHANGE] --workload pde_blowup_fine \\
         --pairs 10 --seconds 6 --seed 1 --label kernel_identities
 
-BASE and CHANGE (default ``HEAD``) are checked out with ``git worktree add
---detach`` into one temporary directory, as ``parent`` and ``change``, so
-both trees have paths of the same length.  For each workload and seed,
-``kgbench/run.py`` runs ``--pairs`` times in each tree, one process at a
+Both sides run from one temporary directory, so they have the same path.
+The working tree's ``kgbench/`` and ``scenarios/`` are copied there once.
+Each side's ``src/`` (BASE as ``parent``, CHANGE, default ``HEAD``, as
+``change``) is extracted once with ``compare.extract`` next to it, and
+renamed into place before each of that side's runs, so its
+``__pycache__`` stays valid.  For each workload and seed,
+``kgbench/run.py`` runs ``--pairs`` times per side, one process at a
 time, and the side that runs first alternates from pair to pair.  The
-worktrees are removed at the end.
+directory is removed at the end.
 
 From each run's ``REPORT`` line and result line it records the end-to-end
 metrics (reference seconds), the raw median command time, the median
@@ -41,13 +44,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+from compare import extract
+
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 END_TO_END = ("cmd_s_p50", "items_per_s", "ok_frac", "peak_rss_mb", "setup_s")
 
 
-def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
@@ -135,8 +140,9 @@ def main(argv=None) -> int:
         "label": args.label,
         "parent": revs["parent"],
         "change": revs["change"],
-        "method": "alternating pairs from git worktrees of both commits at paths of the same "
-                  "length, the first side alternating; one kgbench/run.py process at a time, "
+        "method": "alternating pairs from one directory: the working tree's kgbench/ and "
+                  "scenarios/, and each commit's src/ (git archive) renamed into place before "
+                  "its run, the first side alternating; one kgbench/run.py process at a time, "
                   "launched from tools/bench_pairs.py",
         "machine": {"python": platform.python_version(), "machine": platform.machine(),
                     "processor": platform.processor() or None},
@@ -144,16 +150,24 @@ def main(argv=None) -> int:
     entries = bench.setdefault("entries", {})
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    trees = {side: tmp / side for side in SIDES}
+    tree = tmp / "tree"
     try:
+        for part in ("kgbench", "scenarios"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "_work"))
         for side in SIDES:
-            git("worktree", "add", "--detach", str(trees[side]), revs[side])
+            (tmp / side).mkdir()
+            extract(revs[side], tmp / side)
         for workload in args.workload:
             for seed in seeds:
                 runs = []
                 for pair in range(args.pairs):
                     for side in (SIDES if pair % 2 == 0 else SIDES[::-1]):
-                        run = run_once(trees[side], workload, seed, args.seconds, args.trace)
+                        (tmp / side / "src").rename(tree / "src")
+                        try:
+                            run = run_once(tree, workload, seed, args.seconds, args.trace)
+                        finally:
+                            (tree / "src").rename(tmp / side / "src")
                         runs.append({"side": side, "pair": pair + 1, **run})
                         print(f"{workload} seed {seed} pair {pair + 1} {side}: cmd_s_p50 "
                               f"{run.get('cmd_s_p50', float('nan')):.4f} raw "
@@ -170,11 +184,6 @@ def main(argv=None) -> int:
                 }
                 out.write_text(json.dumps(bench, indent=1) + "\n")
     finally:
-        for side in SIDES:
-            if trees[side].exists():
-                subprocess.run(["git", "worktree", "remove", "--force", str(trees[side])],
-                               cwd=ROOT, capture_output=True)
-        git("worktree", "prune")
         shutil.rmtree(tmp, ignore_errors=True)
     print(out)
     return 0

@@ -51,7 +51,10 @@ err^-1/5)``.  An accepted trial that follows an accepted trial with error
 ``0.9 err^-1/5`` (5 at ``err == 0``).  The factor is clamped to [0.2, 5],
 and to at most 1 right after a rejection.  The prediction follows an error
 that grows along the solution, as towards a blow-up, where the plain rule
-has every other trial rejected.
+has every other trial rejected.  The clamps, and the step floor's ``max(1,
+|t|)``, are conditionals, not calls of the builtins, in the loop both
+states share: ``f if f > 0.2 else 0.2`` is ``max(0.2, f)`` with its NaN
+behaviour, a NaN ``f`` (a NaN norm) giving 0.2.
 
 An ndarray state may come with a window: ``active(y)`` returns a basic
 index into the state, a tuple of slices, and the trial computes its stage
@@ -379,7 +382,7 @@ def dopri_integrate(
             if on_step is not None and on_step(t, y, h):
                 status, blowup_time = TerminationReason.BLOWUP_THRESHOLD, t
                 break
-            t_scale = max(1.0, abs(t))
+            t_scale = t if t > 1.0 else -t if t < -1.0 else 1.0  # max(1.0, abs(t))
             if err == 0.0:
                 factor = 5.0
             elif err_old > 0.0:  # Gustafsson's predictive controller
@@ -387,12 +390,12 @@ def dopri_integrate(
             else:
                 factor = 0.9 * err ** -0.2
             h_old, err_old = h, err
-            h *= min(cap, max(0.2, factor))
+            h *= (factor if factor < cap else cap) if factor > 0.2 else 0.2
             cap = 5.0
         else:  # inf and NaN norms shrink h by 0.2
             n_rejected += 1
             err_old, cap = 0.0, 1.0
-            h *= max(0.2, 0.9 * err ** -0.2)
+            h *= factor if (factor := 0.9 * err ** -0.2) > 0.2 else 0.2
             if not h >= 1e-16 * t_scale:
                 status = TerminationReason.STEP_UNDERFLOW
                 break

@@ -59,6 +59,12 @@ def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
     ``scale_eval`` written out on floats, and the power ``rpow`` without its
     domain check (Q q >= 0): the same operations in the same order, so the
     same bits.  A time out of range goes through _check_time, which raises.
+
+    The body follows the background's exact zeros, dropping only steps that
+    give back their operand, so the bits at every finite t stay the same.
+    At e H = +-0.0 (de Sitter, or a subnormal H), e H t is a zero, so s = t;
+    at H = +-0.0 (flat) k = (e - 1) H is +-0.0 too, as e is held finite,
+    so r = r0 + c t / a0, and a0 exp(H s) = a0 exp(+-0.0) = a0.
     """
     params = inputs.params
     Q = cone_ball_factor(params)
@@ -67,6 +73,23 @@ def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
     eH, k, c, a0, H = params.eH, params.radius_rate, params.c, params.a0, params.H
     end = params.t_last
     log1p, expm1, exp, log = math.log1p, math.expm1, math.exp, math.log
+
+    def b_flat(t: float) -> float:
+        if not 0.0 <= t <= end:
+            _check_time(t, end)
+        r = r0 + c * t / a0
+        q = q0 if t == 0.0 else a0 * r * r / a0
+        x = Q * q
+        return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
+
+    def b_de_sitter(t: float) -> float:
+        if not 0.0 <= t <= end:
+            _check_time(t, end)
+        w, z = c * t / a0, k * t
+        r = r0 + w * (expm1(z) / z) if z != 0.0 else r0 + w
+        q = q0 if t == 0.0 else a0 * exp(H * t) * r * r / a0
+        x = Q * q
+        return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
 
     def b(t: float) -> float:
         if not 0.0 <= t <= end:
@@ -83,7 +106,7 @@ def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
         x = Q * q
         return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
 
-    return b
+    return b_flat if H == 0.0 else b_de_sitter if eH == 0.0 else b
 
 
 def _times_exp(b: float, x: float) -> float:
@@ -136,10 +159,16 @@ def integrate(
     big = max(1.0, abs(inputs.w0))
     w_hand, l_blow = 100.0 * big, log(1e8 * big)
     samples: List[Tuple[float, float, float]] = [(0.0, inputs.w0, inputs.w1)]  # (t, w, w')
+    # the last (t, b(t)) of phase 1: a trial's stages 5 and 6 and the stop
+    # rule's rhs at the accepted t share one time, t + 1.0 h
+    t_b, b_t = math.nan, 0.0
 
     def rhs(t: float, y: Tuple[float, float]) -> Tuple[float, float]:
+        nonlocal t_b, b_t
         w, v = y  # |w|^p is rpow(abs(w), p) written out, skipped (it may overflow) at b = 0
-        b = forcing(t)
+        if t != t_b:
+            t_b, b_t = t, forcing(t)
+        b = b_t
         try:
             f = b * (exp(p * log(abs(w))) if w != 0.0 and b != 0.0 else 0.0)
         except OverflowError:  # |w|^p past the float range, b |w|^p not always
@@ -150,7 +179,9 @@ def integrate(
         w, v = y
         samples.append((t, w, v))
         a = abs(w)  # w w' > 0 and, checked last, w w'' > 0: w runs away from 0
-        if not (armed and 0.0 < w * v and (a > w_hand or a < 1e-6 * k * abs(v) * max(1.0, t))):
+        # (t if t > 1.0 else 1.0) is max(1.0, t) without the call
+        if not (armed and 0.0 < w * v
+                and (a > w_hand or a < 1e-6 * k * abs(v) * (t if t > 1.0 else 1.0))):
             return False
         return w * rhs(t, y)[1] > 0.0
 

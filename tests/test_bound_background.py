@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgblowup import DomainError, ode, pde
@@ -61,8 +61,31 @@ def theorem_inputs(draw):
     )
 
 
+# one background per body of ode.forcing_coefficient, by the zeros of H and e H:
+# (H, sigma, n, the body)
+_FORCING_BODIES = [
+    (0.0, 0.0, 1, "b_flat"),
+    (-0.0, 0.0, 1, "b_flat"),
+    (0.5, -1.0, 1, "b_de_sitter"),
+    (-0.5, -1.0, 1, "b_de_sitter"),
+    (5e-324, -0.5, 1, "b_de_sitter"),  # e H underflows to 0, k = -5e-324 does not
+    (5e-324, -0.5, 3, "b"),  # e H = 5e-324, k underflows to -0.0
+    (1.0, 0.0, 1, "b"),  # expanding
+    (-1.0, 2.0, 1, "b"),  # contracting, T0 = 2/3
+]
+
+
+def _at_every_forcing_body(test):
+    """An explicit example per background of _FORCING_BODIES, at 0.0,
+    -0.0 and three times up to 0.9 T0 (or 20)."""
+    for H, sigma, n, _ in _FORCING_BODIES:
+        test = example(inputs=make_inputs(H, sigma, n=n), frac=[0.05, 0.5, 0.9])(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(inputs=theorem_inputs(), frac=st.lists(st.floats(0.0, 0.9), min_size=1, max_size=6))
+@_at_every_forcing_body
 def test_bound_closures_match_the_per_call_forms(inputs, frac):
     params = inputs.params
     T0 = params.T0
@@ -73,6 +96,14 @@ def test_bound_closures_match_the_per_call_forms(inputs, frac):
     for t in times:
         assert _outcome(forcing, t) == _outcome(lambda x: forcing_per_call(inputs, x), t), t
         assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t), t
+
+
+@pytest.mark.parametrize("H, sigma, n, body", _FORCING_BODIES)
+def test_forcing_body_follows_the_zeros_of_the_background(H, sigma, n, body):
+    """The explicit examples above reach every body of the forcing."""
+    params = make_inputs(H, sigma, n=n).params
+    assert (params.H == 0.0, params.eH == 0.0) == (body == "b_flat", body != "b")
+    assert forcing_coefficient(make_inputs(H, sigma, n=n)).__name__ == body
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -179,16 +179,17 @@ def _bytes(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _fingerprint(integrator, rhs, y0, t_end, stop=None, **kw):
-    """Every RkResult field and every on_step call, as bytes; ``stop(t, y,
-    h)``, when given, is the on_step return that ends the run."""
+def _fingerprint(integrator, rhs, y0, t_end, stop=None, t0=0.0, **kw):
+    """Every RkResult field and every on_step call, as bytes, of a run from
+    ``t0``; ``stop(t, y, h)``, when given, is the on_step return that ends
+    the run."""
     calls = []
 
     def on_step(t, y, h):
         calls.append((_bytes(t), _bytes(y), _bytes(h)))
         return stop is not None and stop(t, y, h)
 
-    res = integrator(rhs, 0.0, y0, t_end, on_step=on_step, **kw)
+    res = integrator(rhs, t0, y0, t_end, on_step=on_step, **kw)
     assert isinstance(res.y, np.ndarray)
     blow = None if res.blowup_time is None else _bytes(res.blowup_time)
     min_step = None if res.min_step is None else _bytes(res.min_step)
@@ -245,6 +246,16 @@ CASES = {
     # w' = w^2 blows up at t = 1; no stop rule, so the step underflows
     "step_underflow": (
         lambda t, y: (y[0] * y[0], 0.0), (1.0, 0.0), 2.0, {}, TerminationReason.STEP_UNDERFLOW,
+    ),
+    # the floor 1e-16 max(1, |t|) is 1e-16 at the blow-up at t = 0.5 and
+    # 3.5e-16 at the one at t = -3.5, above half an ulp of t at both
+    "step_underflow_before_one": (
+        lambda t, y: (y[0] * y[0], 0.0), (4.0 / 3.0, 0.0), 2.0, dict(t0=-0.25),
+        TerminationReason.STEP_UNDERFLOW,
+    ),
+    "step_underflow_at_negative_t": (
+        lambda t, y: (y[0] * y[0], 0.0), (1.0 / 1.5, 0.0), 0.0, dict(t0=-5.0),
+        TerminationReason.STEP_UNDERFLOW,
     ),
     # a jump in the slope at t = 0.5 forces rejections
     "rejected_steps": (

@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -25,11 +27,12 @@ from kgblowup.ode import (
     trajectory_to_csv,
 )
 from kgblowup.certificate import rpow
+from kgblowup.cli import main
 from kgblowup.cosmology import mass_sq_function
 from kgblowup.scenario import RunSettings
 
 from conftest import certified_inputs, make_inputs
-from oracles import energy_series
+from oracles import energy_series, forcing_per_call
 
 SQRT2 = math.sqrt(2.0)
 
@@ -201,6 +204,29 @@ class TestIntegrate:
         assert abs(traj.w[-1]) > 1e8 * max(1.0, K)
         assert abs(detect_blowup_time(traj) - 1.0) <= 1e-9
 
+    def test_clock_hand_over_scales_with_t_past_one(self, monkeypatch):
+        """w = (3-t)^-beta at p = 29.9, whose clock w/(k w') is 3 - t: phase
+        1 hands over when the clock falls below 1e-6 max(1, t), about 3e-6
+        here, long before |w| reaches 100 max(1, |w0|)."""
+        p = 29.9
+        beta = 2.0 / (p - 1.0)
+        w0 = 3.0 ** -beta
+        inputs = make_inputs(0.0, 0.0, N=0.0, p=p, w0=w0, w1=beta * w0 / 3.0)
+        controls = RunSettings(ode_mass_sq_const=0.0, ode_forcing_const=beta * (beta + 1.0))
+        legs = []
+        stepper = ode.dopri_integrate
+
+        def kept(*args, **kw):
+            legs.append(stepper(*args, **kw))
+            return legs[-1]
+
+        monkeypatch.setattr(ode, "dopri_integrate", kept)
+        traj = integrate_ode(inputs, 4.5, controls)
+        assert abs(detect_blowup_time(traj) - 3.0) <= 1e-9
+        t_s, (w_s, v_s) = legs[0].t, legs[0].y
+        assert 1e-6 < w_s / ((p - 1.0) / 2.0 * v_s) < 1e-6 * t_s
+        assert w_s < 100.0
+
     def test_horizon_before_blowup_ends_at_t_end(self):
         """|w| passes the hand-over magnitude before t_end, the blow-up
         comes after it: the run ends at exactly t_end, as the cubic's
@@ -358,3 +384,44 @@ def test_integrate_calls_the_mass_closure_once_where_eH_is_zero(monkeypatch, H, 
         assert count[0] >= traj.rk.n_rhs
     else:
         assert count[0] == calls
+
+
+def test_phase_one_evaluates_the_forcing_once_per_stage_time(monkeypatch, tmp_path):
+    """A phase 1 trial's stages 5 and 6, and the stop rule's slope at the
+    accepted t, are all at t + 1.0 h, and b is evaluated there once: five
+    calls per trial, plus the start slope and the first-step probe.  With
+    each call counted and composed afresh by the per-call form, ``kgblow
+    ode`` on minkowski_blowup writes the ode_report.json and trajectory.csv
+    that it writes with the bound b."""
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "minkowski_blowup.json"
+    argv = ["ode", "--scenario", str(scenario), "--out"]
+    assert main(argv + [str(tmp_path / "bound")]) == 0
+    phase, times, phase_one = [None], [], []
+    stepper = ode.dopri_integrate
+
+    def counting(inputs):
+        def counted(t):
+            if phase[0] == 1:
+                times.append(t)
+            return forcing_per_call(inputs, t)
+
+        return counted
+
+    def tagged(rhs, t0, y0, *args, **kw):
+        phase[0] = len(y0) - 1  # (w, w') in phase 1, (tau, l, r) in phase 2
+        rk = stepper(rhs, t0, y0, *args, **kw)
+        if phase[0] == 1:
+            phase_one.append(rk)
+        phase[0] = None
+        return rk
+
+    monkeypatch.setattr(ode, "forcing_coefficient", counting)
+    monkeypatch.setattr(ode, "dopri_integrate", tagged)
+    assert main(argv + [str(tmp_path / "counted")]) == 0
+    for name in ("ode_report.json", "trajectory.csv"):
+        assert (tmp_path / "counted" / name).read_bytes() == (tmp_path / "bound" / name).read_bytes()
+    report = json.loads((tmp_path / "counted" / "ode_report.json").read_text())
+    assert report["termination"] == "BlowupThreshold" and report["lemma_all_hold"]
+    assert len(phase_one) == 1 and phase_one[0].n_steps > 0
+    assert len(times) == sum(rk.n_rhs - rk.n_steps - rk.n_rejected for rk in phase_one)
+    assert [a for a, b in zip(times, times[1:]) if a == b] == []

@@ -3,26 +3,26 @@
 One controller drives both the scalar comparison ODE and the method-of-lines
 PDE system: step-size control, the termination rules, the counters,
 ``on_step`` and the first-same-as-last hand-over exist once, in
-``dopri_integrate``.  A run ends in blow-up by one rule: the caller's
-``on_step`` returns true.  The caller owns its blow-up test (see
-``ode.integrate`` and ``pde.evolve``); the stepper only ends a run whose
-step falls below its floor, ``1e-16 max(1, t)``, in StepUnderflow.  The
-landing step, clipped by ``_last_step`` so that ``t + h`` is ``t_end``, is
-exempt: below ``t = 0.5`` one ulp of ``t`` is smaller than the floor, and a
-run that reaches ``t_end`` ends exactly there (Hairer, Norsett and Wanner,
-*Solving ODEs I*, II.4).
+``dopri_integrate``.  A run ends in BlowupThreshold by one rule: the
+caller's ``on_step``, which owns the blow-up test (see ``ode.integrate``
+and ``pde.evolve``), returns true.  It ends in ReachedHorizon only at
+``t_end`` exactly, and in StepUnderflow at a step below the floor ``1e-16
+max(1, |t|)`` or at one that leaves ``t + h == t``: where half an ulp of t
+exceeds the floor (t in [1, 1.11), for one), a step can do so above it.
+The landing step, clipped by ``_last_step`` so that ``t + h`` is ``t_end``,
+is exempt: below ``t = 0.5`` one ulp of ``t`` is smaller than the floor
+(Hairer, Norsett and Wanner, *Solving ODEs I*, II.4).
 
 A trial step (six stage states, the 5th-order solution, the error vector
 and its RMS norm) and the first-step probe (Hairer, Norsett and Wanner,
 *Solving ODEs I*, II.4) have two arithmetics, picked by the type of ``y0``:
 
-* a tuple runs on Python floats, and ``rhs`` gets and returns tuples.  A
-  2-element state costs more in NumPy call overhead than in arithmetic,
-  and a loop or comprehension per stage costs more than its sums.  So the
-  trial is straight-line code generated from ``_A``, ``_C`` and ``_ERR``
-  for the state's size, one name per stage and component and the
-  coefficients as literals, compiled once per size and cached.  The
-  probe, ``_float_initial_step``, is a loop over the components.
+* a tuple runs on Python floats, and ``rhs`` gets and returns tuples.  The
+  trial is straight-line code, free of NumPy's call overhead and of loops,
+  generated from ``_A``, ``_C`` and ``_ERR`` for the state's size: one
+  name per stage and component and the coefficients as literals, compiled
+  once per size and cached.  The probe, ``_float_initial_step``, is a loop
+  over the components.
 * an ndarray runs on NumPy, and ``rhs(t, y, out)`` writes the slope into
   ``out`` and returns it.  The seven slopes live in one ``(7, *y.shape)``
   stack: stage ``i`` hands ``rhs`` row ``i`` as ``out`` (a returned array
@@ -51,10 +51,8 @@ err^-1/5)``.  An accepted trial that follows an accepted trial with error
 ``0.9 err^-1/5`` (5 at ``err == 0``).  The factor is clamped to [0.2, 5],
 and to at most 1 right after a rejection.  The prediction follows an error
 that grows along the solution, as towards a blow-up, where the plain rule
-has every other trial rejected.  The clamps, and the step floor's ``max(1,
-|t|)``, are conditionals, not calls of the builtins, in the loop both
-states share: ``f if f > 0.2 else 0.2`` is ``max(0.2, f)`` with its NaN
-behaviour, a NaN ``f`` (a NaN norm) giving 0.2.
+has every other trial rejected.  The clamps and the floor's ``max(1, |t|)``
+are conditionals with the builtins' NaN behaviour: a NaN factor gives 0.2.
 
 An ndarray state may come with a window: ``active(y)`` returns a basic
 index into the state, a tuple of slices, and the trial computes its stage
@@ -325,10 +323,10 @@ def dopri_integrate(
     component.  ``rel_tol >= 0`` and ``abs_tol > 0`` (a ValueError
     otherwise), so that no error scale is zero.  ``on_step(t, y, h)`` is
     invoked after every accepted step; a true return ends the run in
-    BlowupThreshold at ``t``.  A step below
-    ``1e-16 * max(1, t)`` ends the run in StepUnderflow, unless it is the
-    landing step, which ends at ``t_end``.  A run that reaches ``t_end``
-    ends exactly there, and ``rhs`` is never called past it.
+    BlowupThreshold at ``t``.  A step below ``1e-16 * max(1, |t|)``, or
+    one that leaves ``t`` unchanged, ends the run in StepUnderflow, unless
+    it is the landing step.  ReachedHorizon ends exactly at ``t_end``, and
+    ``rhs`` is never called past it.
     ``RkResult.y`` is an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
@@ -365,10 +363,9 @@ def dopri_integrate(
             break
         if h >= t_end - t:
             h = _last_step(t, t_end)
-        if t + h == t:  # t_end within one ulp of t
-            break
-        # the landing step is exempt; "not" so that a NaN step ends here too
-        if not (h >= 1e-16 * t_scale or t + h == t_end):
+        # a step below the floor or too small to move t, but not the landing
+        # step; "not" so that a NaN step ends here too
+        if not (h >= 1e-16 * t_scale and t + h != t) and t + h != t_end:
             status = TerminationReason.STEP_UNDERFLOW
             break
 

@@ -27,22 +27,28 @@ both rows, and the blow-up test reads columns ``[:w]`` of row 0 (see
   L + i, the new solution within L + 6 and its slope within L + 7.  The
   prefix kernel pins node w - 1 (its Dirichlet node) and reads nodes up to
   w - 1, so it equals the full kernel when the state is zero from node
-  w - 2 on: w >= L + 9 is required.  (The bounds are loose: u_t is
-  copied, not differenced, so the field spreads one node per two calls.)
+  w - 2 on: w >= L + 9 is required.
 * Growth.  ``w`` starts at min(J, L0 + 9) for the initial state's last
   nonzero node L0 and is updated from every accepted state ``on_step``
   sees: when one of its last 8 columns holds a nonzero, ``w`` becomes
   min(J, that node + 9).  It never shrinks, so stale stage values never
   lie outside it.  The window lives in the RHS, not in the stepper, so
   a stepper that ignores ``active`` still gets a correct RHS.
-* Signed zeros.  Each stage sum starts from +0.0, so ``0.0 + a (+-0.0)`` is
-  +0.0 and a stage state is never -0.0 where the field is zero; the zero
-  sign of a slope outside the window never reaches a stage state, the
-  step size or an output.  The bits are those of
-  the full computation as long as the kernel's coefficients are finite.
+* Signed zeros.  Stage sums start from +0.0 (see ``integrate``), so the
+  sign of a zero slope outside the window reaches no stage state, step
+  size or output: the bits are those of the full computation as long as
+  the kernel's coefficients are finite.
 
-The observables (W, support radius, energy, outside mass) still run over
-all J nodes once per record, with weights built once per run.
+Bound inputs.  The kernel's coefficients a_lap = c^2 / (a h)^2, a_mass =
+c^2 M^2 and a_nl = c^2 lambda a^(-n(p-1)/2) change only with a(t) and
+M^2(t).  At eH = +-0.0 (flat, de Sitter, or a subnormal H whose eH
+underflows), g = 1 + eH t is exactly 1.0, so M^2 is mass_sq(0); at H =
++-0.0, a0 exp(H s(t)) is exactly a0, so all three are their values at 0.
+``evolve`` binds these once, with the same expressions and without the
+range check, which the stepper's times in [0, t_stop <= t_last] pass;
+other backgrounds compute them per call.  The kernel's prefix views of
+its scratch and the stencil weights are made again only when w grows.
+The observables run over all J nodes once per record.
 
 Blow-up.  ``evolve`` owns the PDE's stop rule.  It reads max|u| over the
 window and the node i where it sits, against scale0 = max(1, max|u0|,
@@ -51,9 +57,7 @@ scale0: 1e3 scale0 up to p = 3, lower for larger p.  Near a blow-up
 u ~ C (T(r) - t)^(-1/k), so a growth by a factor G leaves G^-k of the
 time, and the peak narrows with it; the gate leaves every p the 1e-3 of
 its time that p = 3 has at 1e3.  A gate fixed at 1e3 asks a large p for
-a time left below float resolution: at p = 30, on the bump data with
-w0 = w1 = 2 at grid_h 4e-3, the step reached its floor at max|u| = 4.6
-scale0 and the blow-up went unreported.
+a time left below float resolution.
 
 * Settled T^.  Past the regime gate, each accepted step estimates the
   blow-up time as T^ = t + u_i / (k u_t,i): the time at which u_i,
@@ -61,9 +65,8 @@ scale0 and the blow-up went unreported.
   runs on the same estimate).  The run ends in BlowupThreshold at the
   first step whose T^ is within SETTLE_REL |T^| of the previous one, and
   ``blowup_time`` is that T^, which lies ahead of the last step.  The
-  ODE waits for two equal floats; on the PDE at grid_h 5e-4 that takes
-  373 accepted steps where 1e-12 relative takes 293, for a T^ that moves
-  by 5e-13, far inside the grid's error.  A run whose T^ never settles
+  ODE waits for two equal floats, which on the PDE costs steps for a
+  change in T^ far inside the grid's error.  A run whose T^ never settles
   is no blow-up, however large max|u| grows: the stepper ends it.  A
   one-node spike that a loose ``pde_rel_tol`` grows settles too, so the
   schema bounds it (``scenario.PDE_REL_TOL_MAX``).
@@ -192,22 +195,12 @@ def outside_cone_mass(field: PdeField, cone_r: float, pad: float, weights) -> fl
 # solver
 # ---------------------------------------------------------------------------
 
-# Largest grid make_field builds.  evolve holds about 37 float64 arrays of
-# J nodes: 24 in the stepper (the (7, 2, J) slope stack, its three (2, J)
-# buffers, y and the new solution) and the rest for the field, its copies
-# and the stencil and observable weights.  That is about 300 bytes a node
-# (tracemalloc: 293), some 0.31 GB at this size.
+# Largest grid make_field builds: evolve holds about 37 float64 arrays of
+# J nodes (24 of them the stepper's), about 300 bytes a node, 0.31 GB here.
 MAX_GRID_NODES = 1 << 20
 
-# The blow-up rule's bound (module docstring): two successive T^ agree
-# to SETTLE_REL |T^|.
+# the blow-up rule's bound: two successive T^ agree to SETTLE_REL |T^|
 SETTLE_REL = 1e-12
-
-
-def _peak(u: np.ndarray) -> Tuple[int, float]:
-    """The node of max|u| and that maximum."""
-    i = int(np.argmax(np.abs(u)))
-    return i, abs(float(u[i]))
 
 
 def make_field(inputs: TheoremInputs, t_end: float, run: RunSettings) -> PdeField:
@@ -260,11 +253,9 @@ class PdeRun:
         """Cone containment verdict per recorded time.
 
         A time passes when the relative L1 mass of |u| beyond cone_radius + 2h
-        stays at or below 1e-6.  The centered stencil carries an evanescent
-        precursor (front amplitude O(h^2), geometric decay per cell), so a
-        radius-at-floor comparison would flag that numerical tail instead of a
-        genuine propagation violation; violations of the cone enter at O(1)
-        mass and trip any tolerance here.
+        stays at or below 1e-6: the centered stencil's evanescent precursor
+        (front amplitude O(h^2), geometric decay per cell) passes, and a
+        violation of the cone, at O(1) mass, does not.
         """
         return self.outside_mass <= 1e-6
 
@@ -311,30 +302,40 @@ def evolve(
     lam = 0.0 if linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
     mass_sq = mass_sq_function(params)
+    if params.eH == 0.0:  # M^2 is one float (module docstring)
+        mass_sq = lambda t, m2=mass_sq(0.0): m2  # noqa: E731
+
+    def coefficients(t: float) -> Tuple[float, float, float]:
+        a = scale_eval(params, t)
+        a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
+        return c2 / (a * a * h * h), c2 * mass_sq(t), a_nl
+
+    fixed = coefficients(0.0) if params.H == 0.0 else None  # a is a0 (module docstring)
 
     y0 = np.stack([field.u, field.ut])
-    tmp = np.empty(J)  # the kernel's scratch
+    tmp = np.empty(J)  # the kernel's scratch, and on_step's
 
     # the light-cone window: columns [:w] can be nonzero (module docstring)
+    state = {"next_out": 0.0}
+
+    def widen(w: int) -> None:
+        state["w"], state["prefix"] = w, (tmp[:w], cp[:w], cm[:w])
+
     nonzero = np.flatnonzero(y0.any(axis=0))
-    last = int(nonzero[-1]) if nonzero.size else -1
-    state = {"next_out": 0.0, "w": min(J, last + 9)}
+    widen(min(J, (int(nonzero[-1]) if nonzero.size else -1) + 9))
 
     def grow(y: np.ndarray) -> None:
         w = state["w"]
         if w < J:
             edge = np.flatnonzero(y[:, w - 8 : w].any(axis=0))
             if edge.size:  # node w - 8 + e needs a window of w + e + 1
-                state["w"] = min(J, w + int(edge[-1]) + 1)
+                widen(min(J, w + int(edge[-1]) + 1))
 
     def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         w = state["w"]
-        a = scale_eval(params, t)
-        a_lap = c2 / (a * a * h * h)
-        a_mass = c2 * mass_sq(t)
-        a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
+        a_lap, a_mass, a_nl = fixed or coefficients(t)
         out[0, :w] = y[1, :w]
-        radial_accel(y[0, :w], out[1, :w], tmp[:w], cp[:w], cm[:w], a_lap, a_mass, a_nl, p, n)
+        radial_accel(y[0, :w], out[1, :w], *state["prefix"], a_lap, a_mass, a_nl, p, n)
         return out
 
     # the blow-up rule's levels of max|u| (module docstring)
@@ -366,7 +367,8 @@ def evolve(
     def on_step(t: float, y: np.ndarray, h_used: float) -> bool:
         grow(y)
         u = y[0, : state["w"]]
-        i, mag = _peak(u)
+        i = int(np.abs(u, out=state["prefix"][0]).argmax())  # the node of max|u|
+        mag = abs(float(u[i]))
         # switch to per-step (geometric near a pole) output in the blow-up regime
         if t >= state["next_out"] or mag > regime_gate:
             record(t, y)
@@ -391,7 +393,8 @@ def evolve(
         on_step=on_step,
         active=lambda y: (slice(None), slice(0, state["w"])),
     )
-    i, mag = _peak(res.y[0])
+    i = int(np.abs(res.y[0], out=tmp).argmax())
+    mag = abs(float(res.y[0, i]))
     if res.status is TerminationReason.BLOWUP_THRESHOLD:  # T^ settled
         res = replace(res, blowup_time=t_hats[-1])
     if res.t - rows[-1][0] > 1e-12 * max(1.0, res.t):

@@ -126,8 +126,8 @@ def reference_dopri(
             return R(TerminationReason.MAX_STEPS, t, y, None, n_steps, n_rejected, h)
         if h >= t_end - t:
             h = _reference_last_step(t, t_end)
-        if t + h == t:
-            return R(TerminationReason.REACHED_HORIZON, t, y, None, n_steps, n_rejected, h)
+        if t + h == t:  # a step that leaves t where it is cannot reach t_end
+            return R(TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h)
         step_floor = 1e-16 * max(1.0, abs(t))
         if h < step_floor and t + h != t_end:  # the landing step is exempt
             return R(TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h)
@@ -255,6 +255,16 @@ CASES = {
     ),
     "step_underflow_at_negative_t": (
         lambda t, y: (y[0] * y[0], 0.0), (1.0 / 1.5, 0.0), 0.0, dict(t0=-5.0),
+        TerminationReason.STEP_UNDERFLOW,
+    ),
+    # on [1, 1.11) half an ulp of t exceeds the floor 1e-16 max(1, |t|):
+    # near the pole at 1.05 an h between the two leaves t + h == t
+    "step_underflow_past_one": (
+        lambda t, y: (y[0] * y[0], 0.0), (1.0 / 1.05, 0.0), 5.0, {},
+        TerminationReason.STEP_UNDERFLOW,
+    ),
+    "step_underflow_before_minus_two": (
+        lambda t, y: (y[0] * y[0], 0.0), (1.0, 0.0), 5.0, dict(t0=-3.0),
         TerminationReason.STEP_UNDERFLOW,
     ),
     # a jump in the slope at t = 0.5 forces rejections
@@ -876,3 +886,48 @@ def test_a_smooth_run_lands_on_t_end(m, y0, t_end, state):
     else:
         res = dopri_integrate(_as_array_rhs(f), 0.0, np.array(y0), t_end)
     assert res.status is TerminationReason.REACHED_HORIZON and res.t == t_end
+
+
+@pytest.mark.parametrize("state", ["tuple", "ndarray"])
+@pytest.mark.parametrize("t0, y0", [(0.0, 1.0 / 1.05), (-3.0, 1.0)], ids=["pole_1.05", "pole_-2"])
+def test_a_step_that_leaves_t_unchanged_is_an_underflow(t0, y0, state):
+    """y' = y^2 runs into its pole t0 + 1/y0, short of t_end = 5.  There
+    half an ulp of t exceeds the step floor, so a step above the floor can
+    leave t + h == t: that ends the run in StepUnderflow just short of the
+    pole, not in ReachedHorizon."""
+    f = lambda t, y: (y[0] * y[0],)  # noqa: E731
+    if state == "tuple":
+        res = dopri_integrate(f, t0, (y0,), 5.0)
+    else:
+        res = dopri_integrate(_as_array_rhs(f), t0, np.array([y0]), 5.0)
+    pole = t0 + 1.0 / y0
+    assert res.status is TerminationReason.STEP_UNDERFLOW
+    assert pole - 1e-10 < res.t < pole and res.t + res.last_h == res.t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    t0=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+    kind=st.sampled_from(["pole", "decay", "zero"]),
+    d=st.floats(1e-3, 10.0),
+    span=st.floats(1e-3, 20.0),
+)
+@example(t0=0.0, kind="pole", d=1.05, span=5.0)
+@example(t0=-3.0, kind="pole", d=1.0, span=8.0)
+def test_reached_horizon_only_at_t_end(t0, kind, d, span):
+    """From t0 of either sign, the pole of y' = y^2 at t0 + d, decay at
+    the rate 1/d, or a zero slope: the run ends in ReachedHorizon exactly
+    when it ends at t_end, bit for bit as the reference in both
+    arithmetics, and short of a pole before t_end in StepUnderflow."""
+    f = {
+        "pole": lambda t, y: (y[0] * y[0], 0.0),
+        "decay": lambda t, y: (-y[0] / d, y[0]),
+        "zero": lambda t, y: (0.0, 0.0),
+    }[kind]
+    t_end = t0 + span
+    ref, arr, tup = _all_three(f, (1.0 / d, 1.0), t_end, t0=t0)
+    assert arr == ref and tup == ref
+    status, t = ref[0][0], np.frombuffer(ref[0][1])[0]
+    assert (status is TerminationReason.REACHED_HORIZON) == (t == t_end)
+    if kind == "pole" and t0 + d < t_end:
+        assert status is TerminationReason.STEP_UNDERFLOW

@@ -23,6 +23,8 @@ from kgblowup.pde import (
     observables_to_csv,
 )
 import kgblowup.pde as pde_mod
+from kgblowup.certificate import rpow
+from kgblowup.cosmology import mass_sq_function, scale_eval
 from kgblowup.integrate import dopri_integrate
 from kgblowup.scenario import PDE_REL_TOL_MAX, RunSettings
 
@@ -436,6 +438,87 @@ class TestRealPath:
         for bad in (values + 1e-300j, values.astype(complex)):
             with pytest.raises(ValueError, match="real field"):
                 evolve(replace(field, **{name: bad}), minkowski_inputs, 0.1, controls)
+
+
+# (H, sigma, m2, n): flat at both zeros of H, de Sitter at both signs, a
+# subnormal H whose e H underflows, and e H != 0 both ways
+BACKGROUNDS = {
+    "flat +0.0, n = 1": (0.0, 0.0, 1.0, 1),
+    "flat -0.0, n = 1": (-0.0, 0.0, 1.0, 1),
+    "flat +0.0, n = 3": (0.0, 2.0, 1.0, 3),
+    "flat -0.0, n = 3": (-0.0, 2.0, 1.0, 3),
+    "de Sitter +0.5": (0.5, -1.0, 0.5, 1),
+    "de Sitter -0.5": (-0.5, -1.0, 0.5, 1),
+    "subnormal H": (5e-324, -0.5, 0.5, 1),
+    "expanding": (0.5, 1.0, 0.5, 1),
+    "contracting": (-0.5, 1.0, 0.5, 1),
+}
+
+
+class TestBoundCoefficients:
+    """evolve binds the kernel's coefficients where the background's exact
+    zeros fix them; every call must still get the per-call bits."""
+
+    @staticmethod
+    def _calls(inputs, t_end, monkeypatch, grid_h=1e-2):
+        """(stage time, (a_lap, a_mass, a_nl)) of every kernel call."""
+        times, calls, kernel = [], [], pde_mod.radial_accel
+
+        def spy(u, acc, tmp, cp, cm, a_lap, a_mass, a_nl, p, n):
+            calls.append((times[-1], (a_lap, a_mass, a_nl)))
+            kernel(u, acc, tmp, cp, cm, a_lap, a_mass, a_nl, p, n)
+
+        def stepper(rhs, *args, **kw):
+            def timed(t, y, out):
+                times.append(t)
+                return rhs(t, y, out)
+
+            return dopri_integrate(timed, *args, **kw)
+
+        monkeypatch.setattr(pde_mod, "radial_accel", spy)
+        monkeypatch.setattr(pde_mod, "dopri_integrate", stepper)
+        controls = RunSettings(grid_h=grid_h)
+        evolve(make_field(inputs, t_end, controls), inputs, t_end, controls)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(BACKGROUNDS))
+    def test_each_call_gets_the_per_call_bits(self, name, monkeypatch):
+        H, sigma, m2, n = BACKGROUNDS[name]
+        inputs = make_inputs(H, sigma, m2=m2, n=n, N=2.0, w0=16.0, w1=64.0)
+        calls = self._calls(inputs, 0.05, monkeypatch)
+        params, h, p = inputs.params, 1e-2, inputs.p
+        c2, mass_sq = params.c**2, mass_sq_function(params)
+        assert len(calls) > 50
+        for t, got in calls:
+            a = scale_eval(params, t)
+            want = (c2 / (a * a * h * h), c2 * mass_sq(t),
+                    c2 * inputs.lam * rpow(a, -n * (p - 1.0) / 2.0))
+            assert [x.hex() for x in got] == [x.hex() for x in want], (t, got, want)
+
+    def test_flat_rhs_evaluates_no_scale_function(self, minkowski_inputs, monkeypatch):
+        """The flat blow-up's RHS calls scale_eval nowhere: evolve calls it
+        once to bind a = a0, and the energy once per record."""
+        calls, in_rhs, evaluate = [], [False], pde_mod.scale_eval
+
+        def counted(params, t):
+            calls.append(in_rhs[0])
+            return evaluate(params, t)
+
+        def stepper(rhs, *args, **kw):
+            def flagged(t, y, out):
+                in_rhs[0] = True
+                out = rhs(t, y, out)
+                in_rhs[0] = False
+                return out
+
+            return dopri_integrate(flagged, *args, **kw)
+
+        monkeypatch.setattr(pde_mod, "scale_eval", counted)
+        monkeypatch.setattr(pde_mod, "dopri_integrate", stepper)
+        controls = RunSettings(grid_h=4e-3)
+        run = run_pde(minkowski_inputs, 0.525, controls)
+        assert run.rk.status is TerminationReason.BLOWUP_THRESHOLD and run.rk.n_rhs > 500
+        assert not any(calls) and len(calls) == run.times.size + 1
 
 
 class TestGuards:

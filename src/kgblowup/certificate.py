@@ -20,11 +20,11 @@ compactified grid plus golden-section refinement.
 
 The grid is evaluated as arrays and only ranks the nodes; the value at the
 best node and the golden-section refinement around it are evaluated on
-floats.  Everything an extremum reads of the background alone (params and
-r0) is a ``Background``: the monotonicity verdict, q_order, the mass
-classification, the grid with log q~ and M^2 on it, and log q~ and M^2
-bound for float times.  Each part is built at its first use and kept only
-if it was built without raising.
+floats, by the geometry's forms.  Everything an extremum reads of the
+background alone (params and r0) is a ``Background``: the monotonicity
+verdict, q_order, the mass classification and the grid with log q~ and
+M^2 on it.  Each part is built at its first use and kept only if it was
+built without raising.
 
 A and B read neither the data (w0, w1) nor theta and lambda, and of the
 rest only the w1 threshold, T*, C^2 and the verdicts on w0, w1 and T* read
@@ -61,7 +61,6 @@ from .cosmology import (
     MassBehavior,
     MassTag,
     classify_mass_behavior,
-    mass_sq_function,
 )
 from .errors import DomainError, PreconditionError
 
@@ -334,14 +333,6 @@ class Background:
         return q_order(self.geom, self.verdict)
 
     @cached_property
-    def log_q(self) -> Callable[[float], float]:
-        return log_q_tilde_function(self.geom, self.verdict)
-
-    @cached_property
-    def mass_sq(self) -> Callable:
-        return mass_sq_function(self.geom.params)
-
-    @cached_property
     def grid(self) -> np.ndarray:
         t_last = self.geom.params.t_last
         if t_last not in self.grids:
@@ -355,7 +346,7 @@ class Background:
 
     @cached_property
     def grid_mass_sq(self) -> np.ndarray:
-        return self.mass_sq(self.grid)
+        return self.geom.forms.mass_sq(self.grid)
 
     def A(self, inputs: TheoremInputs) -> ExtremumResult:
         """compute_A of ``inputs``, computed once per (N, epsilon)."""
@@ -450,7 +441,7 @@ def compute_A(inputs: TheoremInputs, background: Optional[Background] = None) ->
             0.0, False, None, "q~ diverges with no exponential compensation"
         )
 
-    log_q = bg.log_q
+    log_q = log_q_tilde_function(bg.geom, bg.verdict)
 
     def f_log(t):
         return growth * t - n_half * log_q(t)
@@ -515,7 +506,7 @@ def compute_B(inputs: TheoremInputs, background: Optional[Background] = None) ->
 
     inv_pm1 = 1.0 / (inputs.p - 1.0)
     n2 = inputs.N**2
-    mass_sq, log_q = bg.mass_sq, bg.log_q
+    mass_sq, log_q = bg.geom.forms.mass_sq, log_q_tilde_function(bg.geom, bg.verdict)
 
     def neg_log(t):
         mass = n2 + mass_sq(t)

@@ -12,7 +12,8 @@ sigma: with e = n(1+sigma)/2 and s(t) = t L(e H t) (so log(a/a0) = H s),
 continuous through H = 0, sigma = -1 and the coasting point e = 1.  The
 quantity q(t) = a(t) r(t)^2 / a0 controls the Jensen-type comparison of
 the spatial integral; classify_q decides its monotonicity, and q_order the
-leading order of its monotone envelope q~ as t -> T0.
+leading order of its monotone envelope q~ as t -> T0.  The closed forms
+are ``ConeGeometry.forms`` (``cosmology.BackgroundForms``).
 """
 
 from __future__ import annotations
@@ -20,17 +21,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .cosmology import (
-    CosmologyParams,
-    _check_time,
-    _array_ratio,
-    _expm1_ratio,
-    log_scale_time,
-)
+from .cosmology import BackgroundForms, CosmologyParams, _check_time
 from .errors import DomainError
 
 __all__ = [
@@ -38,14 +34,11 @@ __all__ = [
     "QOrder",
     "ConeGeometry",
     "comoving_radius",
-    "log_q_eval",
     "classify_q",
     "log_q_tilde_eval",
     "log_q_tilde_function",
     "q_order",
 ]
-
-_EXP_SAFE = 600.0  # switch to log-asymptotic forms beyond this exponent
 
 
 class Monotonicity(enum.Enum):
@@ -69,6 +62,15 @@ class ConeGeometry:
     def q0(self) -> float:
         return self.r0 * self.r0
 
+    @cached_property
+    def forms(self) -> BackgroundForms:
+        """The background's closed forms, built at the first use."""
+        return BackgroundForms(self.params, self.r0)
+
+    def __getstate__(self) -> dict:
+        # the forms hold closures, which do not pickle: a copy builds its own
+        return {key: value for key, value in self.__dict__.items() if key != "forms"}
+
 
 def _a0_H(a0: float, H: float) -> float:
     """a0 * H for H != 0; a typed error, not a ZeroDivisionError, when the
@@ -79,41 +81,9 @@ def _a0_H(a0: float, H: float) -> float:
     return a0H
 
 
-def _radius_terms(params: CosmologyParams, t):
-    """(s, w, k) with r(t) - r0 = w E(k s): s = t L(e H t), w = c s / a0,
-    and k = (e - 1) H, so that k s = (e - 1) log(a/a0)."""
-    s = log_scale_time(params, t)
-    return s, params.c * s / params.a0, params.radius_rate
-
-
-def _log_radius(r0: float, s: np.ndarray, w: np.ndarray, k: float) -> np.ndarray:
-    """log r at every time of an array, from the _radius_terms; past k s =
-    _EXP_SAFE in log space, so e^(k s) never overflows."""
-    if not (k > 0.0 and k * float(s.max()) > _EXP_SAFE):
-        return np.log(r0 + w * _expm1_ratio(k, s))
-    z = k * s
-    zs, zb = np.minimum(z, _EXP_SAFE), np.maximum(z, _EXP_SAFE)
-    # each form is evaluated at every time, and kept only where it applies
-    with np.errstate(all="ignore"):
-        small = np.log(r0 + w * _array_ratio(zs, np.expm1))
-        big = np.log(w / zb) + zb + np.log1p(r0 * zb / w * np.exp(-zb))
-    return np.where(z <= _EXP_SAFE, small, big)
-
-
 def comoving_radius(geom: ConeGeometry, t):
-    """r(t) = r0 + integral of c/a = r0 + (c s/a0) E((e-1) H s), s = t L(e H t)."""
-    _check_time(t, geom.params.t_last)
-    s, w, k = _radius_terms(geom.params, t)
-    return geom.r0 + w * _expm1_ratio(k, s)
-
-
-def log_q_eval(geom: ConeGeometry, t):
-    """log q(t) = log(a/a0) + 2 log r, valid far beyond exp overflow."""
-    if not isinstance(t, np.ndarray):
-        return log_q_tilde_function(geom, Monotonicity.NON_DECREASING)(t)
-    _check_time(t, geom.params.t_last)
-    s, w, k = _radius_terms(geom.params, t)
-    return geom.params.H * s + 2.0 * _log_radius(geom.r0, s, w, k)
+    """r(t) = r0 + integral of c/a at one time or at every time of an array."""
+    return geom.forms.r(t)
 
 
 def classify_q(geom: ConeGeometry) -> Monotonicity:
@@ -140,45 +110,18 @@ def classify_q(geom: ConeGeometry) -> Monotonicity:
 
 
 def log_q_tilde_function(geom: ConeGeometry, verdict: Monotonicity) -> Callable:
-    """log q~ as a function of one time, its constants bound once;
-    ``verdict`` is q's certified monotonicity.
-
-    q~ = r0^2 when q is non-increasing, else q~ = q and log q = H s + 2 log r
-    with the _radius_terms and _log_radius written out on floats: the same
-    operations in the same order.  As in cosmology.mass_sq_function, a
-    float time costs one range compare; any other time, or a float out of
-    range, goes through _check_time, which raises for the latter.
-    """
-    params = geom.params
-    end = params.t_last
-    if verdict is Monotonicity.NON_INCREASING:
-        log_q0 = 2.0 * math.log(geom.r0)
-
-        def log_q_tilde(t):
-            if not (isinstance(t, float) and 0.0 <= t <= end):
-                _check_time(t, end)
-            return log_q0
-
-        return log_q_tilde
-
-    H, c, a0, r0, rate, k = params.H, params.c, params.a0, geom.r0, params.eH, params.radius_rate
-    log, log1p, expm1, exp = math.log, math.log1p, math.expm1, math.exp
+    """log q~ as a function of one time; ``verdict`` is q's certified
+    monotonicity.  q~ = q, whose log is the background's ``log_q``, or r0^2
+    when q is non-increasing: as there and in cosmology.mass_sq_function, a
+    float time costs one range compare, and _check_time raises the rest."""
+    if verdict is not Monotonicity.NON_INCREASING:
+        return geom.forms.log_q
+    end, log_q0 = geom.params.t_last, 2.0 * math.log(geom.r0)
 
     def log_q_tilde(t):
         if not (isinstance(t, float) and 0.0 <= t <= end):
             _check_time(t, end)
-        if rate == 0.0:  # s = t L(e H t)
-            s = t * 1.0
-        else:
-            x = rate * t
-            s = t * (log1p(x) / x if x != 0.0 else 1.0)
-        w = c * s / a0
-        z = k * s
-        if z <= _EXP_SAFE:  # r = r0 + w E(k s)
-            log_r = log(r0 + w * (expm1(z) / z if k != 0.0 and z != 0.0 else 1.0))
-        else:
-            log_r = log(w / z) + z + log1p(r0 * z / w * exp(-z))
-        return H * s + 2.0 * log_r
+        return log_q0
 
     return log_q_tilde
 
@@ -191,7 +134,7 @@ def log_q_tilde_eval(geom: ConeGeometry, t, verdict: Monotonicity):
     if verdict is Monotonicity.NON_INCREASING:
         _check_time(t, geom.params.t_last)
         return np.full(t.shape, 2.0 * math.log(geom.r0))
-    return log_q_eval(geom, t)
+    return geom.forms.log_q_array(t)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ __all__ = [
     "CosmologyParams",
     "MassTag",
     "MassBehavior",
-    "log_scale_time",
+    "BackgroundForms",
     "scale_eval",
     "mass_sq_function",
     "curved_mass_sq",
@@ -52,6 +52,8 @@ __all__ = [
 # The one horizon margin: on a finite horizon T0, every closed form's domain,
 # every run and the certificate's time grid end at t_last = T0 (1 - HORIZON_SHAVE).
 HORIZON_SHAVE = 1e-9
+
+_EXP_SAFE = 600.0  # log r switches to its log-asymptotic form beyond this k s
 
 
 @dataclass(frozen=True)
@@ -146,37 +148,14 @@ def _array_ratio(x: np.ndarray, f) -> np.ndarray:
     return np.divide(f(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def _log1p_ratio(k: float, t):
-    """L(k t) = log1p(k t)/(k t), L(0) = 1; 1.0 at once when k is 0."""
-    if k == 0.0:
-        return 1.0
-    x = k * t
-    if isinstance(x, np.ndarray):
-        return _array_ratio(x, np.log1p)
-    return math.log1p(x) / x if x != 0.0 else 1.0
-
-
-def _expm1_ratio(k: float, t):
-    """E(k t) = expm1(k t)/(k t), E(0) = 1; 1.0 at once when k is 0."""
-    if k == 0.0:
-        return 1.0
-    x = k * t
-    if isinstance(x, np.ndarray):
-        return _array_ratio(x, np.expm1)
-    return math.expm1(x) / x if x != 0.0 else 1.0
-
-
-def log_scale_time(params: CosmologyParams, t):
-    """s(t) = t L(e H t), the integral of 1/(1 + e H t'), so that
-    log(a(t)/a0) = H s(t) on the whole family; t is not range-checked."""
-    return t * _log1p_ratio(params.eH, t)
-
-
 def scale_eval(params: CosmologyParams, t):
-    """a(t) at one time, or at every time of an array, in [0, t_last]."""
+    """a(t) = a0 exp(H s(t)), s(t) = t L(e H t), at one time or at every
+    time of an array, in [0, t_last]."""
     _check_time(t, params.t_last)
-    exp = np.exp if isinstance(t, np.ndarray) else math.exp
-    return params.a0 * exp(params.H * log_scale_time(params, t))
+    a0, H, eH = params.a0, params.H, params.eH
+    if isinstance(t, np.ndarray):
+        return a0 * np.exp(H * (t * _array_ratio(eH * t, np.log1p)))
+    return a0 * math.exp(H * (t * (math.log1p(x) / x) if (x := eH * t) != 0.0 else t))
 
 
 def mass_sq_function(params: CosmologyParams) -> Callable:
@@ -200,6 +179,96 @@ def mass_sq_function(params: CosmologyParams) -> Callable:
 def curved_mass_sq(params: CosmologyParams, t):
     """Closed-form M^2(t) at one time or an array of times."""
     return mass_sq_function(params)(t)
+
+
+class BackgroundForms:
+    """The closed forms of one background, params and r0, with their
+    constants bound once: ``ConeGeometry.forms``.
+
+    ``kind`` is picked once from the exact zeros: "flat" at H = +-0.0, where
+    a is a0 (``fixed_scale``), "steady" at e H = +-0.0 (de Sitter, or a
+    subnormal H whose e H underflows), where s = t and M^2 is one float
+    (``fixed_mass_sq``), and "general".  ``mass_sq`` and ``r`` take one time
+    or an array, ``log_q`` one time and ``log_q_array`` an array: r = r0 +
+    w E(k s), w = c s / a0, k = (e - 1) H and log q = H s + 2 log r, with
+    log r in log space past k s = _EXP_SAFE.  ``forcing(lam, Q, expo)`` is
+    b = lam (Q q)^-expo, q = a r^2 / a0, in one body per kind that drops
+    the steps that give back their operand.  Each float form is one call.
+    """
+
+    def __init__(self, params: CosmologyParams, r0: float) -> None:
+        H, eH, k, c, a0, end = (params.H, params.eH, params.radius_rate, params.c, params.a0,
+                                params.t_last)
+        self.kind = "flat" if H == 0.0 else "steady" if eH == 0.0 else "general"
+        self.mass_sq = mass_sq_function(params)
+        self.fixed_scale = a0 if self.kind == "flat" else None
+        self.fixed_mass_sq = None if self.kind == "general" else self.mass_sq(0.0)
+        log, log1p, expm1, exp = math.log, math.log1p, math.expm1, math.exp
+
+        def terms(t: np.ndarray):  # (s, w, k s) at every time of an array
+            s = t * _array_ratio(eH * t, np.log1p)
+            return s, c * s / a0, k * s
+
+        def r(t):
+            _check_time(t, end)
+            if isinstance(t, np.ndarray):
+                _, w, z = terms(t)
+                return r0 + w * _array_ratio(z, np.expm1)
+            s = t * (log1p(x) / x) if (x := eH * t) != 0.0 else t
+            w = c * s / a0
+            return r0 + w * (expm1(z) / z) if (z := k * s) != 0.0 else r0 + w
+
+        def log_q(t):
+            if not (isinstance(t, float) and 0.0 <= t <= end):
+                _check_time(t, end)
+            s = t * (log1p(x) / x) if (x := eH * t) != 0.0 else t
+            w = c * s / a0
+            if (z := k * s) <= _EXP_SAFE:
+                return H * s + 2.0 * log(r0 + w * (expm1(z) / z) if z != 0.0 else r0 + w)
+            return H * s + 2.0 * (log(w / z) + z + log1p(r0 * z / w * exp(-z)))
+
+        def log_q_array(t: np.ndarray) -> np.ndarray:
+            _check_time(t, end)
+            s, w, z = terms(t)
+            if not float(z.max()) > _EXP_SAFE:
+                return H * s + 2.0 * np.log(r0 + w * _array_ratio(z, np.expm1))
+            zs, zb = np.minimum(z, _EXP_SAFE), np.maximum(z, _EXP_SAFE)
+            # each form is evaluated at every time, and kept only where it applies
+            with np.errstate(all="ignore"):
+                small = np.log(r0 + w * _array_ratio(zs, np.expm1))
+                big = np.log(w / zb) + zb + np.log1p(r0 * zb / w * np.exp(-zb))
+            return H * s + 2.0 * np.where(z <= _EXP_SAFE, small, big)
+
+        def forcing(lam: float, Q: float, expo: float) -> Callable[[float], float]:
+            q0 = r0 * r0  # the power is certificate.rpow's, without its check (Q q >= 0)
+
+            def b_flat(t: float) -> float:
+                if not 0.0 <= t <= end:
+                    _check_time(t, end)
+                r = r0 + c * t / a0
+                q = q0 if t == 0.0 else a0 * r * r / a0
+                return lam / (exp(expo * log(x)) if (x := Q * q) != 0.0 else 0.0)
+
+            def b_steady(t: float) -> float:
+                if not 0.0 <= t <= end:
+                    _check_time(t, end)
+                w = c * t / a0
+                r = r0 + w * (expm1(z) / z) if (z := k * t) != 0.0 else r0 + w
+                q = q0 if t == 0.0 else a0 * exp(H * t) * r * r / a0
+                return lam / (exp(expo * log(x)) if (x := Q * q) != 0.0 else 0.0)
+
+            def b_general(t: float) -> float:
+                if not 0.0 <= t <= end:
+                    _check_time(t, end)
+                s = t * (log1p(x) / x) if (x := eH * t) != 0.0 else t
+                w = c * s / a0
+                r = r0 + w * (expm1(z) / z) if (z := k * s) != 0.0 else r0 + w
+                q = q0 if t == 0.0 else a0 * exp(H * s) * r * r / a0
+                return lam / (exp(expo * log(x)) if (x := Q * q) != 0.0 else 0.0)
+
+            return {"flat": b_flat, "steady": b_steady, "general": b_general}[self.kind]
+
+        self.r, self.log_q, self.log_q_array, self.forcing = r, log_q, log_q_array, forcing
 
 
 class MassTag(enum.Enum):

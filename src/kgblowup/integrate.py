@@ -7,8 +7,9 @@ PDE system: step-size control, the termination rules, the counters,
 caller's ``on_step``, which owns the blow-up test (see ``ode.integrate``
 and ``pde.evolve``), returns true.  It ends in ReachedHorizon only at
 ``t_end`` exactly, and in StepUnderflow at a step below the floor ``1e-16
-max(1, |t|)`` or at one that leaves ``t + h == t``: where half an ulp of t
-exceeds the floor (t in [1, 1.11), for one), a step can do so above it.
+max(1, |t|)``, at one that leaves ``t + h == t`` (where half an ulp of t
+exceeds the floor, t in [1, 1.11) for one, a step can do so above it), or
+at an infinite one, grown past the float range toward ``t_end = inf``.
 The landing step, clipped by ``_last_step`` so that ``t + h`` is ``t_end``,
 is exempt: below ``t = 0.5`` one ulp of ``t`` is smaller than the floor
 (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4).
@@ -325,9 +326,9 @@ def dopri_integrate(
     invoked after every accepted step; a true return ends the run in
     BlowupThreshold at ``t``.  A step below ``1e-16 * max(1, |t|)``, or
     one that leaves ``t`` unchanged, ends the run in StepUnderflow, unless
-    it is the landing step.  ReachedHorizon ends exactly at ``t_end``, and
-    ``rhs`` is never called past it.
-    ``RkResult.y`` is an array either way.
+    it is the landing step; so does an infinite step, at the last accepted
+    t.  ReachedHorizon ends exactly at ``t_end``, and ``rhs`` is never
+    called past it.  ``RkResult.y`` is an array either way.
 
     ``active(y)``, for an array state, gives the index each trial computes
     on; the module docstring states what the caller promises for it.
@@ -363,9 +364,9 @@ def dopri_integrate(
             break
         if h >= t_end - t:
             h = _last_step(t, t_end)
-        # a step below the floor or too small to move t, but not the landing
-        # step; "not" so that a NaN step ends here too
-        if not (h >= 1e-16 * t_scale and t + h != t) and t + h != t_end:
+        # an infinite step, or one below the floor or too small to move t
+        # that is not the landing step; "not" so that a NaN step ends here too
+        if h == math.inf or not (h >= 1e-16 * t_scale and t + h != t) and t + h != t_end:
             status = TerminationReason.STEP_UNDERFLOW
             break
 

@@ -20,7 +20,7 @@ from .certificate import (
     cone_ball_factor,
     rpow,
 )
-from .cosmology import _check_time, curved_mass_sq, mass_sq_function, stop_time
+from .cosmology import curved_mass_sq, stop_time
 from .errors import PoleError, PreconditionError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 from .scenario import RunSettings
@@ -53,60 +53,9 @@ class OdeTrajectory:
 
 
 def forcing_coefficient(inputs: TheoremInputs) -> Callable[[float], float]:
-    """b(t) = lambda / (Q q(t))^(n(p-1)/2), its constants bound once.
-
-    q = a r^2 / a0 (q(0) = r0^2 exactly) is ``cone._radius_terms`` and
-    ``scale_eval`` written out on floats, and the power ``rpow`` without its
-    domain check (Q q >= 0): the same operations in the same order, so the
-    same bits.  A time out of range goes through _check_time, which raises.
-
-    The body follows the background's exact zeros, dropping only steps that
-    give back their operand, so the bits at every finite t stay the same.
-    At e H = +-0.0 (de Sitter, or a subnormal H), e H t is a zero, so s = t;
-    at H = +-0.0 (flat) k = (e - 1) H is +-0.0 too, as e is held finite,
-    so r = r0 + c t / a0, and a0 exp(H s) = a0 exp(+-0.0) = a0.
-    """
-    params = inputs.params
-    Q = cone_ball_factor(params)
-    expo = params.n * (inputs.p - 1.0) / 2.0
-    lam, r0, q0 = inputs.lam, inputs.geom.r0, inputs.geom.q0
-    eH, k, c, a0, H = params.eH, params.radius_rate, params.c, params.a0, params.H
-    end = params.t_last
-    log1p, expm1, exp, log = math.log1p, math.expm1, math.exp, math.log
-
-    def b_flat(t: float) -> float:
-        if not 0.0 <= t <= end:
-            _check_time(t, end)
-        r = r0 + c * t / a0
-        q = q0 if t == 0.0 else a0 * r * r / a0
-        x = Q * q
-        return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
-
-    def b_de_sitter(t: float) -> float:
-        if not 0.0 <= t <= end:
-            _check_time(t, end)
-        w, z = c * t / a0, k * t
-        r = r0 + w * (expm1(z) / z) if z != 0.0 else r0 + w
-        q = q0 if t == 0.0 else a0 * exp(H * t) * r * r / a0
-        x = Q * q
-        return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
-
-    def b(t: float) -> float:
-        if not 0.0 <= t <= end:
-            _check_time(t, end)
-        if t == 0.0:
-            q = q0
-        else:
-            x = eH * t
-            s = t * (log1p(x) / x) if x != 0.0 else t
-            w = c * s / a0
-            z = k * s
-            r = r0 + w * (expm1(z) / z) if z != 0.0 else r0 + w
-            q = a0 * exp(H * s) * r * r / a0
-        x = Q * q
-        return lam / (exp(expo * log(x)) if x != 0.0 else 0.0)
-
-    return b_flat if H == 0.0 else b_de_sitter if eH == 0.0 else b
+    """b(t) = lambda / (Q q(t))^(n(p-1)/2): the background's ``forcing``."""
+    expo = inputs.params.n * (inputs.p - 1.0) / 2.0
+    return inputs.geom.forms.forcing(inputs.lam, cone_ball_factor(inputs.params), expo)
 
 
 def _times_exp(b: float, x: float) -> float:
@@ -143,10 +92,9 @@ def integrate(
     """
     params = inputs.params
     t_stop = stop_time(params, t_end)
-    mass = None if run.ode_mass_sq_const is not None else mass_sq_function(params)
-    m2 = run.ode_mass_sq_const if mass is None else mass(0.0)
-    if params.eH == 0.0:  # 1 + eH t is exactly 1.0 at every finite t: M^2 is m2 throughout
-        mass = None
+    forms, m2 = inputs.geom.forms, run.ode_mass_sq_const
+    # M^2 is the float m2 throughout, or the closure mass where m2 is None
+    mass, m2 = forms.mass_sq, forms.fixed_mass_sq if m2 is None else m2
     if run.ode_forcing_const is not None:
         forcing = lambda t: run.ode_forcing_const  # noqa: E731
     else:
@@ -173,7 +121,7 @@ def integrate(
             f = b * (exp(p * log(abs(w))) if w != 0.0 and b != 0.0 else 0.0)
         except OverflowError:  # |w|^p past the float range, b |w|^p not always
             f = _times_exp(b, p * log(abs(w)))
-        return v, c2 * (f - (m2 if mass is None else mass(t)) * w)
+        return v, c2 * (f - (mass(t) if m2 is None else m2) * w)
 
     def on_step(t: float, y: Tuple[float, float], h: float) -> bool:
         w, v = y
@@ -198,7 +146,7 @@ def integrate(
         t_s, w_s, v_s = samples[-1]
         l_s, g, sigma = log(abs(w_s)), abs(v_s / w_s), math.copysign(1.0, w_s)
         ms, forcing_s, k1 = c2 / (g * g), forcing, k + 1.0
-        ms_m2 = ms * m2
+        ms_m2 = None if m2 is None else ms * m2
         try:
             bs = sigma * c2 / (g * g) * exp((p - 1.0) * l_s)
         except OverflowError:  # |w_s|^(p-1) past the float range: fold it into b
@@ -209,7 +157,7 @@ def integrate(
             tau, l, r = y  # past t_stop, or d past the float range, only in a dropped step
             t = t_stop if (t := t_s + tau / g) > t_stop else t  # min(t, t_stop)
             d = exp(x) if (x := k * (l_s - l)) < 700.0 else math.inf
-            return d, r, (bs * forcing_s(t) - (ms_m2 if mass is None else ms * mass(t)) * d * d
+            return d, r, (bs * forcing_s(t) - (ms * mass(t) if m2 is None else ms_m2) * d * d
                           - k1 * r * r)
 
         def on_step_s(s: float, y: Tuple[float, float, float], h: float) -> bool:

@@ -41,13 +41,12 @@ both rows, and the blow-up test reads columns ``[:w]`` of row 0 (see
 
 Bound inputs.  The kernel's coefficients a_lap = c^2 / (a h)^2, a_mass =
 c^2 M^2 and a_nl = c^2 lambda a^(-n(p-1)/2) change only with a(t) and
-M^2(t).  At eH = +-0.0 (flat, de Sitter, or a subnormal H whose eH
-underflows), g = 1 + eH t is exactly 1.0, so M^2 is mass_sq(0); at H =
-+-0.0, a0 exp(H s(t)) is exactly a0, so all three are their values at 0.
-``evolve`` binds these once, with the same expressions and without the
-range check, which the stepper's times in [0, t_stop <= t_last] pass;
-other backgrounds compute them per call.  The kernel's prefix views of
-its scratch and the stencil weights are made again only when w grows.
+M^2(t).  At H = +-0.0, a0 exp(H s(t)) is exactly a0 and M^2 one float,
+the background's ``fixed_scale`` and ``fixed_mass_sq``, so ``evolve``
+binds all three once, with the same expressions; other backgrounds
+compute them per call from scale_eval and the background's ``mass_sq``.  The
+kernel's prefix views of its scratch and the stencil weights are made
+again only when w grows.
 The observables run over all J nodes once per record.
 
 Blow-up.  ``evolve`` owns the PDE's stop rule.  It reads max|u| over the
@@ -83,7 +82,7 @@ import numpy as np
 from ._kernels import radial_accel
 from .certificate import TheoremInputs, rpow, unit_ball_volume
 from .cone import comoving_radius
-from .cosmology import curved_mass_sq, mass_sq_function, scale_eval, stop_time, t_cap
+from .cosmology import curved_mass_sq, scale_eval, stop_time, t_cap
 from .errors import ConfigurationError
 from .integrate import RkResult, TerminationReason, dopri_integrate
 from .scenario import RunSettings
@@ -301,16 +300,15 @@ def evolve(
     p = inputs.p
     lam = 0.0 if linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
-    mass_sq = mass_sq_function(params)
-    if params.eH == 0.0:  # M^2 is one float (module docstring)
-        mass_sq = lambda t, m2=mass_sq(0.0): m2  # noqa: E731
+    forms = inputs.geom.forms
 
-    def coefficients(t: float) -> Tuple[float, float, float]:
-        a = scale_eval(params, t)
+    def coefficients(a: float, m2: float) -> Tuple[float, float, float]:
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
-        return c2 / (a * a * h * h), c2 * mass_sq(t), a_nl
+        return c2 / (a * a * h * h), c2 * m2, a_nl
 
-    fixed = coefficients(0.0) if params.H == 0.0 else None  # a is a0 (module docstring)
+    # a = a0 and M^2 one float where H = +-0.0 (module docstring)
+    fixed = None if forms.fixed_scale is None else coefficients(forms.fixed_scale,
+                                                                forms.fixed_mass_sq)
 
     y0 = np.stack([field.u, field.ut])
     tmp = np.empty(J)  # the kernel's scratch, and on_step's
@@ -333,7 +331,7 @@ def evolve(
 
     def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         w = state["w"]
-        a_lap, a_mass, a_nl = fixed or coefficients(t)
+        a_lap, a_mass, a_nl = fixed or coefficients(scale_eval(params, t), forms.mass_sq(t))
         out[0, :w] = y[1, :w]
         radial_accel(y[0, :w], out[1, :w], *state["prefix"], a_lap, a_mass, a_nl, p, n)
         return out

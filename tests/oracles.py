@@ -13,6 +13,7 @@ from kgblowup import (
     ConfigurationError,
     ConeGeometry,
     CosmologyParams,
+    DomainError,
     Monotonicity,
     PreconditionError,
     classify_q,
@@ -28,8 +29,6 @@ from kgblowup.certificate import (
     rpow,
     unit_ball_volume,
 )
-from kgblowup.cone import _EXP_SAFE, _expm1_ratio, _radius_terms
-from kgblowup.cosmology import _check_time
 from kgblowup.integrate import _A, _C, _ERR
 from kgblowup.ode import OdeTrajectory
 from kgblowup.pde import PdeField, grid_weights
@@ -61,17 +60,51 @@ def lifespan(inputs: TheoremInputs, A: float, Q: float) -> LifespanResult:
     return LifespanResult(D, T_star, C_squared, T_star <= inputs.params.T0)
 
 
+def check_time(t, t_last: float) -> None:
+    """The closed forms' domain: t, or every time of an array t, in [0,
+    t_last], else the package's DomainError and message."""
+    lo, hi = (float(t.min()), float(t.max())) if isinstance(t, np.ndarray) else (t, t)
+    if lo < 0:
+        raise DomainError(f"t={lo} is negative")
+    if hi > t_last:
+        raise DomainError(f"t={hi} lies past t_last={t_last}, the last time short of the horizon")
+
+
+def log_scale_time_per_call(params: CosmologyParams, t: float) -> float:
+    """s(t) = t L(e H t), L(x) = log1p(x)/x, L(0) = 1: log(a/a0) = H s."""
+    x = params.eH * t
+    return t * (math.log1p(x) / x) if x != 0.0 else t
+
+
+def _radius_of(geom: ConeGeometry, s: float) -> float:
+    """r = r0 + w E(k s) at s, w = c s / a0, k = (e - 1) H, E(z) = expm1(z)/z, E(0) = 1."""
+    params = geom.params
+    w, z = params.c * s / params.a0, params.radius_rate * s
+    return geom.r0 + w * (math.expm1(z) / z) if z != 0.0 else geom.r0 + w
+
+
+def scale_per_call(params: CosmologyParams, t: float) -> float:
+    """a(t) = a0 exp(H s(t)) with every constant recomputed per call."""
+    check_time(t, params.t_last)
+    return params.a0 * math.exp(params.H * log_scale_time_per_call(params, t))
+
+
+def radius_per_call(geom: ConeGeometry, t: float) -> float:
+    """r(t) = r0 + (c s / a0) E((e - 1) H s) with every constant recomputed per call."""
+    check_time(t, geom.params.t_last)
+    return _radius_of(geom, log_scale_time_per_call(geom.params, t))
+
+
 def q_eval(geom: ConeGeometry, t: float) -> float:
-    """q(t) = a(t) r(t)^2 / a0 at one time from the generic evaluators,
-    every constant recomputed per call; q(0) = r0^2 exactly."""
-    _check_time(t, geom.params.t_last)
+    """q(t) = a(t) r(t)^2 / a0 at one time, every constant recomputed per
+    call; q(0) = r0^2 exactly."""
+    params = geom.params
+    check_time(t, params.t_last)
     if t == 0.0:
         return geom.q0
-    params = geom.params
-    s, w, k = _radius_terms(params, t)
-    r = geom.r0 + w * _expm1_ratio(k, s)
-    a = params.a0 * math.exp(params.H * s)
-    return a * r * r / params.a0
+    s = log_scale_time_per_call(params, t)
+    r = _radius_of(geom, s)
+    return params.a0 * math.exp(params.H * s) * r * r / params.a0
 
 
 def comprehension_float_trial(rhs, rel_tol: float, abs_tol: float):
@@ -135,25 +168,27 @@ def forcing_per_call(inputs: TheoremInputs, t: float) -> float:
 
 
 def log_q_tilde_per_call(geom: ConeGeometry, t: float, verdict: Monotonicity) -> float:
-    """log q~ at one time from the generic evaluators, every constant
-    recomputed per call: r0^2 when ``verdict`` is non-increasing, else
-    log q = H s + 2 log r, with log r in log space past k s = _EXP_SAFE."""
-    _check_time(t, geom.params.t_last)
+    """log q~ at one time, every constant recomputed per call: r0^2 when
+    ``verdict`` is non-increasing, else log q = H s + 2 log r, with log r
+    in its log-asymptotic form log(w/z) + z + log1p(r0 z / w e^-z) past
+    z = k s = 600, so that e^z is never formed."""
+    params = geom.params
+    check_time(t, params.t_last)
     if verdict is Monotonicity.NON_INCREASING:
         return 2.0 * math.log(geom.r0)
-    s, w, k = _radius_terms(geom.params, t)
-    z = k * s
-    if z <= _EXP_SAFE:
-        log_r = math.log(geom.r0 + w * _expm1_ratio(k, s))
+    s = log_scale_time_per_call(params, t)
+    w, z = params.c * s / params.a0, params.radius_rate * s
+    if z <= 600.0:
+        log_r = math.log(_radius_of(geom, s))
     else:
         log_r = math.log(w / z) + z + math.log1p(geom.r0 * z / w * math.exp(-z))
-    return geom.params.H * s + 2.0 * log_r
+    return params.H * s + 2.0 * log_r
 
 
 def curved_mass_sq_per_call(params: CosmologyParams, t: float) -> float:
     """M^2(t) = m^2 + sigma (nH/2c)^2 (1 + e H t)^-2 with every constant
     recomputed per call."""
-    _check_time(t, params.t_last)
+    check_time(t, params.t_last)
     n, c, H = params.n, params.c, params.H
     g = 1.0 + params.e * H * t
     return params.m_squared + params.sigma * (n * H / (2.0 * c)) ** 2 / (g * g)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgblowup import ConeGeometry, CosmologyParams, compute_A, comoving_radius, scale_eval
-from kgblowup.cone import log_q_eval
+from kgblowup.cone import Monotonicity, log_q_tilde_eval
 
 from conftest import make_inputs
 
@@ -68,13 +68,13 @@ def test_background_matches_mpmath(geom, frac):
     a_arr, r_arr, logq_arr = (
         scale_eval(geom.params, times),
         comoving_radius(geom, times),
-        log_q_eval(geom, times),
+        log_q_tilde_eval(geom, times, Monotonicity.NON_DECREASING),
     )
     for i, ti in enumerate(times):
         ti = float(ti)
         a_ref, r_ref, logq_ref = reference(geom, ti)
         logq_tol = 1e-12 * max(1.0, abs(float(logq_ref)))
-        for got in (log_q_eval(geom, ti), logq_arr[i]):
+        for got in (log_q_tilde_eval(geom, ti, Monotonicity.NON_DECREASING), logq_arr[i]):
             assert abs(float(got) - float(logq_ref)) <= logq_tol, (got, logq_ref)
         if not SMALLEST_NORMAL <= a_ref <= mp.mpf(np.finfo(float).max):
             continue

@@ -1,16 +1,18 @@
 """The bound background closures against the per-call forms.
 
-``ode.forcing_coefficient`` and ``cosmology.mass_sq_function`` bind their
-constants once per integration, and ``cone.log_q_tilde_function`` once per
-certificate background.  They must give, at every time, the same bits as
-the composition they replaced, which recomputes every constant per call:
-``lambda / rpow(Q q_eval(geom, t), expo)``, the closed-form M^2 and log q~
-from ``cone._radius_terms`` (all kept in ``oracles.py``).  Out of range
-they must raise the same ``DomainError``.  Every form's domain ends at the
+A background's forms (``ConeGeometry.forms``) bind their constants once:
+``ode.forcing_coefficient``'s b, M^2, r and log q, and
+``cone.log_q_tilde_function`` per certificate background.  They must
+give, at every time, the same bits as the compositions in
+``oracles.py``, which recompute every constant per call and write s, r
+and the range check out with ``math``: ``lambda / rpow(Q q_eval(geom,
+t), expo)``, the closed-form M^2, r and log q~.  Out of range they must
+raise the same ``DomainError``.  Every form's domain ends at the
 background's ``t_last``, where runs end too.
 """
 
 import math
+import pickle
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,16 +23,18 @@ from hypothesis import strategies as st
 
 from kgblowup import DomainError, ode, pde
 from kgblowup.cone import (
-    _EXP_SAFE, Monotonicity, _radius_terms, classify_q, comoving_radius, log_q_eval,
-    log_q_tilde_eval, log_q_tilde_function,
+    Monotonicity, classify_q, comoving_radius, log_q_tilde_eval, log_q_tilde_function,
 )
-from kgblowup.cosmology import curved_mass_sq, mass_sq_function, scale_eval
+from kgblowup.cosmology import _EXP_SAFE, curved_mass_sq, mass_sq_function, scale_eval
 from kgblowup.integrate import TerminationReason
 from kgblowup.ode import forcing_coefficient
 from kgblowup.scenario import load_scenario
 
 from conftest import make_inputs
-from oracles import curved_mass_sq_per_call, forcing_per_call, log_q_tilde_per_call
+from oracles import (
+    curved_mass_sq_per_call, forcing_per_call, log_q_tilde_per_call, log_scale_time_per_call,
+    radius_per_call, scale_per_call,
+)
 
 
 def _outcome(f, t):
@@ -61,17 +65,17 @@ def theorem_inputs(draw):
     )
 
 
-# one background per body of ode.forcing_coefficient, by the zeros of H and e H:
-# (H, sigma, n, the body)
+# backgrounds of each kind of forms, by the zeros of H and e H: (H, sigma, n, kind)
 _FORCING_BODIES = [
-    (0.0, 0.0, 1, "b_flat"),
-    (-0.0, 0.0, 1, "b_flat"),
-    (0.5, -1.0, 1, "b_de_sitter"),
-    (-0.5, -1.0, 1, "b_de_sitter"),
-    (5e-324, -0.5, 1, "b_de_sitter"),  # e H underflows to 0, k = -5e-324 does not
-    (5e-324, -0.5, 3, "b"),  # e H = 5e-324, k underflows to -0.0
-    (1.0, 0.0, 1, "b"),  # expanding
-    (-1.0, 2.0, 1, "b"),  # contracting, T0 = 2/3
+    (0.0, 0.0, 1, "flat"),
+    (-0.0, 0.0, 1, "flat"),
+    (0.5, -1.0, 1, "steady"),
+    (-0.5, -1.0, 1, "steady"),
+    (5e-324, -0.5, 1, "steady"),  # e H underflows to 0, k = -5e-324 does not
+    (5e-324, -0.5, 3, "general"),  # e H = 5e-324, k underflows to -0.0
+    (0.5, 0.0, 2, "general"),  # coasting: k = 0 exactly
+    (1.0, 0.0, 1, "general"),  # expanding
+    (-1.0, 2.0, 1, "general"),  # contracting, T0 = 2/3
 ]
 
 
@@ -91,19 +95,45 @@ def test_bound_closures_match_the_per_call_forms(inputs, frac):
     T0 = params.T0
     span = 0.9 * T0 if math.isfinite(T0) else 20.0
     times = [0.0, -0.0] + [f / 0.9 * span for f in frac]
-    forcing = forcing_coefficient(inputs)
-    mass = mass_sq_function(params)
+    forms, geom = inputs.geom.forms, inputs.geom
+    pairs = [
+        (forcing_coefficient(inputs), lambda x: forcing_per_call(inputs, x)),
+        (forms.mass_sq, lambda x: curved_mass_sq_per_call(params, x)),
+        (forms.r, lambda x: radius_per_call(geom, x)),
+        (forms.log_q, lambda x: log_q_tilde_per_call(geom, x, Monotonicity.NON_DECREASING)),
+        (lambda x: scale_eval(params, x), lambda x: scale_per_call(params, x)),
+    ]
     for t in times:
-        assert _outcome(forcing, t) == _outcome(lambda x: forcing_per_call(inputs, x), t), t
-        assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t), t
+        for bound, per_call in pairs:
+            assert _outcome(bound, t) == _outcome(per_call, t), t
+        if forms.fixed_mass_sq is not None:
+            assert _outcome(forms.mass_sq, t) == _outcome(lambda x: forms.fixed_mass_sq, t), t
+        if forms.fixed_scale is not None:
+            assert _outcome(lambda x: scale_eval(params, x), t) == _outcome(
+                lambda x: forms.fixed_scale, t), t
 
 
-@pytest.mark.parametrize("H, sigma, n, body", _FORCING_BODIES)
-def test_forcing_body_follows_the_zeros_of_the_background(H, sigma, n, body):
-    """The explicit examples above reach every body of the forcing."""
-    params = make_inputs(H, sigma, n=n).params
-    assert (params.H == 0.0, params.eH == 0.0) == (body == "b_flat", body != "b")
-    assert forcing_coefficient(make_inputs(H, sigma, n=n)).__name__ == body
+@pytest.mark.parametrize("H, sigma, n, kind", _FORCING_BODIES)
+def test_forcing_body_follows_the_zeros_of_the_background(H, sigma, n, kind):
+    """The explicit examples above reach every kind of forms, and so every
+    body of the forcing; the bound M^2 and a exist where the kind says."""
+    inputs = make_inputs(H, sigma, n=n)
+    forms, params = inputs.geom.forms, inputs.params
+    assert (params.H == 0.0, params.eH == 0.0) == (kind == "flat", kind != "general")
+    assert forms.kind == kind
+    assert (forms.fixed_mass_sq is None, forms.fixed_scale is None) == (
+        kind == "general", kind != "flat")
+
+
+def test_a_pickled_geometry_leaves_its_forms_behind():
+    """The forms hold closures, which do not pickle: a geometry whose forms
+    are built (as a sweep's parent process may) pickles without them, and
+    the copy builds its own."""
+    geom = make_inputs(0.5, -1.0).geom
+    r = geom.forms.r(0.5)
+    copy = pickle.loads(pickle.dumps(geom))
+    assert "forms" in vars(geom) and "forms" not in vars(copy)
+    assert copy == geom and copy.forms is not geom.forms and copy.forms.r(0.5) == r
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -116,11 +146,15 @@ def test_bound_closures_raise_like_the_per_call_forms(inputs):
         times += [math.nextafter(params.t_last, math.inf), T0, 2.0 * T0, math.inf]
     forcing = forcing_coefficient(inputs)
     mass = mass_sq_function(params)
+    r, log_q = inputs.geom.forms.r, inputs.geom.forms.log_q
     for t in times:
         expected = _outcome(lambda x: forcing_per_call(inputs, x), t)
         assert expected[0] == "DomainError", t
         assert _outcome(forcing, t) == expected
         assert _outcome(mass, t) == _outcome(lambda x: curved_mass_sq_per_call(params, x), t)
+        assert _outcome(r, t) == _outcome(lambda x: radius_per_call(inputs.geom, x), t)
+        assert _outcome(log_q, t) == expected
+        assert _outcome(lambda x: scale_eval(params, x), t) == expected
 
 
 def test_mass_function_takes_arrays():
@@ -159,7 +193,7 @@ def test_every_form_accepts_t_last_and_refuses_the_next_float(inputs):
     one_time += [lambda t, v=v: log_q_tilde_per_call(geom, t, v) for v in verdicts]
     either = [mass_sq_function(params), lambda t: curved_mass_sq(params, t),
               lambda t: curved_mass_sq_per_call(params, t), lambda t: scale_eval(params, t),
-              lambda t: comoving_radius(geom, t), lambda t: log_q_eval(geom, t)]
+              lambda t: comoving_radius(geom, t)]
     either += [lambda t, v=v: log_q_tilde_eval(geom, t, v) for v in verdicts]
     after = math.nextafter(last, math.inf)
     with np.errstate(all="ignore"):
@@ -205,8 +239,8 @@ def _check_log_q(geom, verdict):
         expected = _outcome(lambda x: log_q_tilde_per_call(geom, x, verdict), t)
         assert _outcome(bound, t) == expected, t
         if not isinstance(expected, tuple) and verdict is not Monotonicity.NON_INCREASING:
-            s, _, k = _radius_terms(geom.params, t)
-            branches.add(k * s <= _EXP_SAFE)
+            branches.add(geom.params.radius_rate * log_scale_time_per_call(geom.params, t)
+                         <= _EXP_SAFE)
     return branches
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kgblowup
@@ -127,6 +127,8 @@ def reference_dopri(
         if h >= t_end - t:
             h = _reference_last_step(t, t_end)
         if t + h == t:  # a step that leaves t where it is cannot reach t_end
+            return R(TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h)
+        if h == math.inf:  # past the float range: no trial can use it
             return R(TerminationReason.STEP_UNDERFLOW, t, y, None, n_steps, n_rejected, h)
         step_floor = 1e-16 * max(1.0, abs(t))
         if h < step_floor and t + h != t_end:  # the landing step is exempt
@@ -910,15 +912,22 @@ def test_a_step_that_leaves_t_unchanged_is_an_underflow(t0, y0, state):
     t0=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
     kind=st.sampled_from(["pole", "decay", "zero"]),
     d=st.floats(1e-3, 10.0),
-    span=st.floats(1e-3, 20.0),
+    span=st.floats(1e-3, 20.0) | st.just(math.inf),
 )
 @example(t0=0.0, kind="pole", d=1.05, span=5.0)
 @example(t0=-3.0, kind="pole", d=1.0, span=8.0)
+@example(t0=1e-3, kind="zero", d=1.0, span=math.inf)
+@example(t0=-1e3, kind="pole", d=10.0, span=math.inf)
 def test_reached_horizon_only_at_t_end(t0, kind, d, span):
     """From t0 of either sign, the pole of y' = y^2 at t0 + d, decay at
-    the rate 1/d, or a zero slope: the run ends in ReachedHorizon exactly
-    when it ends at t_end, bit for bit as the reference in both
-    arithmetics, and short of a pole before t_end in StepUnderflow."""
+    the rate 1/d, or a zero slope, to a finite t_end, or to t_end = inf
+    for the pole and the zero slope: the run returns, and ends in
+    ReachedHorizon exactly when it ends at t_end, bit for bit as the
+    reference in both arithmetics.  It ends short of a pole before t_end
+    in StepUnderflow, and so it does where a zero slope grows the step
+    past the float range toward t_end = inf.  (Decay to t_end = inf steps
+    at its stability bound until max_steps.)"""
+    assume(kind != "decay" or span < math.inf)
     f = {
         "pole": lambda t, y: (y[0] * y[0], 0.0),
         "decay": lambda t, y: (-y[0] / d, y[0]),
@@ -929,5 +938,5 @@ def test_reached_horizon_only_at_t_end(t0, kind, d, span):
     assert arr == ref and tup == ref
     status, t = ref[0][0], np.frombuffer(ref[0][1])[0]
     assert (status is TerminationReason.REACHED_HORIZON) == (t == t_end)
-    if kind == "pole" and t0 + d < t_end:
+    if kind == "pole" and t0 + d < t_end or t_end == math.inf:
         assert status is TerminationReason.STEP_UNDERFLOW

@@ -55,12 +55,11 @@ def test_matches_per_node_loop(n, a_nl):
 @pytest.mark.parametrize("a_nl", [0.0, 0.7])
 @pytest.mark.parametrize("a_mass", [A_MASS, -A_MASS])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_real_flag_matches_full_path_on_zero_imaginary_part(n, a_mass, a_nl):
+def test_signed_zero_nodes_give_the_per_node_loop_bits(n, a_mass, a_nl):
     """Signed zeros: the kernel gives the per-node loop's bits on a field
     with +0.0 and -0.0 nodes, and the acceleration of the all +0.0 field
     is +0.0 at every node.  cm[1] < 0 at n >= 4 and a negative a_mass
-    each make a -0.0 term, which the +0.0 sums absorb.  (The name is that
-    of a flag the kernel no longer has; the test is kept under it.)"""
+    each make a -0.0 term, which the +0.0 sums absorb."""
     J = 257
     rng = np.random.default_rng(11)
     u = rng.standard_normal(J)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from kgblowup import ode
+from kgblowup import cosmology, ode
 from kgblowup import (
     ExcludedRegionError,
     PoleError,
@@ -377,7 +377,7 @@ def test_integrate_calls_the_mass_closure_once_where_eH_is_zero(monkeypatch, H, 
 
         return counted
 
-    monkeypatch.setattr(ode, "mass_sq_function", counting)
+    monkeypatch.setattr(cosmology, "mass_sq_function", counting)  # the forms bind it
     traj = integrate_ode(make_inputs(H, sigma, N=2.0, w0=16.0, w1=64.0), 1.0)
     assert traj.blowup_detected
     if calls is None:

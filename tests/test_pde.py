@@ -496,13 +496,20 @@ class TestBoundCoefficients:
             assert [x.hex() for x in got] == [x.hex() for x in want], (t, got, want)
 
     def test_flat_rhs_evaluates_no_scale_function(self, minkowski_inputs, monkeypatch):
-        """The flat blow-up's RHS calls scale_eval nowhere: evolve calls it
-        once to bind a = a0, and the energy once per record."""
+        """The flat blow-up's RHS calls scale_eval and M^2 nowhere: evolve
+        binds a = a0 and M^2 from the background's forms, and the energy
+        calls scale_eval once per record."""
         calls, in_rhs, evaluate = [], [False], pde_mod.scale_eval
+        forms = minkowski_inputs.geom.forms
+        mass_calls, mass_sq = [], forms.mass_sq
 
         def counted(params, t):
             calls.append(in_rhs[0])
             return evaluate(params, t)
+
+        def counted_mass(t):
+            mass_calls.append(in_rhs[0])
+            return mass_sq(t)
 
         def stepper(rhs, *args, **kw):
             def flagged(t, y, out):
@@ -514,11 +521,13 @@ class TestBoundCoefficients:
             return dopri_integrate(flagged, *args, **kw)
 
         monkeypatch.setattr(pde_mod, "scale_eval", counted)
+        monkeypatch.setattr(forms, "mass_sq", counted_mass)
         monkeypatch.setattr(pde_mod, "dopri_integrate", stepper)
         controls = RunSettings(grid_h=4e-3)
         run = run_pde(minkowski_inputs, 0.525, controls)
         assert run.rk.status is TerminationReason.BLOWUP_THRESHOLD and run.rk.n_rhs > 500
-        assert not any(calls) and len(calls) == run.times.size + 1
+        assert not any(calls) and len(calls) == run.times.size
+        assert not any(mass_calls)
 
 
 class TestGuards:

@@ -41,12 +41,12 @@ both rows, and the blow-up test reads columns ``[:w]`` of row 0 (see
 
 Bound inputs.  The kernel's coefficients a_lap = c^2 / (a h)^2, a_mass =
 c^2 M^2 and a_nl = c^2 lambda a^(-n(p-1)/2) change only with a(t) and
-M^2(t).  At H = +-0.0, a0 exp(H s(t)) is exactly a0 and M^2 one float,
-the background's ``fixed_scale`` and ``fixed_mass_sq``, so ``evolve``
-binds all three once, with the same expressions; other backgrounds
-compute them per call from scale_eval and the background's ``mass_sq``.  The
-kernel's prefix views of its scratch and the stencil weights are made
-again only when w grows.
+M^2(t).  At eH = +-0.0 (flat, de Sitter, or a subnormal H whose eH
+underflows) M^2 is one float, g = 1 + eH t being exactly 1.0, and at H =
++-0.0 a is a0: ``evolve`` reads them from the forms (``fixed_mass_sq``,
+``fixed_scale``) without the range check, which the stepper's times in
+[0, t_stop <= t_last] pass.  The kernel's prefix views of its scratch
+and the stencil weights are made again only when w grows.
 The observables run over all J nodes once per record.
 
 Blow-up.  ``evolve`` owns the PDE's stop rule.  It reads max|u| over the
@@ -301,14 +301,14 @@ def evolve(
     lam = 0.0 if linear else inputs.lam
     nl_expo = -n * (inputs.p - 1.0) / 2.0
     forms = inputs.geom.forms
+    a0, m2 = forms.fixed_scale, forms.fixed_mass_sq  # None where they vary (module docstring)
 
-    def coefficients(a: float, m2: float) -> Tuple[float, float, float]:
+    def coefficients(t: float) -> Tuple[float, float, float]:
+        a = scale_eval(params, t) if a0 is None else a0
         a_nl = c2 * lam * rpow(a, nl_expo) if lam != 0.0 else 0.0
-        return c2 / (a * a * h * h), c2 * m2, a_nl
+        return c2 / (a * a * h * h), c2 * (forms.mass_sq(t) if m2 is None else m2), a_nl
 
-    # a = a0 and M^2 one float where H = +-0.0 (module docstring)
-    fixed = None if forms.fixed_scale is None else coefficients(forms.fixed_scale,
-                                                                forms.fixed_mass_sq)
+    fixed = None if a0 is None else coefficients(0.0)
 
     y0 = np.stack([field.u, field.ut])
     tmp = np.empty(J)  # the kernel's scratch, and on_step's
@@ -331,7 +331,7 @@ def evolve(
 
     def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
         w = state["w"]
-        a_lap, a_mass, a_nl = fixed or coefficients(scale_eval(params, t), forms.mass_sq(t))
+        a_lap, a_mass, a_nl = fixed or coefficients(t)
         out[0, :w] = y[1, :w]
         radial_accel(y[0, :w], out[1, :w], *state["prefix"], a_lap, a_mass, a_nl, p, n)
         return out

@@ -206,7 +206,7 @@ class BackgroundForms:
         log, log1p, expm1, exp = math.log, math.log1p, math.expm1, math.exp
 
         def terms(t: np.ndarray):  # (s, w, k s) at every time of an array
-            s = t * _array_ratio(eH * t, np.log1p)
+            s = t * 1.0 if self.kind != "general" else t * _array_ratio(eH * t, np.log1p)
             return s, c * s / a0, k * s
 
         def r(t):

@@ -199,14 +199,14 @@ class BackgroundForms:
     def __init__(self, params: CosmologyParams, r0: float) -> None:
         H, eH, k, c, a0, end = (params.H, params.eH, params.radius_rate, params.c, params.a0,
                                 params.t_last)
-        self.kind = "flat" if H == 0.0 else "steady" if eH == 0.0 else "general"
+        self.kind = kind = "flat" if H == 0.0 else "steady" if eH == 0.0 else "general"
         self.mass_sq = mass_sq_function(params)
-        self.fixed_scale = a0 if self.kind == "flat" else None
-        self.fixed_mass_sq = None if self.kind == "general" else self.mass_sq(0.0)
+        self.fixed_scale = a0 if kind == "flat" else None
+        self.fixed_mass_sq = None if kind == "general" else self.mass_sq(0.0)
         log, log1p, expm1, exp = math.log, math.log1p, math.expm1, math.exp
 
         def terms(t: np.ndarray):  # (s, w, k s) at every time of an array
-            s = t * 1.0 if self.kind != "general" else t * _array_ratio(eH * t, np.log1p)
+            s = t * 1.0 if kind != "general" else t * _array_ratio(eH * t, np.log1p)
             return s, c * s / a0, k * s
 
         def r(t):
@@ -266,7 +266,7 @@ class BackgroundForms:
                 q = q0 if t == 0.0 else a0 * exp(H * s) * r * r / a0
                 return lam / (exp(expo * log(x)) if (x := Q * q) != 0.0 else 0.0)
 
-            return {"flat": b_flat, "steady": b_steady, "general": b_general}[self.kind]
+            return {"flat": b_flat, "steady": b_steady, "general": b_general}[kind]
 
         self.r, self.log_q, self.log_q_array, self.forcing = r, log_q, log_q_array, forcing
 

@@ -55,26 +55,27 @@ that grows along the solution, as towards a blow-up, where the plain rule
 has every other trial rejected.  The clamps and the floor's ``max(1, |t|)``
 are conditionals with the builtins' NaN behaviour: a NaN factor gives 0.2.
 
-An ndarray state may come with a window: ``active(y)`` returns a basic
-index into the state, a tuple of slices, and the trial computes its stage
-sums, new solution and error terms on ``buf[index]`` alone, contracts the
-stack's rows at that index alone, and copies returned slopes there alone.
-The contract, besides the ``abs_tol > 0`` that ``dopri_integrate`` asks
-of every state:
+An ndarray state may come with a window: ``active(y)`` returns a column
+count ``w`` on the state's last axis, and the trial computes its stage
+sums, new solution and error terms on ``[..., :w]`` alone, contracts the
+stack's rows there alone, and copies returned slopes there alone.  The
+contract, besides the ``abs_tol > 0`` that ``dopri_integrate`` asks of
+every state:
 
-* outside the index, ``y`` and every slope the full computation of the
-  trial would make are zeros of either sign;
-* the index never shrinks from one trial to the next.
+* past column ``w``, every value of ``y`` and of every slope the full
+  computation of the trial would make is a zero of either sign;
+* ``w`` never shrinks from one trial to the next.
 
-Each stage sum starts from +0.0, so outside the index the full
+Each stage sum starts from +0.0, so past column ``w`` the full
 computation's stage states, new solution and error terms are all +0.0
 (``-0.0 + h (+0.0)`` is +0.0 too).  The buffers and the stack start at
-+0.0 and are written only at the index, so they hold those same +0.0
-there, and ``rhs`` sees the states it would see on the full computation.
-The norm still sums the whole buffer, whose tail is +0.0 where ``0 /
-abs_tol`` was: the same terms in the same pairwise order, so the same
-bits.  It is ``np.mean``'s arithmetic, a sum and then one true division,
-without its call overhead.  The default index, ``(...,)``, is the whole state.
++0.0 and are written only in the window, so they hold those same +0.0
+past it, and ``rhs`` sees the states it would see on the full
+computation.  The norm still sums the whole buffer, whose tail is +0.0
+where ``0 / abs_tol`` was: the same terms in the same pairwise order, so
+the same bits.  It is ``np.mean``'s arithmetic, a sum and then one true
+division, without its call overhead.  The default, ``active=None``, is
+the whole state.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -192,11 +193,6 @@ def _last_step(t: float, t_end: float) -> float:
     return h
 
 
-def _whole(y: np.ndarray):
-    """The default window: every component of the state."""
-    return (...,)
-
-
 def _trial_source(size: int) -> str:
     """Source of the tuple trial factory for states of ``size`` components.
 
@@ -252,46 +248,40 @@ def _stage_sum(row: np.ndarray, stack: np.ndarray, out: np.ndarray) -> np.ndarra
     return np.einsum("i,i...->...", row, stack, out=out)
 
 
-def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_whole):
+def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=None):
     """Trial step on float ndarrays; returns ``(trial, slopes)``, ``slopes``
     the rows of the slope stack, ``slopes[i]`` the ``out`` of stage ``i``.
 
     The trial reads ``k0`` from row 0, not from its argument.  One buffer
     serves stages 1-5; stage 6, the new solution, is a fresh array because
-    it becomes ``y`` and is handed to ``on_step``.  The views of the stack
-    and the buffers at the window are kept until ``active(y)`` changes.
+    it becomes ``y`` and is handed to ``on_step``.  Each trial takes its
+    views of the stack and the buffers at the window ``[..., :w]`` anew.
     """
     stack = np.zeros((7,) + y.shape)
     slopes = list(stack)  # views made once, so ``k is slopes[i]`` can be tested
     acc, stage, scale = np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
     rows = [np.array(row) for row in _A[1:] + (_ERR,)]
-    views = None  # (index, stack prefix per row, acc, stage, scale, k0, k6) at the index
 
     def trial(t: float, h: float, y: np.ndarray, k0: np.ndarray):
-        nonlocal views
-        ix = active(y)
-        if views is None or views[0] != ix:
-            views = (ix, [stack[(slice(0, row.size),) + ix] for row in rows],
-                     acc[ix], stage[ix], scale[ix], slopes[0][ix], slopes[6][ix])
-        _, prefix, acc_ix, stage_ix, scale_ix, k0_ix, k6_ix = views
-        y_ix = y[ix]
+        w = None if active is None else active(y)
+        y_w, acc_w, stage_w, scale_w = y[..., :w], acc[..., :w], stage[..., :w], scale[..., :w]
         # a trial that leaves the float range has a non-finite norm, which
         # is a rejection: its overflow, 0/0 and x/0 are no news
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            new, new_ix = stage, stage_ix
+            new, new_w = stage, stage_w
             for i in range(1, 7):
                 if i == 6:
                     new = np.zeros_like(y)
-                    new_ix = new[ix]
-                d = _stage_sum(rows[i - 1], prefix[i - 1], acc_ix)
+                    new_w = new[..., :w]
+                d = _stage_sum(rows[i - 1], stack[:i, ..., :w], acc_w)
                 np.multiply(h, d, out=d)
-                np.add(y_ix, d, out=new_ix)
+                np.add(y_w, d, out=new_w)
                 k = rhs(t + _C[i] * h, new, slopes[i])
                 if k is not slopes[i]:
-                    slopes[i][ix] = k[ix]
-            q = _stage_sum(rows[6], prefix[6], acc_ix)  # the error terms
+                    slopes[i][..., :w] = k[..., :w]
+            q = _stage_sum(rows[6], stack[..., :w], acc_w)  # the error terms
             np.multiply(h, q, out=q)
-            s = np.fmax(np.abs(y_ix, out=scale_ix), np.abs(new_ix, out=stage_ix), out=scale_ix)
+            s = np.fmax(np.abs(y_w, out=scale_w), np.abs(new_w, out=stage_w), out=scale_w)
             np.multiply(rel_tol, s, out=s)
             np.add(abs_tol, s, out=s)
             np.divide(q, s, out=q)
@@ -299,7 +289,7 @@ def _array_trial(rhs, y: np.ndarray, rel_tol: float, abs_tol: float, active=_who
             # np.mean's bits: the sum over the whole buffer, then a true division
             err = math.sqrt(float(np.add.reduce(acc, axis=None)) / acc.size)
         if err <= 1.0:  # dopri_integrate accepts the step: first-same-as-last
-            k0_ix[...] = k6_ix
+            slopes[0][..., :w] = slopes[6][..., :w]
         return new, slopes[6], err
 
     return trial, slopes
@@ -315,7 +305,7 @@ def dopri_integrate(
     *,
     max_steps: int = 2_000_000,
     on_step: Optional[Callable[[float, State, float], Optional[bool]]] = None,
-    active: Callable[[np.ndarray], Any] = _whole,
+    active: Optional[Callable[[np.ndarray], int]] = None,
 ) -> RkResult:
     """Integrate y' = rhs(t, y) from t0 to t_end.
 
@@ -330,8 +320,9 @@ def dopri_integrate(
     t.  ReachedHorizon ends exactly at ``t_end``, and ``rhs`` is never
     called past it.  ``RkResult.y`` is an array either way.
 
-    ``active(y)``, for an array state, gives the index each trial computes
-    on; the module docstring states what the caller promises for it.
+    ``active(y)``, for an array state, gives the number of columns each
+    trial computes on; the module docstring states what the caller
+    promises for it.
     """
     if np.size(y0) == 0:
         raise ValueError("dopri_integrate needs a state with at least one component")

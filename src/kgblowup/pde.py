@@ -19,9 +19,9 @@ field spreads by at most one node per RHS evaluation, and compactly
 supported data leaves the nodes ahead of it at exactly +0.0.  ``evolve``
 keeps a window ``w``: only columns ``[:w]`` can be nonzero.  The RHS and
 the kernel write that prefix of the stepper's ``out`` in place, whose tail
-keeps its +0.0; the stepper's ``active`` index is columns ``[:w]`` of
-both rows, and the blow-up test reads columns ``[:w]`` of row 0 (see
-``integrate`` for the stepper's side).
+keeps its +0.0; the stepper's ``active`` is the column count ``w``, and
+the blow-up test reads columns ``[:w]`` of row 0 (see ``integrate`` for
+the stepper's side).
 
 * Margin.  A trial that starts with last nonzero node L has stage i within
   L + i, the new solution within L + 6 and its slope within L + 7.  The
@@ -313,27 +313,16 @@ def evolve(
     y0 = np.stack([field.u, field.ut])
     tmp = np.empty(J)  # the kernel's scratch, and on_step's
 
-    # the light-cone window: columns [:w] can be nonzero (module docstring)
-    state = {"next_out": 0.0}
-
-    def widen(w: int) -> None:
-        state["w"], state["prefix"] = w, (tmp[:w], cp[:w], cm[:w])
-
+    # the light-cone window: columns [:w] can be nonzero (module docstring);
+    # on_step widens it and makes the kernel's prefix views again
     nonzero = np.flatnonzero(y0.any(axis=0))
-    widen(min(J, (int(nonzero[-1]) if nonzero.size else -1) + 9))
-
-    def grow(y: np.ndarray) -> None:
-        w = state["w"]
-        if w < J:
-            edge = np.flatnonzero(y[:, w - 8 : w].any(axis=0))
-            if edge.size:  # node w - 8 + e needs a window of w + e + 1
-                widen(min(J, w + int(edge[-1]) + 1))
+    w = min(J, (int(nonzero[-1]) if nonzero.size else -1) + 9)
+    prefix = (tmp[:w], cp[:w], cm[:w])
 
     def rhs(t: float, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-        w = state["w"]
         a_lap, a_mass, a_nl = fixed or coefficients(t)
         out[0, :w] = y[1, :w]
-        radial_accel(y[0, :w], out[1, :w], *state["prefix"], a_lap, a_mass, a_nl, p, n)
+        radial_accel(y[0, :w], out[1, :w], *prefix, a_lap, a_mass, a_nl, p, n)
         return out
 
     # the blow-up rule's levels of max|u| (module docstring)
@@ -361,16 +350,22 @@ def evolve(
     out_dt = run.output_interval
     if out_dt is None:
         out_dt = t_stop / 200.0 if t_stop > 0 else 1.0
+    next_out = out_dt  # the time of the next record past the one at t = 0
 
     def on_step(t: float, y: np.ndarray, h_used: float) -> bool:
-        grow(y)
-        u = y[0, : state["w"]]
-        i = int(np.abs(u, out=state["prefix"][0]).argmax())  # the node of max|u|
+        nonlocal w, prefix, next_out
+        if w < J:
+            edge = np.flatnonzero(y[:, w - 8 : w].any(axis=0))
+            if edge.size:  # node w - 8 + e needs a window of w + e + 1
+                w = min(J, w + int(edge[-1]) + 1)
+                prefix = (tmp[:w], cp[:w], cm[:w])
+        u = y[0, :w]
+        i = int(np.abs(u, out=prefix[0]).argmax())  # the node of max|u|
         mag = abs(float(u[i]))
         # switch to per-step (geometric near a pole) output in the blow-up regime
-        if t >= state["next_out"] or mag > regime_gate:
+        if t >= next_out or mag > regime_gate:
             record(t, y)
-            state["next_out"] = t + out_dt
+            next_out = t + out_dt
         if not mag > regime_gate:
             return False
         rate = k * float(y[1, i])
@@ -378,7 +373,6 @@ def evolve(
         return len(t_hats) > 1 and abs(t_hats[-1] - t_hats[-2]) <= SETTLE_REL * abs(t_hats[-1])
 
     record(0.0, y0)
-    state["next_out"] = out_dt
 
     res: RkResult = dopri_integrate(
         rhs,
@@ -389,7 +383,7 @@ def evolve(
         abs_tol=1e-10 * scale0,
         max_steps=5_000_000,
         on_step=on_step,
-        active=lambda y: (slice(None), slice(0, state["w"])),
+        active=lambda y: w,
     )
     i = int(np.abs(res.y[0], out=tmp).argmax())
     mag = abs(float(res.y[0, i]))

@@ -675,14 +675,14 @@ def _stencil_system(c_lap, c_mass, c_nl):
 
 
 def _window(J, margin):
-    """Columns [:w] with w = last nonzero column + margin, never shrinking."""
+    """The column count w = last nonzero column + margin, never shrinking."""
     w = [0]
 
     def active(y):
         nonzero = np.flatnonzero(y.any(axis=0))
         last = int(nonzero[-1]) if nonzero.size else -1
         w[0] = max(w[0], min(J, last + margin))
-        return slice(None), slice(0, w[0])
+        return w[0]
 
     return active, w
 

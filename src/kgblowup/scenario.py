@@ -114,19 +114,15 @@ def _positive_int(block: Dict[str, Any], key: str, where: str, default: int) -> 
     return int(val)
 
 
-def scenario_from_dict(
-    data: Dict[str, Any], where: str = "scenario", geom: Optional[ConeGeometry] = None
-) -> Scenario:
+def scenario_from_dict(data: Dict[str, Any], where: str = "scenario") -> Scenario:
     """The scenario of ``data``, its blocks read in turn: cosmology and
-    cone, theorem, run.  ``geom``, when given, is what its cosmology and
-    cone blocks give, and they are not read again."""
+    cone, theorem, run."""
     data = _require_mapping(data, where)
     _reject_unknown(data, {"cosmology", "cone", "theorem", "run"}, where)
     for block in ("cosmology", "cone", "theorem"):
         if block not in data:
             raise ScenarioError(f"{where}.{block}: missing required block")
-    if geom is None:
-        geom = geometry_from_dict(data, where)
+    geom = geometry_from_dict(data, where)
     inputs = _theorem_inputs(geom, _theorem_pieces(data, where), where)
     return Scenario(inputs, _run_from_dict(data, where))
 
@@ -267,15 +263,15 @@ def point_builder(
 ) -> Callable[[Tuple[float, ...], Optional[ConeGeometry]], Scenario]:
     """``build(values, geom)``: the scenario of the sweep point with axis
     values ``values``, as ``scenario_from_dict(point_data(base, paths,
-    values), geom=geom)`` gives it or raises; ``geom`` is what the point's
-    cosmology and cone blocks give, None when they break a rule.
+    values))`` gives it or raises; ``geom`` is what the point's cosmology
+    and cone blocks give, None when they break a rule.
 
     ``base`` is a sweep's checked base, so its theorem numbers and run
     settings are read once, here.  A point sets its theorem.* values into
     those numbers through the theorem rule check and, only when a run.*
     axis exists, reads its own run block: scenario_from_dict's readers in
     its order.  With ``geom`` None, or axes that name a theorem or run key
-    no scenario takes, a point is read whole.
+    no scenario takes, a point is read whole, which raises.
     """
     theorem, run, whole = [], [], False
     for i, path in enumerate(paths):
@@ -291,7 +287,7 @@ def point_builder(
 
     def build(values, geom):
         if geom is None or whole:
-            return scenario_from_dict(point_data(base, paths, values), geom=geom)
+            return scenario_from_dict(point_data(base, paths, values))
         point = dict(pieces)
         for i, field in theorem:
             point[field] = values[i]

@@ -58,10 +58,6 @@ class ConeGeometry:
         if not self.r0 > 0:
             raise ValueError("r0: support radius must be positive")
 
-    @property
-    def q0(self) -> float:
-        return self.r0 * self.r0
-
     @cached_property
     def forms(self) -> BackgroundForms:
         """The background's closed forms, built at the first use."""

@@ -101,7 +101,7 @@ def q_eval(geom: ConeGeometry, t: float) -> float:
     params = geom.params
     check_time(t, params.t_last)
     if t == 0.0:
-        return geom.q0
+        return geom.r0 * geom.r0
     s = log_scale_time_per_call(params, t)
     r = _radius_of(geom, s)
     return params.a0 * math.exp(params.H * s) * r * r / params.a0
@@ -240,7 +240,7 @@ def q_tilde_eval(geom: ConeGeometry, t: float) -> float:
     if verdict is Monotonicity.NOT_MONOTONE:
         raise PreconditionError("q is not certified monotone")
     if verdict is Monotonicity.NON_INCREASING:
-        return geom.q0
+        return geom.r0 * geom.r0
     return q_eval(geom, t)
 
 

@@ -220,4 +220,4 @@ class TestQTilde:
                 log_qt = log_q_tilde_eval(g, t, verdict)
                 direct = math.log(q_tilde_eval(g, t))
                 assert log_qt == pytest.approx(direct, rel=1e-12, abs=1e-12)
-                assert log_qt <= math.log(max(g.q0, q_eval(g, t))) + 1e-12
+                assert log_qt <= math.log(max(g.r0 * g.r0, q_eval(g, t))) + 1e-12

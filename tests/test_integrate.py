@@ -59,10 +59,16 @@ _ERR = np.array(
 
 
 def _reference_initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_span):
+    """The first step of Hairer, Norsett and Wanner, whose probe at t0 + h0
+    stays within the span.  Where h0 is 0 (a start slope whose norm
+    overflows, or no span) there is no probe, and the first step is the
+    step floor 1e-16 max(1, |t0|)."""
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
     d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_span)
+    if h0 == 0.0:
+        return 1e-16 * max(1.0, abs(t0))
     y1 = y0 + h0 * f0
     f1 = rhs(t0 + h0, y1)
     d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
@@ -910,33 +916,43 @@ def test_a_step_that_leaves_t_unchanged_is_an_underflow(t0, y0, state):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     t0=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
-    kind=st.sampled_from(["pole", "decay", "zero"]),
+    kind=st.sampled_from(["pole", "decay", "zero", "overflow"]),
     d=st.floats(1e-3, 10.0),
     span=st.floats(1e-3, 20.0) | st.just(math.inf),
+    big=st.sampled_from([1e300, 1e308, math.inf]),
 )
-@example(t0=0.0, kind="pole", d=1.05, span=5.0)
-@example(t0=-3.0, kind="pole", d=1.0, span=8.0)
-@example(t0=1e-3, kind="zero", d=1.0, span=math.inf)
-@example(t0=-1e3, kind="pole", d=10.0, span=math.inf)
-def test_reached_horizon_only_at_t_end(t0, kind, d, span):
+@example(t0=0.0, kind="pole", d=1.05, span=5.0, big=1e300)
+@example(t0=-3.0, kind="pole", d=1.0, span=8.0, big=1e300)
+@example(t0=1e-3, kind="zero", d=1.0, span=math.inf, big=1e300)
+@example(t0=-1e3, kind="pole", d=10.0, span=math.inf, big=1e300)
+@example(t0=1e-3, kind="decay", d=1.0, span=math.inf, big=1e300)
+@example(t0=1e-3, kind="overflow", d=1.0, span=1.0, big=1e300)
+@example(t0=-1e3, kind="overflow", d=0.5, span=math.inf, big=1e308)
+@example(t0=1e3, kind="overflow", d=10.0, span=20.0, big=math.inf)
+def test_reached_horizon_only_at_t_end(t0, kind, d, span, big):
     """From t0 of either sign, the pole of y' = y^2 at t0 + d, decay at
-    the rate 1/d, or a zero slope, to a finite t_end, or to t_end = inf
-    for the pole and the zero slope: the run returns, and ends in
-    ReachedHorizon exactly when it ends at t_end, bit for bit as the
-    reference in both arithmetics.  It ends short of a pole before t_end
-    in StepUnderflow, and so it does where a zero slope grows the step
-    past the float range toward t_end = inf.  (Decay to t_end = inf steps
-    at its stability bound until max_steps.)"""
-    assume(kind != "decay" or span < math.inf)
+    the rate 1/d, a zero slope, or y' = (big y1, y0), whose start slope's
+    norm overflows, to a finite t_end or to t_end = inf: the run returns,
+    and ends in ReachedHorizon exactly when it ends at t_end, bit for bit
+    as the reference in both arithmetics.  It ends short of a pole before
+    t_end in StepUnderflow, and so it does where a zero slope grows the
+    step past the float range toward t_end = inf, and where the overflow
+    starts at the step floor and leaves the float range.  Decay toward
+    t_end = inf steps at its stability bound until max_steps."""
     f = {
         "pole": lambda t, y: (y[0] * y[0], 0.0),
         "decay": lambda t, y: (-y[0] / d, y[0]),
         "zero": lambda t, y: (0.0, 0.0),
+        "overflow": lambda t, y: (big * y[1], y[0]),
     }[kind]
     t_end = t0 + span
-    ref, arr, tup = _all_three(f, (1.0 / d, 1.0), t_end, t0=t0)
+    kw = dict(max_steps=100) if kind == "decay" else {}
+    with np.errstate(all="ignore"):  # the overflow's stages leave the float range
+        ref, arr, tup = _all_three(f, (1.0 / d, 1.0), t_end, t0=t0, **kw)
     assert arr == ref and tup == ref
     status, t = ref[0][0], np.frombuffer(ref[0][1])[0]
     assert (status is TerminationReason.REACHED_HORIZON) == (t == t_end)
-    if kind == "pole" and t0 + d < t_end or t_end == math.inf:
+    if kind == "decay" and t_end == math.inf:
+        assert status is TerminationReason.MAX_STEPS
+    elif kind == "pole" and t0 + d < t_end or t_end == math.inf or kind == "overflow":
         assert status is TerminationReason.STEP_UNDERFLOW

@@ -10,6 +10,7 @@ two or more components: every ``RkResult`` field and every ``on_step``
 call, compared with ``tobytes()`` so signed zeros and the last bit count.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -913,46 +914,54 @@ def test_a_step_that_leaves_t_unchanged_is_an_underflow(t0, y0, state):
     assert pole - 1e-10 < res.t < pole and res.t + res.last_h == res.t
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     t0=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
-    kind=st.sampled_from(["pole", "decay", "zero", "overflow"]),
+    kind=st.sampled_from(
+        ["pole", "decay", "zero", "overflow 1e300", "overflow 1e308", "overflow inf"]
+    ),
     d=st.floats(1e-3, 10.0),
     span=st.floats(1e-3, 20.0) | st.just(math.inf),
-    big=st.sampled_from([1e300, 1e308, math.inf]),
 )
-@example(t0=0.0, kind="pole", d=1.05, span=5.0, big=1e300)
-@example(t0=-3.0, kind="pole", d=1.0, span=8.0, big=1e300)
-@example(t0=1e-3, kind="zero", d=1.0, span=math.inf, big=1e300)
-@example(t0=-1e3, kind="pole", d=10.0, span=math.inf, big=1e300)
-@example(t0=1e-3, kind="decay", d=1.0, span=math.inf, big=1e300)
-@example(t0=1e-3, kind="overflow", d=1.0, span=1.0, big=1e300)
-@example(t0=-1e3, kind="overflow", d=0.5, span=math.inf, big=1e308)
-@example(t0=1e3, kind="overflow", d=10.0, span=20.0, big=math.inf)
-def test_reached_horizon_only_at_t_end(t0, kind, d, span, big):
+@example(t0=0.0, kind="pole", d=1.05, span=5.0)
+@example(t0=-3.0, kind="pole", d=1.0, span=8.0)
+@example(t0=1e-3, kind="zero", d=1.0, span=math.inf)
+@example(t0=-1e3, kind="pole", d=10.0, span=math.inf)
+@example(t0=1e-3, kind="decay", d=1.0, span=math.inf)
+@example(t0=1e-3, kind="overflow 1e300", d=1.0, span=1.0)
+@example(t0=-1e3, kind="overflow 1e308", d=0.5, span=math.inf)
+@example(t0=1e3, kind="overflow inf", d=10.0, span=20.0)
+def test_reached_horizon_only_at_t_end(t0, kind, d, span):
     """From t0 of either sign, the pole of y' = y^2 at t0 + d, decay at
-    the rate 1/d, a zero slope, or y' = (big y1, y0), whose start slope's
-    norm overflows, to a finite t_end or to t_end = inf: the run returns,
-    and ends in ReachedHorizon exactly when it ends at t_end, bit for bit
-    as the reference in both arithmetics.  It ends short of a pole before
-    t_end in StepUnderflow, and so it does where a zero slope grows the
-    step past the float range toward t_end = inf, and where the overflow
-    starts at the step floor and leaves the float range.  Decay toward
-    t_end = inf steps at its stability bound until max_steps."""
+    the rate 1/d, a zero slope, or y' = (big y1, y0) with big 1e300, 1e308
+    or inf, whose start slope's norm overflows, to a finite t_end or to
+    t_end = inf: the run returns, and ends in ReachedHorizon exactly when
+    it ends at t_end, bit for bit as the reference in both arithmetics.
+    It ends short of a pole before t_end in StepUnderflow, and so it does
+    where a zero slope grows the step past the float range toward t_end =
+    inf, and where the overflow starts at the step floor and leaves the
+    float range.  Decay toward t_end = inf steps at its stability bound,
+    so it alone runs under a small max_steps, and ends in MaxSteps.  Half
+    the draws are overflows, hence 120 examples: the other kinds keep
+    about the 60 they had."""
+    kind, _, big = kind.partition(" ")
     f = {
         "pole": lambda t, y: (y[0] * y[0], 0.0),
         "decay": lambda t, y: (-y[0] / d, y[0]),
         "zero": lambda t, y: (0.0, 0.0),
-        "overflow": lambda t, y: (big * y[1], y[0]),
+        "overflow": lambda t, y: (float(big) * y[1], y[0]),
     }[kind]
     t_end = t0 + span
-    kw = dict(max_steps=100) if kind == "decay" else {}
-    with np.errstate(all="ignore"):  # the overflow's stages leave the float range
+    kw = dict(max_steps=100) if kind == "decay" and span == math.inf else {}
+    # Only the overflow's stages leave the float range; the other kinds run
+    # with NumPy's RuntimeWarning an error, as everywhere in the suite.
+    quiet = np.errstate(all="ignore") if kind == "overflow" else contextlib.nullcontext()
+    with quiet:
         ref, arr, tup = _all_three(f, (1.0 / d, 1.0), t_end, t0=t0, **kw)
     assert arr == ref and tup == ref
     status, t = ref[0][0], np.frombuffer(ref[0][1])[0]
     assert (status is TerminationReason.REACHED_HORIZON) == (t == t_end)
-    if kind == "decay" and t_end == math.inf:
+    if kw:
         assert status is TerminationReason.MAX_STEPS
     elif kind == "pole" and t0 + d < t_end or t_end == math.inf or kind == "overflow":
         assert status is TerminationReason.STEP_UNDERFLOW

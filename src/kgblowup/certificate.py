@@ -41,7 +41,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -258,6 +258,12 @@ def _time_grid(t_last: float, nodes: int) -> np.ndarray:
     return t
 
 
+@cache
+def _infinite_grid(nodes: int) -> np.ndarray:
+    """``_time_grid(inf, nodes)``, a constant of the node count, built once."""
+    return _time_grid(math.inf, nodes)
+
+
 def _golden_minimize(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
     """Golden-section search; returns (t_min, f_min)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -302,10 +308,9 @@ class Background:
 
     Each part is computed at its first use and kept for later ones; a part
     whose computation raises is not kept, so every use raises afresh, as a
-    fresh computation would.  The grid has ``GRID_NODES`` nodes, read when
-    it is built, and depends on the last admissible time ``t_last`` alone:
-    it comes read-only from ``grids``, a store by ``t_last`` that
-    backgrounds may share, made there on a miss.
+    fresh computation would.  The grid is read-only, with ``GRID_NODES``
+    nodes, read when it is built: the background's own, gone with it, or
+    on T0 = inf the one grid of that node count, kept for the process.
 
     It keeps, the same way, each compute_A result by (N, epsilon), compute_B
     result by (N, p) and ``Stem`` by (N, epsilon, p, theta, lambda), keyed
@@ -313,9 +318,8 @@ class Background:
     evicted.
     """
 
-    def __init__(self, geom: ConeGeometry, grids: Optional[dict] = None) -> None:
+    def __init__(self, geom: ConeGeometry) -> None:
         self.geom = geom
-        self.grids = {} if grids is None else grids
         self.a_results: Dict[bytes, ExtremumResult] = {}
         self.b_results: Dict[bytes, ExtremumResult] = {}
         self.stems: Dict[bytes, Stem] = {}
@@ -335,10 +339,9 @@ class Background:
     @cached_property
     def grid(self) -> np.ndarray:
         t_last = self.geom.params.t_last
-        if t_last not in self.grids:
-            self.grids[t_last] = _time_grid(t_last, GRID_NODES)
-            self.grids[t_last].flags.writeable = False
-        return self.grids[t_last]
+        grid = _infinite_grid(GRID_NODES) if math.isinf(t_last) else _time_grid(t_last, GRID_NODES)
+        grid.flags.writeable = False
+        return grid
 
     @cached_property
     def grid_log_q(self) -> np.ndarray:

@@ -282,14 +282,13 @@ def _sweep_point(build, values, geom, with_ode, background) -> List[str]:
 def _sweep_task(job) -> List[List[str]]:
     """The result cells of the points of background groups, in the order
     given.  A group's points are built on its geometry and certified on one
-    Background, which keeps each A, B and Stem they share until the next
-    group; the task's backgrounds share one time grid per t_last, kept to its end."""
+    Background, which keeps each A, B and Stem they share, and its time
+    grid, until the next group: the task holds one group's at a time."""
     base, paths, with_ode, groups = job
     build = point_builder(base, paths)
-    grids: Dict[float, Any] = {}
     rows = []
     for geom, points in groups:
-        background = None if geom is None else Background(geom, grids)
+        background = None if geom is None else Background(geom)
         rows += [_sweep_point(build, values, geom, with_ode, background) for values in points]
     return rows
 

@@ -310,8 +310,8 @@ def dopri_integrate(
     """Integrate y' = rhs(t, y) from t0 to t_end.
 
     ``y0`` is a tuple of floats (``rhs`` and ``on_step`` then see tuples)
-    or an array (``rhs(t, y, out)`` then fills ``out``), with at least one
-    component.  ``rel_tol >= 0`` and ``abs_tol > 0`` (a ValueError
+    or an array with an axis (``rhs(t, y, out)`` then fills ``out``), with
+    at least one component.  ``rel_tol >= 0`` and ``abs_tol > 0`` (a ValueError
     otherwise), so that no error scale is zero.  ``on_step(t, y, h)`` is
     invoked after every accepted step; a true return ends the run in
     BlowupThreshold at ``t``.  A step below ``1e-16 * max(1, |t|)``, or
@@ -324,7 +324,7 @@ def dopri_integrate(
     trial computes on; the module docstring states what the caller
     promises for it.
     """
-    if np.size(y0) == 0:
+    if np.ndim(y0) == 0 or np.size(y0) == 0:  # no axis (never a tuple), or no component
         raise ValueError("dopri_integrate needs a state with at least one component")
     if not (rel_tol >= 0.0 and abs_tol > 0.0):
         raise ValueError(f"dopri_integrate needs rel_tol >= 0 and abs_tol > 0, "

@@ -208,13 +208,16 @@ def geometry_from_dict(data: Dict[str, Any], where: str = "scenario") -> ConeGeo
     return geom
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path) -> Any:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return scenario_from_dict(data, where=str(path))
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_read_json(path), where=str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +306,7 @@ def point_builder(
 
 
 def load_sweep_spec(path) -> SweepSpec:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    data = _require_mapping(data, str(path))
+    data = _require_mapping(_read_json(path), str(path))
     _reject_unknown(
         data, {"base", "axes", "parallelism", "with_ode", "max_points"}, str(path)
     )

@@ -8,17 +8,22 @@ each distinct key must be computed once per command at any axis order,
 every point must get the same row at any axis order, and an error must be
 that of the point alone.  No result may outlive the ``kgblow sweep``
 command that computed it, and a Background keeps every key it was given.
+The one thing kept longer is the time grid toward T0 = inf: a constant
+of the node count, not a result, built once per process.
 """
 
 import csv
+import gc
 import itertools
 import json
 import math
 import tempfile
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -209,33 +214,75 @@ def test_a_shared_part_that_raised_raises_again():
     assert "verdict" not in vars(background) and not background.stems
 
 
-def test_backgrounds_share_one_read_only_grid_per_T0():
-    grids = {}
+def test_infinite_horizon_backgrounds_share_one_read_only_grid_per_node_count(monkeypatch):
     flat, expanding = make_inputs(0.0, 0.0).geom, make_inputs(0.45, 1.0).geom
+    first = Background(flat)
+    # T0 = inf at H = 0 and H > 0: one grid, in this sweep or any later one
+    assert Background(expanding).grid is first.grid is Background(flat).grid
+    assert first.grid.size == certificate.GRID_NODES
+    monkeypatch.setattr(certificate, "GRID_NODES", 257)
+    coarse = Background(expanding).grid
+    assert coarse.size == 257 and Background(flat).grid is coarse
+    for grid in (first.grid, coarse):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
+
+def test_a_finite_horizon_grid_is_its_backgrounds_own():
     contracting = make_inputs(-0.45, 1.0).geom
-    first, second = Background(flat, grids), Background(expanding, grids)
-    assert second.grid is first.grid  # both have T0 = inf
-    assert Background(contracting, grids).grid is not first.grid
-    assert len(grids) == 2 and not first.grid.flags.writeable
-    assert Background(flat).grid is not first.grid  # no store given: its own
+    first, second = Background(contracting), Background(contracting)
+    assert first.grid is first.grid and second.grid is not first.grid
+    t_last, nodes = contracting.params.t_last, certificate.GRID_NODES
+    assert np.array_equal(first.grid, certificate._time_grid(t_last, nodes))
+    assert not first.grid.flags.writeable
     with pytest.raises(ValueError):
         first.grid[0] = 1.0
+    grid = weakref.ref(first.grid)
+    del first
+    gc.collect()
+    assert grid() is None  # gone with its background
 
 
-def test_a_sweep_builds_each_time_grid_once(tmp_path, monkeypatch):
+def test_sweeps_build_the_infinite_grid_once_and_each_background_its_own(tmp_path, monkeypatch):
     built = []
     original = certificate._time_grid
     monkeypatch.setattr(certificate, "_time_grid",
                         lambda t_end, nodes: built.append(t_end) or original(t_end, nodes))
+    certificate._infinite_grid.cache_clear()
     path = write_spec(tmp_path, [
         ("cosmology.H", [0.45, -0.45, 0.0]),
         ("cosmology.sigma", [1.0, 0.5]),
         ("cone.r0", [5.0, 6.0]),  # q non-increasing at H < 0, so A reads the grid
         ("theorem.N", [0.1, 2.0]),
     ])
-    assert main(["sweep", "--scenario", str(path), "--out", str(tmp_path), "--workers", "1"]) == 0
-    # T0 = inf at H > 0 and H = 0, and one finite T0 per sigma at H < 0
-    assert sorted(Counter(built).values()) == [1, 1, 1]
+    for out in ("first", "second"):
+        args = ["sweep", "--scenario", str(path), "--out", str(tmp_path / out), "--workers", "1"]
+        assert main(args) == 0
+    # T0 = inf at H > 0 and H = 0, built once for both sweeps; at H < 0 one
+    # finite grid per background (sigma and r0), in each sweep
+    counts = Counter(built)
+    assert counts.pop(math.inf) == 1
+    assert sorted(counts.values()) == [4, 4]
+
+
+def test_a_serial_sweep_holds_one_finite_grid_at_a_time(tmp_path, monkeypatch):
+    """Each earlier finite-horizon grid is gone when the next is built."""
+    grids, alive = [], []
+    original = certificate._time_grid
+
+    def tracked(t_last, nodes):
+        grid = original(t_last, nodes)
+        if math.isfinite(t_last):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in grids))
+            grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(certificate, "_time_grid", tracked)
+    spec = Path(__file__).resolve().parent.parent / "scenarios" / "regress" / "sweep_contracting.json"
+    assert main(["sweep", "--scenario", str(spec), "--out", str(tmp_path), "--workers", "1"]) == 0
+    assert alive == [0] * 6  # the spec's six contracting backgrounds
 
 
 def test_signed_zeros_are_distinct_keys(tmp_path):

@@ -353,7 +353,8 @@ def test_signed_zero_stages_agree(size, signs):
     assert [_bytes(v) for v in f_out] == [_bytes(v) for v in a_out]
 
 
-@pytest.mark.parametrize("y0", [(), np.zeros(0), np.zeros((4, 0))], ids=["tuple", "1d", "2d"])
+@pytest.mark.parametrize("y0", [(), np.zeros(0), np.zeros((4, 0)), np.array(1.0), 1.0],
+                         ids=["tuple", "1d", "2d", "0d", "float"])
 def test_empty_state_is_a_value_error(y0):
     with pytest.raises(ValueError, match="at least one component"):
         dopri_integrate(lambda t, y, *out: y, 0.0, y0, 1.0)
